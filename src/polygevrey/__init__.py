@@ -25,7 +25,6 @@ from .geometry import (
     Polysector,
     RayGrid,
     Sector,
-    contains,
     distinguished_boundary_points,
     geometric_radii,
     is_subpolysector,
@@ -44,7 +43,6 @@ from .families import (
     CoherenceReport,
     ExtractResult,
     FirstOrderFamily,
-    FunctionElement,
     ProbeSpec,
     TotalFamily,
     app_n,
@@ -80,10 +78,8 @@ from .flatness_bounds import (
     FlatFit,
     NullFitEntry,
     fit_flat_type,
-    flat_to_gevrey,
     gevrey_envelope,
     gevrey_envelope_log,
-    gevrey_to_flat,
     h_aux,
     fit_wedge_constant,
     null_expansion_check,

@@ -40,7 +40,7 @@ from .families import (
 )
 from .flatness_bounds import fit_flat_type, pl_check
 from .geometry import Multidirection, Polysector, geometric_radii
-from .series import MultiIndexSeries
+from .series import MultiIndexSeries, borel_transform, evaluate_many
 from .transforms import (
     LaplaceSpec,
     brg_function,
@@ -151,6 +151,23 @@ def _probe_from(cfg) -> ProbeSpec:
     return ProbeSpec(**raw)
 
 
+def _theta_tuple(theta) -> tuple[float, ...]:
+    return tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
+
+
+def _remainder_rates(entry, fam, theta_t, radii, n_max: int, noise_floor: float, window):
+    """Gevrey rates fitted to the constants of f - App_(n,...,n), n <= n_max, along one direction."""
+    cons = remainder_constants(
+        entry.fn,
+        fam,
+        theta_t,
+        [radii] * entry.dim,
+        [(n,) * entry.dim for n in range(n_max + 1)],
+        noise_floor=noise_floor,
+    )
+    return fit_type_from_remainders(cons, window=window)
+
+
 def _jitter_radii(radii: list[float], seed: int | None, enabled: bool) -> list[float]:
     if not enabled or seed is None:
         return radii
@@ -162,11 +179,11 @@ def _jitter_radii(radii: list[float], seed: int | None, enabled: bool) -> list[f
 # subcommands
 
 
-def _cmd_transform(cfg: dict, out: Path, threads: int, seed) -> int:
+def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     ser = _series_from(cfg)
     z0 = _z0_from(cfg)
     spec = LaplaceSpec(z0, tol=float(cfg.get("tol", 1e-10)), max_depth=int(cfg.get("max_depth", 30)))
-    func = brg_function(ser, spec)
+    func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
     direction = _require(cfg, "direction", list)
     radii = _jitter_radii(_radii_from(cfg), seed, cfg.get("jitter", False))
     pts = np.asarray(
@@ -174,8 +191,10 @@ def _cmd_transform(cfg: dict, out: Path, threads: int, seed) -> int:
         dtype=complex,
     )
     if len(z0) == 1:
+        # func's own transform, called directly for its per-point error estimates
+        phi = borel_transform(ser)
         vals, errs = truncated_laplace_with_error(
-            lambda t: _borel_eval(ser, t), spec, pts[:, 0]
+            lambda t: evaluate_many(phi, t[:, None]), spec, pts[:, 0]
         )
         errs = np.asarray(errs, dtype=float)
     else:
@@ -205,13 +224,7 @@ def _cmd_transform(cfg: dict, out: Path, threads: int, seed) -> int:
     return EXIT_OK
 
 
-def _borel_eval(ser: MultiIndexSeries, t: np.ndarray) -> np.ndarray:
-    from .series import borel_transform, evaluate_many
-
-    return evaluate_many(borel_transform(ser), t[:, None])
-
-
-def _cmd_type_fit(cfg: dict, out: Path, threads: int, seed) -> int:
+def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
     mode = cfg.get("mode", "gevrey")
     entry = testbed.get(_require(cfg, "testbed", str))
     directions = _require(cfg, "directions", list)
@@ -230,16 +243,8 @@ def _cmd_type_fit(cfg: dict, out: Path, threads: int, seed) -> int:
         window = tuple(cfg.get("window", (4, max(6, n_max - 4))))
         floor = float(cfg.get("noise_floor", 1e-9))
         for theta in directions:
-            theta_t = tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
-            cons = remainder_constants(
-                entry.fn,
-                fam,
-                theta_t,
-                [radii] * entry.dim,
-                [(n,) * entry.dim if entry.dim > 1 else (n,) for n in range(n_max + 1)],
-                noise_floor=floor,
-            )
-            rates, logc, rms = fit_type_from_remainders(cons, window=window)
+            theta_t = _theta_tuple(theta)
+            rates, _, rms = _remainder_rates(entry, fam, theta_t, radii, n_max, floor, window)
             law = None
             profile = entry.known.get("type_profile")
             if profile is not None:
@@ -259,7 +264,7 @@ def _cmd_type_fit(cfg: dict, out: Path, threads: int, seed) -> int:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
     elif mode == "flat":
         for theta in directions:
-            theta_t = tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
+            theta_t = _theta_tuple(theta)
             d = Multidirection(theta_t)
             from .geometry import ray_points
 
@@ -282,7 +287,7 @@ def _cmd_type_fit(cfg: dict, out: Path, threads: int, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_predict_type(cfg: dict, out: Path, threads: int, seed) -> int:
+def _cmd_predict_type(cfg: dict, out: Path, seed) -> int:
     alpha = float(_require(cfg, "alpha"))
     beta = float(_require(cfg, "beta"))
     theta0 = float(_require(cfg, "theta0"))
@@ -333,7 +338,7 @@ def _cmd_predict_type(cfg: dict, out: Path, threads: int, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: dict, out: Path, threads: int, seed) -> int:
+def _cmd_verify(cfg: dict, out: Path, seed) -> int:
     suite = _require(cfg, "suite", str)
     if suite == "coherence":
         tol = float(cfg.get("tol", 1e-6))
@@ -351,7 +356,6 @@ def _cmd_verify(cfg: dict, out: Path, threads: int, seed) -> int:
             probe=_probe_from(cfg) if "probe" in cfg else None,
             max_order=int(cfg.get("max_order", 3)),
             samples_per_axis=int(cfg.get("samples_per_axis", 2)),
-            threads=threads,
         )
         ok = rep.ok() and not rep.probe_failures
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
@@ -366,7 +370,6 @@ def _cmd_verify(cfg: dict, out: Path, threads: int, seed) -> int:
             interior_samples=int(cfg.get("interior_samples", 6)),
             tol=float(cfg.get("tol", 1e-9)),
             growth_attestation=cfg.get("growth_attestation"),
-            threads=threads,
         )
         _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
@@ -380,16 +383,14 @@ def _cmd_verify(cfg: dict, out: Path, threads: int, seed) -> int:
         fam = family_from_series(ser, z0)
         radii = _radii_from(cfg)
         n_max = int(cfg.get("n_max", 20))
+        floor = float(cfg.get("noise_floor", 1e-9))
+        window = tuple(cfg.get("window", (4, 16)))
         rel_tol = float(cfg.get("rel_tol", 0.15))
         results = []
         ok = True
         for theta in _require(cfg, "directions", list):
-            theta_t = tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
-            cons = remainder_constants(
-                entry.fn, fam, theta_t, [radii] * entry.dim,
-                [(n,) for n in range(n_max + 1)], noise_floor=float(cfg.get("noise_floor", 1e-9)),
-            )
-            rates, _, rms = fit_type_from_remainders(cons, window=tuple(cfg.get("window", (4, 16))))
+            theta_t = _theta_tuple(theta)
+            rates, _, _ = _remainder_rates(entry, fam, theta_t, radii, n_max, floor, window)
             law = [p.fn(t) for p, t in zip(profile, theta_t)]
             rel = max(abs(r - l) / l for r, l in zip(rates, law))
             ok = ok and rel <= rel_tol
@@ -412,7 +413,7 @@ def _cmd_verify(cfg: dict, out: Path, threads: int, seed) -> int:
     raise ConfigError(f"unknown verify suite {suite!r}")
 
 
-def _cmd_interpolate(cfg: dict, out: Path, threads: int, seed) -> int:
+def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     name = _require(cfg, "testbed", str)
     if name != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
@@ -463,7 +464,7 @@ def _cmd_interpolate(cfg: dict, out: Path, threads: int, seed) -> int:
     return EXIT_OK if worst <= tol else EXIT_VERDICT_FAIL
 
 
-def _cmd_list_testbed(cfg: dict, out: Path | None, threads: int, seed) -> int:
+def _cmd_list_testbed(cfg: dict, out: Path | None, seed) -> int:
     lines = []
     payload = []
     for entry_id in testbed.ids():
@@ -508,7 +509,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog=f"polygevrey {command}", add_help=True)
     parser.add_argument("--config", help="JSON experiment configuration")
     parser.add_argument("--out", default=".", help="output directory for reports")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for script compatibility; has no effect"
+    )
     parser.add_argument("--seed", type=int, default=None, help="jitter seed (off unless config enables jitter)")
     try:
         args = parser.parse_args(argv[1:])
@@ -523,7 +526,7 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError(f"{command} requires --config")
             cfg = _load_config(args.config)
-        return _COMMANDS[command](cfg, out, max(1, args.threads), args.seed)
+        return _COMMANDS[command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,59 +24,18 @@ from .errors import (
     FamilyError,
     ProbeError,
 )
-from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
+from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, rate_fit
 from .transforms import (
     LaplaceSpec,
     SampledFunction,
     half_plane_polysector,
-    truncated_laplace_nd,
-    truncated_laplace_with_error,
+    laplace_of_polynomial,
 )
-from . import series as _series
 
 
 # ---------------------------------------------------------------------------
 # elements and families
-
-
-@dataclass(frozen=True)
-class FunctionElement:
-    """One coefficient function, defined on a (possibly 0-dimensional) polysector."""
-
-    domain: Polysector
-    fn: Callable | None = None
-    const: complex | None = None
-    vectorized: bool = True
-    provenance: str = "closed-form"
-
-    def __post_init__(self):
-        if self.domain.dim == 0:
-            if self.const is None:
-                raise FamilyError("0-dimensional elements must carry a constant value")
-        elif self.fn is None:
-            raise FamilyError("positive-dimensional elements need an eval callback")
-
-    @classmethod
-    def constant(cls, value: complex, provenance: str = "closed-form") -> "FunctionElement":
-        return cls(EMPTY_POLYSECTOR, None, complex(value), provenance=provenance)
-
-    def __call__(self, zs: Sequence[complex] = ()) -> complex:
-        if self.domain.dim == 0:
-            return self.const
-        if self.vectorized:
-            return complex(self.fn(np.asarray([tuple(zs)], dtype=complex))[0])
-        return complex(self.fn(tuple(zs)))
-
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.domain.dim == 0:
-            return np.full(len(pts), self.const, dtype=complex)
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if self.vectorized:
-            return np.asarray(self.fn(pts), dtype=complex)
-        return np.asarray([self.fn(tuple(p)) for p in pts], dtype=complex)
 
 
 def _subset_key(axes: Iterable[int]) -> tuple[int, ...]:
@@ -130,7 +88,7 @@ class TotalFamily:
         object.__setattr__(self, "elements", clean)
         object.__setattr__(self, "index_bound", index_bound)
 
-    def element(self, axes: Iterable[int], idx: Sequence[int]) -> FunctionElement:
+    def element(self, axes: Iterable[int], idx: Sequence[int]) -> SampledFunction:
         key = (_subset_key(axes), tuple(int(i) for i in idx))
         try:
             return self.elements[key]
@@ -180,7 +138,7 @@ class FirstOrderFamily:
 
     dim: int
     host: Polysector
-    sequences: tuple[tuple[FunctionElement, ...], ...]
+    sequences: tuple[tuple[SampledFunction, ...], ...]
 
     def __init__(self, dim, host, sequences):
         dim = int(dim)
@@ -216,13 +174,6 @@ def first_order_of(fam: TotalFamily) -> FirstOrderFamily:
 
 # ---------------------------------------------------------------------------
 # App_N
-
-
-def _powers(z: complex, top: int) -> list[complex]:
-    out = [1.0 + 0j]
-    for _ in range(top):
-        out.append(out[-1] * z)
-    return out
 
 
 def app_n(fam: TotalFamily, n_index: Sequence[int], z: Sequence[complex], validate: bool = True) -> complex:
@@ -307,11 +258,23 @@ class ProbeSpec:
     circle_nodes: int = 64
     direction: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        rules = (
+            (self.r0 > 0, "r0 > 0"),
+            (0 < self.ratio < 1, "0 < ratio < 1"),
+            (self.window >= 2, "window >= 2"),
+            (self.steps >= self.window, "steps >= window"),
+            (self.agree >= 1, "agree >= 1"),
+            (self.tol > 0, "tol > 0"),
+            (0 < self.circle_frac < 1, "0 < circle_frac < 1"),
+            (self.circle_nodes >= 2, "circle_nodes >= 2"),
+        )
+        broken = [rule for ok, rule in rules if not ok]
+        if broken:
+            raise DomainError(f"invalid probe {self}: need {', '.join(broken)}")
+
     def radii(self) -> list[float]:
         return [self.r0 * self.ratio**k for k in range(self.steps)]
-
-    def light(self) -> "ProbeSpec":
-        return replace(self, steps=min(self.steps, 10), tol=max(self.tol, 1e-7))
 
 
 @dataclass(frozen=True)
@@ -374,51 +337,58 @@ class _LadderTracker:
         return bool(np.all(self.converged))
 
 
-def _circle_orders(evalfn, center: complex, rho: float, orders: Sequence[int], nodes: int):
-    """Coefficients D^m g(center)/m! for all requested m from one circle."""
+def _circle_orders(evalfn, centers, rhos, orders, nodes: int) -> np.ndarray:
+    """Coefficients D^N g(centers)/N! for all requested N from one product of circles."""
+    p = len(centers)
     angles = 2.0 * math.pi * np.arange(nodes) / nodes
-    w = center + rho * np.exp(1j * angles)
-    vals = np.asarray(evalfn(w), dtype=complex)  # (nodes, B)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    spec = np.fft.fft(vals, axis=0) / nodes
-    return np.stack([spec[m] * rho ** (-m) for m in orders])  # (n_orders, B)
+    rings = [c + rho * np.exp(1j * angles) for c, rho in zip(centers, rhos)]
+    grids = np.meshgrid(*rings, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = np.asarray(evalfn(pts), dtype=complex).reshape((nodes,) * p + (-1,))
+    spec = np.fft.fftn(vals, axes=tuple(range(p))) / nodes**p
+    out = []
+    for order in orders:
+        coeff = spec[order]
+        for m, rho in zip(order, rhos):
+            coeff = coeff * rho ** (-m)
+        out.append(coeff)
+    return np.stack(out)  # (n_orders, B)
 
 
 def axis_coefficient_ladder(
     evalfn: Callable[[np.ndarray], np.ndarray],
-    sector: Sector,
-    orders: Sequence[int],
+    sectors: Sequence[Sector],
+    orders: Sequence[Sequence[int]],
     probe: ProbeSpec,
-    theta: float | None = None,
+    thetas: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Limits of D^m g / m! as one variable tends to 0 along a ray.
+    """Limits of D^N g / N! as p variables tend to 0 jointly, one ray per axis.
 
-    ``evalfn`` maps an (mm,) array of points in ``sector`` to an (mm, B)
-    array; all orders and batch columns share the circles.  Returns arrays of
-    shape (n_orders, B): values, error estimates, convergence flags, and the
-    radius of the winning window.
+    ``sectors`` and ``thetas`` (default: the bisectors) give the p axes and
+    their rays; ``orders`` lists multi-indices of length p.  ``evalfn`` maps
+    an (mm, p) array of points to an (mm, B) array; all orders and batch
+    columns share one product of circles per rung.  Returns arrays of shape
+    (n_orders, B): values, error estimates, convergence flags, and the radius
+    of the winning window.
     """
-    orders = [int(m) for m in orders]
-    if max(orders) > probe.circle_nodes // 2:
+    orders = [tuple(int(m) for m in order) for order in orders]
+    if max(max(order) for order in orders) > probe.circle_nodes // 2:
         raise DomainError("requested order exceeds the circle-node anti-aliasing bound")
-    theta = sector.bisector if theta is None else float(theta)
-    if not sector.alpha < theta < sector.beta:
+    p = len(sectors)
+    thetas = [s.bisector for s in sectors] if thetas is None else [float(t) for t in thetas]
+    if not all(s.alpha < t < s.beta for s, t in zip(sectors, thetas)):
         raise DomainError("probe direction outside the sector")
     tracker = None
-    pure_value = orders == [0]
+    pure_value = orders == [(0,) * p]
     for r in probe.radii():
-        center = r * cmath.exp(1j * theta)
-        if not sector.contains(center):
+        centers = [r * cmath.exp(1j * t) for t in thetas]
+        if not all(s.contains(c) for s, c in zip(sectors, centers)):
             continue
         if pure_value:
-            row = np.asarray(evalfn(np.asarray([center])), dtype=complex)
-            if row.ndim == 1:
-                row = row[:, None]
-            sample = row
+            sample = np.asarray(evalfn(np.asarray([centers])), dtype=complex).reshape(1, -1)
         else:
-            rho = probe.circle_frac * sector.boundary_distance(center)
-            sample = _circle_orders(evalfn, center, rho, orders, probe.circle_nodes)
+            rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
+            sample = _circle_orders(evalfn, centers, rhos, orders, probe.circle_nodes)
         if tracker is None:
             tracker = _LadderTracker(sample.shape, probe)
         tracker.push(r, sample)
@@ -429,55 +399,22 @@ def axis_coefficient_ladder(
     return tracker.best, tracker.best_err, tracker.converged, tracker.best_radius
 
 
-def _product_circle_orders(evalfn_nd, centers, rhos, order: Sequence[int], nodes: int) -> complex:
-    """Mixed derivative via a product of circles (one ifft per axis)."""
-    p = len(centers)
-    angles = 2.0 * math.pi * np.arange(nodes) / nodes
-    rings = [c + rho * np.exp(1j * angles) for c, rho in zip(centers, rhos)]
-    grids = np.meshgrid(*rings, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(evalfn_nd(pts), dtype=complex).reshape((nodes,) * p)
-    spec = np.fft.fftn(vals) / nodes**p
-    coeff = spec[tuple(order)]
-    for m, rho in zip(order, rhos):
-        coeff *= rho ** (-m)
-    return complex(coeff)
+def _embed(f: SampledFunction, axes: Sequence[int], fixed_axes: Sequence[int], fixed) -> Callable:
+    """Ladder callback for ``f``: ladder points on ``axes``, the values ``fixed`` on ``fixed_axes``."""
+
+    def evalfn(sub: np.ndarray) -> np.ndarray:
+        pts = np.empty((len(sub), f.domain.dim), dtype=complex)
+        pts[:, list(axes)] = sub
+        pts[:, list(fixed_axes)] = np.asarray(fixed, dtype=complex)
+        return f.eval_many(pts)[:, None]
+
+    return evalfn
 
 
-def _multi_axis_ladder(
-    evalfn_nd: Callable[[np.ndarray], np.ndarray],
-    sectors: Sequence[Sector],
-    order: Sequence[int],
-    probe: ProbeSpec,
-    thetas: Sequence[float] | None = None,
-) -> ExtractResult:
-    """Joint limit z_J -> 0 of a mixed derivative along per-axis rays."""
-    p = len(sectors)
-    order = tuple(int(m) for m in order)
-    if max(order) > probe.circle_nodes // 2:
-        raise DomainError("requested order exceeds the circle-node anti-aliasing bound")
-    if thetas is None:
-        thetas = [s.bisector for s in sectors]
-    tracker = _LadderTracker((1, 1), probe)
-    for r in probe.radii():
-        centers = [r * cmath.exp(1j * t) for t in thetas]
-        if not all(s.contains(c) for s, c in zip(sectors, centers)):
-            continue
-        if all(m == 0 for m in order):
-            val = complex(np.asarray(evalfn_nd(np.asarray([centers])), dtype=complex).ravel()[0])
-        else:
-            rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
-            val = _product_circle_orders(evalfn_nd, centers, rhos, order, probe.circle_nodes)
-        tracker.push(r, np.asarray([[val]]))
-        if tracker.all_converged:
-            break
-    if not tracker.extrap:
-        raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
+def _single_limit(evalfn, sectors, order, probe: ProbeSpec, thetas=None) -> ExtractResult:
+    vals, errs, conv, radii = axis_coefficient_ladder(evalfn, sectors, [order], probe, thetas)
     return ExtractResult(
-        complex(tracker.best[0, 0]),
-        float(tracker.best_err[0, 0]),
-        bool(tracker.converged[0, 0]),
-        float(tracker.best_radius[0, 0]),
+        complex(vals[0, 0]), float(errs[0, 0]), bool(conv[0, 0]), float(radii[0, 0])
     )
 
 
@@ -500,53 +437,19 @@ def extract_element(
     n_index = tuple(int(m) for m in n_index)
     if len(n_index) != len(key):
         raise DimensionMismatchError("index length must match subset size")
-    dim = f.domain.dim
-    rest = tuple(a for a in range(dim) if a not in key)
+    rest = tuple(a for a in range(f.domain.dim) if a not in key)
     if len(z_rest) != len(rest):
         raise DimensionMismatchError("z_rest must fix every complementary axis")
     for a, z in zip(rest, z_rest):
         if not f.domain.sectors[a].contains(z):
             raise DomainError(f"z_rest component {z} outside sector of axis {a}")
-    thetas = probe.direction
-
-    if len(key) == 1:
-        axis = key[0]
-        sector = f.domain.sectors[axis]
-
-        def evalfn(w: np.ndarray) -> np.ndarray:
-            pts = np.empty((w.size, dim), dtype=complex)
-            pts[:, axis] = w
-            for a, z in zip(rest, z_rest):
-                pts[:, a] = z
-            return f.eval_many(pts)[:, None]
-
-        vals, errs, conv, radii = axis_coefficient_ladder(
-            evalfn,
-            sector,
-            [n_index[0]],
-            probe,
-            theta=None if thetas is None else thetas[0],
-        )
-        result = ExtractResult(
-            complex(vals[0, 0]), float(errs[0, 0]), bool(conv[0, 0]), float(radii[0, 0])
-        )
-    else:
-
-        def evalfn_nd(sub: np.ndarray) -> np.ndarray:
-            pts = np.empty((len(sub), dim), dtype=complex)
-            for pos, a in enumerate(key):
-                pts[:, a] = sub[:, pos]
-            for a, z in zip(rest, z_rest):
-                pts[:, a] = z
-            return f.eval_many(pts)
-
-        result = _multi_axis_ladder(
-            evalfn_nd,
-            [f.domain.sectors[a] for a in key],
-            n_index,
-            probe,
-            thetas=thetas,
-        )
+    result = _single_limit(
+        _embed(f, key, rest, z_rest),
+        [f.domain.sectors[a] for a in key],
+        n_index,
+        probe,
+        probe.direction,
+    )
     if strict and not result.converged:
         raise ProbeError(
             f"probe did not converge for J={key}, N_J={n_index}: "
@@ -642,37 +545,12 @@ def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
 
 
 def _element_derivative_limit(fam: TotalFamily, task, probe: ProbeSpec) -> ExtractResult:
-    j_axes, l_axes, _n_j, n_l, _union, _union_idx, rest, z_rest = task
-    elem = fam.element(j_axes, task[2])
-    dom_axes = fam.rest_axes(j_axes)  # axes of the element's domain, sorted
-    pos_of = {a: i for i, a in enumerate(dom_axes)}
+    j_axes, l_axes, n_j, n_l, _union, _union_idx, rest, z_rest = task
+    elem = fam.element(j_axes, n_j)
+    pos_of = {a: i for i, a in enumerate(fam.rest_axes(j_axes))}  # axis -> column of elem
     l_pos = [pos_of[a] for a in l_axes]
-    rest_pos = [pos_of[a] for a in rest]
-
-    if len(l_axes) == 1:
-        sector = elem.domain.sectors[l_pos[0]]
-
-        def evalfn(w: np.ndarray) -> np.ndarray:
-            pts = np.empty((w.size, elem.domain.dim), dtype=complex)
-            pts[:, l_pos[0]] = w
-            for p, z in zip(rest_pos, z_rest):
-                pts[:, p] = z
-            return elem.eval_many(pts)[:, None]
-
-        vals, errs, conv, radii = axis_coefficient_ladder(evalfn, sector, [n_l[0]], probe)
-        return ExtractResult(
-            complex(vals[0, 0]), float(errs[0, 0]), bool(conv[0, 0]), float(radii[0, 0])
-        )
-
-    def evalfn_nd(sub: np.ndarray) -> np.ndarray:
-        pts = np.empty((len(sub), elem.domain.dim), dtype=complex)
-        for i, p in enumerate(l_pos):
-            pts[:, p] = sub[:, i]
-        for p, z in zip(rest_pos, z_rest):
-            pts[:, p] = z
-        return elem.eval_many(pts)
-
-    return _multi_axis_ladder(evalfn_nd, [elem.domain.sectors[p] for p in l_pos], n_l, probe)
+    evalfn = _embed(elem, l_pos, [pos_of[a] for a in rest], z_rest)
+    return _single_limit(evalfn, [elem.domain.sectors[i] for i in l_pos], n_l, probe)
 
 
 def check_coherence(
@@ -682,7 +560,6 @@ def check_coherence(
     max_order: int = 3,
     samples_per_axis: int = 2,
     sample_radius: float = 0.35,
-    threads: int = 1,
 ) -> CoherenceReport:
     """Compare derivative limits of stored elements against deeper elements.
 
@@ -698,32 +575,20 @@ def check_coherence(
     """
     probe = probe or ProbeSpec(steps=20, tol=tol)
     tasks, missing = _coherence_tasks(fam, max_order, samples_per_axis, sample_radius)
-
-    def run(task):
-        j_axes, l_axes, n_j, n_l, union, union_idx, _rest, z_rest = task
-        target_elem = fam.element(union, union_idx)
-        target = target_elem(z_rest) if target_elem.domain.dim else target_elem()
-        try:
-            res = _element_derivative_limit(fam, task, probe)
-        except ProbeError as exc:
-            return (task, None, str(exc), target)
-        return (task, res, None, target)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
-
     failures = []
     probe_failures = []
     max_residual = 0.0
     checked = 0
-    for (task, res, note, target) in outcomes:
-        j_axes, l_axes, n_j, n_l = task[0], task[1], task[2], task[3]
-        if res is None or not res.converged:
-            best = res.error if res is not None else math.inf
-            probe_failures.append((j_axes, l_axes, n_j, n_l, note or f"unconverged ({best:.3e})"))
+    for task in tasks:
+        j_axes, l_axes, n_j, n_l, union, union_idx, _rest, z_rest = task
+        target = fam.element(union, union_idx)(z_rest)
+        try:
+            res = _element_derivative_limit(fam, task, probe)
+        except ProbeError as exc:
+            probe_failures.append((j_axes, l_axes, n_j, n_l, str(exc)))
+            continue
+        if not res.converged:
+            probe_failures.append((j_axes, l_axes, n_j, n_l, f"unconverged ({res.error:.3e})"))
             continue
         checked += 1
         residual = abs(res.value - target) / max(1.0, abs(target))
@@ -758,11 +623,9 @@ def check_first_order_coherence(
     max_residual = 0.0
     checked = 0
 
-    def coeffs_of(elem: FunctionElement, orders: Sequence[int]):
-        def evalfn(w: np.ndarray) -> np.ndarray:
-            return elem.eval_many(w.reshape(-1, 1))[:, None]
-
-        return axis_coefficient_ladder(evalfn, elem.domain.sectors[0], list(orders), probe)
+    def coeffs_of(elem: SampledFunction, orders: Sequence[int]):
+        evalfn = _embed(elem, (0,), (), ())
+        return axis_coefficient_ladder(evalfn, elem.domain.sectors, [(m,) for m in orders], probe)
 
     for n in range(n_cap + 1):
         vals1, errs1, conv1, _ = coeffs_of(fam1.sequences[0][n], range(m_cap + 1))
@@ -824,7 +687,7 @@ def family_from_series(
         rest = tuple(a for a in range(fhat.dim) if a not in axes)
         for idx in itertools.product(*(range(bound[a] + 1) for a in axes)):
             if axes == full:
-                elements[(axes, idx)] = FunctionElement.constant(
+                elements[(axes, idx)] = SampledFunction.constant(
                     fhat[idx], provenance="series"
                 )
                 continue
@@ -839,33 +702,8 @@ def family_from_series(
             phi = MultiIndexSeries(len(rest), coeffs, tuple(bound[a] for a in rest))
             subspec = LaplaceSpec(tuple(z0[a] for a in rest), tol=tol, max_depth=max_depth)
             domain = host.axes_subset(rest)
-            elements[(axes, idx)] = _laplace_element(phi, subspec, domain)
+            elements[(axes, idx)] = laplace_of_polynomial(phi, subspec, domain)
     return TotalFamily(fhat.dim, host, elements, bound)
-
-
-def _laplace_element(phi: MultiIndexSeries, subspec: LaplaceSpec, domain: Polysector) -> FunctionElement:
-    if phi.dim == 1:
-
-        def fn(pts: np.ndarray, _phi=phi, _spec=subspec) -> np.ndarray:
-            vals, _ = truncated_laplace_with_error(
-                lambda t: _series.evaluate_many(_phi, t[:, None]), _spec, pts[:, 0]
-            )
-            return np.atleast_1d(vals)
-
-    else:
-
-        def fn(pts: np.ndarray, _phi=phi, _spec=subspec) -> np.ndarray:
-            return np.asarray(
-                [
-                    truncated_laplace_nd(
-                        lambda q: _series.evaluate_many(_phi, q), _spec, p
-                    )
-                    for p in pts
-                ],
-                dtype=complex,
-            )
-
-    return FunctionElement(domain, fn, provenance="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +759,7 @@ def fit_type_from_remainders(
             continue
         indices.append(n_index)
         logvals.append(math.log(c) - sum(math.lgamma(k + 1) for k in n_index))
-    if len(indices) < len(indices[0]) + 1:
+    if not indices or len(indices) < len(indices[0]) + 1:
         raise DomainError("too few remainder constants for a rate fit")
     slopes, intercept, rms = rate_fit(indices, logvals)
     return tuple(math.exp(-s) for s in slopes), intercept, rms

@@ -1,9 +1,9 @@
 """Exponential-flatness fits, Gevrey envelopes, explicit wedge bounds, and a
 numerical maximum-principle checker.
 
-The flat <-> null-Gevrey conversions are type-exact: only the prefactors
-move, and those are existential, so the conversion functions return the types
-unchanged and the bookkeeping lives in documentation and reports.
+The flat <-> null-Gevrey correspondence is type-exact: only the prefactors
+move, and those are existential, so a flat rate is the null-Gevrey type as it
+stands and needs no conversion.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, SeriesError
+from .errors import DimensionMismatchError, DomainError, GeometryError, SeriesError
 from .geometry import Multidirection, Polysector, distinguished_boundary_points, ray_points
 from .series import rate_fit
 from .transforms import SampledFunction
@@ -106,19 +105,6 @@ def gevrey_envelope_log(c: float, a: float, r: float, n_cap: int | None = None) 
 def gevrey_envelope(c: float, a: float, r: float, n_cap: int | None = None) -> float:
     """min over N <= N_cap of C A^N N! r^N (exp of :func:`gevrey_envelope_log`)."""
     return math.exp(gevrey_envelope_log(c, a, r, n_cap))
-
-
-def flat_to_gevrey(rates: Sequence[float]) -> tuple[float, ...]:
-    """Types are preserved by the flat -> null-Gevrey direction; only prefactors move."""
-    out = tuple(float(r) for r in rates)
-    if any(r < 0 for r in out):
-        raise DomainError("rates must be nonnegative")
-    return out
-
-
-def gevrey_to_flat(rates: Sequence[float]) -> tuple[float, ...]:
-    """Mirror of :func:`flat_to_gevrey`; composition both ways is the identity."""
-    return flat_to_gevrey(rates)
 
 
 def h_aux(z: complex, alpha: float, beta: float, lam: float, c: float) -> complex:
@@ -307,7 +293,6 @@ def pl_check(
     interior_samples: int = 6,
     tol: float = 1e-9,
     growth_attestation: str | None = None,
-    threads: int = 1,
 ) -> BoundReport:
     """Compare |f| on the distinguished boundary against interior samples.
 
@@ -315,6 +300,10 @@ def pl_check(
     the caller's responsibility; pass ``growth_attestation`` to record it.
     Evaluation failures are collected, not fatal.
     """
+    if s.dim != f.domain.dim:
+        raise DimensionMismatchError(
+            f"polysector has {s.dim} axes, the function's domain has {f.domain.dim}"
+        )
     boundary = distinguished_boundary_points(s, boundary_density)
     interior = _interior_grid(s, interior_samples)
 
@@ -330,16 +319,8 @@ def pl_check(
                 failures += 1
         return vals
 
-    if threads > 1:
-        chunks = [boundary[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bvals = [v for part in pool.map(probe, chunks) for v in part]
-        chunks = [interior[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ivals = [v for part in pool.map(probe, chunks) for v in part]
-    else:
-        bvals = probe(boundary)
-        ivals = probe(interior)
+    bvals = probe(boundary)
+    ivals = probe(interior)
     if not bvals:
         raise DomainError("no boundary samples could be evaluated")
     boundary_max = max(v for _, v in bvals)

@@ -213,11 +213,6 @@ def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:
     return tuple(r0 * ratio**k for k in range(count))
 
 
-def contains(s: Sector, z: complex) -> bool:
-    """Membership with the branch of arg nearest the bisector."""
-    return s.contains(z)
-
-
 def is_subpolysector(t: Polysector, s: Polysector) -> bool:
     """Componentwise [alpha_T, beta_T] inside (alpha_S, beta_S) with rho_T < rho_S finite."""
     if t.dim != s.dim:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownEntryError
-from .families import FirstOrderFamily, FunctionElement, TotalFamily, nonempty_subsets
+from .families import FirstOrderFamily, TotalFamily, nonempty_subsets
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries
 from .transforms import LaplaceSpec, SampledFunction, truncated_laplace_with_error
@@ -48,7 +48,7 @@ def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily
         rest = tuple(a for a in range(n) if a not in axes)
         for idx in itertools.product(*(range(bound[a] + 1) for a in axes)):
             if axes == full:
-                elements[(axes, idx)] = FunctionElement.constant(
+                elements[(axes, idx)] = SampledFunction.constant(
                     series[idx], provenance="closed-form"
                 )
                 continue
@@ -67,7 +67,7 @@ def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily
 
                 return evaluate_many(_sub, pts)
 
-            elements[(axes, idx)] = FunctionElement(dom, fn, provenance="closed-form")
+            elements[(axes, idx)] = SampledFunction(dom, fn, provenance="closed-form")
     return TotalFamily(n, host, elements, bound)
 
 
@@ -174,11 +174,11 @@ def rat2_series(cap: int = 8) -> MultiIndexSeries:
     )
 
 
-def _rat2_slice(domain: Polysector, sign: float) -> FunctionElement:
+def _rat2_slice(domain: Polysector, sign: float) -> SampledFunction:
     def fn(pts: np.ndarray, _s=sign) -> np.ndarray:
         return _s / (1.0 + pts[:, 0])
 
-    return FunctionElement(domain, fn, provenance="closed-form")
+    return SampledFunction(domain, fn, provenance="closed-form")
 
 
 def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
@@ -190,7 +190,7 @@ def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
         elements[((0,), (h,))] = _rat2_slice(ax0, (-1.0) ** h)
         elements[((1,), (h,))] = _rat2_slice(ax1, (-1.0) ** h)
         for k in range(cap + 1):
-            elements[((0, 1), (h, k))] = FunctionElement.constant(
+            elements[((0, 1), (h, k))] = SampledFunction.constant(
                 (-1.0) ** (h + k), provenance="closed-form"
             )
     return TotalFamily(2, host, elements, (cap, cap))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .errors import DomainError, ProbeError, QuadratureError, SeriesError, TailError
-from .geometry import Polysector, Sector
+from .errors import DomainError, FamilyError, ProbeError, QuadratureError, SeriesError, TailError
+from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
 from .series import (
     MultiIndexSeries,
     borel_transform,
@@ -26,21 +25,39 @@ from .series import (
     gamma1_norm,
 )
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(15)
-_GL_NODES = np.asarray(_GL_NODES)
-_GL_WEIGHTS = np.asarray(_GL_WEIGHTS)
+# The 15-point Gauss-Legendre rule on [-1, 1], bit for bit as
+# scipy.special.roots_legendre(15) returns it.  Do not swap in
+# numpy.polynomial.legendre.leggauss(15): its weights differ by up to 1.2e-15,
+# and at tol 1e-13 the adaptive quadrature sits at its round-off floor, so the
+# swap changes refinement decisions (on the rat2 interpolation: 5,456 panels
+# become 8,540 and the worst extraction error nearly triples).
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.937273392400706, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743454, 0.0,
+    0.20119409399743454, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.937273392400706, 0.9879925180204854,
+])
+_GL_WEIGHTS = np.array([
+    0.030753241996118154, 0.07036604748810715, 0.10715922046717176, 0.13957067792615432,
+    0.16626920581699411, 0.18616100001556224, 0.19843148532711163, 0.20257824192556137,
+    0.19843148532711163, 0.18616100001556224, 0.16626920581699411, 0.13957067792615432,
+    0.10715922046717176, 0.07036604748810715, 0.030753241996118154,
+])
 
 
 @dataclass(frozen=True)
 class LaplaceSpec:
-    """Integration endpoints and quadrature controls for truncated Laplace transforms."""
+    """Integration endpoints and quadrature controls for truncated Laplace transforms.
+
+    The quadrature rule is always adaptive composite GL15; ``to_json`` names
+    it as ``"scheme": "gl15"`` so reports say which rule ran.
+    """
 
     z0: tuple[complex, ...]
     tol: float = 1e-10
     max_depth: int = 30
-    scheme: str = "gl15"
 
-    def __init__(self, z0, tol: float = 1e-10, max_depth: int = 30, scheme: str = "gl15"):
+    def __init__(self, z0, tol: float = 1e-10, max_depth: int = 30):
         if isinstance(z0, (complex, float, int)):
             z0 = (z0,)
         z0 = tuple(complex(w) for w in z0)
@@ -48,12 +65,9 @@ class LaplaceSpec:
             raise DomainError("integration endpoints must be nonzero")
         if not tol > 0:
             raise DomainError("quadrature tolerance must be positive")
-        if scheme != "gl15":
-            raise DomainError(f"unknown quadrature scheme {scheme!r}")
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "tol", float(tol))
         object.__setattr__(self, "max_depth", int(max_depth))
-        object.__setattr__(self, "scheme", scheme)
 
     @property
     def dim(self) -> int:
@@ -64,7 +78,7 @@ class LaplaceSpec:
             "z0": [[w.real, w.imag] for w in self.z0],
             "tol": self.tol,
             "max_depth": self.max_depth,
-            "scheme": self.scheme,
+            "scheme": "gl15",
         }
 
     @classmethod
@@ -73,11 +87,12 @@ class LaplaceSpec:
             z0 = tuple(complex(p[0], p[1]) for p in obj["z0"])
         except (KeyError, TypeError, IndexError) as exc:
             raise DomainError(f"bad Laplace spec: {obj!r}") from exc
+        if obj.get("scheme", "gl15") != "gl15":
+            raise DomainError(f"unknown quadrature scheme {obj['scheme']!r}")
         return cls(
             z0,
             tol=float(obj.get("tol", 1e-10)),
             max_depth=int(obj.get("max_depth", 30)),
-            scheme=obj.get("scheme", "gl15"),
         )
 
 
@@ -85,30 +100,42 @@ class LaplaceSpec:
 class SampledFunction:
     """Holomorphic function represented by an evaluation callback on a polysector.
 
-    ``fn`` receives a complex array of shape (k, dim) when ``vectorized`` is
-    true, else a tuple of complex coordinates.  Callbacks must be pure.
+    ``fn`` receives a complex array of shape (k, dim) and returns k values;
+    callbacks must be pure.  On a 0-dimensional domain (the all-axes elements
+    of a total family) the function is the constant ``const`` and has no
+    callback.  ``provenance`` records how the values are made.
     """
 
     domain: Polysector
-    fn: Callable
-    vectorized: bool = True
-    derivative_hint: int | None = None
+    fn: Callable | None = None
+    const: complex | None = None
+    provenance: str = "closed-form"
 
-    def __call__(self, zs) -> complex:
+    def __post_init__(self):
+        if self.domain.dim == 0:
+            if self.const is None:
+                raise FamilyError("0-dimensional functions must carry a constant value")
+        elif self.fn is None:
+            raise FamilyError("positive-dimensional functions need an eval callback")
+
+    @classmethod
+    def constant(cls, value: complex, provenance: str = "closed-form") -> "SampledFunction":
+        return cls(EMPTY_POLYSECTOR, const=complex(value), provenance=provenance)
+
+    def __call__(self, zs=()) -> complex:
+        if self.domain.dim == 0:
+            return self.const
         if isinstance(zs, (complex, float, int)):
             zs = (zs,)
-        if self.vectorized:
-            pts = np.asarray([tuple(zs)], dtype=complex)
-            return complex(self.fn(pts)[0])
-        return complex(self.fn(tuple(zs)))
+        return complex(self.fn(np.asarray([tuple(zs)], dtype=complex))[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        if self.domain.dim == 0:
+            return np.full(len(pts), self.const, dtype=complex)
         pts = np.asarray(pts, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if self.vectorized:
-            return np.asarray(self.fn(pts), dtype=complex)
-        return np.asarray([self.fn(tuple(p)) for p in pts], dtype=complex)
+        return np.asarray(self.fn(pts), dtype=complex)
 
 
 def _gl_panel(fvec, a: float, b: float):
@@ -178,15 +205,15 @@ def truncated_laplace_with_error(
     phi: Callable[[np.ndarray], np.ndarray],
     spec: LaplaceSpec,
     z,
-    axis: int = 0,
 ):
     """(1/z) * integral of phi(t) e^{-t/z} dt over the segment [0, z0].
 
-    Parametrized as t = s z0, s in [0, 1].  ``phi`` maps an array of t values
-    to an array of the same shape.  ``z`` may be a scalar or a 1-D array; the
-    quadrature refinement tree is shared across the batch.
+    Parametrized as t = s z0, s in [0, 1], with z0 = ``spec.z0[0]``.  ``phi``
+    maps an array of t values to an array of the same shape.  ``z`` may be a
+    scalar or a 1-D array; the quadrature refinement tree is shared across
+    the batch.
     """
-    z0 = spec.z0[axis]
+    z0 = spec.z0[0]
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr == 0):
         raise DomainError("z must be nonzero")
@@ -203,9 +230,9 @@ def truncated_laplace_with_error(
     return val, err
 
 
-def truncated_laplace(phi, spec: LaplaceSpec, z, axis: int = 0):
+def truncated_laplace(phi, spec: LaplaceSpec, z):
     """Value-only form of :func:`truncated_laplace_with_error`."""
-    val, _ = truncated_laplace_with_error(phi, spec, z, axis=axis)
+    val, _ = truncated_laplace_with_error(phi, spec, z)
     return val
 
 
@@ -328,25 +355,34 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
         raise TailError(
             f"Borel-sum tail bound {tail:.3e} exceeds quadrature tolerance {spec.tol:.3e}"
         )
-    phi_series = borel_transform(fhat)
+    return laplace_of_polynomial(borel_transform(fhat), spec, domain)
 
-    def phi(pts: np.ndarray) -> np.ndarray:
-        return evaluate_many(phi_series, pts)
 
-    if fhat.dim == 1:
+def laplace_of_polynomial(
+    phi: MultiIndexSeries, spec: LaplaceSpec, domain: Polysector
+) -> SampledFunction:
+    """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``.
+
+    One quadrature refinement tree serves a whole batch of points in one
+    variable; several variables integrate point by point, iterated.
+    """
+    if phi.dim == 1:
 
         def fn(pts: np.ndarray) -> np.ndarray:
             vals, _ = truncated_laplace_with_error(
-                lambda t: evaluate_many(phi_series, t[:, None]), spec, pts[:, 0]
+                lambda t: evaluate_many(phi, t[:, None]), spec, pts[:, 0]
             )
             return np.atleast_1d(vals)
 
     else:
 
         def fn(pts: np.ndarray) -> np.ndarray:
-            return np.asarray([truncated_laplace_nd(phi, spec, p) for p in pts], dtype=complex)
+            return np.asarray(
+                [truncated_laplace_nd(lambda q: evaluate_many(phi, q), spec, p) for p in pts],
+                dtype=complex,
+            )
 
-    return SampledFunction(domain, fn)
+    return SampledFunction(domain, fn, provenance="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +416,7 @@ def interpolate_first_order(
     the quadrature provides.
     """
     from .errors import CoherenceError
-    from .families import (
-        FirstOrderFamily,
-        ProbeSpec,
-        axis_coefficient_ladder,
-        check_first_order_coherence,
-    )
+    from .families import ProbeSpec, axis_coefficient_ladder, check_first_order_coherence
 
     if fam1.dim != 2:
         raise DomainError("interpolation implemented for two variables")
@@ -406,13 +437,12 @@ def interpolate_first_order(
     spec = spec or LaplaceSpec(z0, tol=1e-13, max_depth=45)
 
     if precheck_tol is not None:
-        report = check_first_order_coherence(
-            fam1, precheck_tol, probe.light(), max_order=precheck_orders
-        )
-        if report.failures:
+        report = check_first_order_coherence(fam1, precheck_tol, probe, max_order=precheck_orders)
+        if report.failures or report.probe_failures:
             raise CoherenceError(
                 f"first-order family fails coherence at {precheck_tol:g}: "
-                f"max residual {report.max_residual:.3e}",
+                f"max residual {report.max_residual:.3e}, "
+                f"{len(report.probe_failures)} pair(s) unconverged",
                 report=report,
             )
 
@@ -448,12 +478,13 @@ def interpolate_first_order(
             batch = np.asarray(missing, dtype=complex)
 
             def evalfn(w: np.ndarray) -> np.ndarray:
+                w = w[:, 0]
                 z1g = np.repeat(batch[None, :], w.size, axis=0).ravel()
                 z2g = np.repeat(w, batch.size)
                 return h1_eval(z1g, z2g).reshape(w.size, batch.size)
 
             vals, errs, conv, _ = axis_coefficient_ladder(
-                evalfn, s2, list(range(m_cap + 1)), probe
+                evalfn, [s2], [(m,) for m in range(m_cap + 1)], probe
             )
             if not np.all(conv[: min(2, m_cap + 1)]):
                 worst = float(np.max(errs[: min(2, m_cap + 1)]))
@@ -484,4 +515,4 @@ def interpolate_first_order(
         pts = np.asarray(pts, dtype=complex)
         return h1_eval(pts[:, 0], pts[:, 1]) + h2_eval(pts[:, 0], pts[:, 1])
 
-    return SampledFunction(host, fn, vectorized=True)
+    return SampledFunction(host, fn)

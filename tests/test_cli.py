@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import polygevrey
 
 from polygevrey.cli import (
     EXIT_NUMERICAL,
@@ -37,6 +43,12 @@ class TestDispatch:
 
     def test_unreadable_config(self, tmp_path):
         assert main(["transform", "--config", str(tmp_path / "none.json")]) == EXIT_SCHEMA
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(polygevrey.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, polygevrey.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestPredictType:
@@ -162,6 +174,22 @@ class TestTypeFit:
             fitted, law = entry["fitted"][0], entry["law"][0]
             assert abs(fitted - law) / law < 0.1
 
+    def test_every_remainder_below_noise_floor(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "tf3.json",
+            {
+                "testbed": "euler",
+                "mode": "gevrey",
+                "directions": [0.0],
+                "radii": {"r0": 0.5, "ratio": 0.82, "count": 8},
+                "n_max": 6,
+                "noise_floor": 1e300,
+            },
+        )
+        assert main(["type-fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert "too few remainder constants" in capsys.readouterr().err
+
     def test_flat_mode(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -191,6 +219,41 @@ class TestVerify:
         report = json.loads((out / "coherence.json").read_text())
         assert report["ok"]
         assert report["report"]["max_residual"] < 1e-6
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            {"r0": 0.0},
+            {"ratio": 1.5},
+            {"ratio": 0.0},
+            {"window": 1},
+            {"steps": 0},
+            {"agree": 0},
+            {"tol": 0.0},
+            {"circle_frac": 1.0},
+            {"circle_nodes": 1},
+        ],
+    )
+    def test_bad_probe_rejected(self, tmp_path, probe):
+        cfg = write(
+            tmp_path,
+            "vb.json",
+            {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "probe": probe},
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    def test_pl_dimension_mismatch(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "vd.json",
+            {
+                "suite": "pl",
+                "testbed": "poly",
+                "polysector": {"sectors": [{"alpha": -PI / 3, "beta": PI / 3, "rho": 1.0}]},
+            },
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert "polysector has 1 axes, the function's domain has 2" in capsys.readouterr().err
 
     def test_pl_poly(self, tmp_path):
         cfg = write(

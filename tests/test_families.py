@@ -8,7 +8,6 @@ from polygevrey import (
     DomainError,
     FamilyError,
     FirstOrderFamily,
-    FunctionElement,
     MultiIndexSeries,
     Multidirection,
     Polysector,
@@ -141,7 +140,7 @@ class TestCoherence:
     def test_injected_inconsistency_flagged(self):
         fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
         els = dict(fam.elements)
-        els[((0, 1), (1, 1))] = FunctionElement.constant(els[((0, 1), (1, 1))].const + 1.0)
+        els[((0, 1), (1, 1))] = SampledFunction.constant(els[((0, 1), (1, 1))].const + 1.0)
         bad = TotalFamily(2, fam.host, els, fam.index_bound)
         rep = check_coherence(bad, 1e-6, max_order=1)
         assert not rep.ok()
@@ -154,13 +153,6 @@ class TestCoherence:
         assert rep.checked_pairs == 0
         assert rep.max_residual == 0.0
         assert rep.ok()
-
-    def test_threads_deterministic(self):
-        fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
-        rep1 = check_coherence(fam, 1e-6, max_order=1, threads=1)
-        rep2 = check_coherence(fam, 1e-6, max_order=1, threads=4)
-        assert rep1.max_residual == rep2.max_residual
-        assert rep1.checked_pairs == rep2.checked_pairs
 
     def test_report_json(self):
         fam = family_from_series(testbed.rat2_series(cap=2), (0.5, 0.5))

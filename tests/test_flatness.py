@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polygevrey import (
+    DimensionMismatchError,
     DomainError,
     Multidirection,
     Polysector,
     SampledFunction,
     Sector,
     fit_flat_type,
-    flat_to_gevrey,
     gevrey_envelope,
     gevrey_envelope_log,
-    gevrey_to_flat,
     h_aux,
     null_expansion_check,
     pl_check,
@@ -110,22 +109,6 @@ class TestGevreyEnvelope:
     def test_validation(self):
         with pytest.raises(DomainError):
             gevrey_envelope(0.0, 1.0, 0.1)
-
-
-class TestConversions:
-    def test_identity(self):
-        assert flat_to_gevrey((2.0,)) == (2.0,)
-        assert gevrey_to_flat((1.0, 3.0)) == (1.0, 3.0)
-        assert flat_to_gevrey((0.0,)) == (0.0,)
-
-    def test_roundtrip(self):
-        rates = (0.5, 2.0, 0.0)
-        assert gevrey_to_flat(flat_to_gevrey(rates)) == rates
-        assert flat_to_gevrey(gevrey_to_flat(rates)) == rates
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            flat_to_gevrey((-1.0,))
 
 
 class TestHAux:
@@ -245,6 +228,12 @@ class TestPLCheck:
         f = SampledFunction(host, fragile)
         rep = pl_check(f, host, boundary_density=4, interior_samples=4)
         assert rep.eval_failures > 0
+
+    def test_dimension_mismatch(self):
+        host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
+        f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1])
+        with pytest.raises(DimensionMismatchError, match="1 axes.*has 2"):
+            pl_check(f, Polysector([Sector(-0.5, 0.5, 1.0)]))
 
     def test_attestation_recorded(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)])

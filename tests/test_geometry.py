@@ -11,7 +11,6 @@ from polygevrey import (
     Polysector,
     RayGrid,
     Sector,
-    contains,
     distinguished_boundary_points,
     geometric_radii,
     is_subpolysector,
@@ -27,28 +26,28 @@ def sector(a=-PI / 4, b=PI / 4, rho=1.0):
 
 class TestContains:
     def test_bisector_point(self):
-        assert contains(sector(), 0.5)
+        assert sector().contains(0.5)
 
     def test_vertex_excluded(self):
-        assert not contains(sector(), 0)
+        assert not sector().contains(0)
 
     def test_argument_outside(self):
-        assert not contains(sector(), 0.5 * cmath.exp(1j * PI / 3))
+        assert not sector().contains(0.5 * cmath.exp(1j * PI / 3))
 
     def test_radius_boundary_excluded(self):
-        assert not contains(sector(), 1.0)
-        assert contains(sector(), 0.999999)
+        assert not sector().contains(1.0)
+        assert sector().contains(0.999999)
 
     def test_branch_across_cut(self):
         # sector straddling the principal-arg cut at +-pi
         s = Sector(3 * PI / 4, 5 * PI / 4, 2.0)
-        assert contains(s, -1.0)
-        assert contains(s, cmath.exp(1j * (PI + 0.3)))
-        assert not contains(s, 1.0)
+        assert s.contains(-1.0)
+        assert s.contains(cmath.exp(1j * (PI + 0.3)))
+        assert not s.contains(1.0)
 
     def test_unreduced_angles(self):
         s = Sector(2 * PI - 0.1, 2 * PI + 0.1, 1.0)
-        assert contains(s, 0.5)
+        assert s.contains(0.5)
 
 
 class TestSubpolysector:

@@ -7,9 +7,9 @@ from polygevrey import (
     CoherenceError,
     DomainError,
     FirstOrderFamily,
-    FunctionElement,
     Polysector,
     ProbeSpec,
+    SampledFunction,
     Sector,
     TypeProfile,
     extract_element,
@@ -30,7 +30,7 @@ def constant_sequences(host, values0, values1):
     ax1 = host.axes_subset((0,))
 
     def mk(dom, v):
-        return FunctionElement(dom, lambda p, _v=v: np.full(len(p), _v, dtype=complex))
+        return SampledFunction(dom, lambda p, _v=v: np.full(len(p), _v, dtype=complex))
 
     seq0 = tuple(mk(ax0, v) for v in values0)
     seq1 = tuple(mk(ax1, v) for v in values1)
@@ -70,7 +70,7 @@ class TestTrivialFamilies:
 class TestValidation:
     def test_dimension(self):
         host = Polysector([Sector(-0.5, 0.5, math.inf)])
-        fam1 = FirstOrderFamily(1, host, ((FunctionElement.constant(1.0),),))
+        fam1 = FirstOrderFamily(1, host, ((SampledFunction.constant(1.0),),))
         with pytest.raises(DomainError):
             interpolate_first_order(fam1, profiles(), (0.9, 0.9))
 
@@ -93,6 +93,23 @@ class TestValidation:
             interpolate_first_order(
                 fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4, precheck_orders=1
             )
+
+    def test_unconverged_precheck_rejected(self):
+        # coherent values, but f_{10} carries noise no radius ladder can settle:
+        # a precheck that converged on no pair has verified nothing
+        host = host2()
+        fam1 = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
+        noisy = SampledFunction(
+            host.axes_subset((1,)),
+            lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
+        )
+        fam1 = FirstOrderFamily(2, host, ((noisy, fam1.sequences[0][1]), fam1.sequences[1]))
+        with pytest.raises(CoherenceError) as info:
+            interpolate_first_order(
+                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4, precheck_orders=1
+            )
+        assert info.value.report.probe_failures
+        assert not info.value.report.failures
 
 
 class TestRat2Smoke:

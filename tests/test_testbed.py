@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polygevrey import (
-    UnknownEntryError,
-    check_coherence,
-    flat_to_gevrey,
-    gevrey_to_flat,
-)
+from polygevrey import UnknownEntryError, check_coherence
 from polygevrey import testbed
 from polygevrey.families import ProbeSpec
 
@@ -118,14 +113,6 @@ class TestEuler:
 
 
 class TestTypeConsistency:
-    def test_flat_gevrey_roundtrip_per_entry(self):
-        for entry_id in testbed.ids():
-            entry = testbed.get(entry_id)
-            rates = entry.known.get("flat_rates")
-            if rates is None:
-                continue
-            assert gevrey_to_flat(flat_to_gevrey(rates)) == tuple(rates)
-
     def test_no_wide_sector_claims_positive_flat_rate(self):
         # a flat rate > 0 on an axis of opening >= pi would force the zero
         # function; no registry entry may claim that combination

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,12 @@ from polygevrey import (
     truncated_laplace,
     truncated_laplace_nd,
 )
-from polygevrey.transforms import adaptive_panel_quad, truncated_laplace_with_error
+from polygevrey.transforms import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    adaptive_panel_quad,
+    truncated_laplace_with_error,
+)
 
 PI = math.pi
 
@@ -235,7 +241,44 @@ class TestSpecJson:
         with pytest.raises(DomainError):
             LaplaceSpec((1.0,), tol=-1)
         with pytest.raises(DomainError):
-            LaplaceSpec((1.0,), scheme="midpoint")
+            LaplaceSpec.from_json({"z0": [[1.0, 0.0]], "scheme": "midpoint"})
+
+    def test_json_names_the_rule(self):
+        assert LaplaceSpec((0.5,)).to_json()["scheme"] == "gl15"
+
+
+class TestGaussLegendreRule:
+    def test_matches_mpmath_legendre_roots(self):
+        # Newton on P_15 at 40 digits from the standard cosine initial guesses
+        n = 15
+        with mpmath.workdps(40):
+
+            def p_and_dp(x):
+                p = mpmath.legendre(n, x)
+                return p, n * (x * p - mpmath.legendre(n - 1, x)) / (x * x - 1)
+
+            nodes, weights = [], []
+            for i in range(n):
+                x = mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (n + mpmath.mpf(1) / 2))
+                for _ in range(100):
+                    p, dp = p_and_dp(x)
+                    x -= p / dp
+                    if abs(p / dp) < mpmath.mpf(10) ** -38:
+                        break
+                nodes.append(x)
+                weights.append(2 / ((1 - x * x) * p_and_dp(x)[1] ** 2))
+            order = sorted(range(n), key=lambda i: nodes[i])
+            for got, i in zip(_GL_NODES, order):
+                assert abs(nodes[i] - float(got)) <= 2e-16
+            for got, i in zip(_GL_WEIGHTS, order):
+                assert abs(weights[i] - float(got)) <= 1e-15
+
+    def test_exact_on_polynomials_to_degree_29(self):
+        for k in range(30):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.dot(_GL_WEIGHTS, _GL_NODES**k)) - want) <= 2e-15
+        # and no further: degree 30 is where a 15-point rule stops being exact
+        assert abs(float(np.dot(_GL_WEIGHTS, _GL_NODES**30)) - 2.0 / 31) > 1e-10
 
 
 class TestAdaptivePanels:
