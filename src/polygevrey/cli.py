@@ -6,12 +6,14 @@ no wall-clock stamps, sorted keys, fixed float formatting, deterministic
 orderings.  Exit codes: 0 success (and verification verdicts that pass),
 1 completed verification with a failing verdict, 2 config/schema violation,
 3 numerical non-convergence (a partial report is written), 64 unknown
-subcommand.
+subcommand, 70 internal error (a bug in the program: ``error.json`` names the
+exception).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,13 +42,8 @@ from .families import (
 )
 from .flatness_bounds import fit_flat_type, pl_check
 from .geometry import Multidirection, Polysector, geometric_radii
-from .series import MultiIndexSeries, borel_transform, evaluate_many
-from .transforms import (
-    LaplaceSpec,
-    brg_function,
-    interpolate_first_order,
-    truncated_laplace_with_error,
-)
+from .series import MultiIndexSeries
+from .transforms import LaplaceSpec, brg_function, interpolate_first_order
 from .typecalc import TypeProfile, circle_type, final_type, fz_type, r_tilde, sine_type
 
 EXIT_OK = 0
@@ -54,6 +51,7 @@ EXIT_VERDICT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_UNKNOWN_COMMAND = 64
+EXIT_INTERNAL = 70
 
 
 def _fmt(x) -> str:
@@ -190,22 +188,14 @@ def _cmd_transform(cfg: dict, out: Path, seed) -> int:
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in radii],
         dtype=complex,
     )
-    if len(z0) == 1:
-        # func's own transform, called directly for its per-point error estimates
-        phi = borel_transform(ser)
-        vals, errs = truncated_laplace_with_error(
-            lambda t: evaluate_many(phi, t[:, None]), spec, pts[:, 0]
-        )
-        errs = np.asarray(errs, dtype=float)
-    else:
-        vals = func.eval_many(pts)
-        errs = np.full(len(pts), spec.tol)
+    vals = func.eval_many(pts)
+    errs = func.bound(pts)  # rounding of the closed form; the dropped Borel tail is <= tol
     header = []
     for j in range(len(z0)):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     header += ["re_F", "im_F", "est_err"]
     rows = []
-    for p, v, e in zip(pts, np.atleast_1d(vals), np.atleast_1d(errs)):
+    for p, v, e in zip(pts, vals, errs):
         row = []
         for w in p:
             row += [w.real, w.imag]
@@ -540,6 +530,15 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except Exception as exc:
+        # a bug, not a verdict or a config problem: keep it out of exit codes 1 and 2
+        import traceback  # only on this path, to keep start-up imports unchanged
+
+        traceback.print_exc(file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+        with contextlib.suppress(OSError):
+            _write_json(out / "error.json", {"error": message, "command": command, "internal": True})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

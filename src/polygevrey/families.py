@@ -602,6 +602,21 @@ def check_coherence(
     )
 
 
+def sequence_coefficients(
+    seq: Sequence[SampledFunction], sector: Sector, top: int, probe: ProbeSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of orders 0..top at the vertex of every one-variable element of ``seq``.
+
+    One radius ladder on ``sector``, one batch column per element.  Returns
+    the ladder's four (top+1, len(seq)) arrays.
+    """
+
+    def evalfn(w: np.ndarray) -> np.ndarray:
+        return np.stack([el.eval_many(w) for el in seq], axis=1)
+
+    return axis_coefficient_ladder(evalfn, [sector], [(m,) for m in range(top + 1)], probe)
+
+
 def check_first_order_coherence(
     fam1: FirstOrderFamily,
     tol: float,
@@ -612,33 +627,33 @@ def check_first_order_coherence(
 
     The m-th coefficient of f_{1n} and the n-th coefficient of f_{2m} must
     agree (both equal the (n, m) constant of the underlying total family).
+    Two ladders: one over every f_{1n} with orders m <= m_cap, one over every
+    f_{2m} with orders n <= n_cap.
     """
     if fam1.dim != 2:
         raise DimensionMismatchError("first-order coherence check implemented for dim 2")
     probe = probe or ProbeSpec(steps=20, tol=tol)
     n_cap = min(len(fam1.sequences[0]) - 1, max_order)
     m_cap = min(len(fam1.sequences[1]) - 1, max_order)
+    if n_cap < 0 or m_cap < 0:
+        return CoherenceReport(0, 0.0, (), (), tol)
+    s1, s2 = fam1.host.sectors
+    vals1, errs1, conv1, _ = sequence_coefficients(fam1.sequences[0][: n_cap + 1], s2, m_cap, probe)
+    vals2, errs2, conv2, _ = sequence_coefficients(fam1.sequences[1][: m_cap + 1], s1, n_cap, probe)
     failures = []
     probe_failures = []
     max_residual = 0.0
     checked = 0
-
-    def coeffs_of(elem: SampledFunction, orders: Sequence[int]):
-        evalfn = _embed(elem, (0,), (), ())
-        return axis_coefficient_ladder(evalfn, elem.domain.sectors, [(m,) for m in orders], probe)
-
     for n in range(n_cap + 1):
-        vals1, errs1, conv1, _ = coeffs_of(fam1.sequences[0][n], range(m_cap + 1))
         for m in range(m_cap + 1):
-            vals2, errs2, conv2, _ = coeffs_of(fam1.sequences[1][m], [n])
-            if not (conv1[m, 0] and conv2[0, 0]):
+            if not (conv1[m, n] and conv2[n, m]):
                 probe_failures.append(
-                    ((0,), (1,), (n,), (m,), f"unconverged ({float(errs1[m, 0]):.3e}/{float(errs2[0, 0]):.3e})")
+                    ((0,), (1,), (n,), (m,), f"unconverged ({float(errs1[m, n]):.3e}/{float(errs2[n, m]):.3e})")
                 )
                 continue
             checked += 1
-            a = complex(vals1[m, 0])
-            b = complex(vals2[0, 0])
+            a = complex(vals1[m, n])
+            b = complex(vals2[n, m])
             residual = abs(a - b) / max(1.0, abs(a))
             max_residual = max(max_residual, residual)
             if residual > tol:
@@ -652,17 +667,12 @@ def check_first_order_coherence(
 # families from series
 
 
-def family_from_series(
-    fhat: MultiIndexSeries,
-    z0: Sequence[complex],
-    tol: float = 1e-12,
-    max_depth: int = 40,
-) -> TotalFamily:
-    """Quadrature-backed total family of the truncated-Laplace interpolant.
+def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFamily:
+    """Total family of the truncated-Laplace interpolant, in closed form.
 
-    For each subset J and index a_J, the element is the iterated truncated
-    Laplace transform (over the complementary axes) of the partial Borel sum
-    with the J-indices frozen at a_J; the all-axes elements are the series
+    For each subset J and index a_J, the element is the truncated Laplace
+    transform (over the complementary axes) of the partial Borel sum with the
+    J-indices frozen at a_J; the all-axes elements are the series
     coefficients themselves.
     """
     z0 = tuple(complex(w) for w in z0)
@@ -700,7 +710,7 @@ def family_from_series(
                         math.factorial(k) for k in rest_idx
                     )
             phi = MultiIndexSeries(len(rest), coeffs, tuple(bound[a] for a in rest))
-            subspec = LaplaceSpec(tuple(z0[a] for a in rest), tol=tol, max_depth=max_depth)
+            subspec = LaplaceSpec(tuple(z0[a] for a in rest))
             domain = host.axes_subset(rest)
             elements[(axes, idx)] = laplace_of_polynomial(phi, subspec, domain)
     return TotalFamily(fhat.dim, host, elements, bound)

@@ -298,7 +298,8 @@ def pl_check(
 
     The subexponential-growth hypothesis that makes the principle valid is
     the caller's responsibility; pass ``growth_attestation`` to record it.
-    Evaluation failures are collected, not fatal.
+    A sample point where ``f`` raises DomainError or ArithmeticError is
+    counted as an evaluation failure; any other exception propagates.
     """
     if s.dim != f.domain.dim:
         raise DimensionMismatchError(
@@ -315,7 +316,7 @@ def pl_check(
         for pt in points:
             try:
                 vals.append((pt, abs(f(pt))))
-            except Exception:
+            except (DomainError, ArithmeticError):
                 failures += 1
         return vals
 

@@ -1,9 +1,15 @@
 """Truncated Laplace transforms and the interpolation constructions built on them.
 
-The quadrature backbone is adaptive composite Gauss-Legendre: 15-point panels
-with recursive bisection on the segment parameter.  The kernel e^{-s z0/z} is
-smooth but decays sharply when |z| is small, so the panels concentrate near
-s = 0 exactly where adaptivity pays off.
+Every Borel sum the package integrates is a stored polynomial, and for a
+polynomial the truncated transform is exact: t^n/n! maps to z^n P(n+1, z0/z),
+with P the regularized lower incomplete gamma function (DLMF 8.2, 8.4).
+:func:`laplace_monomials` evaluates that kernel; :func:`laplace_of_polynomial`
+contracts it against the coefficients, one axis at a time.
+
+Adaptive composite Gauss-Legendre quadrature (15-point panels, recursive
+bisection on the segment parameter) remains for integrands that are not
+polynomials, such as euler's 1/(1+t), and serves as the independent oracle
+for the closed forms.
 """
 
 from __future__ import annotations
@@ -15,15 +21,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FamilyError, ProbeError, QuadratureError, SeriesError, TailError
-from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
-from .series import (
-    MultiIndexSeries,
-    borel_transform,
-    evaluate_many,
-    fit_gevrey_type,
-    gamma1_norm,
+from .errors import (
+    CoherenceError,
+    DomainError,
+    FamilyError,
+    ProbeError,
+    QuadratureError,
+    SeriesError,
+    TailError,
 )
+from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
+from .series import MultiIndexSeries, borel_transform, fit_gevrey_type, gamma1_norm
+
+_EPS = float(np.finfo(float).eps)
 
 # The 15-point Gauss-Legendre rule on [-1, 1], bit for bit as
 # scipy.special.roots_legendre(15) returns it.  Do not swap in
@@ -103,13 +113,16 @@ class SampledFunction:
     ``fn`` receives a complex array of shape (k, dim) and returns k values;
     callbacks must be pure.  On a 0-dimensional domain (the all-axes elements
     of a total family) the function is the constant ``const`` and has no
-    callback.  ``provenance`` records how the values are made.
+    callback.  ``provenance`` records how the values are made.  ``bound``,
+    when given, maps the same (k, dim) points to k bounds on the rounding
+    error of the values ``fn`` returns.
     """
 
     domain: Polysector
     fn: Callable | None = None
     const: complex | None = None
     provenance: str = "closed-form"
+    bound: Callable | None = None
 
     def __post_init__(self):
         if self.domain.dim == 0:
@@ -279,6 +292,93 @@ def truncated_laplace_nd(
     return complex(level(0, start)[0])
 
 
+def _monomials_with_bound(z0: complex, z, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """z^n P(n+1, z0/z) for n = 0..top, and a bound on the rounding error of each value.
+
+    With w = z0/z and t_k = e^{-w} w^k / k! (formed in log space), P(n+1, w)
+    is 1 - sum_{k<=n} t_k where |w| >= n+1, and the decreasing tail
+    sum_{k>n} t_k below that.  The tail runs backward from n = top, whose sum
+    past t_{top+1} is the series sum_j prod_{i<=j} w/(top+1+i); the factor z^n
+    rides along in s_n = z^n t_{n+1} = e^{-w} z0^{n+1} / ((n+1)! z).
+
+    The bound is a running one.  A term exp(x), x a sum of m parts, carries
+    a relative error of m eps times the summed magnitudes of the parts, plus
+    (|w| + n) eps because w = z0/z is itself rounded; sums add eps per term.
+    Returns two (top+1, k) arrays.
+    """
+    z0 = complex(z0)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(z == 0):
+        raise DomainError("z must be nonzero")
+    w = _require_half_plane(z0, z)
+    n = np.arange(top + 1)
+    lgam = np.array([math.lgamma(k + 1.0) for k in range(top + 2)])
+    logw = np.log(w)
+    logz = np.log(z)
+    aw = np.abs(w)
+    t = np.exp(-w - lgam[: top + 1, None] + np.multiply.outer(n, logw))
+    t_rel = _EPS * (
+        4.0 * aw + np.multiply.outer(n, 3.0 * np.abs(logw) + 1.0) + 3.0 * lgam[: top + 1, None] + 3.0
+    )
+    zn = np.cumprod(np.vstack([np.ones_like(z)] + [z] * top), axis=0)
+    zn_rel = _EPS * (1.5 * n[:, None] + 2.0)
+    head = 1.0 - np.cumsum(t, axis=0)
+    t_abs = np.abs(t)
+    vals = zn * head
+    errs = np.abs(zn) * (
+        np.cumsum(t_abs * t_rel, axis=0)
+        + _EPS * (n[:, None] + 2.0) * np.cumsum(t_abs, axis=0)
+        + zn_rel * np.abs(head)
+    )
+    cols = np.flatnonzero(aw < top + 1)
+    if cols.size == 0:
+        return vals, errs
+    wt, zt = w[cols], z[cols]
+    term = np.ones_like(wt)
+    rest = np.ones_like(wt)
+    rest_abs = np.ones(wt.shape)
+    # |w| < top+1, so the terms fall below eps within about 9 sqrt(top+1) + 20 steps
+    for i in range(1, 40 + 10 * (top + 1)):
+        term = term * wt / (top + 1 + i)
+        rest = rest + term
+        rest_abs = rest_abs + np.abs(term)
+        if np.all(np.abs(term) <= 0.25 * _EPS * np.abs(rest)):
+            break
+    log_z0 = np.log(z0)
+    s = np.exp(((n + 1) * log_z0 - lgam[1:])[:, None] - wt - logz[cols])
+    s_err = np.abs(s) * _EPS * (
+        5.0 * aw[cols]
+        + ((n + 1) * (4.0 * abs(log_z0) + 1.0) + 4.0 * lgam[1:])[:, None]
+        + 4.0 * np.abs(logz[cols])
+        + 4.0
+    )
+    u = np.empty((top + 1, cols.size), dtype=complex)
+    u_abs = np.empty((top + 1, cols.size))
+    u_err = np.empty((top + 1, cols.size))
+    u[top] = s[top] * rest
+    u_abs[top] = np.abs(s[top]) * rest_abs
+    u_err[top] = s_err[top] * rest_abs + u_abs[top] * i * _EPS
+    for m in range(top - 1, -1, -1):
+        u[m] = u[m + 1] / zt + s[m]
+        u_abs[m] = u_abs[m + 1] / np.abs(zt) + np.abs(s[m])
+        u_err[m] = u_err[m + 1] / np.abs(zt) + s_err[m]
+    u_err += 2.0 * (top + 2) * _EPS * u_abs
+    use = (n[:, None] + 1) > aw[cols]
+    vals[:, cols] = np.where(use, u, vals[:, cols])
+    errs[:, cols] = np.where(use, u_err, errs[:, cols])
+    return vals, errs
+
+
+def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
+    """(1/z) * integral of t^n/n! e^{-t/z} dt over [0, z0], for n = 0..top.
+
+    That is z^n P(n+1, z0/z), P the regularized lower incomplete gamma
+    function.  ``z`` is a scalar or a 1-D array of k points with
+    |arg z - arg z0| < pi/2; the result has shape (top+1, k).
+    """
+    return _monomials_with_bound(z0, z, top)[0]
+
+
 def brg_type(z0: Sequence[complex], theta: Sequence[float]) -> tuple[float, ...]:
     """Per-axis type |z0_j| cos(theta_j - arg z0_j) of the truncated-Laplace expansion."""
     z0 = tuple(complex(w) for w in z0)
@@ -325,15 +425,15 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     The result is holomorphic on the product of half-planes around the
     arguments of z0 and carries the series' family as its expansion, with the
     cosine type law of :func:`brg_type`.  The Borel sum is evaluated from the
-    stored coefficients; evaluation stays inside |t_j| <= 0.9 R_j and the
-    a-posteriori tail bound (from the fitted Gevrey envelope) must clear the
-    quadrature tolerance.
+    stored coefficients and transformed in closed form; evaluation stays
+    inside |t_j| <= 0.9 R_j and the a-posteriori bound on the dropped tail
+    (from the fitted Gevrey envelope) must clear ``spec.tol``.
     """
     if fhat.dim != spec.dim:
         raise DomainError("series dimension and spec dimension disagree")
     domain = half_plane_polysector(spec.z0)
     if fhat.n_nonzero == 0:
-        return SampledFunction(domain, lambda pts: np.zeros(len(pts), dtype=complex))
+        return laplace_of_polynomial(fhat, spec, domain)
 
     try:
         fit = fit_gevrey_type(fhat)
@@ -353,7 +453,7 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     tail = _borel_tail_bound(fhat, types, [abs(w) for w in spec.z0])
     if not tail <= spec.tol:
         raise TailError(
-            f"Borel-sum tail bound {tail:.3e} exceeds quadrature tolerance {spec.tol:.3e}"
+            f"Borel-sum tail bound {tail:.3e} exceeds tolerance {spec.tol:.3e}"
         )
     return laplace_of_polynomial(borel_transform(fhat), spec, domain)
 
@@ -363,26 +463,42 @@ def laplace_of_polynomial(
 ) -> SampledFunction:
     """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``.
 
-    One quadrature refinement tree serves a whole batch of points in one
-    variable; several variables integrate point by point, iterated.
+    With its coefficients scaled by N!, ``phi`` maps to a tensor that is
+    contracted with :func:`laplace_monomials` one axis at a time.  The result
+    carries a rounding-error bound: the same contraction in magnitudes, with
+    every monomial widened by its own bound.
     """
-    if phi.dim == 1:
+    if phi.dim != spec.dim:
+        raise DomainError("polynomial dimension and spec dimension disagree")
+    coef = np.zeros(tuple(d + 1 for d in phi.degree_bound), dtype=complex)
+    for ix, c in phi.coeffs.items():
+        coef[ix] = c * math.prod(math.factorial(k) for k in ix)
+    coef_abs = np.abs(coef)
+    # rounding of the N! scaling, the products over axes and the sums
+    gamma = _EPS * (sum(coef.shape) + 2 * phi.dim + 2)
 
-        def fn(pts: np.ndarray) -> np.ndarray:
-            vals, _ = truncated_laplace_with_error(
-                lambda t: evaluate_many(phi, t[:, None]), spec, pts[:, 0]
-            )
-            return np.atleast_1d(vals)
+    def tables(pts: np.ndarray) -> list:
+        return [
+            _monomials_with_bound(w, pts[:, j], d)
+            for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))
+        ]
 
-    else:
+    def contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
+        out = np.tensordot(tabs[0], tensor, axes=(0, 0))  # (k, remaining axes)
+        for tab in tabs[1:]:
+            out = np.einsum("kn...,nk->k...", out, tab)
+        return out
 
-        def fn(pts: np.ndarray) -> np.ndarray:
-            return np.asarray(
-                [truncated_laplace_nd(lambda q: evaluate_many(phi, q), spec, p) for p in pts],
-                dtype=complex,
-            )
+    def fn(pts: np.ndarray) -> np.ndarray:
+        return contract(coef, [vals for vals, _ in tables(pts)])
 
-    return SampledFunction(domain, fn, provenance="quadrature")
+    def bound(pts: np.ndarray) -> np.ndarray:
+        tabs = tables(pts)
+        mag = contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
+        widened = contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])
+        return widened - (1.0 - gamma) * mag
+
+    return SampledFunction(domain, fn, provenance="closed-form", bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +509,6 @@ def interpolate_first_order(
     fam1,
     profiles,
     z0: Sequence[complex],
-    spec: LaplaceSpec | None = None,
     probe=None,
     coeff_cap: int = 8,
     precheck_tol: float | None = 1e-4,
@@ -401,27 +516,27 @@ def interpolate_first_order(
 ) -> SampledFunction:
     """Interpolate a coherent two-variable first-order family.
 
-    Two passes.  First, the truncated Laplace transform along axis 0 of the
-    exponential generating series of the axis-0 sequence; its axis-1
-    coefficient functions are then extracted by the same radius-ladder
-    machinery that backs :func:`polygevrey.families.extract_element`.  Second,
-    the axis-1 transform of the generating series of the corrected axis-1
-    sequence.  The sum of the two passes has the given family as its
-    first-order family, which is the postcondition contract tested by
-    extraction.
+    Two passes, both closed-form truncated Laplace transforms, with L_j[n] the
+    transform of t^n/n! along axis j (:func:`laplace_monomials`).  The first
+    pass transforms the exponential generating series of the axis-0 sequence,
+    h1 = sum_n f_{1n}(z2) L_1[n](z1).  Its m-th axis-1 coefficient is
+    sum_n a_{m,n} L_1[n](z1), where a_{m,n} is the m-th coefficient of f_{1n}
+    at the vertex; the constants come from one radius ladder over every
+    f_{1n} at once.  The second pass transforms the corrected axis-1 sequence,
+    h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
+    The sum h1 + h2 has the given family as its first-order family, which is
+    the postcondition contract tested by extraction.
 
     ``coeff_cap`` bounds the number of corrected axis-1 coefficients: high
-    orders are both numerically fragile to extract and strongly damped by the
-    t^m/m! weights, so a small cap loses nothing at the evaluation accuracy
-    the quadrature provides.
+    orders of a_{m,n} are numerically fragile to extract and strongly damped
+    by the t^m/m! weights, so a small cap loses little.  Raises ProbeError
+    when the ladder leaves orders 0 and 1 of the constants unconverged.
     """
-    from .errors import CoherenceError
-    from .families import ProbeSpec, axis_coefficient_ladder, check_first_order_coherence
+    from .families import ProbeSpec, check_first_order_coherence, sequence_coefficients
 
     if fam1.dim != 2:
         raise DomainError("interpolation implemented for two variables")
     host = fam1.host
-    s2 = host.sectors[1]
     z0 = tuple(complex(w) for w in z0)
     if len(z0) != 2:
         raise DomainError("z0 must have two components")
@@ -434,7 +549,6 @@ def interpolate_first_order(
         if not abs(w) < profiles[j].sup():
             raise DomainError(f"|z0| on axis {j} must stay below the profile sup")
     probe = probe or ProbeSpec()
-    spec = spec or LaplaceSpec(z0, tol=1e-13, max_depth=45)
 
     if precheck_tol is not None:
         report = check_first_order_coherence(fam1, precheck_tol, probe, max_order=precheck_orders)
@@ -450,69 +564,24 @@ def interpolate_first_order(
     f2 = fam1.sequences[1]
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)
-    inv_fact1 = np.array([1.0 / math.factorial(n) for n in range(n_cap + 1)])
-    inv_fact2 = np.array([1.0 / math.factorial(m) for m in range(m_cap + 1)])
+    consts, errs, conv, _ = sequence_coefficients(f1, host.sectors[1], m_cap, probe)
+    low = min(2, m_cap + 1)
+    if not np.all(conv[:low]):
+        raise ProbeError(
+            f"low-order axis-1 constants unconverged (error {float(np.max(errs[:low])):.3e})"
+        )
     w01, w02 = z0
-
-    def h1_eval(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """First pass at paired points (vectorized over the pair batch)."""
-        fvals = np.stack([el.eval_many(z2.reshape(-1, 1)) for el in f1])  # (n_cap+1, k)
-        w = w01 / z1
-
-        def fvec(s: np.ndarray) -> np.ndarray:
-            t = s * w01
-            tp = np.vander(t, n_cap + 1, increasing=True) * inv_fact1  # (m, n_cap+1)
-            phi = tp @ fvals  # (m, k)
-            kern = w[None, :] * np.exp(-np.multiply.outer(s, w))
-            return phi * kern
-
-        val, _ = adaptive_panel_quad(fvec, 0.0, 1.0, spec.tol, spec.max_depth)
-        return val
-
-    # corrected axis-1 coefficients c_m(z1) = f_{2m}(z1) - h2m(z1), cached per z1
-    coeff_cache: dict[complex, np.ndarray] = {}
-
-    def corrected_coeffs(z1s: np.ndarray) -> np.ndarray:
-        missing = [z for z in z1s.tolist() if z not in coeff_cache]
-        if missing:
-            batch = np.asarray(missing, dtype=complex)
-
-            def evalfn(w: np.ndarray) -> np.ndarray:
-                w = w[:, 0]
-                z1g = np.repeat(batch[None, :], w.size, axis=0).ravel()
-                z2g = np.repeat(w, batch.size)
-                return h1_eval(z1g, z2g).reshape(w.size, batch.size)
-
-            vals, errs, conv, _ = axis_coefficient_ladder(
-                evalfn, [s2], [(m,) for m in range(m_cap + 1)], probe
-            )
-            if not np.all(conv[: min(2, m_cap + 1)]):
-                worst = float(np.max(errs[: min(2, m_cap + 1)]))
-                raise ProbeError(
-                    f"low-order corrected coefficients unconverged (error {worst:.3e})"
-                )
-            f2vals = np.stack([el.eval_many(batch.reshape(-1, 1)) for el in f2[: m_cap + 1]])
-            corrected = f2vals - vals
-            for i, z in enumerate(missing):
-                coeff_cache[z] = corrected[:, i].copy()
-        return np.stack([coeff_cache[z] for z in z1s.tolist()], axis=1)  # (m_cap+1, k)
-
-    def h2_eval(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        cm = corrected_coeffs(z1)  # (m_cap+1, k)
-        w = w02 / z2
-
-        def fvec(s: np.ndarray) -> np.ndarray:
-            t = s * w02
-            tp = np.vander(t, m_cap + 1, increasing=True) * inv_fact2
-            phi = tp @ cm
-            kern = w[None, :] * np.exp(-np.multiply.outer(s, w))
-            return phi * kern
-
-        val, _ = adaptive_panel_quad(fvec, 0.0, 1.0, spec.tol, spec.max_depth)
-        return val
 
     def fn(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)
-        return h1_eval(pts[:, 0], pts[:, 1]) + h2_eval(pts[:, 0], pts[:, 1])
+        z1 = pts[:, 0]
+        z2 = pts[:, 1]
+        lap1 = laplace_monomials(w01, z1, n_cap)  # (n_cap+1, k)
+        lap2 = laplace_monomials(w02, z2, m_cap)  # (m_cap+1, k)
+        f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])
+        f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])
+        h1 = np.sum(f1vals * lap1, axis=0)
+        h2 = np.sum((f2vals - consts @ lap1) * lap2, axis=0)
+        return h1 + h2
 
     return SampledFunction(host, fn)

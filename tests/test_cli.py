@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 import polygevrey
 
 from polygevrey.cli import (
+    EXIT_INTERNAL,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -130,6 +132,31 @@ class TestTransform:
         lines = (out / "transform.csv").read_text().splitlines()
         val = float(lines[1].split(",")[2])
         assert val == pytest.approx(1 - math.exp(-0.5 / 0.2), rel=1e-9)
+
+    def test_two_axis_error_column_is_computed(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            "tr3.json",
+            {
+                "testbed": "brg_const2",
+                "z0": [0.5, 0.5],
+                "tol": 1e-10,
+                "direction": [0.0, 0.7],
+                "radii": [0.4, 0.1, 0.02],
+            },
+        )
+        out = tmp_path / "out3"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "transform.csv").read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        errs = [row[-1] for row in rows]
+        assert len(rows) == 3
+        assert all(0 < e < 1e-14 for e in errs)
+        assert len(set(errs)) > 1
+        for row in rows:
+            z1, z2 = complex(row[0], row[1]), complex(row[2], row[3])
+            want = (1 - cmath.exp(-0.5 / z1)) * (1 - cmath.exp(-0.5 / z2))
+            assert abs(complex(row[4], row[5]) - want) <= 1e-14
 
     def test_tail_error_exit_code(self, tmp_path):
         # z0 inside the Borel disc but beyond the 0.9 R evaluation guard
@@ -254,6 +281,35 @@ class TestVerify:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert "polysector has 1 axes, the function's domain has 2" in capsys.readouterr().err
+
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a bug in a callback must not read as a failed verdict (1) or a config error (2)
+        import dataclasses
+
+        from polygevrey import SampledFunction, testbed
+
+        entry = testbed.get("poly")
+
+        def broken(p):
+            raise RuntimeError("bug in the callback")
+
+        fake = dataclasses.replace(entry, fn=SampledFunction(entry.fn.domain, broken))
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        cfg = write(
+            tmp_path,
+            "vb.json",
+            {
+                "suite": "pl",
+                "testbed": "poly",
+                "polysector": {"sectors": [{"alpha": -PI / 3, "beta": PI / 3, "rho": 1.0}] * 2},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INTERNAL
+        err = json.loads((out / "error.json").read_text())
+        assert err["internal"] is True
+        assert err["error"] == "RuntimeError: bug in the callback"
+        assert "RuntimeError" in capsys.readouterr().err
 
     def test_pl_poly(self, tmp_path):
         cfg = write(

@@ -184,12 +184,45 @@ class TestFirstOrder:
         fam = TotalFamily(2, host, {}, (0, 0))
         fam1 = first_order_of(fam)
         assert fam1.caps() == (-1, -1)
+        assert check_first_order_coherence(fam1, 1e-6).checked_pairs == 0
 
     def test_first_order_coherence_rat2(self):
         fam1 = testbed.rat2_first_order_family(cap=4)
         rep = check_first_order_coherence(fam1, 1e-6, max_order=2)
         assert rep.ok()
         assert rep.checked_pairs == 9
+
+    def test_first_order_coherence_runs_two_ladders(self, monkeypatch):
+        from polygevrey import families
+
+        calls = []
+        ladder = families.axis_coefficient_ladder
+
+        def counted(evalfn, sectors, orders, probe, thetas=None):
+            calls.append(len(orders))
+            return ladder(evalfn, sectors, orders, probe, thetas)
+
+        monkeypatch.setattr(families, "axis_coefficient_ladder", counted)
+        fam1 = testbed.rat2_first_order_family(cap=4)
+        rep = check_first_order_coherence(fam1, 1e-6, max_order=2)
+        assert rep.checked_pairs == 9
+        assert calls == [3, 3]
+
+    def test_first_order_incoherent_pair_named(self):
+        host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)
+
+        def const(axis, v):
+            return SampledFunction(
+                host.axes_subset((axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
+            )
+
+        # f_{11} says the (1, 0) constant is 2; f_{20} says it is 0
+        fam1 = FirstOrderFamily(
+            2, host, ((const(1, 1.0), const(1, 2.0)), (const(0, 1.0), const(0, 0.0)))
+        )
+        rep = check_first_order_coherence(fam1, 1e-6, max_order=1)
+        assert rep.checked_pairs == 4
+        assert [f[:4] for f in rep.failures] == [((0,), (1,), (1,), (0,))]
 
 
 class TestFamilyFromSeries:
@@ -241,7 +274,7 @@ class TestFamilyFromSeries:
         man = fam.to_manifest()
         assert man["dim"] == 2
         provs = {tuple(e["J"]): e["provenance"] for e in man["elements"]}
-        assert provs[(0,)] == "quadrature"
+        assert provs[(0,)] == "closed-form"
         assert provs[(0, 1)] == "series"
 
 

@@ -229,6 +229,27 @@ class TestPLCheck:
         rep = pl_check(f, host, boundary_density=4, interior_samples=4)
         assert rep.eval_failures > 0
 
+    def test_callback_bug_propagates(self):
+        # a bug in a callback is not a sampling gap
+        host = Polysector([Sector(-0.5, 0.5, 1.0)])
+
+        def broken(p):
+            raise RuntimeError("bug in the callback")
+
+        with pytest.raises(RuntimeError, match="bug in the callback"):
+            pl_check(SampledFunction(host, broken), host, boundary_density=4, interior_samples=4)
+
+    def test_domain_error_counted(self):
+        host = Polysector([Sector(-0.5, 0.5, 1.0)])
+
+        def partial(p):
+            if np.any(np.imag(p) > 0):
+                raise DomainError("upper half outside the domain")
+            return np.ones(len(p), dtype=complex)
+
+        rep = pl_check(SampledFunction(host, partial), host, boundary_density=4, interior_samples=4)
+        assert rep.eval_failures > 0
+
     def test_dimension_mismatch(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
         f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1])

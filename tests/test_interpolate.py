@@ -8,6 +8,7 @@ from polygevrey import (
     DomainError,
     FirstOrderFamily,
     Polysector,
+    ProbeError,
     ProbeSpec,
     SampledFunction,
     Sector,
@@ -16,6 +17,8 @@ from polygevrey import (
     interpolate_first_order,
 )
 from polygevrey import testbed
+from polygevrey.families import sequence_coefficients
+from polygevrey.transforms import laplace_monomials
 
 PI = math.pi
 OPENING = 1.2
@@ -66,6 +69,21 @@ class TestTrivialFamilies:
         h2 = math.exp(-0.9 / z1) * (1 - math.exp(-0.9 / z2))
         assert func((z1, z2)) == pytest.approx(h1 + h2, rel=1e-9)
 
+    def test_two_passes_in_closed_form(self):
+        # f_{1n} = c_n and f_{2m} = d_m constant: h1 = sum_n c_n L1[n](z1) and
+        # h2 = sum_m (d_m - [m == 0] sum_n c_n L1[n](z1)) L2[m](z2)
+        c = [0.7, -0.2, 0.05, 0.0]
+        d = [0.7, 0.3, -0.1, 0.02]
+        fam1 = constant_sequences(host2(), c, d)
+        func = interpolate_first_order(fam1, profiles(), (0.9, 0.8), coeff_cap=3, precheck_tol=None)
+        z1, z2 = 0.21 + 0.05j, 0.13 - 0.02j
+        lap1 = laplace_monomials(0.9, z1, 3)[:, 0]
+        lap2 = laplace_monomials(0.8, z2, 3)[:, 0]
+        h1 = np.dot(c, lap1)
+        corrected = np.asarray(d, dtype=complex)
+        corrected[0] -= h1
+        assert func((z1, z2)) == pytest.approx(h1 + np.dot(corrected, lap2), rel=1e-12)
+
 
 class TestValidation:
     def test_dimension(self):
@@ -111,8 +129,33 @@ class TestValidation:
         assert info.value.report.probe_failures
         assert not info.value.report.failures
 
+    def test_unconverged_constants_rejected(self):
+        # without the precheck, f_{10}'s noise reaches the ladder for the a_{m,n}
+        host = host2()
+        fam1 = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
+        noisy = SampledFunction(
+            host.axes_subset((1,)),
+            lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
+        )
+        fam1 = FirstOrderFamily(2, host, ((noisy, fam1.sequences[0][1]), fam1.sequences[1]))
+        with pytest.raises(ProbeError, match="unconverged"):
+            interpolate_first_order(fam1, profiles(), (0.9, 0.9), precheck_tol=None)
+
 
 class TestRat2Smoke:
+    def test_axis_constants(self):
+        # a_{m,n}, the m-th coefficient of f_{1n} = (-1)^n / (1 + z2), is (-1)^(n+m);
+        # one ladder with the README's inner probe, every f_{1n} a batch column
+        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=16)
+        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
+        vals, errs, conv, _ = sequence_coefficients(fam1.sequences[0], fam1.host.sectors[1], 10, inner)
+        assert vals.shape == (11, 17)
+        assert np.all(conv[:2])
+        exact = (-1.0) ** np.add.outer(np.arange(11), np.arange(17))
+        # orders 0..2 at 1e-9; higher orders lose about two digits per order
+        assert np.max(np.abs(vals[:3] - exact[:3])) <= 1e-9
+        assert np.max(np.abs(vals - exact)) <= 0.1
+
     def test_low_order_extraction(self):
         # smoke-scale version of the full pipeline: low caps, order <= 1
         fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=10)

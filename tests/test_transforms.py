@@ -10,15 +10,21 @@ from polygevrey import (
     LaplaceSpec,
     MultiIndexSeries,
     TailError,
+    borel_transform,
     brg_function,
     brg_type,
+    testbed,
     truncated_laplace,
     truncated_laplace_nd,
 )
+from polygevrey.series import evaluate_many
 from polygevrey.transforms import (
     _GL_NODES,
     _GL_WEIGHTS,
     adaptive_panel_quad,
+    half_plane_polysector,
+    laplace_monomials,
+    laplace_of_polynomial,
     truncated_laplace_with_error,
 )
 
@@ -137,6 +143,134 @@ class TestTruncatedLaplaceND:
         spec = LaplaceSpec((1.0, 1.0), tol=1e-10)
         with pytest.raises(DomainError):
             truncated_laplace_nd(lambda p: np.ones(len(p)), spec, (0.3,))
+
+
+def mp_monomial(n: int, z0: complex, z: complex):
+    """z^n P(n+1, z0/z) at 40 digits from the exact double inputs."""
+    w = mpmath.mpc(z0) / mpmath.mpc(z)
+    return mpmath.mpc(z) ** n * mpmath.gammainc(n + 1, 0, w, regularized=True)
+
+
+class TestLaplaceMonomials:
+    def test_matches_mpmath_gammainc(self):
+        top = 24
+        sides = set()
+        with mpmath.workdps(40):
+            for z0 in (1.0, 0.5, 0.8 * cmath.exp(0.4j)):
+                theta0 = cmath.phase(complex(z0))
+                zs = np.asarray(
+                    [
+                        r * cmath.exp(1j * (theta0 + dth))
+                        for r in np.geomspace(1e-3, 5.0, 13)
+                        for dth in (-1.5, -0.8, 0.0, 0.6, 1.5)
+                    ]
+                )
+                got = laplace_monomials(z0, zs, top)
+                assert got.shape == (top + 1, zs.size)
+                for j, z in enumerate(zs):
+                    for n in range(top + 1):
+                        want = mp_monomial(n, z0, z)
+                        rel = float(abs(complex(got[n, j]) - want) / abs(want))
+                        assert rel <= 1e-12, (n, z0, z, rel)
+                        sides.add(abs(z0 / z) >= n + 1)
+        assert sides == {True, False}  # both the head and the tail branch ran
+
+    def test_matches_quadrature(self):
+        spec = LaplaceSpec((0.7 * cmath.exp(-0.3j),), tol=1e-13)
+        zs = np.asarray([0.05, 0.3 + 0.2j, 1.5 * cmath.exp(-1.2j), 4.0])
+        got = laplace_monomials(spec.z0[0], zs, 6)
+        for n in range(7):
+            want = truncated_laplace(lambda t: t**n / math.factorial(n), spec, zs)
+            assert np.allclose(got[n], want, rtol=1e-10, atol=0)
+
+    def test_scalar_point(self):
+        got = laplace_monomials(0.5, 0.2, 2)
+        assert got.shape == (3, 1)
+        assert complex(got[0, 0]) == pytest.approx(1 - math.exp(-2.5), rel=1e-14)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            laplace_monomials(1.0, 0.0, 3)
+        with pytest.raises(DomainError):
+            laplace_monomials(1.0, np.asarray([0.2, -0.3]), 3)
+
+
+class TestLaplaceOfPolynomial:
+    def test_two_axes_match_iterated_quadrature(self):
+        phi = MultiIndexSeries(
+            2, {(0, 0): 1.0, (1, 0): -0.5j, (0, 2): 0.25, (2, 1): 0.3 - 0.1j}, (2, 2)
+        )
+        z0 = (0.5, 0.6 * cmath.exp(0.3j))
+        spec = LaplaceSpec(z0, tol=1e-12)
+        func = laplace_of_polynomial(phi, spec, half_plane_polysector(z0))
+        assert func.provenance == "closed-form"
+        pts = np.asarray([(0.2, 0.3), (0.05 + 0.04j, 0.5j + 0.4), (1.1, 0.08)])
+        got = func.eval_many(pts)
+        for p, g in zip(pts, got):
+            want = truncated_laplace_nd(lambda q: evaluate_many(phi, q), spec, p)
+            assert abs(g - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_dimension_check(self):
+        phi = MultiIndexSeries(1, {(0,): 1.0}, (0,))
+        with pytest.raises(DomainError):
+            laplace_of_polynomial(phi, LaplaceSpec((0.5, 0.5)), half_plane_polysector((0.5, 0.5)))
+
+
+class TestErrorBound:
+    """The reported bound covers the distance to a 40-digit evaluation of the same sum."""
+
+    @staticmethod
+    def mp_transform(phi: MultiIndexSeries, z0, p):
+        total = mpmath.mpc(0)
+        for ix, c in phi.coeffs.items():
+            term = mpmath.mpc(c) * mpmath.fprod(mpmath.factorial(k) for k in ix)
+            for j, k in enumerate(ix):
+                term *= mp_monomial(k, z0[j], p[j])
+            total += term
+        return total
+
+    def check(self, ser: MultiIndexSeries, z0, pts):
+        func = brg_function(ser, LaplaceSpec(z0, tol=1e-12))
+        phi = borel_transform(ser)
+        vals = func.eval_many(pts)
+        bounds = func.bound(pts)
+        assert np.all(bounds > 0)
+        with mpmath.workdps(40):
+            for p, v, b in zip(pts, vals, bounds):
+                err = float(abs(v - self.mp_transform(phi, z0, p)))
+                assert err <= b, (p, err, b)
+        return bounds
+
+    def test_euler(self):
+        entry = testbed.get("euler")
+        z0 = entry.known["z0"]
+        pts = np.asarray(
+            [
+                [r * cmath.exp(1j * th)]
+                for r in (0.4 * 0.7**k for k in range(12))
+                for th in (0.0, 0.5236, -1.0, 1.45)
+            ]
+        )
+        bounds = self.check(entry.known["series"], z0, pts)
+        assert np.max(bounds) < 1e-12
+
+    def test_brg_const2(self):
+        entry = testbed.get("brg_const2")
+        z0 = entry.known["z0"]
+        radii = (0.4, 0.1, 0.02)
+        pts = np.asarray(
+            [
+                (r1 * cmath.exp(1j * a), r2 * cmath.exp(1j * b))
+                for r1 in radii
+                for r2 in radii
+                for a, b in ((0.0, 0.0), (1.2, -0.7), (-1.45, 1.45))
+            ]
+        )
+        bounds = self.check(entry.known["series"], z0, pts)
+        assert np.max(bounds) < 1e-14
+        # the same values as the testbed's closed form
+        func = brg_function(entry.known["series"], LaplaceSpec(z0))
+        assert np.allclose(func.eval_many(pts), entry.fn.eval_many(pts), rtol=1e-14, atol=1e-15)
 
 
 class TestBrgType:
