@@ -42,8 +42,8 @@ from .families import (
 )
 from .flatness_bounds import fit_flat_type, pl_check
 from .geometry import Multidirection, Polysector, geometric_radii
-from .series import MultiIndexSeries
-from .transforms import LaplaceSpec, brg_function, interpolate_first_order
+from .series import MultiIndexSeries, borel_transform
+from .transforms import LaplaceSpec, brg_function, interpolate_first_order, laplace_bound
 from .typecalc import TypeProfile, circle_type, final_type, fz_type, r_tilde, sine_type
 
 EXIT_OK = 0
@@ -82,6 +82,28 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, kind=float, default=_REQUIRED):
+    """``kind(cfg[key])``, or ``default`` when the key is absent; a bad value is a ConfigError."""
+    if key not in cfg and default is not _REQUIRED:
+        return default
+    val = _require(cfg, key)
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {val!r}: {exc}") from None
+
+
+def _floats(val) -> list[float]:
+    return [float(v) for v in val]
+
+
+def _ints(val) -> tuple[int, ...]:
+    return tuple(int(v) for v in val)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
@@ -99,7 +121,9 @@ def _z0_from(cfg) -> tuple[complex, ...]:
     for item in raw:
         if isinstance(item, (int, float)):
             out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
+        elif isinstance(item, list) and len(item) == 2 and all(
+            isinstance(v, (int, float)) for v in item
+        ):
             out.append(complex(item[0], item[1]))
         else:
             raise ConfigError(f"z0 entries must be numbers or [re, im] pairs, got {item!r}")
@@ -121,36 +145,37 @@ def _series_from(cfg) -> MultiIndexSeries:
 def _radii_from(cfg, key="radii") -> list[float]:
     raw = _require(cfg, key)
     if isinstance(raw, dict):
-        return list(
-            geometric_radii(
-                float(_require(raw, "r0")),
-                float(_require(raw, "ratio")),
-                int(_require(raw, "count")),
-            )
-        )
+        return list(geometric_radii(_get(raw, "r0"), _get(raw, "ratio"), _get(raw, "count", int)))
     if isinstance(raw, list):
-        vals = [float(r) for r in raw]
+        vals = _get(cfg, key, _floats)
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("explicit radii must be strictly decreasing")
         return vals
     raise ConfigError(f"{key} must be a list or a geometric-grid object")
 
 
-def _probe_from(cfg) -> ProbeSpec:
-    raw = cfg.get("probe", {})
+_PROBE_FIELDS = {
+    "r0": float, "ratio": float, "steps": int, "window": int, "agree": int,
+    "tol": float, "circle_frac": float, "circle_nodes": int,
+}
+
+
+def _probe_from(cfg, key="probe", **defaults) -> ProbeSpec:
+    """The ProbeSpec under ``key``, its fields over ``defaults`` over ProbeSpec's own."""
+    raw = cfg.get(key, {})
     if not isinstance(raw, dict):
-        raise ConfigError("probe must be an object")
-    allowed = {
-        "r0", "ratio", "steps", "window", "agree", "tol", "circle_frac", "circle_nodes",
-    }
-    bad = set(raw) - allowed
+        raise ConfigError(f"{key} must be an object")
+    bad = set(raw) - set(_PROBE_FIELDS)
     if bad:
-        raise ConfigError(f"unknown probe keys: {sorted(bad)}")
-    return ProbeSpec(**raw)
+        raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
+    return ProbeSpec(**{**defaults, **{k: _get(raw, k, _PROBE_FIELDS[k]) for k in raw}})
 
 
 def _theta_tuple(theta) -> tuple[float, ...]:
-    return tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
+    try:
+        return tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad direction {theta!r}: {exc}") from None
 
 
 def _remainder_rates(entry, fam, theta_t, radii, n_max: int, noise_floor: float, window):
@@ -180,16 +205,16 @@ def _jitter_radii(radii: list[float], seed: int | None, enabled: bool) -> list[f
 def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     ser = _series_from(cfg)
     z0 = _z0_from(cfg)
-    spec = LaplaceSpec(z0, tol=float(cfg.get("tol", 1e-10)), max_depth=int(cfg.get("max_depth", 30)))
+    spec = LaplaceSpec(z0, tol=_get(cfg, "tol", float, 1e-10))
     func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
-    direction = _require(cfg, "direction", list)
+    direction = _get(cfg, "direction", _floats)
     radii = _jitter_radii(_radii_from(cfg), seed, cfg.get("jitter", False))
     pts = np.asarray(
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in radii],
         dtype=complex,
     )
     vals = func.eval_many(pts)
-    errs = func.bound(pts)  # rounding of the closed form; the dropped Borel tail is <= tol
+    errs = laplace_bound(borel_transform(ser), spec, pts)  # the dropped Borel tail is <= tol
     header = []
     for j in range(len(z0)):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
@@ -209,7 +234,14 @@ def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     )
     _write_json(
         out / "transform.json",
-        {"command": "transform", "dim": len(z0), "points": len(rows), "spec": spec.to_json()},
+        {
+            "command": "transform",
+            "dim": len(z0),
+            "points": len(rows),
+            "method": "closed-form",
+            "z0": [[w.real, w.imag] for w in spec.z0],
+            "tol": spec.tol,
+        },
     )
     return EXIT_OK
 
@@ -229,9 +261,9 @@ def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
         if z0 is None:
             raise ConfigError(f"entry {entry.id!r} has no z0; cannot build its family")
         fam = family_from_series(ser, z0)
-        n_max = int(cfg.get("n_max", 20))
-        window = tuple(cfg.get("window", (4, max(6, n_max - 4))))
-        floor = float(cfg.get("noise_floor", 1e-9))
+        n_max = _get(cfg, "n_max", int, 20)
+        window = _get(cfg, "window", _ints, (4, max(6, n_max - 4)))
+        floor = _get(cfg, "noise_floor", float, 1e-9)
         for theta in directions:
             theta_t = _theta_tuple(theta)
             rates, _, rms = _remainder_rates(entry, fam, theta_t, radii, n_max, floor, window)
@@ -278,15 +310,15 @@ def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
 
 
 def _cmd_predict_type(cfg: dict, out: Path, seed) -> int:
-    alpha = float(_require(cfg, "alpha"))
-    beta = float(_require(cfg, "beta"))
-    theta0 = float(_require(cfg, "theta0"))
-    r0 = float(_require(cfg, "R0"))
-    r_alpha = float(cfg.get("R_alpha", r0))
-    r_beta = float(cfg.get("R_beta", r0))
-    z0_mod = float(cfg.get("z0_mod", r0))
-    profile_value = float(cfg.get("profile_value", r0))
-    points = int(cfg.get("points", 181))
+    alpha = _get(cfg, "alpha")
+    beta = _get(cfg, "beta")
+    theta0 = _get(cfg, "theta0")
+    r0 = _get(cfg, "R0")
+    r_alpha = _get(cfg, "R_alpha", float, r0)
+    r_beta = _get(cfg, "R_beta", float, r0)
+    z0_mod = _get(cfg, "z0_mod", float, r0)
+    profile_value = _get(cfg, "profile_value", float, r0)
+    points = _get(cfg, "points", int, 181)
     if points < 2:
         raise ConfigError("points must be >= 2")
     if not alpha < theta0 < beta:
@@ -331,7 +363,7 @@ def _cmd_predict_type(cfg: dict, out: Path, seed) -> int:
 def _cmd_verify(cfg: dict, out: Path, seed) -> int:
     suite = _require(cfg, "suite", str)
     if suite == "coherence":
-        tol = float(cfg.get("tol", 1e-6))
+        tol = _get(cfg, "tol", float, 1e-6)
         if "series" in cfg or "z0" in cfg:
             ser = _series_from(cfg)
             fam = family_from_series(ser, _z0_from(cfg))
@@ -344,8 +376,8 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
             fam,
             tol,
             probe=_probe_from(cfg) if "probe" in cfg else None,
-            max_order=int(cfg.get("max_order", 3)),
-            samples_per_axis=int(cfg.get("samples_per_axis", 2)),
+            max_order=_get(cfg, "max_order", int, 3),
+            samples_per_axis=_get(cfg, "samples_per_axis", int, 2),
         )
         ok = rep.ok() and not rep.probe_failures
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
@@ -356,9 +388,9 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
         rep = pl_check(
             entry.fn,
             poly,
-            boundary_density=int(cfg.get("boundary_density", 6)),
-            interior_samples=int(cfg.get("interior_samples", 6)),
-            tol=float(cfg.get("tol", 1e-9)),
+            boundary_density=_get(cfg, "boundary_density", int, 6),
+            interior_samples=_get(cfg, "interior_samples", int, 6),
+            tol=_get(cfg, "tol", float, 1e-9),
             growth_attestation=cfg.get("growth_attestation"),
         )
         _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
@@ -372,10 +404,10 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
             raise ConfigError(f"entry {entry.id!r} lacks series/z0/type data")
         fam = family_from_series(ser, z0)
         radii = _radii_from(cfg)
-        n_max = int(cfg.get("n_max", 20))
-        floor = float(cfg.get("noise_floor", 1e-9))
-        window = tuple(cfg.get("window", (4, 16)))
-        rel_tol = float(cfg.get("rel_tol", 0.15))
+        n_max = _get(cfg, "n_max", int, 20)
+        floor = _get(cfg, "noise_floor", float, 1e-9)
+        window = _get(cfg, "window", _ints, (4, 16))
+        rel_tol = _get(cfg, "rel_tol", float, 0.15)
         results = []
         ok = True
         for theta in _require(cfg, "directions", list):
@@ -395,7 +427,7 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
         if fam1 is None:
             raise ConfigError(f"entry {entry.id!r} has no first-order family")
         rep = check_first_order_coherence(
-            fam1, float(cfg.get("tol", 1e-6)), max_order=int(cfg.get("max_order", 2))
+            fam1, _get(cfg, "tol", float, 1e-6), max_order=_get(cfg, "max_order", int, 2)
         )
         ok = rep.ok() and not rep.probe_failures
         _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
@@ -407,28 +439,29 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     name = _require(cfg, "testbed", str)
     if name != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
-    opening = float(cfg.get("opening", 1.2))
-    cap = int(cfg.get("cap", 16))
+    opening = _get(cfg, "opening", float, 1.2)
+    cap = _get(cfg, "cap", int, 16)
     z0 = _z0_from(cfg) if "z0" in cfg else (0.92, 0.92)
     fam1 = testbed.rat2_first_order_family(opening=opening, cap=cap)
-    profiles = [TypeProfile.constant(-opening, opening, float(cfg.get("profile_value", 1.0)))] * 2
-    inner_defaults = dict(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
-    inner_defaults.update(cfg.get("inner_probe", {}))
-    inner = ProbeSpec(**inner_defaults)
+    profiles = [TypeProfile.constant(-opening, opening, _get(cfg, "profile_value", float, 1.0))] * 2
+    inner = _probe_from(
+        cfg, "inner_probe", r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128
+    )
+    samples = _get(cfg, "samples", _floats, [0.02 * 1.13**k for k in range(10)])
+    orders = _get(cfg, "orders", int, 3)
+    probe = _probe_from(
+        cfg, "probe", r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128
+    )
+    tol = _get(cfg, "tol", float, 1e-4)
     func = interpolate_first_order(
         fam1,
         profiles,
         z0,
         probe=inner,
-        coeff_cap=int(cfg.get("coeff_cap", 10)),
-        precheck_tol=cfg.get("precheck_tol", 1e-3),
-        precheck_orders=int(cfg.get("precheck_orders", 1)),
+        coeff_cap=_get(cfg, "coeff_cap", int, 10),
+        precheck_tol=_get(cfg, "precheck_tol", lambda v: None if v is None else float(v), 1e-3),
+        precheck_orders=_get(cfg, "precheck_orders", int, 1),
     )
-    samples = [float(s) for s in cfg.get("samples", [0.02 * 1.13**k for k in range(10)])]
-    orders = int(cfg.get("orders", 3))
-    probe_defaults = dict(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
-    probe_defaults.update(cfg.get("probe", {}))
-    probe = ProbeSpec(**probe_defaults)
     rows = []
     worst = 0.0
     for axis in (0, 1):
@@ -441,7 +474,6 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
                 rows.append(
                     [axis + 1, k, sv, res.value.real, res.value.imag, true, err, res.error]
                 )
-    tol = float(cfg.get("tol", 1e-4))
     _write_csv(
         out / "interpolate.csv",
         ["axis", "order", "z", "re_extracted", "im_extracted", "true", "abs_err", "probe_err"],
@@ -524,10 +556,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         _write_json(out / "error.json", {"error": str(exc), "command": command})
         return EXIT_NUMERICAL
-    except (DomainError, PolygevreyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (ValueError, TypeError, KeyError) as exc:
+    except PolygevreyError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except Exception as exc:

@@ -98,9 +98,10 @@ class Sector:
         try:
             rho = obj["rho"]
             rho = math.inf if rho in ("inf", None) else float(rho)
-            return cls(float(obj["alpha"]), float(obj["beta"]), rho)
-        except (KeyError, TypeError) as exc:
+            alpha, beta = float(obj["alpha"]), float(obj["beta"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"bad sector descriptor: {obj!r}") from exc
+        return cls(alpha, beta, rho)
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,16 @@ class MultiIndexSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "MultiIndexSeries":
         try:
-            dim = obj["dim"]
+            dim = int(obj["dim"])
             coeffs = {
-                tuple(entry["index"]): complex(entry["re"], entry.get("im", 0.0))
+                tuple(int(k) for k in entry["index"]): complex(entry["re"], entry.get("im", 0.0))
                 for entry in obj["coeffs"]
             }
             bound = obj.get("degree_bound")
-        except (KeyError, TypeError) as exc:
+            bound = tuple(int(b) for b in bound) if bound is not None else None
+        except (KeyError, TypeError, ValueError) as exc:
             raise SeriesError(f"bad series descriptor: {obj!r}") from exc
-        return cls(dim, coeffs, tuple(bound) if bound is not None else None)
+        return cls(dim, coeffs, bound)
 
     def csv_rows(self) -> list[tuple[str, float, float]]:
         """Rows (N, |f_N|, |f_N|/N!) for external plotting."""

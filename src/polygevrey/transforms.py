@@ -113,16 +113,13 @@ class SampledFunction:
     ``fn`` receives a complex array of shape (k, dim) and returns k values;
     callbacks must be pure.  On a 0-dimensional domain (the all-axes elements
     of a total family) the function is the constant ``const`` and has no
-    callback.  ``provenance`` records how the values are made.  ``bound``,
-    when given, maps the same (k, dim) points to k bounds on the rounding
-    error of the values ``fn`` returns.
+    callback.  ``provenance`` records how the values are made.
     """
 
     domain: Polysector
     fn: Callable | None = None
     const: complex | None = None
     provenance: str = "closed-form"
-    bound: Callable | None = None
 
     def __post_init__(self):
         if self.domain.dim == 0:
@@ -292,81 +289,9 @@ def truncated_laplace_nd(
     return complex(level(0, start)[0])
 
 
-def _monomials_with_bound(z0: complex, z, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """z^n P(n+1, z0/z) for n = 0..top, and a bound on the rounding error of each value.
-
-    With w = z0/z and t_k = e^{-w} w^k / k! (formed in log space), P(n+1, w)
-    is 1 - sum_{k<=n} t_k where |w| >= n+1, and the decreasing tail
-    sum_{k>n} t_k below that.  The tail runs backward from n = top, whose sum
-    past t_{top+1} is the series sum_j prod_{i<=j} w/(top+1+i); the factor z^n
-    rides along in s_n = z^n t_{n+1} = e^{-w} z0^{n+1} / ((n+1)! z).
-
-    The bound is a running one.  A term exp(x), x a sum of m parts, carries
-    a relative error of m eps times the summed magnitudes of the parts, plus
-    (|w| + n) eps because w = z0/z is itself rounded; sums add eps per term.
-    Returns two (top+1, k) arrays.
-    """
-    z0 = complex(z0)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z == 0):
-        raise DomainError("z must be nonzero")
-    w = _require_half_plane(z0, z)
-    n = np.arange(top + 1)
-    lgam = np.array([math.lgamma(k + 1.0) for k in range(top + 2)])
-    logw = np.log(w)
-    logz = np.log(z)
-    aw = np.abs(w)
-    t = np.exp(-w - lgam[: top + 1, None] + np.multiply.outer(n, logw))
-    t_rel = _EPS * (
-        4.0 * aw + np.multiply.outer(n, 3.0 * np.abs(logw) + 1.0) + 3.0 * lgam[: top + 1, None] + 3.0
-    )
-    zn = np.cumprod(np.vstack([np.ones_like(z)] + [z] * top), axis=0)
-    zn_rel = _EPS * (1.5 * n[:, None] + 2.0)
-    head = 1.0 - np.cumsum(t, axis=0)
-    t_abs = np.abs(t)
-    vals = zn * head
-    errs = np.abs(zn) * (
-        np.cumsum(t_abs * t_rel, axis=0)
-        + _EPS * (n[:, None] + 2.0) * np.cumsum(t_abs, axis=0)
-        + zn_rel * np.abs(head)
-    )
-    cols = np.flatnonzero(aw < top + 1)
-    if cols.size == 0:
-        return vals, errs
-    wt, zt = w[cols], z[cols]
-    term = np.ones_like(wt)
-    rest = np.ones_like(wt)
-    rest_abs = np.ones(wt.shape)
-    # |w| < top+1, so the terms fall below eps within about 9 sqrt(top+1) + 20 steps
-    for i in range(1, 40 + 10 * (top + 1)):
-        term = term * wt / (top + 1 + i)
-        rest = rest + term
-        rest_abs = rest_abs + np.abs(term)
-        if np.all(np.abs(term) <= 0.25 * _EPS * np.abs(rest)):
-            break
-    log_z0 = np.log(z0)
-    s = np.exp(((n + 1) * log_z0 - lgam[1:])[:, None] - wt - logz[cols])
-    s_err = np.abs(s) * _EPS * (
-        5.0 * aw[cols]
-        + ((n + 1) * (4.0 * abs(log_z0) + 1.0) + 4.0 * lgam[1:])[:, None]
-        + 4.0 * np.abs(logz[cols])
-        + 4.0
-    )
-    u = np.empty((top + 1, cols.size), dtype=complex)
-    u_abs = np.empty((top + 1, cols.size))
-    u_err = np.empty((top + 1, cols.size))
-    u[top] = s[top] * rest
-    u_abs[top] = np.abs(s[top]) * rest_abs
-    u_err[top] = s_err[top] * rest_abs + u_abs[top] * i * _EPS
-    for m in range(top - 1, -1, -1):
-        u[m] = u[m + 1] / zt + s[m]
-        u_abs[m] = u_abs[m + 1] / np.abs(zt) + np.abs(s[m])
-        u_err[m] = u_err[m + 1] / np.abs(zt) + s_err[m]
-    u_err += 2.0 * (top + 2) * _EPS * u_abs
-    use = (n[:, None] + 1) > aw[cols]
-    vals[:, cols] = np.where(use, u, vals[:, cols])
-    errs[:, cols] = np.where(use, u_err, errs[:, cols])
-    return vals, errs
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max."""
+    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
 def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
@@ -375,8 +300,74 @@ def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     That is z^n P(n+1, z0/z), P the regularized lower incomplete gamma
     function.  ``z`` is a scalar or a 1-D array of k points with
     |arg z - arg z0| < pi/2; the result has shape (top+1, k).
+
+    With w = z0/z and t_k = e^{-w} w^k / k! (formed in log space), P(n+1, w)
+    is 1 - sum_{k<=n} t_k where |w| >= n+1, and the decreasing tail
+    sum_{k>n} t_k below that.  The tail runs backward from n = top, whose sum
+    past t_{top+1} is the series sum_j prod_{i<=j} w/(top+1+i); the factor z^n
+    rides along in s_n = z^n t_{n+1} = e^{-w} z0^{n+1} / ((n+1)! z).
     """
-    return _monomials_with_bound(z0, z, top)[0]
+    z0 = complex(z0)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(z == 0):
+        raise DomainError("z must be nonzero")
+    w = _require_half_plane(z0, z)
+    n = np.arange(top + 1)
+    lgam = _log_factorials(top + 1)
+    t = np.exp(-w - lgam[: top + 1, None] + np.multiply.outer(n, np.log(w)))
+    zn = np.cumprod(np.vstack([np.ones_like(z)] + [z] * top), axis=0)
+    vals = zn * (1.0 - np.cumsum(t, axis=0))
+    cols = np.flatnonzero(np.abs(w) < top + 1)
+    if cols.size == 0:
+        return vals
+    wt, zt = w[cols], z[cols]
+    term = np.ones_like(wt)
+    rest = np.ones_like(wt)
+    # |w| < top+1, so the terms fall below eps within about 9 sqrt(top+1) + 20 steps
+    for i in range(1, 40 + 10 * (top + 1)):
+        term = term * wt / (top + 1 + i)
+        rest = rest + term
+        if np.all(np.abs(term) <= 0.25 * _EPS * np.abs(rest)):
+            break
+    s = np.exp(((n + 1) * np.log(z0) - lgam[1:])[:, None] - wt - np.log(zt))
+    u = np.empty((top + 1, cols.size), dtype=complex)
+    u[top] = s[top] * rest
+    for m in range(top - 1, -1, -1):
+        u[m] = u[m + 1] / zt + s[m]
+    use = (n[:, None] + 1) > np.abs(wt)
+    vals[:, cols] = np.where(use, u, vals[:, cols])
+    return vals
+
+
+def laplace_monomial_errors(z0: complex, z, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`laplace_monomials` and a bound on the rounding error of each of its values.
+
+    Every term the kernel sums is an exponential whose exponent has parts of
+    size |w|, n |log w| and log n! (head), or |w|, (n+1) |log z0|, |log z| and
+    log (n+1)! (tail).  Each part is rounded, and so is w = z0/z, so a term
+    carries a relative error below kappa eps, with kappa three times the
+    parts' sum plus the number of rounded additions behind the value (n+2 for
+    the head sum, top+2 for the backward recursion).  Both act on the
+    magnitudes the kernel sums, which are its own terms at real arguments:
+    |z|^n sum_{k<=n} |t_k| directly, and |z|^n sum_{k>n} |t_k| =
+    e^{|w| - Re w} |z|^n P(n+1, |w|).  The powers of z add (n+2) eps of the
+    value.  Only reports need the bound, so evaluation never computes it.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    vals = laplace_monomials(z0, z, top)
+    w = complex(z0) / z
+    aw, az = np.abs(w), np.abs(z)
+    n = np.arange(top + 1)[:, None]
+    lgam = _log_factorials(top + 1)
+    head = az**n * np.cumsum(np.exp(n * np.log(aw) - lgam[: top + 1, None] - w.real), axis=0)
+    tail = laplace_monomials(abs(z0), az, top).real * np.exp(np.where(aw < top + 1, aw - w.real, 0.0))
+    in_tail = n + 1 > aw
+    kappa = np.where(
+        in_tail,
+        3.0 * (aw + (n + 1) * abs(np.log(complex(z0))) + np.abs(np.log(z)) + lgam[1:, None]) + top + 2,
+        3.0 * (aw + n * np.abs(np.log(w)) + lgam[: top + 1, None]) + n + 2,
+    )
+    return vals, _EPS * ((n + 2) * np.abs(vals) + kappa * np.where(in_tail, tail, head))
 
 
 def brg_type(z0: Sequence[complex], theta: Sequence[float]) -> tuple[float, ...]:
@@ -458,47 +449,60 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     return laplace_of_polynomial(borel_transform(fhat), spec, domain)
 
 
+def _scaled_coefficients(phi: MultiIndexSeries, spec: LaplaceSpec) -> np.ndarray:
+    """The coefficients of ``phi`` times N!, as a dense tensor: the weights of the monomials t^N/N!."""
+    if phi.dim != spec.dim:
+        raise DomainError("polynomial dimension and spec dimension disagree")
+    coef = np.zeros(tuple(d + 1 for d in phi.degree_bound), dtype=complex)
+    for ix, c in phi.coeffs.items():
+        coef[ix] = c * math.prod(math.factorial(k) for k in ix)
+    return coef
+
+
+def _contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
+    """Sum over N of tensor[N] prod_j tabs[j][N_j, k], one axis at a time; (k,) out."""
+    out = np.tensordot(tabs[0], tensor, axes=(0, 0))  # (k, remaining axes)
+    for tab in tabs[1:]:
+        out = np.einsum("kn...,nk->k...", out, tab)
+    return out
+
+
 def laplace_of_polynomial(
     phi: MultiIndexSeries, spec: LaplaceSpec, domain: Polysector
 ) -> SampledFunction:
     """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``.
 
     With its coefficients scaled by N!, ``phi`` maps to a tensor that is
-    contracted with :func:`laplace_monomials` one axis at a time.  The result
-    carries a rounding-error bound: the same contraction in magnitudes, with
-    every monomial widened by its own bound.
+    contracted with :func:`laplace_monomials` one axis at a time.
     """
-    if phi.dim != spec.dim:
-        raise DomainError("polynomial dimension and spec dimension disagree")
-    coef = np.zeros(tuple(d + 1 for d in phi.degree_bound), dtype=complex)
-    for ix, c in phi.coeffs.items():
-        coef[ix] = c * math.prod(math.factorial(k) for k in ix)
-    coef_abs = np.abs(coef)
-    # rounding of the N! scaling, the products over axes and the sums
-    gamma = _EPS * (sum(coef.shape) + 2 * phi.dim + 2)
-
-    def tables(pts: np.ndarray) -> list:
-        return [
-            _monomials_with_bound(w, pts[:, j], d)
-            for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))
-        ]
-
-    def contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
-        out = np.tensordot(tabs[0], tensor, axes=(0, 0))  # (k, remaining axes)
-        for tab in tabs[1:]:
-            out = np.einsum("kn...,nk->k...", out, tab)
-        return out
+    coef = _scaled_coefficients(phi, spec)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return contract(coef, [vals for vals, _ in tables(pts)])
+        return _contract(
+            coef,
+            [laplace_monomials(w, pts[:, j], d) for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))],
+        )
 
-    def bound(pts: np.ndarray) -> np.ndarray:
-        tabs = tables(pts)
-        mag = contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
-        widened = contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])
-        return widened - (1.0 - gamma) * mag
+    return SampledFunction(domain, fn, provenance="closed-form")
 
-    return SampledFunction(domain, fn, provenance="closed-form", bound=bound)
+
+def laplace_bound(phi: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
+    """Per-point bound on the rounding error of :func:`laplace_of_polynomial` at ``pts``.
+
+    The same contraction in magnitudes, with every monomial widened by its
+    bound from :func:`laplace_monomial_errors`, minus the unwidened one, plus
+    the rounding of the N! scaling, the products over axes and the sums.
+    """
+    coef_abs = np.abs(_scaled_coefficients(phi, spec))
+    pts = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
+    tabs = [
+        laplace_monomial_errors(w, pts[:, j], d)
+        for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))
+    ]
+    mag = _contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
+    widened = _contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])
+    gamma = _EPS * (sum(coef_abs.shape) + 2 * phi.dim + 2)
+    return widened - (1.0 - gamma) * mag
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,31 @@ class TestDispatch:
     def test_unreadable_config(self, tmp_path):
         assert main(["transform", "--config", str(tmp_path / "none.json")]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("transform", {"testbed": "euler", "z0": [0.5], "tol": "tight", "direction": [0.0], "radii": [0.4]}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": ["east"], "radii": [0.4]}),
+            ("transform", {"testbed": "euler", "z0": [["a", 0]], "direction": [0.0], "radii": [0.4]}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": {"r0": "x", "ratio": 0.7, "count": 3}}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.4, None]}),
+            ("transform", {"series": {"dim": "two", "coeffs": []}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
+            ("transform", {"series": {"dim": 1, "coeffs": [{"index": ["a"], "re": 1.0}]}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
+            ("verify", {"suite": "coherence", "testbed": "rat2", "probe": {"steps": "many"}}),
+            ("verify", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [{"alpha": "x", "beta": 1.0, "rho": 1.0}]}}),
+            ("verify", {"suite": "pl", "testbed": "poly", "boundary_density": [6], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
+            ("interpolate", {"testbed": "rat2", "inner_probe": {"bogus": 1}}),
+            ("interpolate", {"testbed": "rat2", "probe": {"r0": "far"}}),
+            ("interpolate", {"testbed": "rat2", "precheck_tol": "loose"}),
+            ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]}),
+            ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": "many"}),
+        ],
+    )
+    def test_bad_config_values(self, tmp_path, capsys, command, cfg):
+        path = write(tmp_path, "bad.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert "config error" in capsys.readouterr().err
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(polygevrey.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -115,6 +140,24 @@ class TestTransform:
 
         want = testbed.get("euler").fn((0.4,))
         assert first[2] == pytest.approx(want.real, rel=1e-9)
+
+    def test_report_names_the_closed_form(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            "trj.json",
+            {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0], "radii": [0.4, 0.2]},
+        )
+        out = tmp_path / "out"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "transform.json").read_text())
+        assert report == {
+            "command": "transform",
+            "dim": 1,
+            "points": 2,
+            "method": "closed-form",
+            "z0": [[0.5, 0.0]],
+            "tol": 1e-12,
+        }
 
     def test_inline_series(self, tmp_path):
         cfg = write(
@@ -310,6 +353,33 @@ class TestVerify:
         assert err["internal"] is True
         assert err["error"] == "RuntimeError: bug in the callback"
         assert "RuntimeError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [TypeError, ValueError, KeyError])
+    def test_common_callback_bugs_are_internal(self, tmp_path, monkeypatch, exc):
+        # the commonest callback bugs are not config errors (2) either
+        import dataclasses
+
+        from polygevrey import SampledFunction, testbed
+
+        entry = testbed.get("poly")
+
+        def broken(p):
+            raise exc("bug in the callback")
+
+        fake = dataclasses.replace(entry, fn=SampledFunction(entry.fn.domain, broken))
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        cfg = write(
+            tmp_path,
+            "vb.json",
+            {
+                "suite": "pl",
+                "testbed": "poly",
+                "polysector": {"sectors": [{"alpha": -PI / 3, "beta": PI / 3, "rho": 1.0}] * 2},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INTERNAL
+        assert json.loads((out / "error.json").read_text())["error"].startswith(exc.__name__)
 
     def test_pl_poly(self, tmp_path):
         cfg = write(

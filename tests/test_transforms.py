@@ -23,6 +23,8 @@ from polygevrey.transforms import (
     _GL_WEIGHTS,
     adaptive_panel_quad,
     half_plane_polysector,
+    laplace_bound,
+    laplace_monomial_errors,
     laplace_monomials,
     laplace_of_polynomial,
     truncated_laplace_with_error,
@@ -230,10 +232,11 @@ class TestErrorBound:
         return total
 
     def check(self, ser: MultiIndexSeries, z0, pts):
-        func = brg_function(ser, LaplaceSpec(z0, tol=1e-12))
+        spec = LaplaceSpec(z0, tol=1e-12)
+        func = brg_function(ser, spec)
         phi = borel_transform(ser)
         vals = func.eval_many(pts)
-        bounds = func.bound(pts)
+        bounds = laplace_bound(phi, spec, pts)
         assert np.all(bounds > 0)
         with mpmath.workdps(40):
             for p, v, b in zip(pts, vals, bounds):
@@ -271,6 +274,36 @@ class TestErrorBound:
         # the same values as the testbed's closed form
         func = brg_function(entry.known["series"], LaplaceSpec(z0))
         assert np.allclose(func.eval_many(pts), entry.fn.eval_many(pts), rtol=1e-14, atol=1e-15)
+
+
+    def test_monomials_on_random_points(self):
+        # single monomials up to degree 40 on both branches: a bound that only
+        # scales eps by |L[n]| misses the ~200 eps relative error of the
+        # log-space terms at high n
+        rng = np.random.default_rng(7)
+        sides = set()
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(40):
+                top = int(rng.integers(0, 41))
+                z0 = rng.uniform(0.2, 2.0) * cmath.exp(1j * rng.uniform(-1.5, 1.5))
+                zs = np.asarray(
+                    [
+                        10 ** rng.uniform(-3, math.log10(5))
+                        * cmath.exp(1j * (cmath.phase(z0) + rng.uniform(-1.5, 1.5)))
+                        for _ in range(3)
+                    ]
+                )
+                vals, errs = laplace_monomial_errors(z0, zs, top)
+                assert np.array_equal(vals, laplace_monomials(z0, zs, top))
+                for j, z in enumerate(zs):
+                    for n in range(top + 1):
+                        err = float(abs(complex(vals[n, j]) - mp_monomial(n, z0, z)))
+                        assert err <= errs[n, j], (n, top, z0, z, err, errs[n, j])
+                        worst = max(worst, err / (2.2e-16 * abs(complex(vals[n, j]))))
+                        sides.add(abs(z0 / z) >= n + 1)
+        assert sides == {True, False}
+        assert worst > 50  # the high-degree error this bound exists for did occur
 
 
 class TestBrgType:
