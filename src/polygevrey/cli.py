@@ -100,8 +100,9 @@ def _floats(val) -> list[float]:
     return [float(v) for v in val]
 
 
-def _ints(val) -> tuple[int, ...]:
-    return tuple(int(v) for v in val)
+def _int_pair(val) -> tuple[int, int]:
+    lo, hi = (int(v) for v in val)
+    return lo, hi
 
 
 def _load_config(path: str) -> dict:
@@ -148,6 +149,8 @@ def _radii_from(cfg, key="radii") -> list[float]:
         return list(geometric_radii(_get(raw, "r0"), _get(raw, "ratio"), _get(raw, "count", int)))
     if isinstance(raw, list):
         vals = _get(cfg, key, _floats)
+        if not vals:
+            raise ConfigError(f"{key} must not be empty")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("explicit radii must be strictly decreasing")
         return vals
@@ -208,6 +211,8 @@ def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     spec = LaplaceSpec(z0, tol=_get(cfg, "tol", float, 1e-10))
     func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
     direction = _get(cfg, "direction", _floats)
+    if len(direction) != len(z0):
+        raise ConfigError(f"direction has {len(direction)} angles, z0 has {len(z0)} components")
     radii = _jitter_radii(_radii_from(cfg), seed, cfg.get("jitter", False))
     pts = np.asarray(
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in radii],
@@ -262,7 +267,7 @@ def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
             raise ConfigError(f"entry {entry.id!r} has no z0; cannot build its family")
         fam = family_from_series(ser, z0)
         n_max = _get(cfg, "n_max", int, 20)
-        window = _get(cfg, "window", _ints, (4, max(6, n_max - 4)))
+        window = _get(cfg, "window", _int_pair, (4, max(6, n_max - 4)))
         floor = _get(cfg, "noise_floor", float, 1e-9)
         for theta in directions:
             theta_t = _theta_tuple(theta)
@@ -406,7 +411,7 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
         radii = _radii_from(cfg)
         n_max = _get(cfg, "n_max", int, 20)
         floor = _get(cfg, "noise_floor", float, 1e-9)
-        window = _get(cfg, "window", _ints, (4, 16))
+        window = _get(cfg, "window", _int_pair, (4, 16))
         rel_tol = _get(cfg, "rel_tol", float, 0.15)
         results = []
         ok = True

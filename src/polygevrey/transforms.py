@@ -552,6 +552,8 @@ def interpolate_first_order(
             raise DomainError(f"axis {j} sector not contained in the half-plane around arg z0")
         if not abs(w) < profiles[j].sup():
             raise DomainError(f"|z0| on axis {j} must stay below the profile sup")
+    if coeff_cap < 0:
+        raise DomainError(f"coeff_cap must be >= 0, got {coeff_cap}")
     probe = probe or ProbeSpec()
 
     if precheck_tol is not None:

@@ -56,12 +56,16 @@ class TestDispatch:
             ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.4, None]}),
             ("transform", {"series": {"dim": "two", "coeffs": []}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
             ("transform", {"series": {"dim": 1, "coeffs": [{"index": ["a"], "re": 1.0}]}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0, 0.1], "radii": [0.4]}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": []}),
             ("verify", {"suite": "coherence", "testbed": "rat2", "probe": {"steps": "many"}}),
             ("verify", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [{"alpha": "x", "beta": 1.0, "rho": 1.0}]}}),
             ("verify", {"suite": "pl", "testbed": "poly", "boundary_density": [6], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
             ("interpolate", {"testbed": "rat2", "inner_probe": {"bogus": 1}}),
             ("interpolate", {"testbed": "rat2", "probe": {"r0": "far"}}),
             ("interpolate", {"testbed": "rat2", "precheck_tol": "loose"}),
+            ("interpolate", {"testbed": "rat2", "coeff_cap": -1}),
+            ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]}),
             ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]}),
             ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": "many"}),
         ],
