@@ -35,7 +35,7 @@ from .families import (
     ProbeSpec,
     check_coherence,
     check_first_order_coherence,
-    extract_element,
+    element_coefficients,
     family_from_series,
     fit_type_from_remainders,
     remainder_constants,
@@ -365,6 +365,13 @@ def _cmd_predict_type(cfg: dict, out: Path, seed) -> int:
     return EXIT_OK
 
 
+def _max_order(cfg: dict, default: int) -> int:
+    max_order = _get(cfg, "max_order", int, default)
+    if max_order < 0:
+        raise ConfigError(f"max_order must be >= 0, got {max_order}")
+    return max_order
+
+
 def _cmd_verify(cfg: dict, out: Path, seed) -> int:
     suite = _require(cfg, "suite", str)
     if suite == "coherence":
@@ -381,10 +388,10 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
             fam,
             tol,
             probe=_probe_from(cfg) if "probe" in cfg else None,
-            max_order=_get(cfg, "max_order", int, 3),
+            max_order=_max_order(cfg, 3),
             samples_per_axis=_get(cfg, "samples_per_axis", int, 2),
         )
-        ok = rep.ok() and not rep.probe_failures
+        ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "pl":
@@ -432,9 +439,9 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
         if fam1 is None:
             raise ConfigError(f"entry {entry.id!r} has no first-order family")
         rep = check_first_order_coherence(
-            fam1, _get(cfg, "tol", float, 1e-6), max_order=_get(cfg, "max_order", int, 2)
+            fam1, _get(cfg, "tol", float, 1e-6), max_order=_max_order(cfg, 2)
         )
-        ok = rep.ok() and not rep.probe_failures
+        ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     raise ConfigError(f"unknown verify suite {suite!r}")
@@ -454,6 +461,8 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     )
     samples = _get(cfg, "samples", _floats, [0.02 * 1.13**k for k in range(10)])
     orders = _get(cfg, "orders", int, 3)
+    if not samples or orders < 0:
+        raise ConfigError("interpolate needs at least one sample and orders >= 0")
     probe = _probe_from(
         cfg, "probe", r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128
     )
@@ -470,15 +479,17 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     rows = []
     worst = 0.0
     for axis in (0, 1):
+        # one ladder per axis: every order, every sample point a batch column
+        vals, errs, _, _ = element_coefficients(
+            [func], (axis,), [(k,) for k in range(orders + 1)], probe, [(sv,) for sv in samples]
+        )
         for k in range(orders + 1):
-            for sv in samples:
-                res = extract_element(func, (axis,), (k,), (sv,), probe=probe, strict=False)
+            for i, sv in enumerate(samples):
+                value = complex(vals[k, 0, i])
                 true = (-1.0) ** k / (1.0 + sv)
-                err = abs(res.value - true)
+                err = abs(value - true)
                 worst = max(worst, err)
-                rows.append(
-                    [axis + 1, k, sv, res.value.real, res.value.imag, true, err, res.error]
-                )
+                rows.append([axis + 1, k, sv, value.real, value.imag, true, err, float(errs[k, 0, i])])
     _write_csv(
         out / "interpolate.csv",
         ["axis", "order", "z", "re_extracted", "im_extracted", "true", "abs_err", "probe_err"],
@@ -535,7 +546,9 @@ def main(argv=None) -> int:
         return EXIT_UNKNOWN_COMMAND
     parser = argparse.ArgumentParser(prog=f"polygevrey {command}", add_help=True)
     parser.add_argument("--config", help="JSON experiment configuration")
-    parser.add_argument("--out", default=".", help="output directory for reports")
+    parser.add_argument(
+        "--out", help="output directory for reports (default: .; list-testbed writes none without it)"
+    )
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted for script compatibility; has no effect"
     )
@@ -544,9 +557,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_SCHEMA if exc.code not in (0, None) else EXIT_OK
-    out = Path(args.out)
+    # list-testbed only prints unless given --out; the other commands default to "."
+    out = None if args.out is None and command == "list-testbed" else Path(args.out or ".")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
         if command == "list-testbed":
             cfg = _load_config(args.config) if args.config else {}
         else:
@@ -570,8 +585,9 @@ def main(argv=None) -> int:
 
         traceback.print_exc(file=sys.stderr)
         message = f"{type(exc).__name__}: {exc}"
-        with contextlib.suppress(OSError):
-            _write_json(out / "error.json", {"error": message, "command": command, "internal": True})
+        if out is not None:
+            with contextlib.suppress(OSError):
+                _write_json(out / "error.json", {"error": message, "command": command, "internal": True})
         return EXIT_INTERNAL
 
 

@@ -29,6 +29,7 @@ from .series import MultiIndexSeries, rate_fit
 from .transforms import (
     LaplaceSpec,
     SampledFunction,
+    borel_disc_types,
     half_plane_polysector,
     laplace_of_polynomial,
 )
@@ -105,16 +106,6 @@ class TotalFamily:
     def rest_axes(self, axes: Iterable[int]) -> tuple[int, ...]:
         key = set(_subset_key(axes))
         return tuple(a for a in range(self.dim) if a not in key)
-
-    def constants_series(self) -> MultiIndexSeries:
-        """The J = all-axes constants as a formal series."""
-        full = tuple(range(self.dim))
-        coeffs = {
-            idx: elem.const
-            for (j, idx), elem in self.elements.items()
-            if j == full
-        }
-        return MultiIndexSeries(self.dim, coeffs, self.index_bound)
 
     def to_manifest(self) -> dict:
         items = []
@@ -399,23 +390,42 @@ def axis_coefficient_ladder(
     return tracker.best, tracker.best_err, tracker.converged, tracker.best_radius
 
 
-def _embed(f: SampledFunction, axes: Sequence[int], fixed_axes: Sequence[int], fixed) -> Callable:
-    """Ladder callback for ``f``: ladder points on ``axes``, the values ``fixed`` on ``fixed_axes``."""
+def element_coefficients(
+    elems: Sequence[SampledFunction],
+    axes: Sequence[int],
+    orders: Sequence[Sequence[int]],
+    probe: ProbeSpec,
+    fixed: Sequence[Sequence[complex]] = ((),),
+    thetas: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Limits of D^N f / N! as the ``axes`` columns tend to 0, for every element and fixed point.
+
+    The elements share one domain.  Each point of ``fixed`` gives the other
+    columns, in increasing order, and must lie in their sectors.  One radius
+    ladder (:func:`axis_coefficient_ladder`) serves every (element, fixed
+    point) pair as a batch column.  Returns the ladder's four arrays, shaped
+    (n_orders, len(elems), len(fixed)).
+    """
+    domain = elems[0].domain
+    if any(e.domain != domain for e in elems):
+        raise FamilyError("batched elements must share one domain")
+    axes = list(axes)
+    rest = [a for a in range(domain.dim) if a not in axes]
+    for z_rest in fixed:
+        if not domain.axes_subset(rest).contains(z_rest):
+            raise DomainError(f"fixed point {tuple(z_rest)} outside the sectors of axes {rest}")
+    fixed_pts = np.asarray(fixed, dtype=complex).reshape(len(fixed), len(rest))
+    n_cols = len(elems) * len(fixed)
 
     def evalfn(sub: np.ndarray) -> np.ndarray:
-        pts = np.empty((len(sub), f.domain.dim), dtype=complex)
-        pts[:, list(axes)] = sub
-        pts[:, list(fixed_axes)] = np.asarray(fixed, dtype=complex)
-        return f.eval_many(pts)[:, None]
+        pts = np.empty((len(fixed), len(sub), domain.dim), dtype=complex)
+        pts[:, :, axes] = sub
+        pts[:, :, rest] = fixed_pts[:, None, :]
+        pts = pts.reshape(-1, domain.dim)
+        return np.stack([e.eval_many(pts) for e in elems]).reshape(n_cols, len(sub)).T
 
-    return evalfn
-
-
-def _single_limit(evalfn, sectors, order, probe: ProbeSpec, thetas=None) -> ExtractResult:
-    vals, errs, conv, radii = axis_coefficient_ladder(evalfn, sectors, [order], probe, thetas)
-    return ExtractResult(
-        complex(vals[0, 0]), float(errs[0, 0]), bool(conv[0, 0]), float(radii[0, 0])
-    )
+    ladder = axis_coefficient_ladder(evalfn, [domain.sectors[a] for a in axes], orders, probe, thetas)
+    return tuple(a.reshape(len(orders), len(elems), len(fixed)) for a in ladder)
 
 
 def extract_element(
@@ -437,18 +447,11 @@ def extract_element(
     n_index = tuple(int(m) for m in n_index)
     if len(n_index) != len(key):
         raise DimensionMismatchError("index length must match subset size")
-    rest = tuple(a for a in range(f.domain.dim) if a not in key)
-    if len(z_rest) != len(rest):
-        raise DimensionMismatchError("z_rest must fix every complementary axis")
-    for a, z in zip(rest, z_rest):
-        if not f.domain.sectors[a].contains(z):
-            raise DomainError(f"z_rest component {z} outside sector of axis {a}")
-    result = _single_limit(
-        _embed(f, key, rest, z_rest),
-        [f.domain.sectors[a] for a in key],
-        n_index,
-        probe,
-        probe.direction,
+    vals, errs, conv, radii = element_coefficients(
+        [f], key, [n_index], probe, [tuple(z_rest)], probe.direction
+    )
+    result = ExtractResult(
+        complex(vals[0, 0, 0]), float(errs[0, 0, 0]), bool(conv[0, 0, 0]), float(radii[0, 0, 0])
     )
     if strict and not result.converged:
         raise ProbeError(
@@ -512,45 +515,10 @@ def _rest_samples(host: Polysector, axes: Sequence[int], per_axis: int, radius: 
     return [tuple(p) for p in itertools.product(*grids)]
 
 
-def _coherence_tasks(fam: TotalFamily, max_order: int, samples_per_axis: int, sample_radius: float):
-    tasks = []
-    missing = 0
-    subsets = nonempty_subsets(fam.dim)
-    for j_axes in subsets:
-        stored = fam.stored_indices(j_axes)
-        if not stored:
-            continue
-        j_set = set(j_axes)
-        for l_axes in subsets:
-            if j_set & set(l_axes):
-                continue
-            union = _subset_key(set(j_axes) | set(l_axes))
-            rest = tuple(a for a in range(fam.dim) if a not in union)
-            l_ranges = [range(min(max_order, fam.index_bound[a]) + 1) for a in l_axes]
-            for n_j in stored:
-                for n_l in itertools.product(*l_ranges):
-                    union_idx = _merge_index(j_axes, n_j, l_axes, n_l)
-                    if not fam.has_element(union, union_idx):
-                        missing += 1
-                        continue
-                    for z_rest in _rest_samples(fam.host, rest, samples_per_axis, sample_radius):
-                        tasks.append((j_axes, l_axes, n_j, n_l, union, union_idx, rest, z_rest))
-    return tasks, missing
-
-
 def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
     mapping = dict(zip(j_axes, n_j))
     mapping.update(zip(l_axes, n_l))
     return tuple(mapping[a] for a in sorted(mapping))
-
-
-def _element_derivative_limit(fam: TotalFamily, task, probe: ProbeSpec) -> ExtractResult:
-    j_axes, l_axes, n_j, n_l, _union, _union_idx, rest, z_rest = task
-    elem = fam.element(j_axes, n_j)
-    pos_of = {a: i for i, a in enumerate(fam.rest_axes(j_axes))}  # axis -> column of elem
-    l_pos = [pos_of[a] for a in l_axes]
-    evalfn = _embed(elem, l_pos, [pos_of[a] for a in rest], z_rest)
-    return _single_limit(evalfn, [elem.domain.sectors[i] for i in l_pos], n_l, probe)
 
 
 def check_coherence(
@@ -567,54 +535,69 @@ def check_coherence(
     each N_L up to ``max_order``, the L-derivative limit of f_{N_J} is checked
     against the stored f_{(N_J, N_L)} at sampled complementary points.
     Residuals are relative to max(1, |target|).  Probe non-convergence is
-    recorded per pair, not fatal.
+    recorded per pair, not fatal.  One radius ladder per (J, L) serves every
+    stored f_{N_J}, every sampled point and every N_L.
 
     The default probe ties its agreement tolerance to ``tol`` (both are
     relative): demanding extrapolant agreement far below the asserted
     residual only wastes ladder rungs on double-precision noise.
     """
+    if max_order < 0:
+        return CoherenceReport(0, 0.0, (), (), tol)
     probe = probe or ProbeSpec(steps=20, tol=tol)
-    tasks, missing = _coherence_tasks(fam, max_order, samples_per_axis, sample_radius)
     failures = []
     probe_failures = []
     max_residual = 0.0
     checked = 0
-    for task in tasks:
-        j_axes, l_axes, n_j, n_l, union, union_idx, _rest, z_rest = task
-        target = fam.element(union, union_idx)(z_rest)
-        try:
-            res = _element_derivative_limit(fam, task, probe)
-        except ProbeError as exc:
-            probe_failures.append((j_axes, l_axes, n_j, n_l, str(exc)))
+    missing = 0
+    subsets = nonempty_subsets(fam.dim)
+    for j_axes in subsets:
+        stored = fam.stored_indices(j_axes)
+        if not stored:
             continue
-        if not res.converged:
-            probe_failures.append((j_axes, l_axes, n_j, n_l, f"unconverged ({res.error:.3e})"))
-            continue
-        checked += 1
-        residual = abs(res.value - target) / max(1.0, abs(target))
-        max_residual = max(max_residual, residual)
-        if residual > tol:
-            failures.append((j_axes, l_axes, n_j, n_l, residual))
+        cols = fam.rest_axes(j_axes)  # the axis of each column of f_{N_J}
+        for l_axes in subsets:
+            if set(j_axes) & set(l_axes):
+                continue
+            union = _subset_key(set(j_axes) | set(l_axes))
+            rest = [a for a in cols if a not in l_axes]
+            z_rests = _rest_samples(fam.host, rest, samples_per_axis, sample_radius)
+            l_ranges = [range(min(max_order, fam.index_bound[a]) + 1) for a in l_axes]
+            n_ls = list(itertools.product(*l_ranges))
+            try:
+                vals, errs, conv, _ = element_coefficients(
+                    [fam.element(j_axes, n_j) for n_j in stored],
+                    [cols.index(a) for a in l_axes],
+                    n_ls,
+                    probe,
+                    z_rests,
+                )
+                note = None
+            except ProbeError as exc:
+                note = str(exc)
+            for e, n_j in enumerate(stored):
+                for o, n_l in enumerate(n_ls):
+                    union_idx = _merge_index(j_axes, n_j, l_axes, n_l)
+                    if not fam.has_element(union, union_idx):
+                        missing += 1
+                        continue
+                    target_fn = fam.element(union, union_idx)
+                    pair = (j_axes, l_axes, n_j, n_l)
+                    for k, z_rest in enumerate(z_rests):
+                        if note is not None or not conv[o, e, k]:
+                            probe_failures.append(pair + (note or f"unconverged ({errs[o, e, k]:.3e})",))
+                            continue
+                        checked += 1
+                        target = target_fn(z_rest)
+                        residual = abs(complex(vals[o, e, k]) - target) / max(1.0, abs(target))
+                        max_residual = max(max_residual, residual)
+                        if residual > tol:
+                            failures.append(pair + (residual,))
     failures.sort()
     probe_failures.sort(key=lambda t: t[:4])
     return CoherenceReport(
         checked, max_residual, tuple(failures), tuple(probe_failures), tol, missing
     )
-
-
-def sequence_coefficients(
-    seq: Sequence[SampledFunction], sector: Sector, top: int, probe: ProbeSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of orders 0..top at the vertex of every one-variable element of ``seq``.
-
-    One radius ladder on ``sector``, one batch column per element.  Returns
-    the ladder's four (top+1, len(seq)) arrays.
-    """
-
-    def evalfn(w: np.ndarray) -> np.ndarray:
-        return np.stack([el.eval_many(w) for el in seq], axis=1)
-
-    return axis_coefficient_ladder(evalfn, [sector], [(m,) for m in range(top + 1)], probe)
 
 
 def check_first_order_coherence(
@@ -637,9 +620,18 @@ def check_first_order_coherence(
     m_cap = min(len(fam1.sequences[1]) - 1, max_order)
     if n_cap < 0 or m_cap < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
-    s1, s2 = fam1.host.sectors
-    vals1, errs1, conv1, _ = sequence_coefficients(fam1.sequences[0][: n_cap + 1], s2, m_cap, probe)
-    vals2, errs2, conv2, _ = sequence_coefficients(fam1.sequences[1][: m_cap + 1], s1, n_cap, probe)
+    vals1, errs1, conv1, _ = (
+        a[..., 0]
+        for a in element_coefficients(
+            fam1.sequences[0][: n_cap + 1], (0,), [(m,) for m in range(m_cap + 1)], probe
+        )
+    )
+    vals2, errs2, conv2, _ = (
+        a[..., 0]
+        for a in element_coefficients(
+            fam1.sequences[1][: m_cap + 1], (0,), [(n,) for n in range(n_cap + 1)], probe
+        )
+    )
     failures = []
     probe_failures = []
     max_residual = 0.0
@@ -678,17 +670,7 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
     z0 = tuple(complex(w) for w in z0)
     if len(z0) != fhat.dim:
         raise DimensionMismatchError("one endpoint per axis required")
-    from .series import fit_gevrey_type as _fit
-
-    try:
-        types = _fit(fhat).type_estimate
-    except Exception:
-        types = (math.inf,) * fhat.dim
-    for j, w in enumerate(z0):
-        if not abs(w) < types[j]:
-            raise DomainError(
-                f"z0 outside the Borel disc on axis {j}: |z0|={abs(w):.6g}, type={types[j]:.6g}"
-            )
+    borel_disc_types(fhat, z0)
     host = half_plane_polysector(z0)
     bound = fhat.degree_bound
     full = tuple(range(fhat.dim))

@@ -79,13 +79,6 @@ class Sector:
             and self.rho < other.rho
         )
 
-    def shrink(self, angle_margin: float, rho: float | None = None) -> "Sector":
-        """Proper subsector obtained by trimming both edges."""
-        if 2 * angle_margin >= self.opening:
-            raise GeometryError("angle margin swallows the sector")
-        new_rho = rho if rho is not None else (self.rho if self.bounded else 1.0)
-        return Sector(self.alpha + angle_margin, self.beta - angle_margin, new_rho)
-
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,

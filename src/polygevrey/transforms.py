@@ -59,8 +59,7 @@ _GL_WEIGHTS = np.array([
 class LaplaceSpec:
     """Integration endpoints and quadrature controls for truncated Laplace transforms.
 
-    The quadrature rule is always adaptive composite GL15; ``to_json`` names
-    it as ``"scheme": "gl15"`` so reports say which rule ran.
+    The quadrature rule is always adaptive composite GL15.
     """
 
     z0: tuple[complex, ...]
@@ -82,28 +81,6 @@ class LaplaceSpec:
     @property
     def dim(self) -> int:
         return len(self.z0)
-
-    def to_json(self) -> dict:
-        return {
-            "z0": [[w.real, w.imag] for w in self.z0],
-            "tol": self.tol,
-            "max_depth": self.max_depth,
-            "scheme": "gl15",
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaplaceSpec":
-        try:
-            z0 = tuple(complex(p[0], p[1]) for p in obj["z0"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise DomainError(f"bad Laplace spec: {obj!r}") from exc
-        if obj.get("scheme", "gl15") != "gl15":
-            raise DomainError(f"unknown quadrature scheme {obj['scheme']!r}")
-        return cls(
-            z0,
-            tol=float(obj.get("tol", 1e-10)),
-            max_depth=int(obj.get("max_depth", 30)),
-        )
 
 
 @dataclass(frozen=True)
@@ -410,6 +387,23 @@ def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Se
     return norm * (full - stored)
 
 
+def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[float, ...]:
+    """Fitted Gevrey type of ``fhat`` per axis; DomainError when some |z0_j| is not inside it.
+
+    A series with too few nonzero coefficients to fit counts as unbounded.
+    """
+    try:
+        types = fit_gevrey_type(fhat).type_estimate
+    except SeriesError:
+        types = (math.inf,) * fhat.dim
+    for j, w in enumerate(z0):
+        if not abs(w) < types[j]:
+            raise DomainError(
+                f"z0 outside the Borel disc on axis {j}: |z0|={abs(w):.6g}, type={types[j]:.6g}"
+            )
+    return types
+
+
 def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     """Truncated Laplace transform of the Borel sum of a 1-Gevrey series.
 
@@ -426,20 +420,11 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     if fhat.n_nonzero == 0:
         return laplace_of_polynomial(fhat, spec, domain)
 
-    try:
-        fit = fit_gevrey_type(fhat)
-        types = fit.type_estimate
-    except SeriesError:
-        # too few coefficients to fit a rate; treat the type as unbounded
-        types = (math.inf,) * fhat.dim
-    for j, w in enumerate(spec.z0):
-        if not abs(w) < types[j]:
-            raise DomainError(
-                f"z0 outside the Borel disc on axis {j}: |z0|={abs(w):.6g}, type={types[j]:.6g}"
-            )
-        if abs(w) > 0.9 * types[j]:
+    types = borel_disc_types(fhat, spec.z0)
+    for w, r in zip(spec.z0, types):
+        if abs(w) > 0.9 * r:
             raise TailError(
-                f"Borel sum restricted to |t| <= 0.9 R: |z0|={abs(w):.6g} vs R={types[j]:.6g}"
+                f"Borel sum restricted to |t| <= 0.9 R: |z0|={abs(w):.6g} vs R={r:.6g}"
             )
     tail = _borel_tail_bound(fhat, types, [abs(w) for w in spec.z0])
     if not tail <= spec.tol:
@@ -536,7 +521,7 @@ def interpolate_first_order(
     by the t^m/m! weights, so a small cap loses little.  Raises ProbeError
     when the ladder leaves orders 0 and 1 of the constants unconverged.
     """
-    from .families import ProbeSpec, check_first_order_coherence, sequence_coefficients
+    from .families import ProbeSpec, check_first_order_coherence, element_coefficients
 
     if fam1.dim != 2:
         raise DomainError("interpolation implemented for two variables")
@@ -570,7 +555,9 @@ def interpolate_first_order(
     f2 = fam1.sequences[1]
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)
-    consts, errs, conv, _ = sequence_coefficients(f1, host.sectors[1], m_cap, probe)
+    consts, errs, conv, _ = (
+        a[..., 0] for a in element_coefficients(f1, (0,), [(m,) for m in range(m_cap + 1)], probe)
+    )
     low = min(2, m_cap + 1)
     if not np.all(conv[:low]):
         raise ProbeError(

@@ -435,6 +435,22 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("suite", ["coherence", "first-order"])
+    def test_negative_max_order_rejected(self, tmp_path, capsys, suite):
+        cfg = write(tmp_path, "vn.json", {"suite": suite, "testbed": "rat2", "max_order": -1})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert "max_order" in capsys.readouterr().err
+
+    def test_zero_pairs_is_not_a_pass(self, tmp_path):
+        # a one-variable family has no disjoint (J, L) pair to check
+        series = {"dim": 1, "coeffs": [{"index": [n], "re": 1.0} for n in range(3)]}
+        cfg = write(tmp_path, "v1.json", {"suite": "coherence", "series": series, "z0": [0.5]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERDICT_FAIL
+        report = json.loads((out / "coherence.json").read_text())
+        assert report["ok"] is False
+        assert report["report"]["checked_pairs"] == 0
+
     def test_unknown_suite(self, tmp_path):
         cfg = write(tmp_path, "vu.json", {"suite": "nope"})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
@@ -467,6 +483,15 @@ class TestInterpolate:
         cfg = write(tmp_path, "ip2.json", {"testbed": "euler"})
         assert main(["interpolate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("bad", [{"samples": [-0.03]}, {"samples": []}, {"orders": -1}])
+    def test_bad_samples_or_orders_rejected(self, tmp_path, bad):
+        cfg = {
+            "testbed": "rat2", "cap": 8, "coeff_cap": 4, "precheck_tol": None,
+            "inner_probe": {"steps": 16, "tol": 1e-10}, "probe": {"steps": 13},
+        }
+        path = write(tmp_path, "ip4.json", {**cfg, **bad})
+        assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
     def test_failing_verdict_exit_code(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -495,3 +520,9 @@ class TestListTestbed:
         assert "rat2" in captured.out
         payload = json.loads((tmp_path / "testbed.json").read_text())
         assert any(e["id"] == "euler" for e in payload["entries"])
+
+    def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["list-testbed"]) == EXIT_OK
+        assert "rat2" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

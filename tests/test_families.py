@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from polygevrey import (
     remainder_constants,
 )
 from polygevrey import testbed
-from polygevrey.families import nonempty_subsets
+from polygevrey.families import element_coefficients, nonempty_subsets
 
 PI = math.pi
 
@@ -35,6 +36,30 @@ def xy_family(host=None):
     ser = MultiIndexSeries(2, {(1, 1): 1.0}, (1, 1))
     host = host or Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 2)
     return testbed.polynomial_family(ser, host)
+
+
+def three_variable_family():
+    # coefficients (-1)^|N| N! 1.3^(-N_1) on a 3x3x3 index box
+    coeffs = {
+        n: (-1) ** sum(n) * math.prod(math.factorial(k) for k in n) * 1.3 ** (-n[0])
+        for n in itertools.product(range(3), repeat=3)
+    }
+    return family_from_series(MultiIndexSeries(3, coeffs, (2, 2, 2)), (0.5, 0.5, 0.5))
+
+
+def count_ladders(monkeypatch) -> list:
+    """Record the number of orders of every radius ladder run from now on."""
+    from polygevrey import families
+
+    calls = []
+    ladder = families.axis_coefficient_ladder
+
+    def counted(evalfn, sectors, orders, probe, thetas=None):
+        calls.append(len(orders))
+        return ladder(evalfn, sectors, orders, probe, thetas)
+
+    monkeypatch.setattr(families, "axis_coefficient_ladder", counted)
+    return calls
 
 
 class TestAppN:
@@ -127,6 +152,24 @@ class TestExtract:
         with pytest.raises(DomainError):
             extract_element(entry.fn, (0,), (1,), (5.0 * cmath.exp(2j),))
 
+    def test_batched_fixed_points(self):
+        # f = z1 z2 + z2^2: order-1 coefficient in z1 is z2, order 0 is z2^2
+        host = Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 2)
+        f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1] + p[:, 1] ** 2)
+        g = SampledFunction(host, lambda p: 2.0 * p[:, 0] * p[:, 1])
+        fixed = [(0.2,), (0.5,)]
+        vals, _, conv, _ = element_coefficients([f, g], (0,), [(0,), (1,)], ProbeSpec(), fixed)
+        assert vals.shape == (2, 2, 2)
+        assert np.all(conv)
+        want = np.array([[[0.04, 0.25], [0.0, 0.0]], [[0.2, 0.5], [0.4, 1.0]]])
+        assert np.max(np.abs(vals - want)) < 1e-9
+
+    def test_batched_fixed_point_outside_sector(self):
+        host = Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 2)
+        f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1])
+        with pytest.raises(DomainError):
+            element_coefficients([f], (0,), [(1,)], ProbeSpec(), [(0.2,), (-0.03,)])
+
 
 class TestCoherence:
     def test_series_family_passes(self):
@@ -161,6 +204,40 @@ class TestCoherence:
         assert obj["checked_pairs"] == rep.checked_pairs
         assert obj["failures"] == []
 
+    def test_three_variables_one_ladder_per_pair(self, monkeypatch):
+        # 9 (J, L) pairs with #J = 1 and 3 with #J = 2; the sampled points on
+        # the rest axis are batch columns of the same ladder
+        calls = count_ladders(monkeypatch)
+        rep = check_coherence(three_variable_family(), 1e-6, max_order=1)
+        assert len(calls) == 12
+        assert rep.checked_pairs == 162
+        assert not rep.probe_failures
+        assert rep.ok()
+        assert rep.max_residual < 1e-8
+
+    def test_three_variables_injected_error_named(self):
+        fam = three_variable_family()
+        els = dict(fam.elements)
+        good = els[((0, 1), (1, 0))]
+        els[((0, 1), (1, 0))] = SampledFunction(good.domain, lambda p: good.eval_many(p) + 0.01)
+        rep = check_coherence(TotalFamily(3, fam.host, els, fam.index_bound), 1e-6, max_order=1)
+        assert not rep.ok()
+        assert ((0, 1), (2,), (1, 0), (0,)) in [f[:4] for f in rep.failures]
+
+    def test_criterion_seven_family_one_ladder_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(20250808)
+        coeffs = {}
+        for h in range(7):
+            for k in range(7):
+                u = 0.6 + 0.8 * rng.random()
+                coeffs[(h, k)] = u * math.factorial(h) * math.factorial(k) * 1.3 ** (-h) * 1.1 ** (-k)
+        fam = family_from_series(MultiIndexSeries(2, coeffs, (6, 6)), (0.5, 0.45))
+        calls = count_ladders(monkeypatch)
+        rep = check_coherence(fam, 1e-6, max_order=3)
+        assert len(calls) == 2
+        assert rep.checked_pairs == 56
+        assert rep.ok() and not rep.probe_failures
+
 
 class TestFirstOrder:
     def test_two_variable_selection(self):
@@ -193,16 +270,7 @@ class TestFirstOrder:
         assert rep.checked_pairs == 9
 
     def test_first_order_coherence_runs_two_ladders(self, monkeypatch):
-        from polygevrey import families
-
-        calls = []
-        ladder = families.axis_coefficient_ladder
-
-        def counted(evalfn, sectors, orders, probe, thetas=None):
-            calls.append(len(orders))
-            return ladder(evalfn, sectors, orders, probe, thetas)
-
-        monkeypatch.setattr(families, "axis_coefficient_ladder", counted)
+        calls = count_ladders(monkeypatch)
         fam1 = testbed.rat2_first_order_family(cap=4)
         rep = check_first_order_coherence(fam1, 1e-6, max_order=2)
         assert rep.checked_pairs == 9
@@ -254,6 +322,17 @@ class TestFamilyFromSeries:
     def test_borel_disc_guard(self):
         with pytest.raises(DomainError):
             family_from_series(testbed.euler_entry().known["series"], (1.2,))
+
+    def test_bug_in_type_fit_propagates(self, monkeypatch):
+        # only a SeriesError (too few coefficients) means "type unbounded"
+        from polygevrey import transforms
+
+        def broken(_fhat):
+            raise RuntimeError("bug in the fit")
+
+        monkeypatch.setattr(transforms, "fit_gevrey_type", broken)
+        with pytest.raises(RuntimeError, match="bug in the fit"):
+            family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
 
     def test_extraction_recovers_elements(self):
         # coefficients of the assembled transform match the family elements

@@ -17,7 +17,7 @@ from polygevrey import (
     interpolate_first_order,
 )
 from polygevrey import testbed
-from polygevrey.families import sequence_coefficients
+from polygevrey.families import element_coefficients
 from polygevrey.transforms import laplace_monomials
 
 PI = math.pi
@@ -148,7 +148,9 @@ class TestRat2Smoke:
         # one ladder with the README's inner probe, every f_{1n} a batch column
         fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=16)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
-        vals, errs, conv, _ = sequence_coefficients(fam1.sequences[0], fam1.host.sectors[1], 10, inner)
+        vals, errs, conv, _ = (
+            a[..., 0] for a in element_coefficients(fam1.sequences[0], (0,), [(m,) for m in range(11)], inner)
+        )
         assert vals.shape == (11, 17)
         assert np.all(conv[:2])
         exact = (-1.0) ** np.add.outer(np.arange(11), np.arange(17))
