@@ -7,7 +7,8 @@ orderings.  Exit codes: 0 success (and verification verdicts that pass),
 1 completed verification with a failing verdict, 2 config/schema violation,
 3 numerical non-convergence (a partial report is written), 64 unknown
 subcommand, 70 internal error (a bug in the program: ``error.json`` names the
-exception).
+exception).  The CLI process runs numpy's BLAS on one thread: importing this
+module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller already set it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# Before numpy loads: an OpenBLAS worker thread only spins on arrays this small.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -497,7 +502,8 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     )
     _write_json(
         out / "interpolate.json",
-        {"command": "interpolate", "worst_abs_err": worst, "tol": tol, "ok": worst <= tol},
+        {"command": "interpolate", "worst_abs_err": worst, "tol": tol, "ok": worst <= tol,
+         "provenance": func.provenance},
     )
     return EXIT_OK if worst <= tol else EXIT_VERDICT_FAIL
 

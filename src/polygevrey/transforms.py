@@ -519,7 +519,9 @@ def interpolate_first_order(
     ``coeff_cap`` bounds the number of corrected axis-1 coefficients: high
     orders of a_{m,n} are numerically fragile to extract and strongly damped
     by the t^m/m! weights, so a small cap loses little.  Raises ProbeError
-    when the ladder leaves orders 0 and 1 of the constants unconverged.
+    when the ladder leaves orders 0 and 1 of the constants unconverged; the
+    result's ``provenance`` counts the unconverged higher-order constants
+    and gives their worst probe error.
     """
     from .families import ProbeSpec, check_first_order_coherence, element_coefficients
 
@@ -563,6 +565,10 @@ def interpolate_first_order(
         raise ProbeError(
             f"low-order axis-1 constants unconverged (error {float(np.max(errs[:low])):.3e})"
         )
+    bad = ~conv
+    provenance = f"closed-form; {int(np.count_nonzero(bad))} of {conv.size} constants a_(m,n) unconverged"
+    if bad.any():
+        provenance += f", worst probe error {float(np.max(errs[bad])):.3e}"
     w01, w02 = z0
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -577,4 +583,4 @@ def interpolate_first_order(
         h2 = np.sum((f2vals - consts @ lap1) * lap2, axis=0)
         return h1 + h2
 
-    return SampledFunction(host, fn)
+    return SampledFunction(host, fn, provenance=provenance)

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import json
 import math
 import os
@@ -75,11 +76,46 @@ class TestDispatch:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert "config error" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_out(self):
+    @pytest.mark.parametrize(
+        "module, blas, want",
+        [
+            ("polygevrey", None, {"numpy": False, "scipy": False, "blas": None}),
+            ("polygevrey.cli", None, {"scipy": False, "blas": "1"}),
+            ("polygevrey.cli", "3", {"blas": "3"}),
+            ("polygevrey.cli", None, {"threads": 1}),
+        ],
+        ids=["package", "cli", "cli-caller-value", "cli-threads"],
+    )
+    def test_import_boundary(self, module, blas, want):
+        # a fresh interpreter: the package import stays light, and only the CLI
+        # pins BLAS to one thread, keeping a value the caller already set
+        if "threads" in want and not sys.platform.startswith("linux"):
+            pytest.skip("thread count is read from /proc/self/task")
         src = str(Path(polygevrey.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, polygevrey.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        code = (
+            f"import json, os, sys, {module}\n"
+            "task = '/proc/self/task'\n"
+            "print(json.dumps({'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+            "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "    'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        facts = json.loads(res.stdout)
+        assert {key: facts[key] for key in want} == want
+
+    def test_lazy_exports(self):
+        for name in polygevrey.__all__:
+            home = importlib.import_module(polygevrey.__name__ + "." + polygevrey._EXPORTS[name])
+            assert getattr(polygevrey, name) is getattr(home, name)
+        assert polygevrey.testbed is importlib.import_module("polygevrey.testbed")
+        assert set(polygevrey.__all__) <= set(dir(polygevrey))
+        with pytest.raises(AttributeError):
+            polygevrey.no_such_name
 
 
 class TestPredictType:
@@ -478,6 +514,8 @@ class TestInterpolate:
         report = json.loads((out / "interpolate.json").read_text())
         assert report["ok"]
         assert report["worst_abs_err"] < 1e-3
+        assert report["provenance"].startswith("closed-form; ")
+        assert "of 77 constants a_(m,n) unconverged" in report["provenance"]
 
     def test_non_rat2_rejected(self, tmp_path):
         cfg = write(tmp_path, "ip2.json", {"testbed": "euler"})

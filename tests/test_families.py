@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,6 +170,45 @@ class TestExtract:
         f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1])
         with pytest.raises(DomainError):
             element_coefficients([f], (0,), [(1,)], ProbeSpec(), [(0.2,), (-0.03,)])
+
+
+class TestExtractErrorHonesty:
+    """Reported ladder errors against 30-digit Taylor coefficients of rat2."""
+
+    # true error <= FACTOR * reported error; the worst ratio observed is 0.61
+    # with the default probe (order 3, where the ladder also reports
+    # non-convergence) and 0.37 with the README verify probe
+    FACTOR = 1.0
+    POINTS = [0.05, 0.1 + 0.03j, 0.2 - 0.05j]
+
+    @staticmethod
+    def taylor(w, top):
+        with mpmath.workdps(30):
+            w = mpmath.mpc(w)
+            return [complex(c) for c in mpmath.taylor(lambda z: 1 / ((1 + z) * (1 + w)), 0, top)]
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            ProbeSpec(),
+            ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128),
+        ],
+        ids=["default", "readme"],
+    )
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_true_error_within_reported(self, probe, axis):
+        f = testbed.get("rat2").fn
+        orders = [(k,) for k in range(4)]
+        vals, errs, _, _ = (
+            a[:, 0, :] for a in element_coefficients([f], (axis,), orders, probe, [(w,) for w in self.POINTS])
+        )
+        for i, w in enumerate(self.POINTS):
+            true = self.taylor(w, 3)
+            for k in range(4):
+                assert abs(vals[k, i] - true[k]) <= self.FACTOR * errs[k, i]
+                # one column alone may stop on another rung; its report must hold too
+                res = extract_element(f, (axis,), (k,), (w,), probe=probe, strict=False)
+                assert abs(res.value - true[k]) <= self.FACTOR * res.error
 
 
 class TestCoherence:

@@ -59,6 +59,7 @@ class TestTrivialFamilies:
         func = interpolate_first_order(
             fam1, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
+        assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged"
         res0 = extract_element(func, (0,), (0,), (0.1,), strict=False)
         assert res0.value == pytest.approx(1.0, abs=1e-6)
         res1 = extract_element(func, (1,), (0,), (0.1,), strict=False)
@@ -157,6 +158,25 @@ class TestRat2Smoke:
         # orders 0..2 at 1e-9; higher orders lose about two digits per order
         assert np.max(np.abs(vals[:3] - exact[:3])) <= 1e-9
         assert np.max(np.abs(vals - exact)) <= 0.1
+
+    def test_provenance_counts_unconverged_constants(self):
+        # the README interpolate config: orders >= 2 of the a_{m,n} are used
+        # although the ladder leaves many unconverged, and the result says so
+        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=16)
+        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
+        func = interpolate_first_order(
+            fam1, profiles(), (0.92, 0.92), probe=inner, coeff_cap=10, precheck_tol=None
+        )
+        _, errs, conv, _ = (
+            a[..., 0] for a in element_coefficients(fam1.sequences[0], (0,), [(m,) for m in range(11)], inner)
+        )
+        assert np.all(conv[:2])
+        bad = int(np.count_nonzero(~conv))
+        assert bad > 0
+        assert func.provenance == (
+            f"closed-form; {bad} of {conv.size} constants a_(m,n) unconverged, "
+            f"worst probe error {float(np.max(errs[~conv])):.3e}"
+        )
 
     def test_low_order_extraction(self):
         # smoke-scale version of the full pipeline: low caps, order <= 1

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,10 +26,29 @@ def g_dense(delta, m=400001):
     return float(vals.max())
 
 
+def g_mpmath(delta):
+    """Independent oracle: 30-digit maximisation, a stationary point of the objective."""
+    with mpmath.workdps(30):
+        d = mpmath.mpf(delta)
+
+        def obj(c):
+            return c * (mpmath.sqrt(1 - c**2 * d**2) - c * mpmath.sqrt(1 - d**2)) / (1 + c * d)
+
+        grid = [mpmath.mpf(k) / 200 for k in range(1, 200)]
+        k = max(range(len(grid)), key=lambda i: obj(grid[i]))
+        c = mpmath.findroot(lambda c: mpmath.diff(obj, c), (grid[k - 1], grid[k + 1]), solver="anderson")
+        return float(obj(c))
+
+
 class TestG:
     def test_gamma_value(self):
         assert abs(g_of_delta(1.0) - 0.30028) < 1e-4
         assert gamma_constant() == g_of_delta(1.0)
+        assert gamma_constant() == pytest.approx(g_mpmath(1.0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_against_mpmath(self, delta):
+        assert g_of_delta(delta) == pytest.approx(g_mpmath(delta), rel=1e-12, abs=0)
 
     def test_against_dense_grid(self):
         for delta in (0.05, 0.3, 0.5, 0.77, 1.0):
