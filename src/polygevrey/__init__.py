@@ -21,7 +21,7 @@ _EXPORTS = {
         " UnknownEntryError",
         "geometry": "Multidirection Polysector RayGrid Sector distinguished_boundary_points"
         " geometric_radii is_subpolysector ray_points",
-        "series": "GevreyFit MultiIndexSeries borel_transform evaluate_partial fit_gevrey_type"
+        "series": "GevreyFit MultiIndexSeries borel_transform fit_gevrey_type"
         " gamma1_norm inverse_borel_transform",
         "families": "CoherenceReport ExtractResult FirstOrderFamily ProbeSpec TotalFamily app_n"
         " check_coherence check_first_order_coherence extract_element family_from_series"

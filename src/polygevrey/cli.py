@@ -75,7 +75,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # a NaN or an infinity in a report is a bug: ValueError, exit 70
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _require(cfg: dict, key: str, kind=None):
@@ -186,31 +187,36 @@ def _theta_tuple(theta) -> tuple[float, ...]:
         raise ConfigError(f"bad direction {theta!r}: {exc}") from None
 
 
-def _remainder_rates(entry, fam, theta_t, radii, n_max: int, noise_floor: float, window):
-    """Gevrey rates fitted to the constants of f - App_(n,...,n), n <= n_max, along one direction."""
-    cons = remainder_constants(
-        entry.fn,
-        fam,
-        theta_t,
-        [radii] * entry.dim,
-        [(n,) * entry.dim for n in range(n_max + 1)],
-        noise_floor=noise_floor,
-    )
-    return fit_type_from_remainders(cons, window=window)
+def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
+    """(direction, rates, rms) of the Gevrey fit to the constants of f - App_(n,...,n), n <= n_max.
 
-
-def _jitter_radii(radii: list[float], seed: int | None, enabled: bool) -> list[float]:
-    if not enabled or seed is None:
-        return radii
-    rng = np.random.default_rng(seed)
-    return [r * (1.0 + 1e-3 * (rng.random() - 0.5)) for r in radii]
+    The family is the one ``family_from_series`` builds from the entry's
+    series and z0; the fit window defaults to (4, max(6, n_max - 4)).
+    """
+    ser, z0 = entry.known.get("series"), entry.known.get("z0")
+    if ser is None or z0 is None:
+        raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
+    fam = family_from_series(ser, z0)
+    n_max = _get(cfg, "n_max", int, 20)
+    window = _get(cfg, "window", _int_pair, (4, max(6, n_max - 4)))
+    floor = _get(cfg, "noise_floor", float, 1e-9)
+    fits = []
+    for theta in _require(cfg, "directions", list):
+        theta_t = _theta_tuple(theta)
+        cons = remainder_constants(
+            entry.fn, fam, theta_t, [radii] * entry.dim,
+            [(n,) * entry.dim for n in range(n_max + 1)], noise_floor=floor,
+        )
+        rates, _, rms = fit_type_from_remainders(cons, window=window)
+        fits.append((theta_t, rates, rms))
+    return fits
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_transform(cfg: dict, out: Path, seed) -> int:
+def _cmd_transform(cfg: dict, out: Path) -> int:
     ser = _series_from(cfg)
     z0 = _z0_from(cfg)
     spec = LaplaceSpec(z0, tol=_get(cfg, "tol", float, 1e-10))
@@ -218,7 +224,7 @@ def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     direction = _get(cfg, "direction", _floats)
     if len(direction) != len(z0):
         raise ConfigError(f"direction has {len(direction)} angles, z0 has {len(z0)} components")
-    radii = _jitter_radii(_radii_from(cfg), seed, cfg.get("jitter", False))
+    radii = _radii_from(cfg)
     pts = np.asarray(
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in radii],
         dtype=complex,
@@ -256,27 +262,15 @@ def _cmd_transform(cfg: dict, out: Path, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
+def _cmd_type_fit(cfg: dict, out: Path) -> int:
     mode = cfg.get("mode", "gevrey")
     entry = testbed.get(_require(cfg, "testbed", str))
     directions = _require(cfg, "directions", list)
-    radii = _jitter_radii(_radii_from(cfg), seed, cfg.get("jitter", False))
+    radii = _radii_from(cfg)
     rows = []
     report = {"command": "type-fit", "mode": mode, "testbed": entry.id, "directions": []}
     if mode == "gevrey":
-        ser = entry.known.get("series")
-        if ser is None:
-            raise ConfigError(f"entry {entry.id!r} has no series for a Gevrey fit")
-        z0 = entry.known.get("z0")
-        if z0 is None:
-            raise ConfigError(f"entry {entry.id!r} has no z0; cannot build its family")
-        fam = family_from_series(ser, z0)
-        n_max = _get(cfg, "n_max", int, 20)
-        window = _get(cfg, "window", _int_pair, (4, max(6, n_max - 4)))
-        floor = _get(cfg, "noise_floor", float, 1e-9)
-        for theta in directions:
-            theta_t = _theta_tuple(theta)
-            rates, _, rms = _remainder_rates(entry, fam, theta_t, radii, n_max, floor, window)
+        for theta_t, rates, rms in _remainder_fits(cfg, entry, radii):
             law = None
             profile = entry.known.get("type_profile")
             if profile is not None:
@@ -319,7 +313,7 @@ def _cmd_type_fit(cfg: dict, out: Path, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_predict_type(cfg: dict, out: Path, seed) -> int:
+def _cmd_predict_type(cfg: dict, out: Path) -> int:
     alpha = _get(cfg, "alpha")
     beta = _get(cfg, "beta")
     theta0 = _get(cfg, "theta0")
@@ -377,7 +371,7 @@ def _max_order(cfg: dict, default: int) -> int:
     return max_order
 
 
-def _cmd_verify(cfg: dict, out: Path, seed) -> int:
+def _cmd_verify(cfg: dict, out: Path) -> int:
     suite = _require(cfg, "suite", str)
     if suite == "coherence":
         tol = _get(cfg, "tol", float, 1e-6)
@@ -394,7 +388,6 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
             tol,
             probe=_probe_from(cfg) if "probe" in cfg else None,
             max_order=_max_order(cfg, 3),
-            samples_per_axis=_get(cfg, "samples_per_axis", int, 2),
         )
         ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
@@ -414,22 +407,13 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
     if suite == "remainder":
         entry = testbed.get(_require(cfg, "testbed", str))
-        ser = entry.known.get("series")
-        z0 = entry.known.get("z0")
         profile = entry.known.get("type_profile")
-        if ser is None or z0 is None or profile is None:
-            raise ConfigError(f"entry {entry.id!r} lacks series/z0/type data")
-        fam = family_from_series(ser, z0)
-        radii = _radii_from(cfg)
-        n_max = _get(cfg, "n_max", int, 20)
-        floor = _get(cfg, "noise_floor", float, 1e-9)
-        window = _get(cfg, "window", _int_pair, (4, 16))
+        if profile is None:
+            raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
         rel_tol = _get(cfg, "rel_tol", float, 0.15)
         results = []
         ok = True
-        for theta in _require(cfg, "directions", list):
-            theta_t = _theta_tuple(theta)
-            rates, _, _ = _remainder_rates(entry, fam, theta_t, radii, n_max, floor, window)
+        for theta_t, rates, _ in _remainder_fits(cfg, entry, _radii_from(cfg)):
             law = [p.fn(t) for p, t in zip(profile, theta_t)]
             rel = max(abs(r - l) / l for r, l in zip(rates, law))
             ok = ok and rel <= rel_tol
@@ -452,7 +436,7 @@ def _cmd_verify(cfg: dict, out: Path, seed) -> int:
     raise ConfigError(f"unknown verify suite {suite!r}")
 
 
-def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
+def _cmd_interpolate(cfg: dict, out: Path) -> int:
     name = _require(cfg, "testbed", str)
     if name != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
@@ -460,7 +444,7 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     cap = _get(cfg, "cap", int, 16)
     z0 = _z0_from(cfg) if "z0" in cfg else (0.92, 0.92)
     fam1 = testbed.rat2_first_order_family(opening=opening, cap=cap)
-    profiles = [TypeProfile.constant(-opening, opening, _get(cfg, "profile_value", float, 1.0))] * 2
+    profiles = [TypeProfile.constant(-opening, opening, 1.0)] * 2
     inner = _probe_from(
         cfg, "inner_probe", r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128
     )
@@ -479,7 +463,6 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
         probe=inner,
         coeff_cap=_get(cfg, "coeff_cap", int, 10),
         precheck_tol=_get(cfg, "precheck_tol", lambda v: None if v is None else float(v), 1e-3),
-        precheck_orders=_get(cfg, "precheck_orders", int, 1),
     )
     rows = []
     worst = 0.0
@@ -508,7 +491,7 @@ def _cmd_interpolate(cfg: dict, out: Path, seed) -> int:
     return EXIT_OK if worst <= tol else EXIT_VERDICT_FAIL
 
 
-def _cmd_list_testbed(cfg: dict, out: Path | None, seed) -> int:
+def _cmd_list_testbed(cfg: dict, out: Path | None) -> int:
     lines = []
     payload = []
     for entry_id in testbed.ids():
@@ -539,7 +522,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
-        print("usage: polygevrey <command> [--config PATH] [--out DIR] [--threads N] [--seed N]")
+        print("usage: polygevrey <command> [--config PATH] [--out DIR]")
         print("commands:", ", ".join(sorted(_COMMANDS)))
         return EXIT_UNKNOWN_COMMAND
     command = argv[0]
@@ -555,10 +538,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", help="output directory for reports (default: .; list-testbed writes none without it)"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for script compatibility; has no effect"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="jitter seed (off unless config enables jitter)")
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
@@ -574,7 +553,7 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError(f"{command} requires --config")
             cfg = _load_config(args.config)
-        return _COMMANDS[command](cfg, out, args.seed)
+        return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -503,15 +503,13 @@ class CoherenceReport:
         }
 
 
-def _rest_samples(host: Polysector, axes: Sequence[int], per_axis: int, radius: float):
-    if not axes:
-        return [()]
+def _rest_samples(host: Polysector, axes: Sequence[int]):
+    """Two points per axis on its bisector, at 0.35 (at most rho/2) and 0.55 times that."""
     grids = []
     for a in axes:
         sec = host.sectors[a]
-        theta = sec.bisector
-        cap = radius if not sec.bounded else min(radius, 0.5 * sec.rho)
-        grids.append([cap * (0.55**i) * cmath.exp(1j * theta) for i in range(per_axis)])
+        cap = min(0.35, 0.5 * sec.rho)
+        grids.append([cap * (0.55**i) * cmath.exp(1j * sec.bisector) for i in range(2)])
     return [tuple(p) for p in itertools.product(*grids)]
 
 
@@ -526,8 +524,6 @@ def check_coherence(
     tol: float,
     probe: ProbeSpec | None = None,
     max_order: int = 3,
-    samples_per_axis: int = 2,
-    sample_radius: float = 0.35,
 ) -> CoherenceReport:
     """Compare derivative limits of stored elements against deeper elements.
 
@@ -561,7 +557,7 @@ def check_coherence(
                 continue
             union = _subset_key(set(j_axes) | set(l_axes))
             rest = [a for a in cols if a not in l_axes]
-            z_rests = _rest_samples(fam.host, rest, samples_per_axis, sample_radius)
+            z_rests = _rest_samples(fam.host, rest)
             l_ranges = [range(min(max_order, fam.index_bound[a]) + 1) for a in l_axes]
             n_ls = list(itertools.product(*l_ranges))
             try:
@@ -659,6 +655,37 @@ def check_first_order_coherence(
 # families from series
 
 
+def slice_family(
+    series: MultiIndexSeries,
+    host: Polysector,
+    element: Callable[[MultiIndexSeries, tuple[int, ...]], SampledFunction],
+    provenance: str,
+) -> TotalFamily:
+    """Total family whose (J, N_J) element is made from the slice of ``series`` at N_J.
+
+    The slice is the series over the complementary axes ``rest`` with the
+    J-indices frozen at N_J; ``element(slice, rest)`` turns it into a function
+    on ``host.axes_subset(rest)``.  The all-axes elements are the
+    coefficients themselves, marked ``provenance``.
+    """
+    bound = series.degree_bound
+    full = tuple(range(series.dim))
+    elements: dict = {}
+    for axes in nonempty_subsets(series.dim):
+        rest = tuple(a for a in full if a not in axes)
+        for idx in itertools.product(*(range(bound[a] + 1) for a in axes)):
+            if axes == full:
+                elements[(axes, idx)] = SampledFunction.constant(series[idx], provenance=provenance)
+                continue
+            coeffs = {
+                rest_idx: series[_merge_index(axes, idx, rest, rest_idx)]
+                for rest_idx in itertools.product(*(range(bound[a] + 1) for a in rest))
+            }
+            sub = MultiIndexSeries(len(rest), coeffs, tuple(bound[a] for a in rest))
+            elements[(axes, idx)] = element(sub, rest)
+    return TotalFamily(series.dim, host, elements, bound)
+
+
 def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFamily:
     """Total family of the truncated-Laplace interpolant, in closed form.
 
@@ -672,30 +699,12 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
         raise DimensionMismatchError("one endpoint per axis required")
     borel_disc_types(fhat, z0)
     host = half_plane_polysector(z0)
-    bound = fhat.degree_bound
-    full = tuple(range(fhat.dim))
-    elements: dict = {}
-    for axes in nonempty_subsets(fhat.dim):
-        rest = tuple(a for a in range(fhat.dim) if a not in axes)
-        for idx in itertools.product(*(range(bound[a] + 1) for a in axes)):
-            if axes == full:
-                elements[(axes, idx)] = SampledFunction.constant(
-                    fhat[idx], provenance="series"
-                )
-                continue
-            coeffs = {}
-            for rest_idx in itertools.product(*(range(bound[a] + 1) for a in rest)):
-                fullidx = _merge_index(axes, idx, rest, rest_idx)
-                c = fhat[fullidx]
-                if c != 0:
-                    coeffs[rest_idx] = c / math.prod(
-                        math.factorial(k) for k in rest_idx
-                    )
-            phi = MultiIndexSeries(len(rest), coeffs, tuple(bound[a] for a in rest))
-            subspec = LaplaceSpec(tuple(z0[a] for a in rest))
-            domain = host.axes_subset(rest)
-            elements[(axes, idx)] = laplace_of_polynomial(phi, subspec, domain)
-    return TotalFamily(fhat.dim, host, elements, bound)
+
+    def element(sub: MultiIndexSeries, rest: tuple[int, ...]) -> SampledFunction:
+        phi = sub.map_coeffs(lambda ix, c: c / math.prod(math.factorial(k) for k in ix))
+        return laplace_of_polynomial(phi, LaplaceSpec(tuple(z0[a] for a in rest)), host.axes_subset(rest))
+
+    return slice_family(fhat, host, element, "series")
 
 
 # ---------------------------------------------------------------------------

@@ -86,25 +86,24 @@ def fit_flat_type(samples: Sequence[tuple[Sequence[float], float]]) -> FlatFit:
     return FlatFit(tuple(rates), -intercept, rms, tuple(bounded), zeros)
 
 
-def gevrey_envelope_log(c: float, a: float, r: float, n_cap: int | None = None) -> float:
+def gevrey_envelope_log(c: float, a: float, r: float) -> float:
     """log of min over N <= N_cap of C A^N N! r^N.
 
-    The continuous minimizer sits near 1/(A e r); the default cap
+    The continuous minimizer sits near 1/(A e r); the cap N_cap =
     ceil(2/(A r)) + 10 brackets it with margin.  The log is the primitive:
     the envelope itself underflows doubles once 1/(A r) passes ~700.
     """
     if c <= 0 or a <= 0 or r <= 0:
         raise DomainError("c, a, r must be positive")
-    if n_cap is None:
-        n_cap = math.ceil(2.0 / (a * r)) + 10
+    n_cap = math.ceil(2.0 / (a * r)) + 10
     ns = np.arange(0, n_cap + 1, dtype=float)
     logs = math.log(c) + ns * (math.log(a) + math.log(r)) + np.vectorize(math.lgamma)(ns + 1.0)
     return float(np.min(logs))
 
 
-def gevrey_envelope(c: float, a: float, r: float, n_cap: int | None = None) -> float:
+def gevrey_envelope(c: float, a: float, r: float) -> float:
     """min over N <= N_cap of C A^N N! r^N (exp of :func:`gevrey_envelope_log`)."""
-    return math.exp(gevrey_envelope_log(c, a, r, n_cap))
+    return math.exp(gevrey_envelope_log(c, a, r))
 
 
 def h_aux(z: complex, alpha: float, beta: float, lam: float, c: float) -> complex:
@@ -184,23 +183,16 @@ def fit_wedge_constant(
     return best
 
 
-def wedge_shift_search(
-    eps: float,
-    c: float,
-    lam: float,
-    alpha: float,
-    t_samples: int = 48,
-    phi_samples: int = 17,
-    max_doublings: int = 60,
-    bisections: int = 60,
-) -> float:
+def wedge_shift_search(eps: float, c: float, lam: float, alpha: float) -> float:
     """Smallest shift a for the half-plane comparison argument, as a diagnostic.
 
     Searches the least a > 1 with c / a^lam < 1 such that, over the shifted
-    region a e^{i alpha} + closure(S(-alpha, alpha; inf)), the sampled ratio
-    (arg(z - e^{i alpha}) + alpha) / (arg z + alpha) stays >= 1 - eps.  The
-    ratio improves monotonically with a, so bisection applies.  No closed
-    form is claimed; the output is a sampled diagnostic only.
+    region a e^{i alpha} + closure(S(-alpha, alpha; inf)), the ratio
+    (arg(z - e^{i alpha}) + alpha) / (arg z + alpha), sampled on 17 rays and
+    48 geometric radii per ray, stays >= 1 - eps.  The ratio improves
+    monotonically with a, so up to 60 doublings bracket a and 60 bisections
+    refine it.  No closed form is claimed; the output is a sampled
+    diagnostic only.
     """
     if not (0.0 < eps < 1.0 and c > 0 and lam > 0 and 0 < alpha < 0.25 * math.pi):
         raise DomainError("need eps in (0,1), c > 0, lam > 0, alpha in (0, pi/4)")
@@ -208,11 +200,11 @@ def wedge_shift_search(
 
     def ratio_ok(a: float) -> bool:
         base = a * z0
-        for i in range(phi_samples):
-            phi = -alpha + 2 * alpha * i / (phi_samples - 1)
+        for i in range(17):
+            phi = -alpha + 2 * alpha * i / 16
             direction = cmath.exp(1j * phi)
-            for k in range(t_samples):
-                t = 1e-3 * a * (1e7) ** (k / (t_samples - 1))
+            for k in range(48):
+                t = 1e-3 * a * (1e7) ** (k / 47)
                 z = base + t * direction
                 theta = cmath.phase(z)
                 theta0 = cmath.phase(z - z0)
@@ -225,7 +217,7 @@ def wedge_shift_search(
 
     lo = max(1.0 + 1e-9, c ** (1.0 / lam) * (1.0 + 1e-9))
     hi = lo
-    for _ in range(max_doublings):
+    for _ in range(60):
         if ratio_ok(hi):
             break
         hi *= 2.0
@@ -233,7 +225,7 @@ def wedge_shift_search(
         raise DomainError("no admissible shift found within the search range")
     if ratio_ok(lo):
         return lo
-    for _ in range(bisections):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if ratio_ok(mid):
             hi = mid

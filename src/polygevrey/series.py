@@ -163,32 +163,6 @@ def inverse_borel_transform(f: MultiIndexSeries) -> MultiIndexSeries:
     return f.map_coeffs(multiply)
 
 
-def evaluate_partial(f: MultiIndexSeries, z: Sequence[complex]) -> complex:
-    """Sum over stored indices f_N z^N, Horner-style per axis."""
-    if len(z) != f.dim:
-        raise DimensionMismatchError(f"point has {len(z)} coordinates, series dim {f.dim}")
-    return _horner(dict(f.coeffs), tuple(complex(w) for w in z), 0)
-
-
-def _horner(coeffs: dict, z: tuple[complex, ...], axis: int) -> complex:
-    if not coeffs:
-        return 0j
-    if axis == len(z) - 1:
-        table = {ix[axis]: c for ix, c in coeffs.items()}
-        acc = 0j
-        for k in range(max(table), -1, -1):
-            acc = acc * z[axis] + table.get(k, 0j)
-        return acc
-    groups: dict[int, dict] = {}
-    for ix, c in coeffs.items():
-        groups.setdefault(ix[axis], {})[ix] = c
-    acc = 0j
-    for k in range(max(groups), -1, -1):
-        sub = groups.get(k)
-        acc = acc * z[axis] + (_horner(sub, z, axis + 1) if sub else 0j)
-    return acc
-
-
 def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
     """Vectorized f(z) over an array of points with shape (..., dim)."""
     pts = np.asarray(pts, dtype=complex)

@@ -9,7 +9,6 @@ The registry is code, not data files: closed forms need exact evaluation.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownEntryError
-from .families import FirstOrderFamily, TotalFamily, nonempty_subsets
+from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
 from .geometry import Polysector, Sector
-from .series import MultiIndexSeries
+from .series import MultiIndexSeries, evaluate_many
 from .transforms import LaplaceSpec, SampledFunction, truncated_laplace_with_error
 from .typecalc import TypeProfile
 
@@ -40,42 +39,19 @@ class RegistryEntry:
 
 def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily:
     """Exact total family of a polynomial: elements are its partial coefficient slices."""
-    n = series.dim
-    bound = series.degree_bound
-    elements = {}
-    full = tuple(range(n))
-    for axes in nonempty_subsets(n):
-        rest = tuple(a for a in range(n) if a not in axes)
-        for idx in itertools.product(*(range(bound[a] + 1) for a in axes)):
-            if axes == full:
-                elements[(axes, idx)] = SampledFunction.constant(
-                    series[idx], provenance="closed-form"
-                )
-                continue
-            slice_coeffs = {}
-            for rest_idx in itertools.product(*(range(bound[a] + 1) for a in rest)):
-                merged = {a: v for a, v in zip(axes, idx)}
-                merged.update(zip(rest, rest_idx))
-                c = series[tuple(merged[a] for a in sorted(merged))]
-                if c != 0:
-                    slice_coeffs[rest_idx] = c
-            sub = MultiIndexSeries(len(rest), slice_coeffs, tuple(bound[a] for a in rest))
-            dom = host.axes_subset(rest)
 
-            def fn(pts: np.ndarray, _sub=sub) -> np.ndarray:
-                from .series import evaluate_many
+    def element(sub: MultiIndexSeries, rest: tuple[int, ...]) -> SampledFunction:
+        return SampledFunction(host.axes_subset(rest), lambda pts: evaluate_many(sub, pts))
 
-                return evaluate_many(_sub, pts)
-
-            elements[(axes, idx)] = SampledFunction(dom, fn, provenance="closed-form")
-    return TotalFamily(n, host, elements, bound)
+    return slice_family(series, host, element, "closed-form")
 
 
 # ---------------------------------------------------------------------------
 # entry builders
 
 
-def flat1_entry(rate: float = 2.0) -> RegistryEntry:
+def flat1_entry() -> RegistryEntry:
+    rate = 2.0
     domain = Polysector([Sector(-0.25 * math.pi, 0.25 * math.pi, math.inf)])
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -98,10 +74,11 @@ def flat1_entry(rate: float = 2.0) -> RegistryEntry:
     )
 
 
-def euler_entry(z0: complex = 0.5, degree: int = 40, tol: float = 1e-12) -> RegistryEntry:
+def euler_entry() -> RegistryEntry:
+    z0, degree = 0.5, 40
     theta0 = cmath.phase(complex(z0))
     domain = Polysector([Sector(theta0 - 0.5 * math.pi, theta0 + 0.5 * math.pi, math.inf)])
-    spec = LaplaceSpec((z0,), tol=tol, max_depth=40)
+    spec = LaplaceSpec((z0,), tol=1e-12, max_depth=40)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         vals, _ = truncated_laplace_with_error(lambda t: 1.0 / (1.0 + t), spec, pts[:, 0])
@@ -139,8 +116,9 @@ def rat2_sector(opening: float = 1.2) -> Sector:
     return Sector(-opening, opening, math.inf)
 
 
-def rat2_entry(opening: float = 1.2, cap: int = 8) -> RegistryEntry:
-    domain = Polysector([rat2_sector(opening)] * 2)
+def rat2_entry() -> RegistryEntry:
+    domain = Polysector([rat2_sector()] * 2)
+    total = rat2_total_family()
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return 1.0 / ((1.0 + pts[:, 0]) * (1.0 + pts[:, 1]))
@@ -150,9 +128,9 @@ def rat2_entry(opening: float = 1.2, cap: int = 8) -> RegistryEntry:
         dim=2,
         fn=SampledFunction(domain, fn),
         known={
-            "total_family": rat2_total_family(opening, cap),
-            "first_order": rat2_first_order_family(opening, cap),
-            "series": rat2_series(cap),
+            "total_family": total,
+            "first_order": first_order_of(total),
+            "series": rat2_series(),
             "gevrey_types": (math.inf, math.inf),
             "flat_rates": (0.0, 0.0),
         },
@@ -197,10 +175,7 @@ def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
 
 
 def rat2_first_order_family(opening: float = 1.2, cap: int = 8) -> FirstOrderFamily:
-    host = Polysector([rat2_sector(opening)] * 2)
-    seq0 = tuple(_rat2_slice(host.axes_subset((1,)), (-1.0) ** n) for n in range(cap + 1))
-    seq1 = tuple(_rat2_slice(host.axes_subset((0,)), (-1.0) ** m) for m in range(cap + 1))
-    return FirstOrderFamily(2, host, (seq0, seq1))
+    return first_order_of(rat2_total_family(opening, cap))
 
 
 def poly_series() -> MultiIndexSeries:
@@ -238,7 +213,8 @@ def poly_entry() -> RegistryEntry:
     )
 
 
-def brg_const_entry(z0: complex = 0.5) -> RegistryEntry:
+def brg_const_entry() -> RegistryEntry:
+    z0 = 0.5
     theta0 = cmath.phase(complex(z0))
     domain = Polysector([Sector(theta0 - 0.5 * math.pi, theta0 + 0.5 * math.pi, math.inf)])
 
@@ -267,8 +243,8 @@ def brg_const_entry(z0: complex = 0.5) -> RegistryEntry:
     )
 
 
-def brg_const2_entry(z0=(0.5, 0.5)) -> RegistryEntry:
-    z0 = tuple(complex(w) for w in z0)
+def brg_const2_entry() -> RegistryEntry:
+    z0 = (0.5 + 0j, 0.5 + 0j)
     sectors = [
         Sector(cmath.phase(w) - 0.5 * math.pi, cmath.phase(w) + 0.5 * math.pi, math.inf)
         for w in z0

@@ -501,7 +501,6 @@ def interpolate_first_order(
     probe=None,
     coeff_cap: int = 8,
     precheck_tol: float | None = 1e-4,
-    precheck_orders: int = 1,
 ) -> SampledFunction:
     """Interpolate a coherent two-variable first-order family.
 
@@ -518,10 +517,13 @@ def interpolate_first_order(
 
     ``coeff_cap`` bounds the number of corrected axis-1 coefficients: high
     orders of a_{m,n} are numerically fragile to extract and strongly damped
-    by the t^m/m! weights, so a small cap loses little.  Raises ProbeError
-    when the ladder leaves orders 0 and 1 of the constants unconverged; the
-    result's ``provenance`` counts the unconverged higher-order constants
-    and gives their worst probe error.
+    by the t^m/m! weights, so a small cap loses little.  Unless
+    ``precheck_tol`` is None, the family must first pass
+    :func:`check_first_order_coherence` at that tolerance over orders <= 1
+    (CoherenceError otherwise).  Raises ProbeError when the ladder leaves
+    orders 0 and 1 of the constants unconverged; the result's
+    ``provenance`` counts the unconverged higher-order constants and gives
+    their worst probe error.
     """
     from .families import ProbeSpec, check_first_order_coherence, element_coefficients
 
@@ -544,7 +546,7 @@ def interpolate_first_order(
     probe = probe or ProbeSpec()
 
     if precheck_tol is not None:
-        report = check_first_order_coherence(fam1, precheck_tol, probe, max_order=precheck_orders)
+        report = check_first_order_coherence(fam1, precheck_tol, probe, max_order=1)
         if report.failures or report.probe_failures:
             raise CoherenceError(
                 f"first-order family fails coherence at {precheck_tol:g}: "

@@ -48,7 +48,7 @@ def _g_objective(delta: float) -> Callable[[float], float]:
 
 
 @lru_cache(maxsize=4096)
-def g_of_delta(delta: float, xtol: float = 1e-8) -> float:
+def g_of_delta(delta: float) -> float:
     """sup over c in (0,1) of c(sqrt(1-c^2 d^2) - c sqrt(1-d^2))/(1+cd).
 
     A 64-point coarse scan brackets the maximizer before golden-section
@@ -65,7 +65,7 @@ def g_of_delta(delta: float, xtol: float = 1e-8) -> float:
     k = max(range(n), key=vals.__getitem__)
     a = cs[max(0, k - 1)]
     b = cs[min(n - 1, k + 1)]
-    _, best = golden_max(fn, a, b, xtol)
+    _, best = golden_max(fn, a, b, 1e-8)
     return best
 
 
@@ -126,14 +126,7 @@ def sine_type(theta: float, alpha: float, beta: float, theta0: float, r: float) 
     return r * math.sin(theta - alpha) / math.sin(theta0 - alpha)
 
 
-def circle_type(
-    r_alpha: float,
-    r_beta: float,
-    alpha: float,
-    beta: float,
-    theta: float,
-    degenerate_tol: float = 1e-12,
-) -> float:
+def circle_type(r_alpha: float, r_beta: float, alpha: float, beta: float, theta: float) -> float:
     """Second intersection of the ray ``theta`` with the edge-interpolating circle.
 
     Both radii positive: circumcircle of the vertex and the two edge points.
@@ -148,7 +141,7 @@ def circle_type(
     if r_alpha < 0 or r_beta < 0:
         raise DomainError("edge radii must be nonnegative")
     span = math.sin(beta - alpha)
-    if abs(span) < degenerate_tol:
+    if abs(span) < 1e-12:
         raise GeometryError("degenerate circumcircle: edge points collinear with the vertex")
     if r_alpha == 0.0 and r_beta == 0.0:
         return 0.0
@@ -190,25 +183,21 @@ class TypeProfile:
             raise DomainError(f"profile not positive at theta={theta}: {v}")
         return v
 
-    def inf_on(self, lo: float, hi: float, samples: int = 257) -> float:
-        """Positivity witness: sampled infimum over a compact subinterval."""
+    def inf_on(self, lo: float, hi: float) -> float:
+        """Positivity witness: infimum over a compact subinterval, sampled at 257 points."""
         if not (self.alpha < lo <= hi < self.beta):
             raise DomainError("compact subinterval must sit inside the open domain")
-        return min(
-            self.fn(lo + (hi - lo) * k / (samples - 1)) for k in range(samples)
-        )
+        return min(self.fn(lo + (hi - lo) * k / 256) for k in range(257))
 
-    def sup(self, samples: int = 1024, xtol: float = 1e-10) -> float:
-        """Approximate sup over the open domain: dense grid plus local refinement."""
+    def sup(self) -> float:
+        """Approximate sup over the open domain: a 1024-point grid plus local refinement."""
         margin = (self.beta - self.alpha) * 1e-9
         lo, hi = self.alpha + margin, self.beta - margin
-        step = (hi - lo) / (samples - 1)
-        grid = [lo + k * step for k in range(samples)]
+        step = (hi - lo) / 1023
+        grid = [lo + k * step for k in range(1024)]
         vals = [self.fn(t) for t in grid]
-        k = max(range(samples), key=vals.__getitem__)
-        a = grid[max(0, k - 1)]
-        b = grid[min(samples - 1, k + 1)]
-        _, best = golden_max(self.fn, a, b, xtol)
+        k = max(range(1024), key=vals.__getitem__)
+        _, best = golden_max(self.fn, grid[max(0, k - 1)], grid[min(1023, k + 1)], 1e-10)
         return max(best, vals[k])
 
 
@@ -220,8 +209,9 @@ def final_type(
 ) -> tuple[float, ...]:
     """Combined per-axis type of the full expansion.
 
-    Per axis: min of the sine-law spread of t_j = min(R0_j, gamma_j*gamma,
-    R_j(theta0_j)), the profile itself, and the cos^2 derivative-bound term,
+    Per axis: min of the sine-law spread (:func:`sine_type`) of
+    t_j = min(R0_j, gamma_j*gamma, R_j(theta0_j)), the profile itself, and
+    the cos^2 derivative-bound term (:func:`r_tilde` with |z0| = gamma_j),
     where gamma_j is the profile sup and gamma = g(1).
     """
     n = len(thetas)
@@ -235,20 +225,10 @@ def final_type(
             raise DomainError(
                 f"need theta0-pi/2 < alpha < theta0 < beta < theta0+pi/2 on axis with theta0={theta0}"
             )
-        if not alpha <= theta <= beta:
-            raise DomainError(f"theta={theta} outside [{alpha}, {beta}]")
         if r0 <= 0:
             raise DomainError("r0 must be positive")
         gamma_j = prof.sup()
         t_j = min(r0, gamma_j * gamma, prof.fn(theta0))
-        if theta <= theta0:
-            spread = t_j * math.sin(theta - alpha) / math.sin(theta0 - alpha)
-        else:
-            spread = t_j * math.sin(theta - beta) / math.sin(theta0 - beta)
-        delta = math.cos(theta - theta0)
-        if theta in (alpha, beta) and delta <= 0:  # pragma: no cover - excluded by hypotheses
-            raise DomainError("direction leaves the half-plane")
-        profile_val = prof.fn(theta)
-        cos2_term = gamma_j * delta * delta * g_of_delta(min(1.0, delta))
-        out.append(min(spread, profile_val, cos2_term))
+        spread = sine_type(theta, alpha, beta, theta0, t_j)
+        out.append(min(spread, prof.fn(theta), r_tilde(gamma_j, theta, theta0)[0]))
     return tuple(out)

@@ -231,7 +231,6 @@ def test_criterion_11_interpolation_pipeline():
         probe=inner,
         coeff_cap=10,
         precheck_tol=1e-3,
-        precheck_orders=1,
     )
     probe = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
     samples = [0.02 * 1.13**k for k in range(10)]

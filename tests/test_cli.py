@@ -394,6 +394,36 @@ class TestVerify:
         assert err["error"] == "RuntimeError: bug in the callback"
         assert "RuntimeError" in capsys.readouterr().err
 
+    def test_nan_in_a_report_is_internal(self, tmp_path, monkeypatch):
+        # a function that evaluates to NaN puts NaN into pl.json's maxima;
+        # strict JSON refuses it, so no report is written and the run exits 70
+        import dataclasses
+
+        import numpy as np
+
+        from polygevrey import SampledFunction, testbed
+
+        entry = testbed.get("poly")
+        fake = dataclasses.replace(
+            entry, fn=SampledFunction(entry.fn.domain, lambda p: np.full(len(p), np.nan, dtype=complex))
+        )
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        cfg = write(
+            tmp_path,
+            "vn.json",
+            {
+                "suite": "pl",
+                "testbed": "poly",
+                "polysector": {"sectors": [{"alpha": -PI / 3, "beta": PI / 3, "rho": 1.0}] * 2},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INTERNAL
+        assert not (out / "pl.json").exists()
+        err = json.loads((out / "error.json").read_text())
+        assert err["internal"] is True
+        assert err["error"].startswith("ValueError: Out of range float values")
+
     @pytest.mark.parametrize("exc", [TypeError, ValueError, KeyError])
     def test_common_callback_bugs_are_internal(self, tmp_path, monkeypatch, exc):
         # the commonest callback bugs are not config errors (2) either

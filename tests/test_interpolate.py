@@ -110,7 +110,7 @@ class TestValidation:
         fam1 = constant_sequences(host2(), [1.0, 0.0], [2.0, 0.0])
         with pytest.raises(CoherenceError):
             interpolate_first_order(
-                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4, precheck_orders=1
+                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4
             )
 
     def test_unconverged_precheck_rejected(self):
@@ -125,7 +125,7 @@ class TestValidation:
         fam1 = FirstOrderFamily(2, host, ((noisy, fam1.sequences[0][1]), fam1.sequences[1]))
         with pytest.raises(CoherenceError) as info:
             interpolate_first_order(
-                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4, precheck_orders=1
+                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4
             )
         assert info.value.report.probe_failures
         assert not info.value.report.failures

@@ -9,12 +9,35 @@ from polygevrey import (
     MultiIndexSeries,
     SeriesError,
     borel_transform,
-    evaluate_partial,
     fit_gevrey_type,
     gamma1_norm,
     inverse_borel_transform,
 )
 from polygevrey.series import evaluate_many, rate_fit
+
+
+def evaluate_partial(f: MultiIndexSeries, z) -> complex:
+    """Reference for ``evaluate_many``: sum over stored indices f_N z^N, Horner-style per axis."""
+    return _horner(dict(f.coeffs), tuple(complex(w) for w in z), 0)
+
+
+def _horner(coeffs: dict, z: tuple, axis: int) -> complex:
+    if not coeffs:
+        return 0j
+    if axis == len(z) - 1:
+        table = {ix[axis]: c for ix, c in coeffs.items()}
+        acc = 0j
+        for k in range(max(table), -1, -1):
+            acc = acc * z[axis] + table.get(k, 0j)
+        return acc
+    groups: dict = {}
+    for ix, c in coeffs.items():
+        groups.setdefault(ix[axis], {})[ix] = c
+    acc = 0j
+    for k in range(max(groups), -1, -1):
+        sub = groups.get(k)
+        acc = acc * z[axis] + (_horner(sub, z, axis + 1) if sub else 0j)
+    return acc
 
 
 def factorial_series(n_max=20, rate=1.0, prefactor=1.0):
@@ -104,13 +127,16 @@ class TestEvaluate:
     def test_cross_term(self):
         ser = MultiIndexSeries(2, {(1, 1): 1.0}, (1, 1))
         assert evaluate_partial(ser, (2.0, 3.0)) == pytest.approx(6.0)
+        assert evaluate_many(ser, [(2.0, 3.0)])[0] == pytest.approx(6.0)
 
     def test_zero(self):
         assert evaluate_partial(MultiIndexSeries(1, {}, (0,)), (0.3,)) == 0
+        assert evaluate_many(MultiIndexSeries(1, {}, (0,)), [(0.3,)])[0] == 0
 
     def test_geometric_partial_sum(self):
         ser = MultiIndexSeries(1, {(n,): 1.0 for n in range(4)}, (3,))
         assert evaluate_partial(ser, (0.5,)) == pytest.approx(1.875)
+        assert evaluate_many(ser, [(0.5,)])[0] == pytest.approx(1.875)
 
     def test_vectorized_matches_scalar(self):
         ser = MultiIndexSeries(2, {(0, 0): 1.5, (2, 1): -0.5j, (1, 3): 2.0}, (2, 3))
