@@ -9,6 +9,7 @@ orderings.  Exit codes: 0 success (and verification verdicts that pass),
 subcommand, 70 internal error (a bug in the program: ``error.json`` names the
 exception).  The CLI process runs numpy's BLAS on one thread: importing this
 module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller already set it.
+Subcommands import ``testbed``, ``typecalc`` and ``flatness_bounds`` themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import testbed
 from .errors import (
     CoherenceError,
     ConfigError,
@@ -45,11 +45,9 @@ from .families import (
     fit_type_from_remainders,
     remainder_constants,
 )
-from .flatness_bounds import fit_flat_type, pl_check
-from .geometry import Multidirection, Polysector, geometric_radii
+from .geometry import Multidirection, Polysector, geometric_radii, ray_points
 from .series import MultiIndexSeries, borel_transform
 from .transforms import LaplaceSpec, brg_function, interpolate_first_order, laplace_bound
-from .typecalc import TypeProfile, circle_type, final_type, fz_type, r_tilde, sine_type
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -137,11 +135,18 @@ def _z0_from(cfg) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _entry(cfg: dict):
+    """The testbed entry named under ``testbed``; the registry loads on first use."""
+    from . import testbed
+
+    return testbed.get(_require(cfg, "testbed", str))
+
+
 def _series_from(cfg) -> MultiIndexSeries:
     if "series" in cfg:
         return MultiIndexSeries.from_json(_require(cfg, "series", dict))
     if "testbed" in cfg:
-        entry = testbed.get(_require(cfg, "testbed", str))
+        entry = _entry(cfg)
         ser = entry.known.get("series")
         if ser is None:
             raise ConfigError(f"testbed entry {entry.id!r} carries no series")
@@ -264,7 +269,7 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
 
 def _cmd_type_fit(cfg: dict, out: Path) -> int:
     mode = cfg.get("mode", "gevrey")
-    entry = testbed.get(_require(cfg, "testbed", str))
+    entry = _entry(cfg)
     directions = _require(cfg, "directions", list)
     radii = _radii_from(cfg)
     rows = []
@@ -289,11 +294,11 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
         if report["directions"] and report["directions"][0]["law"] is not None:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
     elif mode == "flat":
+        from .flatness_bounds import fit_flat_type
+
         for theta in directions:
             theta_t = _theta_tuple(theta)
             d = Multidirection(theta_t)
-            from .geometry import ray_points
-
             pts = ray_points(entry.fn.domain, d, [radii] * entry.dim)
             samples = [
                 (tuple(abs(w) for w in pt), abs(entry.fn(pt)))
@@ -314,6 +319,8 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
 
 
 def _cmd_predict_type(cfg: dict, out: Path) -> int:
+    from .typecalc import TypeProfile, circle_type, final_type, fz_type, r_tilde, sine_type
+
     alpha = _get(cfg, "alpha")
     beta = _get(cfg, "beta")
     theta0 = _get(cfg, "theta0")
@@ -379,7 +386,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
             ser = _series_from(cfg)
             fam = family_from_series(ser, _z0_from(cfg))
         else:
-            entry = testbed.get(_require(cfg, "testbed", str))
+            entry = _entry(cfg)
             fam = entry.known.get("total_family")
             if fam is None:
                 raise ConfigError(f"entry {entry.id!r} has no total family")
@@ -393,7 +400,9 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "pl":
-        entry = testbed.get(_require(cfg, "testbed", str))
+        from .flatness_bounds import pl_check
+
+        entry = _entry(cfg)
         poly = Polysector.from_json(_require(cfg, "polysector", dict))
         rep = pl_check(
             entry.fn,
@@ -406,7 +415,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
     if suite == "remainder":
-        entry = testbed.get(_require(cfg, "testbed", str))
+        entry = _entry(cfg)
         profile = entry.known.get("type_profile")
         if profile is None:
             raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
@@ -423,7 +432,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         _write_json(out / "remainder.json", {"ok": ok, "rel_tol": rel_tol, "directions": results})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "first-order":
-        entry = testbed.get(_require(cfg, "testbed", str))
+        entry = _entry(cfg)
         fam1 = entry.known.get("first_order")
         if fam1 is None:
             raise ConfigError(f"entry {entry.id!r} has no first-order family")
@@ -437,6 +446,9 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
 
 
 def _cmd_interpolate(cfg: dict, out: Path) -> int:
+    from . import testbed
+    from .typecalc import TypeProfile
+
     name = _require(cfg, "testbed", str)
     if name != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
@@ -492,6 +504,8 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
 
 
 def _cmd_list_testbed(cfg: dict, out: Path | None) -> int:
+    from . import testbed
+
     lines = []
     payload = []
     for entry_id in testbed.ids():

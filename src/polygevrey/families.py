@@ -26,13 +26,7 @@ from .errors import (
 )
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, rate_fit
-from .transforms import (
-    LaplaceSpec,
-    SampledFunction,
-    borel_disc_types,
-    half_plane_polysector,
-    laplace_of_polynomial,
-)
+from .transforms import LaplaceTables, SampledFunction, borel_disc_types, half_plane_polysector
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +686,20 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
     For each subset J and index a_J, the element is the truncated Laplace
     transform (over the complementary axes) of the partial Borel sum with the
     J-indices frozen at a_J; the all-axes elements are the series
-    coefficients themselves.
+    coefficients themselves.  The elements share one :class:`LaplaceTables`:
+    evaluated at one point set, the elements of a slice build one monomial
+    table per axis between them.
     """
     z0 = tuple(complex(w) for w in z0)
     if len(z0) != fhat.dim:
         raise DimensionMismatchError("one endpoint per axis required")
     borel_disc_types(fhat, z0)
     host = half_plane_polysector(z0)
+    tables = LaplaceTables(z0, fhat.degree_bound)
 
     def element(sub: MultiIndexSeries, rest: tuple[int, ...]) -> SampledFunction:
         phi = sub.map_coeffs(lambda ix, c: c / math.prod(math.factorial(k) for k in ix))
-        return laplace_of_polynomial(phi, LaplaceSpec(tuple(z0[a] for a in rest)), host.axes_subset(rest))
+        return tables.transform(phi, rest, host.axes_subset(rest))
 
     return slice_family(fhat, host, element, "series")
 

@@ -434,9 +434,9 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     return laplace_of_polynomial(borel_transform(fhat), spec, domain)
 
 
-def _scaled_coefficients(phi: MultiIndexSeries, spec: LaplaceSpec) -> np.ndarray:
+def _scaled_coefficients(phi: MultiIndexSeries, dim: int) -> np.ndarray:
     """The coefficients of ``phi`` times N!, as a dense tensor: the weights of the monomials t^N/N!."""
-    if phi.dim != spec.dim:
+    if phi.dim != dim:
         raise DomainError("polynomial dimension and spec dimension disagree")
     coef = np.zeros(tuple(d + 1 for d in phi.degree_bound), dtype=complex)
     for ix, c in phi.coeffs.items():
@@ -452,23 +452,38 @@ def _contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
     return out
 
 
-def laplace_of_polynomial(
-    phi: MultiIndexSeries, spec: LaplaceSpec, domain: Polysector
-) -> SampledFunction:
-    """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``.
+class LaplaceTables:
+    """Shared :func:`laplace_monomials` tables for axes with endpoints ``z0`` and degrees ``tops``.
 
-    With its coefficients scaled by N!, ``phi`` maps to a tensor that is
-    contracted with :func:`laplace_monomials` one axis at a time.
+    Each axis keeps the table of its last point column and rebuilds it when a column differs
+    in some bit, so the transforms of one instance build one table per axis and point set.
     """
-    coef = _scaled_coefficients(phi, spec)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return _contract(
-            coef,
-            [laplace_monomials(w, pts[:, j], d) for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))],
-        )
+    def __init__(self, z0: Sequence[complex], tops: Sequence[int]):
+        self.z0, self.tops = tuple(z0), tuple(tops)
+        self._last: dict[int, tuple[bytes, np.ndarray]] = {}
 
-    return SampledFunction(domain, fn, provenance="closed-form")
+    def table(self, axis: int, z: np.ndarray) -> np.ndarray:
+        key = z.tobytes()
+        hit = self._last.get(axis)
+        if hit is None or hit[0] != key:
+            hit = self._last[axis] = (key, laplace_monomials(self.z0[axis], z, self.tops[axis]))
+            hit[1].flags.writeable = False  # every caller reads the same array
+        return hit[1]
+
+    def transform(self, phi: MultiIndexSeries, axes: tuple[int, ...], domain: Polysector) -> SampledFunction:
+        """Truncated Laplace transform of ``phi`` over ``axes``: N!-scaled coefficients times the tables."""
+        coef = _scaled_coefficients(phi, len(axes))
+
+        def fn(pts: np.ndarray) -> np.ndarray:
+            return _contract(coef, [self.table(a, pts[:, j]) for j, a in enumerate(axes)])
+
+        return SampledFunction(domain, fn, provenance="closed-form")
+
+
+def laplace_of_polynomial(phi: MultiIndexSeries, spec: LaplaceSpec, domain: Polysector) -> SampledFunction:
+    """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``."""
+    return LaplaceTables(spec.z0, phi.degree_bound).transform(phi, tuple(range(spec.dim)), domain)
 
 
 def laplace_bound(phi: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
@@ -478,7 +493,7 @@ def laplace_bound(phi: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
     bound from :func:`laplace_monomial_errors`, minus the unwidened one, plus
     the rounding of the N! scaling, the products over axes and the sums.
     """
-    coef_abs = np.abs(_scaled_coefficients(phi, spec))
+    coef_abs = np.abs(_scaled_coefficients(phi, spec.dim))
     pts = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
     tabs = [
         laplace_monomial_errors(w, pts[:, j], d)

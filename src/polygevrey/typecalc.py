@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import DomainError, GeometryError
@@ -190,7 +190,11 @@ class TypeProfile:
         return min(self.fn(lo + (hi - lo) * k / 256) for k in range(257))
 
     def sup(self) -> float:
-        """Approximate sup over the open domain: a 1024-point grid plus local refinement."""
+        """Approximate sup over the open domain (1024-point grid, local refinement), kept by the profile."""
+        return self._sup
+
+    @cached_property
+    def _sup(self) -> float:
         margin = (self.beta - self.alpha) * 1e-9
         lo, hi = self.alpha + margin, self.beta - margin
         step = (hi - lo) / 1023

@@ -80,15 +80,16 @@ class TestDispatch:
         "module, blas, want",
         [
             ("polygevrey", None, {"numpy": False, "scipy": False, "blas": None}),
-            ("polygevrey.cli", None, {"scipy": False, "blas": "1"}),
+            ("polygevrey.cli", None, {"scipy": False, "blas": "1", "deferred": []}),
             ("polygevrey.cli", "3", {"blas": "3"}),
-            ("polygevrey.cli", None, {"threads": 1}),
+            ("polygevrey.cli", None, {"numpy": True, "threads": 1}),
         ],
         ids=["package", "cli", "cli-caller-value", "cli-threads"],
     )
     def test_import_boundary(self, module, blas, want):
         # a fresh interpreter: the package import stays light, and only the CLI
-        # pins BLAS to one thread, keeping a value the caller already set
+        # pins BLAS to one thread, keeping a value the caller already set; the
+        # CLI loads numpy but leaves the modules only some subcommands use
         if "threads" in want and not sys.platform.startswith("linux"):
             pytest.skip("thread count is read from /proc/self/task")
         src = str(Path(polygevrey.__file__).resolve().parents[1])
@@ -99,7 +100,9 @@ class TestDispatch:
         code = (
             f"import json, os, sys, {module}\n"
             "task = '/proc/self/task'\n"
+            "deferred = ('polygevrey.testbed', 'polygevrey.typecalc', 'polygevrey.flatness_bounds')\n"
             "print(json.dumps({'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
+            "    'deferred': [m for m in deferred if m in sys.modules],\n"
             "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
             "    'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))\n"
         )

@@ -5,11 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polygevrey import (
     DomainError,
     FamilyError,
     FirstOrderFamily,
+    LaplaceSpec,
     MultiIndexSeries,
     Multidirection,
     Polysector,
@@ -28,7 +30,8 @@ from polygevrey import (
     remainder_constants,
 )
 from polygevrey import testbed
-from polygevrey.families import element_coefficients, nonempty_subsets
+from polygevrey.families import app_n_many, element_coefficients, nonempty_subsets, slice_family
+from polygevrey.transforms import laplace_of_polynomial
 
 PI = math.pi
 
@@ -39,13 +42,50 @@ def xy_family(host=None):
     return testbed.polynomial_family(ser, host)
 
 
-def three_variable_family():
+def three_variable_series():
     # coefficients (-1)^|N| N! 1.3^(-N_1) on a 3x3x3 index box
     coeffs = {
         n: (-1) ** sum(n) * math.prod(math.factorial(k) for k in n) * 1.3 ** (-n[0])
         for n in itertools.product(range(3), repeat=3)
     }
-    return family_from_series(MultiIndexSeries(3, coeffs, (2, 2, 2)), (0.5, 0.5, 0.5))
+    return MultiIndexSeries(3, coeffs, (2, 2, 2))
+
+
+def three_variable_family():
+    return family_from_series(three_variable_series(), (0.5, 0.5, 0.5))
+
+
+def criterion_seven_family():
+    rng = np.random.default_rng(20250808)
+    coeffs = {}
+    for h in range(7):
+        for k in range(7):
+            u = 0.6 + 0.8 * rng.random()
+            coeffs[(h, k)] = u * math.factorial(h) * math.factorial(k) * 1.3 ** (-h) * 1.1 ** (-k)
+    return family_from_series(MultiIndexSeries(2, coeffs, (6, 6)), (0.5, 0.45))
+
+
+# three points in C^3, every coordinate within 1.3 of the positive real axis
+polar_grid = st.lists(
+    st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.05, 2.0), st.floats(-1.3, 1.3)),
+    min_size=9,
+    max_size=9,
+).map(lambda zs: np.asarray(zs).reshape(3, 3))
+
+
+def count_tables(monkeypatch) -> list:
+    """Record the number of points of every closed-form monomial table built from now on."""
+    from polygevrey import transforms
+
+    calls = []
+    kernel = transforms.laplace_monomials
+
+    def counted(z0, z, top):
+        calls.append(np.size(z))
+        return kernel(z0, z, top)
+
+    monkeypatch.setattr(transforms, "laplace_monomials", counted)
+    return calls
 
 
 def count_ladders(monkeypatch) -> list:
@@ -339,13 +379,7 @@ class TestCoherence:
         assert ((0, 1), (2,), (1, 0), (0,)) in [f[:4] for f in rep.failures]
 
     def test_criterion_seven_family_one_ladder_per_pair(self, monkeypatch):
-        rng = np.random.default_rng(20250808)
-        coeffs = {}
-        for h in range(7):
-            for k in range(7):
-                u = 0.6 + 0.8 * rng.random()
-                coeffs[(h, k)] = u * math.factorial(h) * math.factorial(k) * 1.3 ** (-h) * 1.1 ** (-k)
-        fam = family_from_series(MultiIndexSeries(2, coeffs, (6, 6)), (0.5, 0.45))
+        fam = criterion_seven_family()
         calls = count_ladders(monkeypatch)
         rep = check_coherence(fam, 1e-6, max_order=3)
         assert len(calls) == 2
@@ -469,6 +503,50 @@ class TestFamilyFromSeries:
         provs = {tuple(e["J"]): e["provenance"] for e in man["elements"]}
         assert provs[(0,)] == "closed-form"
         assert provs[(0, 1)] == "series"
+
+
+class TestSharedTables:
+    def test_criterion_seven_one_table_per_rung(self, monkeypatch):
+        # 2 ladders x 16 rungs x 1 rest axis; the 7 stored elements of each
+        # (J, L) share one 64-node circle, so they share its table
+        fam = criterion_seven_family()
+        tables = count_tables(monkeypatch)
+        rep = check_coherence(fam, 1e-6, max_order=3)
+        assert rep.checked_pairs == 56 and rep.ok() and not rep.probe_failures
+        assert tables == [64] * 32
+
+    def test_app_n_one_table_per_axis(self, monkeypatch):
+        # every element on a rest axis reads the same column of the grid
+        fam = three_variable_family()
+        pts = np.asarray([(0.2, 0.1 + 0.05j, 0.3), (0.1, 0.2, 0.15 - 0.1j)])
+        tables = count_tables(monkeypatch)
+        app_n_many(fam, (3, 3, 3), pts)
+        assert tables == [2] * 3
+        app_n_many(fam, (2, 2, 2), pts)
+        assert len(tables) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(polar_grid, polar_grid, st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_no_stale_table(self, a, b, keep):
+        # point sets A, B, A, where B keeps A's column on the axes ``keep``
+        # marks: every element equals the transform of its slice built alone
+        ser = three_variable_series()
+        z0 = (0.5, 0.45 * cmath.exp(0.2j), 0.4)
+        fam = family_from_series(ser, z0)
+
+        def alone(sub, rest):
+            phi = sub.map_coeffs(lambda ix, c: c / math.prod(math.factorial(k) for k in ix))
+            spec = LaplaceSpec(tuple(z0[a] for a in rest))
+            return laplace_of_polynomial(phi, spec, fam.host.axes_subset(rest))
+
+        b[:, keep] = a[:, keep]
+        for pts in (a, b, a):
+            ref = slice_family(ser, fam.host, alone, "series")
+            for key, elem in fam.elements.items():
+                rest = fam.rest_axes(key[0])
+                if rest:
+                    got = elem.eval_many(pts[:, rest])
+                    assert np.array_equal(got, ref.elements[key].eval_many(pts[:, rest]))
 
 
 class TestRemainderFits:

@@ -1,14 +1,16 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from polygevrey import (
     DimensionMismatchError,
     GeometryError,
     Multidirection,
     Polysector,
+    ProbeSpec,
     RayGrid,
     Sector,
     distinguished_boundary_points,
@@ -16,6 +18,7 @@ from polygevrey import (
     is_subpolysector,
     ray_points,
 )
+from polygevrey.families import axis_coefficient_ladder
 
 PI = math.pi
 
@@ -212,3 +215,55 @@ class TestInvariants:
         s = Sector(-2.0, 2.0, math.inf)
         # far from both edges: distance limited by |z| via the vertex
         assert abs(s.boundary_distance(1.0) - 1.0) < 1e-14
+
+
+# sectors crossing the cut at (2k+1) pi, k in {-1, 0, 1}, stored unreduced
+cut_sectors = st.builds(
+    lambda k, lo, hi, rho: Sector((2 * k + 1) * PI - lo, (2 * k + 1) * PI + hi, rho),
+    st.integers(-1, 1),
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 3.0),
+    st.one_of(st.just(math.inf), st.floats(0.5, 4.0)),
+)
+
+
+def ray_distance(z, edge):
+    """Distance from z to the closed ray from 0 at angle ``edge``."""
+    u = cmath.exp(1j * edge)
+    return abs(z - max(0.0, (z * u.conjugate()).real) * u)
+
+
+class TestCutCrossingSectors:
+    @given(cut_sectors, st.floats(-0.999, 0.999), st.floats(0.01, 0.99))
+    def test_contains_matches_unwrapped_branch(self, s, u, f):
+        # phi runs over the branch of arg centred on the bisector
+        phi = s.bisector + u * PI
+        assume(min(abs(phi - s.alpha), abs(phi - s.beta)) > 1e-9)
+        r = f * min(s.rho, 3.0)
+        assert s.contains(r * cmath.exp(1j * phi)) == (s.alpha < phi < s.beta)
+
+    @given(cut_sectors, st.floats(0.001, 0.999), st.floats(0.01, 0.99))
+    def test_boundary_distance_bounded_by_edges_and_arc(self, s, u, f):
+        r = f * min(s.rho, 3.0)
+        z = r * cmath.exp(1j * (s.alpha + u * s.opening))
+        assert s.contains(z)
+        dist = s.boundary_distance(z)
+        assert dist > 0
+        for edge in (s.alpha, s.beta):
+            assert dist <= ray_distance(z, edge) * (1 + 1e-12) + 1e-15
+        if s.bounded:
+            assert dist <= s.rho - r + 1e-15
+
+    @given(cut_sectors, st.floats(0.02, 0.98), st.floats(0.05, 0.95))
+    def test_ladder_circles_inside(self, s, u, frac):
+        # the circles a radius ladder samples along theta stay in the sector
+        theta = s.alpha + u * s.opening
+        seen = []
+
+        def evalfn(pts):
+            seen.append(pts[:, 0])
+            return np.exp(pts[:, :1])
+
+        axis_coefficient_ladder(evalfn, [s], [(1,)], ProbeSpec(circle_frac=frac), [theta])
+        assert seen
+        assert all(s.contains(complex(z)) for pts in seen for z in pts)

@@ -235,6 +235,29 @@ class TestFinalType:
         assert at0 <= 1.5 + 1e-12
         assert at0 <= 2.0 * gamma + 1e-12
 
+    def test_one_sup_per_profile(self):
+        # a many-angle sweep with one profile evaluates the profile for its sup
+        # once, then at theta0 and at theta for each angle
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return 1.0 + 0.2 * math.cos(t - 0.1)
+
+        sup = TypeProfile(self.alpha, self.beta, fn).sup()
+        one_sup = len(seen)
+        seen.clear()
+        prof = TypeProfile(self.alpha, self.beta, fn)
+        thetas = np.linspace(self.alpha + 1e-6, self.beta - 1e-6, 181)
+        sweep = [final_type((float(t),), (self.theta0,), (1.5,), (prof,))[0] for t in thetas]
+        assert len(seen) == one_sup + 2 * len(thetas)
+        assert prof.sup() == sup
+        fresh = [
+            final_type((float(t),), (self.theta0,), (1.5,), (TypeProfile(self.alpha, self.beta, fn),))[0]
+            for t in thetas[::30]
+        ]
+        assert sweep[::30] == fresh
+
     def test_hypothesis_validation(self):
         wide = TypeProfile.constant(-2.0, 2.0, 1.0)
         with pytest.raises(DomainError):
