@@ -36,8 +36,8 @@ _EXPORTS = {
     }.items()
     for name in names.split()
 }
-_SUBMODULES = ("errors", "families", "flatness_bounds", "geometry", "series", "testbed", "transforms",
-               "typecalc")
+_SUBMODULES = ("catalogue", "errors", "families", "flatness_bounds", "geometry", "series", "testbed",
+               "transforms", "typecalc")
 __all__ = list(_EXPORTS)
 
 

@@ -7,9 +7,17 @@ orderings.  Exit codes: 0 success (and verification verdicts that pass),
 1 completed verification with a failing verdict, 2 config/schema violation,
 3 numerical non-convergence (a partial report is written), 64 unknown
 subcommand, 70 internal error (a bug in the program: ``error.json`` names the
-exception).  The CLI process runs numpy's BLAS on one thread: importing this
-module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller already set it.
-Subcommands import ``testbed``, ``typecalc`` and ``flatness_bounds`` themselves.
+exception).
+
+Importing this module loads only the standard library and ``errors``; each
+subcommand imports what it runs.  ``predict-type`` loads ``typecalc`` alone,
+``list-testbed`` the static ``catalogue`` alone, and neither loads numpy.  The
+other subcommands load numpy, ``transforms``, ``series`` and ``geometry``,
+``families`` for the ladders and App_N, and ``testbed`` when the config names
+an entry; ``typecalc`` and ``flatness_bounds`` load only where used.
+The CLI process runs numpy's BLAS on one thread: importing this module sets
+``OPENBLAS_NUM_THREADS=1``, before numpy can load, unless the caller already
+set it.
 """
 
 from __future__ import annotations
@@ -25,8 +33,6 @@ from pathlib import Path
 # Before numpy loads: an OpenBLAS worker thread only spins on arrays this small.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from .errors import (
     CoherenceError,
     ConfigError,
@@ -36,18 +42,6 @@ from .errors import (
     QuadratureError,
     TailError,
 )
-from .families import (
-    ProbeSpec,
-    check_coherence,
-    check_first_order_coherence,
-    element_coefficients,
-    family_from_series,
-    fit_type_from_remainders,
-    remainder_constants,
-)
-from .geometry import Multidirection, Polysector, geometric_radii, ray_points
-from .series import MultiIndexSeries, borel_transform
-from .transforms import LaplaceSpec, brg_function, interpolate_first_order, laplace_bound
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -142,8 +136,10 @@ def _entry(cfg: dict):
     return testbed.get(_require(cfg, "testbed", str))
 
 
-def _series_from(cfg) -> MultiIndexSeries:
+def _series_from(cfg):
     if "series" in cfg:
+        from .series import MultiIndexSeries
+
         return MultiIndexSeries.from_json(_require(cfg, "series", dict))
     if "testbed" in cfg:
         entry = _entry(cfg)
@@ -157,6 +153,8 @@ def _series_from(cfg) -> MultiIndexSeries:
 def _radii_from(cfg, key="radii") -> list[float]:
     raw = _require(cfg, key)
     if isinstance(raw, dict):
+        from .geometry import geometric_radii
+
         return list(geometric_radii(_get(raw, "r0"), _get(raw, "ratio"), _get(raw, "count", int)))
     if isinstance(raw, list):
         vals = _get(cfg, key, _floats)
@@ -174,8 +172,10 @@ _PROBE_FIELDS = {
 }
 
 
-def _probe_from(cfg, key="probe", **defaults) -> ProbeSpec:
+def _probe_from(cfg, key="probe", **defaults):
     """The ProbeSpec under ``key``, its fields over ``defaults`` over ProbeSpec's own."""
+    from .families import ProbeSpec
+
     raw = cfg.get(key, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"{key} must be an object")
@@ -198,6 +198,8 @@ def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
     The family is the one ``family_from_series`` builds from the entry's
     series and z0; the fit window defaults to (4, max(6, n_max - 4)).
     """
+    from .families import family_from_series, fit_type_from_remainders, remainder_constants
+
     ser, z0 = entry.known.get("series"), entry.known.get("z0")
     if ser is None or z0 is None:
         raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
@@ -222,6 +224,11 @@ def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
 
 
 def _cmd_transform(cfg: dict, out: Path) -> int:
+    import numpy as np
+
+    from .series import borel_transform
+    from .transforms import LaplaceSpec, brg_function, laplace_bound
+
     ser = _series_from(cfg)
     z0 = _z0_from(cfg)
     spec = LaplaceSpec(z0, tol=_get(cfg, "tol", float, 1e-10))
@@ -295,6 +302,7 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
     elif mode == "flat":
         from .flatness_bounds import fit_flat_type
+        from .geometry import Multidirection, ray_points
 
         for theta in directions:
             theta_t = _theta_tuple(theta)
@@ -381,6 +389,8 @@ def _max_order(cfg: dict, default: int) -> int:
 def _cmd_verify(cfg: dict, out: Path) -> int:
     suite = _require(cfg, "suite", str)
     if suite == "coherence":
+        from .families import check_coherence, family_from_series
+
         tol = _get(cfg, "tol", float, 1e-6)
         if "series" in cfg or "z0" in cfg:
             ser = _series_from(cfg)
@@ -401,6 +411,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "pl":
         from .flatness_bounds import pl_check
+        from .geometry import Polysector
 
         entry = _entry(cfg)
         poly = Polysector.from_json(_require(cfg, "polysector", dict))
@@ -432,6 +443,8 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         _write_json(out / "remainder.json", {"ok": ok, "rel_tol": rel_tol, "directions": results})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "first-order":
+        from .families import check_first_order_coherence
+
         entry = _entry(cfg)
         fam1 = entry.known.get("first_order")
         if fam1 is None:
@@ -447,6 +460,8 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
 
 def _cmd_interpolate(cfg: dict, out: Path) -> int:
     from . import testbed
+    from .families import element_coefficients
+    from .transforms import interpolate_first_order
     from .typecalc import TypeProfile
 
     name = _require(cfg, "testbed", str)
@@ -504,17 +519,14 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
 
 
 def _cmd_list_testbed(cfg: dict, out: Path | None) -> int:
-    from . import testbed
+    from .catalogue import CATALOGUE
 
     lines = []
     payload = []
-    for entry_id in testbed.ids():
-        entry = testbed.get(entry_id)
-        fields = {}
-        for key in sorted(entry.known):
-            fields[key] = entry.notes[key]
-        payload.append({"id": entry.id, "dim": entry.dim, "known": fields})
-        lines.append(f"{entry.id} (dim {entry.dim})")
+    for entry_id, (dim, notes) in sorted(CATALOGUE.items()):
+        fields = {key: notes[key] for key in sorted(notes)}
+        payload.append({"id": entry_id, "dim": dim, "known": fields})
+        lines.append(f"{entry_id} (dim {dim})")
         for key, note in fields.items():
             lines.append(f"    {key}: {note}")
     print("\n".join(lines))

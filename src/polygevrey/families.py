@@ -173,13 +173,19 @@ def app_n_many(
     pts: np.ndarray,
     validate: bool = True,
 ) -> np.ndarray:
-    n_index = tuple(int(k) for k in n_index)
-    if len(n_index) != fam.dim:
-        raise DimensionMismatchError("truncation index length must equal dim")
-    if any(k < 0 for k in n_index):
-        raise FamilyError("truncation index must be nonnegative")
-    if any(k > b + 1 for k, b in zip(n_index, fam.index_bound)):
-        raise FamilyError(f"truncation {n_index} exceeds index bound {fam.index_bound} + 1")
+    return _app_n_grid(fam, [n_index], pts, validate)[0]
+
+
+def _app_n_grid(fam: TotalFamily, n_indices, pts: np.ndarray, validate: bool) -> list[np.ndarray]:
+    """App_N at ``pts`` for each N in ``n_indices``; each element is evaluated once."""
+    n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
+    for n_index in n_indices:
+        if len(n_index) != fam.dim:
+            raise DimensionMismatchError("truncation index length must equal dim")
+        if any(k < 0 for k in n_index):
+            raise FamilyError("truncation index must be nonnegative")
+        if any(k > b + 1 for k, b in zip(n_index, fam.index_bound)):
+            raise FamilyError(f"truncation {n_index} exceeds index bound {fam.index_bound} + 1")
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -189,24 +195,28 @@ def app_n_many(
         for p in pts:
             if not fam.host.contains(tuple(p)):
                 raise DomainError(f"point {tuple(p)} outside the host polysector")
-    total = np.zeros(len(pts), dtype=complex)
-    for axes in nonempty_subsets(fam.dim):
-        if any(n_index[a] == 0 for a in axes):
-            continue
-        sign = -1.0 if len(axes) % 2 == 0 else 1.0
-        rest = fam.rest_axes(axes)
-        rest_pts = pts[:, rest] if rest else np.zeros((len(pts), 0), dtype=complex)
-        ptabs = [
-            np.stack(_powers_vec(pts[:, a], n_index[a] - 1)) for a in axes
-        ]
-        for idx in itertools.product(*(range(n_index[a]) for a in axes)):
-            elem = fam.element(axes, idx)
-            vals = elem.eval_many(rest_pts)
-            mono = np.ones(len(pts), dtype=complex)
-            for pos, h in enumerate(idx):
-                mono = mono * ptabs[pos][h]
-            total = total + sign * vals * mono
-    return total
+    # z_a^h by repeated products: the same values whatever the top power
+    tops = [max((n[a] for n in n_indices), default=0) - 1 for a in range(fam.dim)]
+    ptabs = [_powers_vec(pts[:, a], top) for a, top in enumerate(tops)]
+    values = {}
+    out = []
+    for n_index in n_indices:
+        total = np.zeros(len(pts), dtype=complex)
+        for axes in nonempty_subsets(fam.dim):
+            if any(n_index[a] == 0 for a in axes):
+                continue
+            sign = -1.0 if len(axes) % 2 == 0 else 1.0
+            rest = fam.rest_axes(axes)
+            rest_pts = pts[:, rest] if rest else np.zeros((len(pts), 0), dtype=complex)
+            for idx in itertools.product(*(range(n_index[a]) for a in axes)):
+                if (axes, idx) not in values:
+                    values[axes, idx] = fam.element(axes, idx).eval_many(rest_pts)
+                mono = np.ones(len(pts), dtype=complex)
+                for a, h in zip(axes, idx):
+                    mono = mono * ptabs[a][h]
+                total = total + sign * values[axes, idx] * mono
+        out.append(total)
+    return out
 
 
 def _powers_vec(col: np.ndarray, top: int) -> list[np.ndarray]:
@@ -730,10 +740,9 @@ def remainder_constants(
     pts = np.asarray(pts_list, dtype=complex)
     fvals = f.eval_many(pts)
     rad = np.abs(pts)
+    n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
     out = {}
-    for n_index in n_indices:
-        n_index = tuple(int(k) for k in n_index)
-        app = app_n_many(fam, n_index, pts, validate=False)
+    for n_index, app in zip(n_indices, _app_n_grid(fam, n_indices, pts, validate=False)):
         diff = np.abs(fvals - app)
         keep = diff > noise_floor
         if not np.any(keep):

@@ -4,6 +4,7 @@ These entries back the verification suites: each ``known`` field carries a
 provenance note saying whether it is exact by construction or derived and
 cross-checked against an independent route (quadrature, Taylor expansion).
 The registry is code, not data files: closed forms need exact evaluation.
+Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .catalogue import CATALOGUE
 from .errors import UnknownEntryError
 from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
 from .geometry import Polysector, Sector
@@ -32,9 +34,13 @@ class RegistryEntry:
     notes: dict
 
     def __post_init__(self):
-        missing = [k for k in self.known if k not in self.notes]
-        if missing:
-            raise ValueError(f"known fields without provenance notes: {missing}")
+        if set(self.known) != set(self.notes):
+            raise ValueError(f"known fields {sorted(self.known)} != noted {sorted(self.notes)}")
+
+
+def _entry(entry_id: str, fn: SampledFunction, known: dict) -> RegistryEntry:
+    dim, notes = CATALOGUE[entry_id]
+    return RegistryEntry(entry_id, dim, fn, known, notes)
 
 
 def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily:
@@ -57,21 +63,11 @@ def flat1_entry() -> RegistryEntry:
     def fn(pts: np.ndarray) -> np.ndarray:
         return np.exp(-rate / pts[:, 0])
 
-    return RegistryEntry(
-        id="flat1",
-        dim=1,
-        fn=SampledFunction(domain, fn),
-        known={
-            "flat_rates": (rate,),
-            "gevrey_null_types": (rate,),
-            "direction": (0.0,),
-        },
-        notes={
-            "flat_rates": "exact: |e^{-R/z}| = e^{-R cos(theta)/r}, rate R on theta=0",
-            "gevrey_null_types": "same rate via the flat/null-Gevrey equivalence",
-            "direction": "bisector",
-        },
-    )
+    return _entry("flat1", SampledFunction(domain, fn), {
+        "flat_rates": (rate,),
+        "gevrey_null_types": (rate,),
+        "direction": (0.0,),
+    })
 
 
 def euler_entry() -> RegistryEntry:
@@ -92,24 +88,12 @@ def euler_entry() -> RegistryEntry:
         domain.sectors[0].beta,
         lambda th: abs(z0) * math.cos(th - theta0),
     )
-    return RegistryEntry(
-        id="euler",
-        dim=1,
-        fn=SampledFunction(domain, fn),
-        known={
-            "series": series,
-            "type_profile": (profile,),
-            "z0": (complex(z0),),
-            "borel_sum": "1/(1+t)",
-        },
-        notes={
-            "series": "alternating factorial coefficients, exact",
-            "type_profile": "cosine law of the truncated-Laplace expansion; "
-            "cross-checked against remainder fits",
-            "z0": "integration endpoint",
-            "borel_sum": "geometric Borel transform of the series, exact",
-        },
-    )
+    return _entry("euler", SampledFunction(domain, fn), {
+        "series": series,
+        "type_profile": (profile,),
+        "z0": (complex(z0),),
+        "borel_sum": "1/(1+t)",
+    })
 
 
 def rat2_sector(opening: float = 1.2) -> Sector:
@@ -123,25 +107,13 @@ def rat2_entry() -> RegistryEntry:
     def fn(pts: np.ndarray) -> np.ndarray:
         return 1.0 / ((1.0 + pts[:, 0]) * (1.0 + pts[:, 1]))
 
-    return RegistryEntry(
-        id="rat2",
-        dim=2,
-        fn=SampledFunction(domain, fn),
-        known={
-            "total_family": total,
-            "first_order": first_order_of(total),
-            "series": rat2_series(),
-            "gevrey_types": (math.inf, math.inf),
-            "flat_rates": (0.0, 0.0),
-        },
-        notes={
-            "total_family": "Taylor slices of 1/((1+z1)(1+z2)): f_{1n}(z2) = (-1)^n/(1+z2), exact",
-            "first_order": "same slices restricted to single-axis indices",
-            "series": "coefficients (-1)^{n+m}, exact",
-            "gevrey_types": "the double series converges; no finite type",
-            "flat_rates": "nonzero limit at the vertex: merely bounded",
-        },
-    )
+    return _entry("rat2", SampledFunction(domain, fn), {
+        "total_family": total,
+        "first_order": first_order_of(total),
+        "series": rat2_series(),
+        "gevrey_types": (math.inf, math.inf),
+        "flat_rates": (0.0, 0.0),
+    })
 
 
 def rat2_series(cap: int = 8) -> MultiIndexSeries:
@@ -194,23 +166,12 @@ def poly_entry() -> RegistryEntry:
         z1, z2 = pts[:, 0], pts[:, 1]
         return 2.0 + z1 * z2 - 0.5 * z1**2 * z2 + 0.25 * z2**3
 
-    return RegistryEntry(
-        id="poly",
-        dim=2,
-        fn=SampledFunction(host, fn),
-        known={
-            "series": series,
-            "total_family": polynomial_family(series, host),
-            "gevrey_types": (math.inf, math.inf),
-            "flat_rates": (0.0, 0.0),
-        },
-        notes={
-            "series": "the polynomial's own coefficients, exact",
-            "total_family": "coefficient slices of a polynomial, exact",
-            "gevrey_types": "polynomials converge everywhere",
-            "flat_rates": "nonzero limit at the vertex: merely bounded",
-        },
-    )
+    return _entry("poly", SampledFunction(host, fn), {
+        "series": series,
+        "total_family": polynomial_family(series, host),
+        "gevrey_types": (math.inf, math.inf),
+        "flat_rates": (0.0, 0.0),
+    })
 
 
 def brg_const_entry() -> RegistryEntry:
@@ -226,21 +187,11 @@ def brg_const_entry() -> RegistryEntry:
         domain.sectors[0].beta,
         lambda th: abs(z0) * math.cos(th - theta0),
     )
-    return RegistryEntry(
-        id="brg_const",
-        dim=1,
-        fn=SampledFunction(domain, fn),
-        known={
-            "series": MultiIndexSeries(1, {(0,): 1.0}, (0,)),
-            "type_profile": (profile,),
-            "z0": (complex(z0),),
-        },
-        notes={
-            "series": "constant series, exact",
-            "type_profile": "cosine law; the flat part is e^{-z0/z} exactly",
-            "z0": "integration endpoint",
-        },
-    )
+    return _entry("brg_const", SampledFunction(domain, fn), {
+        "series": MultiIndexSeries(1, {(0,): 1.0}, (0,)),
+        "type_profile": (profile,),
+        "z0": (complex(z0),),
+    })
 
 
 def brg_const2_entry() -> RegistryEntry:
@@ -254,21 +205,11 @@ def brg_const2_entry() -> RegistryEntry:
     def fn(pts: np.ndarray) -> np.ndarray:
         return (1.0 - np.exp(-z0[0] / pts[:, 0])) * (1.0 - np.exp(-z0[1] / pts[:, 1]))
 
-    return RegistryEntry(
-        id="brg_const2",
-        dim=2,
-        fn=SampledFunction(domain, fn),
-        known={
-            "series": MultiIndexSeries(2, {(0, 0): 1.0}, (0, 0)),
-            "z0": z0,
-            "first_order_closed": "f_{j,0}(z_other) = 1 - e^{-z0_other/z_other}, higher indices 0",
-        },
-        notes={
-            "series": "constant series, exact",
-            "z0": "integration endpoints",
-            "first_order_closed": "separable product; each factor integrates in closed form",
-        },
-    )
+    return _entry("brg_const2", SampledFunction(domain, fn), {
+        "series": MultiIndexSeries(2, {(0, 0): 1.0}, (0, 0)),
+        "z0": z0,
+        "first_order_closed": "f_{j,0}(z_other) = 1 - e^{-z0_other/z_other}, higher indices 0",
+    })
 
 
 _BUILDERS: dict[str, Callable[[], RegistryEntry]] = {
@@ -282,7 +223,7 @@ _BUILDERS: dict[str, Callable[[], RegistryEntry]] = {
 
 
 def ids() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(CATALOGUE)
 
 
 def get(entry_id: str) -> RegistryEntry:

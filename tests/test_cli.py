@@ -80,16 +80,17 @@ class TestDispatch:
         "module, blas, want",
         [
             ("polygevrey", None, {"numpy": False, "scipy": False, "blas": None}),
-            ("polygevrey.cli", None, {"scipy": False, "blas": "1", "deferred": []}),
+            ("polygevrey.cli", None, {"numpy": False, "scipy": False, "blas": "1", "deferred": []}),
             ("polygevrey.cli", "3", {"blas": "3"}),
-            ("polygevrey.cli", None, {"numpy": True, "threads": 1}),
+            ("polygevrey.cli, numpy", None, {"numpy": True, "threads": 1}),
         ],
         ids=["package", "cli", "cli-caller-value", "cli-threads"],
     )
     def test_import_boundary(self, module, blas, want):
-        # a fresh interpreter: the package import stays light, and only the CLI
-        # pins BLAS to one thread, keeping a value the caller already set; the
-        # CLI loads numpy but leaves the modules only some subcommands use
+        # a fresh interpreter: the package and the CLI imports stay light (no
+        # numpy, no library module but errors), and only the CLI pins BLAS to
+        # one thread, keeping a value the caller already set; numpy imported
+        # after the CLI starts no BLAS worker thread
         if "threads" in want and not sys.platform.startswith("linux"):
             pytest.skip("thread count is read from /proc/self/task")
         src = str(Path(polygevrey.__file__).resolve().parents[1])
@@ -100,7 +101,9 @@ class TestDispatch:
         code = (
             f"import json, os, sys, {module}\n"
             "task = '/proc/self/task'\n"
-            "deferred = ('polygevrey.testbed', 'polygevrey.typecalc', 'polygevrey.flatness_bounds')\n"
+            "deferred = ('polygevrey.catalogue', 'polygevrey.families', 'polygevrey.flatness_bounds',\n"
+            "    'polygevrey.geometry', 'polygevrey.series', 'polygevrey.testbed', 'polygevrey.transforms',\n"
+            "    'polygevrey.typecalc')\n"
             "print(json.dumps({'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
             "    'deferred': [m for m in deferred if m in sys.modules],\n"
             "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
@@ -584,6 +587,66 @@ class TestInterpolate:
         assert not json.loads((out / "interpolate.json").read_text())["ok"]
 
 
+_RADII_TYPE = {"r0": 0.5, "ratio": 0.82, "count": 22}
+_PL_SECTOR = {"alpha": -1.0472, "beta": 1.0472, "rho": 1.0}
+_STACK = {"numpy", "families", "transforms", "series", "geometry"}
+_ENTRY = _STACK | {"testbed", "typecalc"}  # testbed imports TypeProfile
+
+
+class TestImportFootprint:
+    """Each subcommand, run on its README config in a fresh interpreter, loads
+    exactly these of numpy and the library's numeric modules."""
+
+    @pytest.mark.parametrize(
+        "argv, cfg, want",
+        [
+            (["transform"], {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0],
+                             "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _ENTRY),
+            (["type-fit"], {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
+                            "radii": _RADII_TYPE, "n_max": 22, "window": [4, 16], "noise_floor": 1e-9},
+             _ENTRY),
+            (["predict-type"], {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0,
+                                "R_alpha": 1.0, "R_beta": 1.0, "z0_mod": 1.0, "points": 181},
+             {"typecalc"}),
+            (["verify"], {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "max_order": 3}, _ENTRY),
+            (["verify"], {"suite": "coherence", "z0": [0.5, 0.45], "tol": 1e-6, "max_order": 1,
+                          "series": {"dim": 2, "coeffs": [{"index": [h, k], "re": 1.0, "im": 0.0}
+                                                          for h in range(2) for k in range(2)]}},
+             _STACK),
+            (["verify"], {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_PL_SECTOR] * 2}},
+             _ENTRY | {"flatness_bounds"}),
+            (["verify"], {"suite": "remainder", "testbed": "euler", "directions": [0.0, 0.5236],
+                          "radii": _RADII_TYPE, "rel_tol": 0.15}, _ENTRY),
+            (["verify"], {"suite": "first-order", "testbed": "rat2", "tol": 1e-6}, _ENTRY),
+            (["interpolate"], {"testbed": "rat2", "opening": 1.2, "cap": 16, "z0": [0.92, 0.92],
+                               "coeff_cap": 10, "orders": 3, "samples": [0.02, 0.026, 0.034],
+                               "tol": 1e-4}, _ENTRY),
+            (["list-testbed"], None, set()),
+        ],
+        ids=["transform", "type-fit", "predict-type", "verify-coherence", "verify-coherence-series",
+             "verify-pl", "verify-remainder", "verify-first-order", "interpolate", "list-testbed"],
+    )
+    def test_loaded_modules(self, tmp_path, argv, cfg, want):
+        if cfg is not None:
+            argv = argv + ["--config", write(tmp_path, "cfg.json", cfg)]
+        argv = argv + ["--out", str(tmp_path / "out")]
+        src = str(Path(polygevrey.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import json, sys\n"
+            "from polygevrey import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "names = ['numpy'] + ['polygevrey.' + m for m in ('families', 'transforms', 'series',\n"
+            "    'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
+            "print(json.dumps({'exit': code, 'loaded': [m for m in names if m in sys.modules]}))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        facts = json.loads(res.stdout.splitlines()[-1])
+        assert facts["exit"] == EXIT_OK
+        assert {m.removeprefix("polygevrey.") for m in facts["loaded"]} == want
+
+
 class TestListTestbed:
     def test_prints_and_writes(self, tmp_path, capsys):
         assert main(["list-testbed", "--out", str(tmp_path)]) == EXIT_OK
@@ -591,6 +654,23 @@ class TestListTestbed:
         assert "rat2" in captured.out
         payload = json.loads((tmp_path / "testbed.json").read_text())
         assert any(e["id"] == "euler" for e in payload["entries"])
+
+    def test_matches_built_entries(self, tmp_path, capsys):
+        # the static table prints what building every registry entry would
+        from polygevrey import testbed
+
+        payload, lines = [], []
+        for entry_id in testbed.ids():
+            entry = testbed.get(entry_id)
+            fields = {key: entry.notes[key] for key in sorted(entry.known)}
+            payload.append({"id": entry.id, "dim": entry.dim, "known": fields})
+            lines.append(f"{entry.id} (dim {entry.dim})")
+            lines += [f"    {key}: {note}" for key, note in fields.items()]
+        capsys.readouterr()
+        assert main(["list-testbed", "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        want = json.dumps({"entries": payload}, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "testbed.json").read_text() == want
 
     def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

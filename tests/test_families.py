@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import mpmath
@@ -549,7 +550,63 @@ class TestSharedTables:
                     assert np.array_equal(got, ref.elements[key].eval_many(pts[:, rest]))
 
 
+def per_index_constants(f, fam, direction, radii, n_indices, noise_floor):
+    """The remainder constants with one app_n_many call per truncation index."""
+    from polygevrey.geometry import Multidirection, ray_points
+
+    pts = np.asarray(ray_points(f.domain, Multidirection(direction), radii), dtype=complex)
+    fvals = f.eval_many(pts)
+    out = {}
+    for n_index in n_indices:
+        diff = np.abs(fvals - app_n_many(fam, n_index, pts, validate=False))
+        keep = diff > noise_floor
+        if np.any(keep):
+            weight = np.prod(np.abs(pts) ** np.asarray(n_index, dtype=float), axis=1)
+            out[n_index] = float(np.max(diff[keep] / weight[keep]))
+    return out
+
+
+README_TYPE_FIT = {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
+                   "radii": {"r0": 0.5, "ratio": 0.82, "count": 22}, "n_max": 22, "window": [4, 16],
+                   "noise_floor": 1e-9}
+
+
 class TestRemainderFits:
+    def test_constants_equal_per_index_sums(self):
+        # evaluating each element once per grid keeps every App_N sum, bit for bit
+        entry = testbed.get("euler")
+        fam = family_from_series(entry.known["series"], entry.known["z0"])
+        radii = [[0.5 * 0.82**k for k in range(22)]]
+        n_indices = [(n,) for n in range(23)]
+        for theta in (0.0, 0.5236):
+            args = (entry.fn, fam, (theta,), radii, n_indices, 1e-9)
+            assert remainder_constants(*args[:5], noise_floor=1e-9) == per_index_constants(*args)
+        rat2 = testbed.get("rat2")
+        fam2 = family_from_series(testbed.rat2_series(cap=4), (0.5, 0.5))
+        radii2 = [[0.3 * 0.8**k for k in range(6)]] * 2
+        n_indices2 = [(n, m) for n in range(6) for m in range(6)]
+        args = (rat2.fn, fam2, (0.3, -0.4), radii2, n_indices2, 0.0)
+        got = remainder_constants(*args[:5])
+        assert got == per_index_constants(*args)
+        assert len(got) == 36
+
+    def test_one_evaluation_per_element_and_direction(self, tmp_path, monkeypatch):
+        # the README type-fit config: per direction, f once and f_0 ... f_21 once
+        from polygevrey import cli, transforms
+
+        calls = []
+        eval_many = transforms.SampledFunction.eval_many
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return eval_many(self, pts)
+
+        monkeypatch.setattr(transforms.SampledFunction, "eval_many", counted)
+        cfg = tmp_path / "type_fit.json"
+        cfg.write_text(json.dumps(README_TYPE_FIT))
+        assert cli.main(["type-fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2 * (1 + 22)
+
     def test_exact_rate_recovery(self):
         cons = {(n,): math.factorial(n) * 2.0**n for n in range(3, 15)}
         rates, logc, rms = fit_type_from_remainders(cons)

@@ -5,6 +5,7 @@ import pytest
 
 from polygevrey import UnknownEntryError, check_coherence
 from polygevrey import testbed
+from polygevrey.catalogue import CATALOGUE
 from polygevrey.families import ProbeSpec
 
 PI = math.pi
@@ -21,7 +22,22 @@ class TestRegistry:
     def test_notes_cover_known(self):
         for entry_id in testbed.ids():
             entry = testbed.get(entry_id)
-            assert set(entry.known) <= set(entry.notes)
+            assert set(entry.known) == set(entry.notes)
+
+    def test_entries_match_catalogue(self):
+        # every builder is listed, and takes its dim and notes from the table
+        assert testbed.ids() == sorted(CATALOGUE) == sorted(testbed._BUILDERS)
+        for entry_id, (dim, notes) in CATALOGUE.items():
+            entry = testbed.get(entry_id)
+            assert (entry.id, entry.dim, entry.notes) == (entry_id, dim, notes)
+            assert entry.fn.domain.dim == dim
+
+    def test_known_without_note_rejected(self):
+        entry = testbed.get("euler")
+        with pytest.raises(ValueError):
+            testbed.RegistryEntry(entry.id, entry.dim, entry.fn, {**entry.known, "extra": 1}, entry.notes)
+        with pytest.raises(ValueError):
+            testbed.RegistryEntry(entry.id, entry.dim, entry.fn, {}, entry.notes)
 
 
 class TestFlat1:
