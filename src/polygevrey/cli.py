@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
     PolygevreyError,
     ProbeError,
-    QuadratureError,
     TailError,
 )
 
@@ -583,7 +582,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (QuadratureError, TailError, ProbeError, CoherenceError) as exc:
+    except (TailError, ProbeError, CoherenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         _write_json(out / "error.json", {"error": str(exc), "command": command})
         return EXIT_NUMERICAL

@@ -24,7 +24,8 @@ class DomainError(PolygevreyError, ValueError):
 class QuadratureError(PolygevreyError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
-    ``partial`` holds the best available value, ``error`` its estimated error.
+    Only the reference quadrature in ``transforms`` raises it.  ``partial``
+    holds the best available value, ``error`` its estimated error.
     """
 
     def __init__(self, message, partial=None, error=None):
@@ -33,7 +34,7 @@ class QuadratureError(PolygevreyError, RuntimeError):
         self.error = error
 
 
-class TailError(QuadratureError):
+class TailError(PolygevreyError, RuntimeError):
     """A Borel-sum tail cannot be controlled to the requested tolerance."""
 
 

@@ -2,8 +2,10 @@
 
 These entries back the verification suites: each ``known`` field carries a
 provenance note saying whether it is exact by construction or derived and
-cross-checked against an independent route (quadrature, Taylor expansion).
-The registry is code, not data files: closed forms need exact evaluation.
+cross-checked against an independent route (remainder fits, Taylor
+expansion).  The registry is code, not data files: closed forms need exact
+evaluation.  No entry integrates numerically: euler is ``brg_function`` of its
+own series, the closed-form transform of its degree-45 Borel polynomial.
 Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
 """
 
@@ -21,7 +23,7 @@ from .errors import UnknownEntryError
 from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
-from .transforms import LaplaceSpec, SampledFunction, truncated_laplace_with_error
+from .transforms import LaplaceSpec, SampledFunction, brg_function
 from .typecalc import TypeProfile
 
 
@@ -71,24 +73,16 @@ def flat1_entry() -> RegistryEntry:
 
 
 def euler_entry() -> RegistryEntry:
-    z0, degree = 0.5, 40
+    z0, degree = 0.5, 45
     theta0 = cmath.phase(complex(z0))
-    domain = Polysector([Sector(theta0 - 0.5 * math.pi, theta0 + 0.5 * math.pi, math.inf)])
-    spec = LaplaceSpec((z0,), tol=1e-12, max_depth=40)
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        vals, _ = truncated_laplace_with_error(lambda t: 1.0 / (1.0 + t), spec, pts[:, 0])
-        return np.atleast_1d(vals)
-
     series = MultiIndexSeries(
         1, {(n,): (-1.0) ** n * math.factorial(n) for n in range(degree + 1)}, (degree,)
     )
-    profile = TypeProfile(
-        domain.sectors[0].alpha,
-        domain.sectors[0].beta,
-        lambda th: abs(z0) * math.cos(th - theta0),
-    )
-    return _entry("euler", SampledFunction(domain, fn), {
+    # the Borel sum 1/(1+t) as its degree-45 polynomial; brg_function bounds the dropped tail
+    fn = brg_function(series, LaplaceSpec((z0,), tol=1e-12))
+    sector = fn.domain.sectors[0]
+    profile = TypeProfile(sector.alpha, sector.beta, lambda th: abs(z0) * math.cos(th - theta0))
+    return _entry("euler", fn, {
         "series": series,
         "type_profile": (profile,),
         "z0": (complex(z0),),

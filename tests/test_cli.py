@@ -181,11 +181,12 @@ class TestTransform:
         assert len(lines) == 6
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == pytest.approx(0.4)
-        # value sanity against the direct formula at z=0.4
-        from polygevrey import testbed
+        # value against the 30-digit integral (1/z) int_0^0.5 e^{-t/z}/(1+t) dt at z=0.4
+        import mpmath
 
-        want = testbed.get("euler").fn((0.4,))
-        assert first[2] == pytest.approx(want.real, rel=1e-9)
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(lambda t: mpmath.exp(-t / 0.4) / (1 + t), [0, 0.5]) / 0.4)
+        assert first[2] == pytest.approx(want, rel=1e-9)
 
     def test_report_names_the_closed_form(self, tmp_path):
         cfg = write(

@@ -9,6 +9,8 @@ from polygevrey import (
     DomainError,
     LaplaceSpec,
     MultiIndexSeries,
+    PolygevreyError,
+    QuadratureError,
     TailError,
     borel_transform,
     brg_function,
@@ -450,3 +452,20 @@ class TestAdaptivePanels:
         )
         want = (1 - np.exp(-rates)) / rates
         assert np.allclose(val, want, rtol=1e-11)
+
+    @pytest.mark.parametrize(
+        "fvec",
+        [lambda s: np.where(s < 1 / 3, 1.0, 0.0), lambda s: 1 / np.sqrt(np.abs(s - 1 / 3))],
+        ids=["jump", "inverse-sqrt"],
+    )
+    def test_stall_raises_with_partial(self, fvec):
+        # the reference quadrature's failure path: a panel that cannot meet its budget by max_depth
+        with pytest.raises(QuadratureError) as info:
+            adaptive_panel_quad(fvec, 0.0, 1.0, 1e-12, max_depth=4)
+        exc = info.value
+        assert exc.partial is not None and np.isfinite(exc.partial)
+        assert exc.error is not None and exc.error > 1e-12
+
+    def test_tail_error_is_not_a_quadrature_failure(self):
+        assert not issubclass(TailError, QuadratureError)
+        assert issubclass(TailError, PolygevreyError) and issubclass(TailError, RuntimeError)
