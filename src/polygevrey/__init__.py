@@ -19,7 +19,7 @@ _EXPORTS = {
         "errors": "CoherenceError ConfigError DimensionMismatchError DomainError FamilyError"
         " GeometryError PolygevreyError ProbeError QuadratureError SeriesError TailError"
         " UnknownEntryError",
-        "geometry": "Multidirection Polysector RayGrid Sector distinguished_boundary_points"
+        "geometry": "Multidirection Polysector Sector distinguished_boundary_points"
         " geometric_radii is_subpolysector ray_points",
         "series": "GevreyFit MultiIndexSeries borel_transform fit_gevrey_type"
         " gamma1_norm inverse_borel_transform",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     DomainError,
     FamilyError,
     ProbeError,
+    Record,
 )
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, rate_fit
@@ -50,8 +50,7 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class TotalFamily:
+class TotalFamily(Record):
     """Map (J, N_J) -> coefficient function on the complementary axes."""
 
     dim: int
@@ -78,10 +77,7 @@ class TotalFamily:
                     f"element for J={key} must live on {rest} axes, has {elem.domain.dim}"
                 )
             clean[(key, idx)] = elem
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "elements", clean)
-        object.__setattr__(self, "index_bound", index_bound)
+        self._set(dim, host, clean, index_bound)
 
     def element(self, axes: Iterable[int], idx: Sequence[int]) -> SampledFunction:
         key = (_subset_key(axes), tuple(int(i) for i in idx))
@@ -117,8 +113,7 @@ class TotalFamily:
         }
 
 
-@dataclass(frozen=True)
-class FirstOrderFamily:
+class FirstOrderFamily(Record):
     """The subfamily depending on all-but-one variable: n coefficient sequences."""
 
     dim: int
@@ -136,9 +131,7 @@ class FirstOrderFamily:
             for elem in seq:
                 if elem.domain.dim != dim - 1:
                     raise FamilyError(f"axis-{j} elements must live on {dim - 1} axes")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "sequences", sequences)
+        self._set(dim, host, sequences)
 
     def caps(self) -> tuple[int, ...]:
         return tuple(len(seq) - 1 for seq in self.sequences)
@@ -230,8 +223,7 @@ def _powers_vec(col: np.ndarray, top: int) -> list[np.ndarray]:
 # radius ladders
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(Record):
     """Radius ladder and Cauchy-circle controls for coefficient extraction.
 
     The ladder walks r_k = r0 * ratio**k toward the vertex; at each rung the
@@ -243,17 +235,20 @@ class ProbeSpec:
     extrapolant with the smallest error estimate seen along the ladder.
     """
 
-    r0: float = 0.3
-    ratio: float = 0.7
-    steps: int = 14
-    window: int = 5
-    agree: int = 3
-    tol: float = 1e-8
-    circle_frac: float = 0.5
-    circle_nodes: int = 64
-    direction: tuple[float, ...] | None = None
+    r0: float
+    ratio: float
+    steps: int
+    window: int
+    agree: int
+    tol: float
+    circle_frac: float
+    circle_nodes: int
+    direction: tuple[float, ...] | None
 
-    def __post_init__(self):
+    def __init__(self, r0: float = 0.3, ratio: float = 0.7, steps: int = 14, window: int = 5, agree: int = 3,
+                 tol: float = 1e-8, circle_frac: float = 0.5, circle_nodes: int = 64,
+                 direction: tuple[float, ...] | None = None):
+        self._set(r0, ratio, steps, window, agree, tol, circle_frac, circle_nodes, direction)
         rules = (
             (self.r0 > 0, "r0 > 0"),
             (0 < self.ratio < 1, "0 < ratio < 1"),
@@ -272,12 +267,14 @@ class ProbeSpec:
         return [self.r0 * self.ratio**k for k in range(self.steps)]
 
 
-@dataclass(frozen=True)
-class ExtractResult:
+class ExtractResult(Record):
     value: complex
     error: float
     converged: bool
     radius: float
+
+    def __init__(self, value: complex, error: float, converged: bool, radius: float):
+        self._set(value, error, converged, radius)
 
 
 def _neville_zero(xs: Sequence[float], ys: list[np.ndarray]) -> np.ndarray:
@@ -470,8 +467,7 @@ def extract_element(
 # coherence
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(Record):
     """Aggregate of derivative-limit consistency checks over a family."""
 
     checked_pairs: int
@@ -479,7 +475,11 @@ class CoherenceReport:
     failures: tuple
     probe_failures: tuple
     tolerance: float
-    missing: int = 0
+    missing: int
+
+    def __init__(self, checked_pairs: int, max_residual: float, failures: tuple, probe_failures: tuple,
+                 tolerance: float, missing: int = 0):
+        self._set(checked_pairs, max_residual, failures, probe_failures, tolerance, missing)
 
     def ok(self) -> bool:
         return not self.failures

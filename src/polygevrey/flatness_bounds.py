@@ -11,19 +11,17 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, GeometryError, SeriesError
+from .errors import DimensionMismatchError, DomainError, GeometryError, Record, SeriesError
 from .geometry import Multidirection, Polysector, distinguished_boundary_points, ray_points
 from .series import rate_fit
 from .transforms import SampledFunction
 
 
-@dataclass(frozen=True)
-class FlatFit:
+class FlatFit(Record):
     """Per-axis exponential decay rates fitted along a ray grid.
 
     A zero rate means "merely bounded along this axis": the axis contributes
@@ -34,9 +32,10 @@ class FlatFit:
     log_prefactor: float
     residual: float
     bounded_only: tuple[bool, ...]
-    zero_samples: int = 0
+    zero_samples: int
 
-    def __post_init__(self):
+    def __init__(self, rates, log_prefactor: float, residual: float, bounded_only, zero_samples: int = 0):
+        self._set(rates, log_prefactor, residual, bounded_only, zero_samples)
         if any(r < 0 for r in self.rates):
             raise SeriesError("flat rates must be nonnegative")
         if self.residual < 0:
@@ -234,16 +233,19 @@ def wedge_shift_search(eps: float, c: float, lam: float, alpha: float) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Boundary sup versus interior sup, with the offending points if any."""
 
     boundary_max: float
     interior_max: float
     violations: tuple
     tolerance: float
-    eval_failures: int = 0
-    growth_attestation: str | None = None
+    eval_failures: int
+    growth_attestation: str | None
+
+    def __init__(self, boundary_max: float, interior_max: float, violations: tuple, tolerance: float,
+                 eval_failures: int = 0, growth_attestation: str | None = None):
+        self._set(boundary_max, interior_max, violations, tolerance, eval_failures, growth_attestation)
 
     def ok(self) -> bool:
         return not self.violations
@@ -327,8 +329,7 @@ def pl_check(
     return BoundReport(boundary_max, interior_max, violations, tol, failures, growth_attestation)
 
 
-@dataclass(frozen=True)
-class NullFitEntry:
+class NullFitEntry(Record):
     """Sup- and regression-based constants for |f| <= c |z|^N along a ray grid."""
 
     n_index: tuple[int, ...]
@@ -336,6 +337,9 @@ class NullFitEntry:
     c_lsq: float
     log_residual: float
     decaying: bool
+
+    def __init__(self, n_index, c_sup: float, c_lsq: float, log_residual: float, decaying: bool):
+        self._set(n_index, c_sup, c_lsq, log_residual, decaying)
 
 
 def null_expansion_check(

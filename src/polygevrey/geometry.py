@@ -11,23 +11,22 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, GeometryError
+from .errors import DimensionMismatchError, GeometryError, Record
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(Record):
     """Open sector ``0 < |z| < rho``, ``arg z`` in ``(alpha, beta)``."""
 
     alpha: float
     beta: float
-    rho: float = math.inf
+    rho: float
 
-    def __post_init__(self):
+    def __init__(self, alpha: float, beta: float, rho: float = math.inf):
+        self._set(alpha, beta, rho)
         if not self.alpha < self.beta:
             raise GeometryError(f"sector needs alpha < beta, got ({self.alpha}, {self.beta})")
         if not self.rho > 0:
@@ -97,15 +96,14 @@ class Sector:
         return cls(alpha, beta, rho)
 
 
-@dataclass(frozen=True)
-class Polysector:
+class Polysector(Record):
     """Cartesian product of sectors.  Dimension 0 is allowed only as the
     domain of constant family elements; JSON input requires dim >= 1."""
 
     sectors: tuple[Sector, ...]
 
     def __init__(self, sectors: Iterable[Sector]):
-        object.__setattr__(self, "sectors", tuple(sectors))
+        self._set(tuple(sectors))
 
     @property
     def dim(self) -> int:
@@ -143,14 +141,13 @@ class Polysector:
 EMPTY_POLYSECTOR = Polysector(())
 
 
-@dataclass(frozen=True)
-class Multidirection:
+class Multidirection(Record):
     """One fixed argument per axis."""
 
     thetas: tuple[float, ...]
 
     def __init__(self, thetas: Iterable[float]):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in thetas))
+        self._set(tuple(float(t) for t in thetas))
 
     @property
     def dim(self) -> int:
@@ -175,29 +172,6 @@ class Multidirection:
         if not isinstance(obj, (list, tuple)) or not obj:
             raise GeometryError(f"bad multidirection descriptor: {obj!r}")
         return cls(float(t) for t in obj)
-
-
-@dataclass(frozen=True)
-class RayGrid:
-    """Per-axis strictly decreasing radii along a fixed multidirection."""
-
-    direction: Multidirection
-    radii: tuple[tuple[float, ...], ...]
-
-    def __init__(self, direction: Multidirection, radii: Iterable[Iterable[float]]):
-        rad = tuple(tuple(float(r) for r in axis) for axis in radii)
-        if len(rad) != direction.dim:
-            raise DimensionMismatchError("one radius list per axis required")
-        for axis in rad:
-            if any(r <= 0 for r in axis):
-                raise GeometryError("radii must be positive")
-            if any(a <= b for a, b in zip(axis, axis[1:])):
-                raise GeometryError("radii must be strictly decreasing")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "radii", rad)
-
-    def points(self, host: Polysector) -> list[tuple[complex, ...]]:
-        return ray_points(host, self.direction, self.radii)
 
 
 def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:

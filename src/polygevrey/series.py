@@ -8,12 +8,11 @@ ratios |f_N| A^N / N! that the norms and fits consume stay tame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SeriesError
+from .errors import DimensionMismatchError, Record, SeriesError
 
 #: fitted rates above this are reported as an unbounded (convergent) type
 TYPE_INFINITY_THRESHOLD = 1e6
@@ -26,8 +25,7 @@ def _lgamma_sum(index: Sequence[int]) -> float:
     return sum(math.lgamma(n + 1) for n in index)
 
 
-@dataclass(frozen=True)
-class MultiIndexSeries:
+class MultiIndexSeries(Record):
     """Finite map multi-index -> complex coefficient.
 
     Absent indices are zero up to ``degree_bound`` componentwise; beyond the
@@ -63,9 +61,7 @@ class MultiIndexSeries:
         for index in clean:
             if any(k > b for k, b in zip(index, degree_bound)):
                 raise SeriesError(f"index {index} exceeds degree bound {degree_bound}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "degree_bound", degree_bound)
+        self._set(dim, clean, degree_bound)
 
     def __getitem__(self, index: Sequence[int]) -> complex:
         return self.coeffs.get(tuple(index), 0j)
@@ -188,16 +184,16 @@ def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GevreyFit:
+class GevreyFit(Record):
     """Per-axis type estimate from a log-linear coefficient fit."""
 
     type_estimate: tuple[float, ...]
     log_prefactor: float
     residual: float
-    n_points: int = 0
+    n_points: int
 
-    def __post_init__(self):
+    def __init__(self, type_estimate, log_prefactor: float, residual: float, n_points: int = 0):
+        self._set(type_estimate, log_prefactor, residual, n_points)
         if self.residual < 0:
             raise SeriesError("negative residual")
         if any(not (t > 0) for t in self.type_estimate):

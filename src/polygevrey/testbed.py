@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .catalogue import CATALOGUE
-from .errors import UnknownEntryError
+from .errors import Record, UnknownEntryError
 from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
@@ -27,15 +26,15 @@ from .transforms import LaplaceSpec, SampledFunction, brg_function
 from .typecalc import TypeProfile
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Record):
     id: str
     dim: int
     fn: SampledFunction
     known: dict
     notes: dict
 
-    def __post_init__(self):
+    def __init__(self, id: str, dim: int, fn: SampledFunction, known: dict, notes: dict):
+        self._set(id, dim, fn, known, notes)
         if set(self.known) != set(self.notes):
             raise ValueError(f"known fields {sorted(self.known)} != noted {sorted(self.notes)}")
 

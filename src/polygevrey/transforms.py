@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
     FamilyError,
     ProbeError,
     QuadratureError,
+    Record,
     SeriesError,
     TailError,
 )
@@ -54,8 +55,7 @@ _GL_WEIGHTS = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class LaplaceSpec:
+class LaplaceSpec(Record):
     """Integration endpoints and tolerance for truncated Laplace transforms.
 
     ``tol`` bounds the dropped Borel tail in :func:`brg_function`; the
@@ -63,7 +63,7 @@ class LaplaceSpec:
     """
 
     z0: tuple[complex, ...]
-    tol: float = 1e-10
+    tol: float
 
     def __init__(self, z0, tol: float = 1e-10):
         if isinstance(z0, (complex, float, int)):
@@ -73,16 +73,14 @@ class LaplaceSpec:
             raise DomainError("integration endpoints must be nonzero")
         if not tol > 0:
             raise DomainError("tolerance must be positive")
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "tol", float(tol))
+        self._set(z0, float(tol))
 
     @property
     def dim(self) -> int:
         return len(self.z0)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(Record):
     """Holomorphic function represented by an evaluation callback on a polysector.
 
     ``fn`` receives a complex array of shape (k, dim) and returns k values;
@@ -92,11 +90,13 @@ class SampledFunction:
     """
 
     domain: Polysector
-    fn: Callable | None = None
-    const: complex | None = None
-    provenance: str = "closed-form"
+    fn: Callable | None
+    const: complex | None
+    provenance: str
 
-    def __post_init__(self):
+    def __init__(self, domain: Polysector, fn: Callable | None = None, const: complex | None = None,
+                 provenance: str = "closed-form"):
+        self._set(domain, fn, const, provenance)
         if self.domain.dim == 0:
             if self.const is None:
                 raise FamilyError("0-dimensional functions must carry a constant value")
@@ -269,6 +269,23 @@ def _log_factorials(k_max: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
+@lru_cache(maxsize=None)
+def _tail_terms(top: int) -> int:
+    """Terms of the tail series sum_j prod_{i<=j} w/(top+1+i) that :func:`laplace_monomials` sums.
+
+    On the tail branch |w| < top+1, so term j is at most b_j = prod_{i<=j} (top+1)/(top+1+i)
+    and the terms past j = k add at most b_k (top+2+k)/(k+1).  The count is the least k that
+    keeps this below eps/8.  The series' sum exceeds 1/sqrt 2 in modulus there (it approaches
+    that value at w = +-i(top+1) as top grows; the tests check a grid), so the dropped part
+    stays below eps/4 of the sum.
+    """
+    k, b = 0, 1.0
+    while b * (top + 2 + k) / (k + 1) > 0.125 * _EPS:
+        k += 1
+        b *= (top + 1) / (top + 1 + k)
+    return k
+
+
 def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     """(1/z) * integral of t^n/n! e^{-t/z} dt over [0, z0], for n = 0..top.
 
@@ -280,7 +297,12 @@ def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     is 1 - sum_{k<=n} t_k where |w| >= n+1, and the decreasing tail
     sum_{k>n} t_k below that.  The tail runs backward from n = top, whose sum
     past t_{top+1} is the series sum_j prod_{i<=j} w/(top+1+i); the factor z^n
-    rides along in s_n = z^n t_{n+1} = e^{-w} z0^{n+1} / ((n+1)! z).
+    rides along in s_n = z^n t_{n+1} = e^{-w} z0^{n+1} / ((n+1)! z), one
+    exponential per point.  The series is cut after a number of terms that
+    depends on ``top`` alone (:func:`_tail_terms`: 34, 47 and 71 at top 6, 16
+    and 45), which bounds the dropped part by eps/4 of the sum, and its terms
+    are multiplied and added in a fixed order.  So each point's values are
+    the same bits whatever other points share the call.
     """
     z0 = complex(z0)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -296,15 +318,11 @@ def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     if cols.size == 0:
         return vals
     wt, zt = w[cols], z[cols]
-    term = np.ones_like(wt)
-    rest = np.ones_like(wt)
-    # |w| < top+1, so the terms fall below eps within about 9 sqrt(top+1) + 20 steps
-    for i in range(1, 40 + 10 * (top + 1)):
-        term = term * wt / (top + 1 + i)
-        rest = rest + term
-        if np.all(np.abs(term) <= 0.25 * _EPS * np.abs(rest)):
-            break
-    s = np.exp(((n + 1) * np.log(z0) - lgam[1:])[:, None] - wt - np.log(zt))
+    ratios = np.ones((_tail_terms(top), cols.size), dtype=complex)
+    ratios[1:] = wt / np.arange(top + 2, top + 1 + len(ratios))[:, None]
+    # cumsum adds each column's terms in order; a sum over the axis would not for one column
+    rest = np.cumsum(np.cumprod(ratios, axis=0), axis=0)[-1]
+    s = np.exp((n + 1) * np.log(z0) - lgam[1:])[:, None] * (np.exp(-wt) / zt)
     u = np.empty((top + 1, cols.size), dtype=complex)
     u[top] = s[top] * rest
     for m in range(top - 1, -1, -1):
@@ -526,7 +544,10 @@ def interpolate_first_order(
     f_{1n} at once.  The second pass transforms the corrected axis-1 sequence,
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
-    the postcondition contract tested by extraction.
+    the postcondition contract tested by extraction.  Every factor depends on
+    one variable, so the interpolant evaluates the tables and the elements on
+    the distinct values of each coordinate only: a ladder rung's circle nodes
+    paired with three fixed values cost 128 + 3 table points, not 2 x 384.
 
     ``coeff_cap`` bounds the number of corrected axis-1 coefficients: high
     orders of a_{m,n} are numerically fragile to extract and strongly damped
@@ -588,14 +609,14 @@ def interpolate_first_order(
 
     def fn(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)
-        z1 = pts[:, 0]
-        z2 = pts[:, 1]
-        lap1 = laplace_monomials(w01, z1, n_cap)  # (n_cap+1, k)
-        lap2 = laplace_monomials(w02, z2, m_cap)  # (m_cap+1, k)
+        z1, i1 = np.unique(pts[:, 0], return_inverse=True)
+        z2, i2 = np.unique(pts[:, 1], return_inverse=True)
+        lap1 = laplace_monomials(w01, z1, n_cap)  # (n_cap+1, k1)
+        lap2 = laplace_monomials(w02, z2, m_cap)  # (m_cap+1, k2)
         f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])
         f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])
-        h1 = np.sum(f1vals * lap1, axis=0)
-        h2 = np.sum((f2vals - consts @ lap1) * lap2, axis=0)
+        h1 = np.sum(f1vals[:, i2] * lap1[:, i1], axis=0)
+        h2 = np.sum((f2vals - consts @ lap1)[:, i1] * lap2[:, i2], axis=0)
         return h1 + h2
 
     return SampledFunction(host, fn, provenance=provenance)

@@ -10,11 +10,10 @@ combined profile that merges all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, Record
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -157,15 +156,15 @@ def circle_type(r_alpha: float, r_beta: float, alpha: float, beta: float, theta:
     return max(0.0, 2.0 * (wx * math.cos(theta) + wy * math.sin(theta)))
 
 
-@dataclass(frozen=True)
-class TypeProfile:
+class TypeProfile(Record):
     """Direction-dependent type on one axis: theta -> R(theta) > 0 on (alpha, beta)."""
 
     alpha: float
     beta: float
     fn: Callable[[float], float]
 
-    def __post_init__(self):
+    def __init__(self, alpha: float, beta: float, fn: Callable[[float], float]):
+        self._set(alpha, beta, fn)
         if not self.alpha < self.beta:
             raise GeometryError("profile domain needs alpha < beta")
 

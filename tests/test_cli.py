@@ -30,6 +30,13 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def with_fn(entry, fn):
+    """A testbed entry with the fields of ``entry`` but the function ``fn``."""
+    from polygevrey.testbed import RegistryEntry
+
+    return RegistryEntry(entry.id, entry.dim, fn, entry.known, entry.notes)
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_UNKNOWN_COMMAND
@@ -374,8 +381,6 @@ class TestVerify:
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch, capsys):
         # a bug in a callback must not read as a failed verdict (1) or a config error (2)
-        import dataclasses
-
         from polygevrey import SampledFunction, testbed
 
         entry = testbed.get("poly")
@@ -383,7 +388,7 @@ class TestVerify:
         def broken(p):
             raise RuntimeError("bug in the callback")
 
-        fake = dataclasses.replace(entry, fn=SampledFunction(entry.fn.domain, broken))
+        fake = with_fn(entry, SampledFunction(entry.fn.domain, broken))
         monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
         cfg = write(
             tmp_path,
@@ -404,16 +409,12 @@ class TestVerify:
     def test_nan_in_a_report_is_internal(self, tmp_path, monkeypatch):
         # a function that evaluates to NaN puts NaN into pl.json's maxima;
         # strict JSON refuses it, so no report is written and the run exits 70
-        import dataclasses
-
         import numpy as np
 
         from polygevrey import SampledFunction, testbed
 
         entry = testbed.get("poly")
-        fake = dataclasses.replace(
-            entry, fn=SampledFunction(entry.fn.domain, lambda p: np.full(len(p), np.nan, dtype=complex))
-        )
+        fake = with_fn(entry, SampledFunction(entry.fn.domain, lambda p: np.full(len(p), np.nan, dtype=complex)))
         monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
         cfg = write(
             tmp_path,
@@ -434,8 +435,6 @@ class TestVerify:
     @pytest.mark.parametrize("exc", [TypeError, ValueError, KeyError])
     def test_common_callback_bugs_are_internal(self, tmp_path, monkeypatch, exc):
         # the commonest callback bugs are not config errors (2) either
-        import dataclasses
-
         from polygevrey import SampledFunction, testbed
 
         entry = testbed.get("poly")
@@ -443,7 +442,7 @@ class TestVerify:
         def broken(p):
             raise exc("bug in the callback")
 
-        fake = dataclasses.replace(entry, fn=SampledFunction(entry.fn.domain, broken))
+        fake = with_fn(entry, SampledFunction(entry.fn.domain, broken))
         monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
         cfg = write(
             tmp_path,
@@ -596,7 +595,8 @@ _ENTRY = _STACK | {"testbed", "typecalc"}  # testbed imports TypeProfile
 
 class TestImportFootprint:
     """Each subcommand, run on its README config in a fresh interpreter, loads
-    exactly these of numpy and the library's numeric modules."""
+    exactly these of numpy and the library's numeric modules, and never
+    ``dataclasses`` (generating a class's methods at import costs ~1 ms each)."""
 
     @pytest.mark.parametrize(
         "argv, cfg, want",
@@ -637,8 +637,8 @@ class TestImportFootprint:
             "import json, sys\n"
             "from polygevrey import cli\n"
             f"code = cli.main({argv!r})\n"
-            "names = ['numpy'] + ['polygevrey.' + m for m in ('families', 'transforms', 'series',\n"
-            "    'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
+            "names = ['numpy', 'dataclasses'] + ['polygevrey.' + m for m in ('families', 'transforms',\n"
+            "    'series', 'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
             "print(json.dumps({'exit': code, 'loaded': [m for m in names if m in sys.modules]}))\n"
         )
         res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)

@@ -11,7 +11,6 @@ from polygevrey import (
     Multidirection,
     Polysector,
     ProbeSpec,
-    RayGrid,
     Sector,
     distinguished_boundary_points,
     geometric_radii,
@@ -163,16 +162,6 @@ class TestGrids:
     def test_geometric_radii(self):
         r = geometric_radii(0.5, 0.5, 4)
         assert r == (0.5, 0.25, 0.125, 0.0625)
-
-    def test_ray_grid_validation(self):
-        d = Multidirection([0.0])
-        with pytest.raises(GeometryError):
-            RayGrid(d, [[0.1, 0.2]])  # not decreasing
-        with pytest.raises(GeometryError):
-            RayGrid(d, [[0.1, -0.2]])
-        grid = RayGrid(d, [[0.2, 0.1]])
-        pts = grid.points(Polysector([sector()]))
-        assert len(pts) == 2
 
 
 class TestJson:

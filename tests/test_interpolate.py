@@ -203,3 +203,44 @@ class TestRat2Smoke:
         target = 1.0 / ((1 + z[0]) * (1 + z[1]))
         flat_scale = math.exp(-0.9 / z[0]) + math.exp(-0.9 / z[1])
         assert abs(func(z) - target) < 10 * flat_scale
+
+
+class TestDistinctCoordinates:
+    """The interpolant evaluates its one-variable factors once per distinct coordinate."""
+
+    @staticmethod
+    def ladder_grid():
+        # one rung of a ladder along axis 0: 128 circle nodes, each paired with 3 fixed z2
+        nodes = 0.05 + 0.02 * np.exp(2j * np.pi * np.arange(128) / 128)
+        return np.asarray([(z1, z2) for z2 in (0.02, 0.026, 0.034) for z1 in nodes])
+
+    @staticmethod
+    def rat2_interpolant():
+        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=10)
+        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
+        return interpolate_first_order(fam1, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None)
+
+    def test_one_table_per_distinct_coordinate(self, monkeypatch):
+        from polygevrey import transforms
+
+        func = self.rat2_interpolant()
+        calls = []
+        kernel = transforms.laplace_monomials
+
+        def counted(z0, z, top):
+            calls.append(np.size(z))
+            return kernel(z0, z, top)
+
+        monkeypatch.setattr(transforms, "laplace_monomials", counted)
+        func.eval_many(self.ladder_grid())
+        assert sorted(calls) == [3, 128]  # not 2 x 384
+
+    def test_matches_pointwise_evaluation(self):
+        # not bit for bit: consts @ lap1 runs through BLAS and the sums over
+        # orders through numpy reductions, whose summation order both change
+        # with the number of points
+        func = self.rat2_interpolant()
+        pts = self.ladder_grid()
+        batch = func.eval_many(pts)
+        alone = np.asarray([func(p) for p in pts])
+        assert np.all(np.abs(batch - alone) <= 1e-14 * np.abs(alone))

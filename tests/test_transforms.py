@@ -23,6 +23,7 @@ from polygevrey.series import evaluate_many
 from polygevrey.transforms import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _tail_terms,
     adaptive_panel_quad,
     half_plane_polysector,
     laplace_bound,
@@ -191,6 +192,35 @@ class TestLaplaceMonomials:
         got = laplace_monomials(0.5, 0.2, 2)
         assert got.shape == (3, 1)
         assert complex(got[0, 0]) == pytest.approx(1 - math.exp(-2.5), rel=1e-14)
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # half the points have a nearly real w, where one part of the tail sum
+        # is small and its last bits notice every extra term; a term count that
+        # followed the batch's largest |w| moved such a point at top 6
+        z0 = 0.5 * cmath.exp(0.4j)
+        rng = np.random.default_rng(2)
+        for top in (6, 16, 45):
+            mod = (top + 1) * rng.uniform(0.02, 1.6, 60)
+            arg = rng.uniform(-1.5, 1.5, 60) * rng.choice([1e-3, 1.0], 60)
+            zs = z0 / (mod * np.exp(1j * arg))
+            assert 0 < np.count_nonzero(mod < top + 1) < 60  # both branches
+            batch = laplace_monomials(z0, zs, top)
+            alone = np.stack([laplace_monomials(z0, z, top)[:, 0] for z in zs], axis=1)
+            split = np.hstack([laplace_monomials(z0, zs[:23], top), laplace_monomials(z0, zs[23:], top)])
+            assert np.array_equal(batch, alone), top
+            assert np.array_equal(batch, split), top
+
+    def test_tail_terms_suffice(self):
+        # the fixed count drops less than eps/4 of the tail series on |w| < top+1,
+        # Re w > 0, whose sum stays above 1/sqrt 2 in modulus
+        for top in range(46):
+            w = (top + 1) * np.outer(np.linspace(0.0, 1.0, 41)[1:] * (1 - 1e-12),
+                                     np.exp(1j * np.linspace(-PI / 2, PI / 2, 41))).ravel()
+            ratios = w / np.arange(top + 2, top + 2 + 40 * (top + 1))[:, None]
+            sums = np.cumsum(np.cumprod(np.vstack([np.ones_like(w), ratios]), axis=0), axis=0)
+            full, cut = sums[-1], sums[_tail_terms(top) - 1]
+            assert np.all(np.abs(full) > 2**-0.5), top
+            assert np.all(np.abs(full - cut) <= 0.25 * np.finfo(float).eps * np.abs(full)), top
 
     def test_domain(self):
         with pytest.raises(DomainError):
