@@ -20,19 +20,17 @@ _EXPORTS = {
         " GeometryError PolygevreyError ProbeError QuadratureError SeriesError TailError"
         " UnknownEntryError",
         "geometry": "Multidirection Polysector Sector distinguished_boundary_points"
-        " geometric_radii is_subpolysector ray_points",
-        "series": "GevreyFit MultiIndexSeries borel_transform fit_gevrey_type"
-        " gamma1_norm inverse_borel_transform",
+        " geometric_radii ray_points",
+        "series": "GevreyFit MultiIndexSeries borel_transform fit_gevrey_type gamma1_norm",
         "families": "CoherenceReport ExtractResult FirstOrderFamily ProbeSpec TotalFamily app_n"
         " check_coherence check_first_order_coherence extract_element family_from_series"
         " first_order_of fit_type_from_remainders remainder_constants",
         "transforms": "LaplaceSpec SampledFunction brg_function brg_type interpolate_first_order"
-        " truncated_laplace truncated_laplace_nd",
+        " truncated_laplace_nd",
         "typecalc": "TypeProfile circle_type final_type fz_type g_of_delta gamma_constant r_tilde"
         " sine_type",
-        "flatness_bounds": "BoundReport FlatFit NullFitEntry fit_flat_type gevrey_envelope"
-        " gevrey_envelope_log h_aux fit_wedge_constant null_expansion_check pl_check wedge_bound"
-        " wedge_shift_search",
+        "flatness_bounds": "BoundReport FlatFit NullFitEntry fit_flat_type gevrey_envelope_log h_aux"
+        " null_expansion_check pl_check wedge_bound",
     }.items()
     for name in names.split()
 }

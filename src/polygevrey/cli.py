@@ -184,11 +184,15 @@ def _probe_from(cfg, key="probe", **defaults):
     return ProbeSpec(**{**defaults, **{k: _get(raw, k, _PROBE_FIELDS[k]) for k in raw}})
 
 
-def _theta_tuple(theta) -> tuple[float, ...]:
+def _directions(cfg: dict) -> list[tuple[float, ...]]:
+    """The ``directions`` key, one angle tuple each; a verdict over no direction is a config error."""
+    directions = _require(cfg, "directions", list)
+    if not directions:
+        raise ConfigError("config key 'directions' lists no direction")
     try:
-        return tuple(float(t) for t in theta) if isinstance(theta, list) else (float(theta),)
+        return [tuple(float(t) for t in th) if isinstance(th, list) else (float(th),) for th in directions]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad direction {theta!r}: {exc}") from None
+        raise ConfigError(f"bad direction in {directions!r}: {exc}") from None
 
 
 def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
@@ -199,6 +203,7 @@ def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
     """
     from .families import family_from_series, fit_type_from_remainders, remainder_constants
 
+    directions = _directions(cfg)
     ser, z0 = entry.known.get("series"), entry.known.get("z0")
     if ser is None or z0 is None:
         raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
@@ -207,8 +212,7 @@ def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
     window = _get(cfg, "window", _int_pair, (4, max(6, n_max - 4)))
     floor = _get(cfg, "noise_floor", float, 1e-9)
     fits = []
-    for theta in _require(cfg, "directions", list):
-        theta_t = _theta_tuple(theta)
+    for theta_t in directions:
         cons = remainder_constants(
             entry.fn, fam, theta_t, [radii] * entry.dim,
             [(n,) * entry.dim for n in range(n_max + 1)], noise_floor=floor,
@@ -276,7 +280,6 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
 def _cmd_type_fit(cfg: dict, out: Path) -> int:
     mode = cfg.get("mode", "gevrey")
     entry = _entry(cfg)
-    directions = _require(cfg, "directions", list)
     radii = _radii_from(cfg)
     rows = []
     report = {"command": "type-fit", "mode": mode, "testbed": entry.id, "directions": []}
@@ -297,14 +300,13 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
             )
         header = [f"theta{j + 1}" for j in range(entry.dim)]
         header += [f"R{j + 1}_fit" for j in range(entry.dim)] + ["rms"]
-        if report["directions"] and report["directions"][0]["law"] is not None:
+        if report["directions"][0]["law"] is not None:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
     elif mode == "flat":
         from .flatness_bounds import fit_flat_type
         from .geometry import Multidirection, ray_points
 
-        for theta in directions:
-            theta_t = _theta_tuple(theta)
+        for theta_t in _directions(cfg):
             d = Multidirection(theta_t)
             pts = ray_points(entry.fn.domain, d, [radii] * entry.dim)
             samples = [

@@ -278,10 +278,10 @@ class ExtractResult(Record):
 
 
 def _neville_zero(xs: Sequence[float], ys: list[np.ndarray]) -> np.ndarray:
-    p = [np.asarray(y, dtype=complex) for y in ys]
+    p = np.asarray(ys, dtype=complex)
+    x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
     for j in range(1, len(xs)):
-        for i in range(len(xs) - j):
-            p[i] = (p[i] * xs[i + j] - p[i + 1] * xs[i]) / (xs[i + j] - xs[i])
+        p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
     return p[0]
 
 
@@ -329,22 +329,18 @@ class _LadderTracker:
         return bool(np.all(self.converged))
 
 
-def _circle_orders(evalfn, centers, rhos, orders, nodes: int) -> np.ndarray:
-    """Coefficients D^N g(centers)/N! for all requested N from one product of circles."""
-    p = len(centers)
-    angles = 2.0 * math.pi * np.arange(nodes) / nodes
-    rings = [c + rho * np.exp(1j * angles) for c, rho in zip(centers, rhos)]
+def _circle_orders(evalfn, centers, rhos, orders: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """D^N g(centers)/N! for each row N of ``orders`` from one product of circles with nodes ``unit``."""
+    p, nodes = len(centers), len(unit)
+    rings = [c + rho * unit for c, rho in zip(centers, rhos)]
     grids = np.meshgrid(*rings, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = np.asarray(evalfn(pts), dtype=complex).reshape((nodes,) * p + (-1,))
     spec = np.fft.fftn(vals, axes=tuple(range(p))) / nodes**p
-    out = []
-    for order in orders:
-        coeff = spec[order]
-        for m, rho in zip(order, rhos):
-            coeff = coeff * rho ** (-m)
-        out.append(coeff)
-    return np.stack(out)  # (n_orders, B)
+    coeff = spec[tuple(orders.T)]
+    for m, rho in zip(orders.T.tolist(), rhos):
+        coeff = coeff * np.array([rho ** -k for k in m])[:, None]
+    return coeff  # (n_orders, B)
 
 
 def axis_coefficient_ladder(
@@ -372,6 +368,8 @@ def axis_coefficient_ladder(
         raise DomainError("probe direction outside the sector")
     tracker = None
     pure_value = orders == [(0,) * p]
+    order_arr = np.asarray(orders, dtype=int).reshape(len(orders), p)
+    unit = np.exp(1j * (2.0 * math.pi * np.arange(probe.circle_nodes) / probe.circle_nodes))
     for r in probe.radii():
         centers = [r * cmath.exp(1j * t) for t in thetas]
         if not all(s.contains(c) for s, c in zip(sectors, centers)):
@@ -380,7 +378,7 @@ def axis_coefficient_ladder(
             sample = np.asarray(evalfn(np.asarray([centers])), dtype=complex).reshape(1, -1)
         else:
             rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
-            sample = _circle_orders(evalfn, centers, rhos, orders, probe.circle_nodes)
+            sample = _circle_orders(evalfn, centers, rhos, order_arr, unit)
         if tracker is None:
             tracker = _LadderTracker(sample.shape, probe)
         tracker.push(r, sample)

@@ -1,5 +1,6 @@
-"""Exponential-flatness fits, Gevrey envelopes, explicit wedge bounds, and a
-numerical maximum-principle checker.
+"""Exponential-flatness fits, the Gevrey envelope, and the maximum-principle
+step of the paper's argument: its comparison function and bound, a sampled
+check of the principle, and of the null expansion it concludes.
 
 The flat <-> null-Gevrey correspondence is type-exact: only the prefactors
 move, and those are existential, so a flat rate is the null-Gevrey type as it
@@ -100,15 +101,14 @@ def gevrey_envelope_log(c: float, a: float, r: float) -> float:
     return float(np.min(logs))
 
 
-def gevrey_envelope(c: float, a: float, r: float) -> float:
-    """min over N <= N_cap of C A^N N! r^N (exp of :func:`gevrey_envelope_log`)."""
-    return math.exp(gevrey_envelope_log(c, a, r))
-
-
 def h_aux(z: complex, alpha: float, beta: float, lam: float, c: float) -> complex:
     """Auxiliary exponent with |e^{h(z)}| = (C/|z|^lambda)^{(beta-theta)/(beta-alpha)}.
 
-    The log branch is pinned so arg z lies nearest the wedge [alpha, beta].
+    The comparison function of the maximum-principle (Phragmen-Lindelof)
+    step: f e^{h} is bounded on both edges when |f| = O(|z|^lambda) on the
+    edge alpha and f is bounded on the edge beta, so up to a constant
+    |e^{-h}| bounds f inside.  The log branch is pinned so arg z lies
+    nearest the wedge [alpha, beta].
     """
     if z == 0:
         raise DomainError("h is undefined at the vertex")
@@ -136,8 +136,10 @@ def wedge_bound(
 ) -> float:
     """Bound kernel (C |z|^lambda)^{(1-eps)^n prod mu_j}, mu_j = (beta_j - arg z_j)/(beta_j - alpha_j).
 
-    The multiplicative constant in front is existential and not computed; the
-    returned kernel is what empirical fits calibrate against.
+    The bound the maximum-principle step gives inside the polysector, each
+    axis giving up a factor (1 - eps) of the exponent; on one axis it is
+    |e^{-h}| of :func:`h_aux` with C -> 1/C and eps -> 0.  The
+    multiplicative constant in front is existential and not computed.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
@@ -159,78 +161,6 @@ def wedge_bound(
         mu *= (bj - min(max(theta, aj), bj)) / (bj - aj)
         base *= abs(zj) ** lj
     return base ** ((1.0 - eps) ** n * mu)
-
-
-def fit_wedge_constant(
-    samples: Sequence[tuple[Sequence[complex], float]],
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    lams: Sequence[float],
-    c: float,
-    eps: float,
-) -> float:
-    """Empirical prefactor: sup over samples of |f| / wedge_bound.
-
-    The constant in the wedge estimate is existential; this is the smallest
-    multiplier that makes the bound kernel cover the supplied samples.
-    """
-    best = 0.0
-    for z, mag in samples:
-        kernel = wedge_bound(z, alphas, betas, lams, c, eps)
-        if kernel > 0:
-            best = max(best, mag / kernel)
-    return best
-
-
-def wedge_shift_search(eps: float, c: float, lam: float, alpha: float) -> float:
-    """Smallest shift a for the half-plane comparison argument, as a diagnostic.
-
-    Searches the least a > 1 with c / a^lam < 1 such that, over the shifted
-    region a e^{i alpha} + closure(S(-alpha, alpha; inf)), the ratio
-    (arg(z - e^{i alpha}) + alpha) / (arg z + alpha), sampled on 17 rays and
-    48 geometric radii per ray, stays >= 1 - eps.  The ratio improves
-    monotonically with a, so up to 60 doublings bracket a and 60 bisections
-    refine it.  No closed form is claimed; the output is a sampled
-    diagnostic only.
-    """
-    if not (0.0 < eps < 1.0 and c > 0 and lam > 0 and 0 < alpha < 0.25 * math.pi):
-        raise DomainError("need eps in (0,1), c > 0, lam > 0, alpha in (0, pi/4)")
-    z0 = cmath.exp(1j * alpha)
-
-    def ratio_ok(a: float) -> bool:
-        base = a * z0
-        for i in range(17):
-            phi = -alpha + 2 * alpha * i / 16
-            direction = cmath.exp(1j * phi)
-            for k in range(48):
-                t = 1e-3 * a * (1e7) ** (k / 47)
-                z = base + t * direction
-                theta = cmath.phase(z)
-                theta0 = cmath.phase(z - z0)
-                denom = theta + alpha
-                if denom <= 0:
-                    continue
-                if (theta0 + alpha) / denom < 1.0 - eps:
-                    return False
-        return True
-
-    lo = max(1.0 + 1e-9, c ** (1.0 / lam) * (1.0 + 1e-9))
-    hi = lo
-    for _ in range(60):
-        if ratio_ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise DomainError("no admissible shift found within the search range")
-    if ratio_ok(lo):
-        return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ratio_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 class BoundReport(Record):
@@ -349,6 +279,9 @@ def null_expansion_check(
     radii: Sequence[Sequence[float]],
 ) -> list[NullFitEntry]:
     """Per-N constants c(N) with |f(z)| <= c(N) |z|^N along the ray grid.
+
+    Tests the conclusion of the argument on samples: run along several
+    multidirections, it shows a null expansion holding along each of them.
 
     ``c_sup`` is the grid supremum of |f|/|z|^N (the bound the definition
     asks for); ``c_lsq`` the least-squares constant on logs.  ``decaying``

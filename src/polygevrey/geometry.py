@@ -69,15 +69,6 @@ class Sector(Record):
             dist = min(dist, self.rho - r)
         return dist
 
-    def is_subsector_of(self, other: "Sector") -> bool:
-        """Bounded proper containment: closed angles inside, strictly smaller radius."""
-        return (
-            other.alpha < self.alpha
-            and self.beta < other.beta
-            and self.bounded
-            and self.rho < other.rho
-        )
-
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -179,13 +170,6 @@ def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:
     if not (r0 > 0 and 0 < ratio < 1 and count >= 1):
         raise GeometryError("need r0 > 0, ratio in (0,1), count >= 1")
     return tuple(r0 * ratio**k for k in range(count))
-
-
-def is_subpolysector(t: Polysector, s: Polysector) -> bool:
-    """Componentwise [alpha_T, beta_T] inside (alpha_S, beta_S) with rho_T < rho_S finite."""
-    if t.dim != s.dim:
-        raise DimensionMismatchError(f"dim {t.dim} vs {s.dim}")
-    return all(ts.is_subsector_of(ss) for ts, ss in zip(t.sectors, s.sectors))
 
 
 def ray_points(

@@ -146,19 +146,6 @@ def borel_transform(f: MultiIndexSeries) -> MultiIndexSeries:
     return f.map_coeffs(divide)
 
 
-def inverse_borel_transform(f: MultiIndexSeries) -> MultiIndexSeries:
-    """Coefficientwise multiplication by N!; exact inverse of borel_transform."""
-
-    def multiply(ix, c):
-        mag = abs(c)
-        if mag == 0:
-            return 0j
-        scale = math.exp(math.log(mag) + _lgamma_sum(ix))
-        return (c / mag) * scale
-
-    return f.map_coeffs(multiply)
-
-
 def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
     """Vectorized f(z) over an array of points with shape (..., dim)."""
     pts = np.asarray(pts, dtype=complex)

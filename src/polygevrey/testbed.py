@@ -11,7 +11,6 @@ Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
@@ -22,7 +21,7 @@ from .errors import Record, UnknownEntryError
 from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
-from .transforms import LaplaceSpec, SampledFunction, brg_function
+from .transforms import LaplaceSpec, SampledFunction, brg_function, brg_type, half_plane_polysector
 from .typecalc import TypeProfile
 
 
@@ -73,14 +72,13 @@ def flat1_entry() -> RegistryEntry:
 
 def euler_entry() -> RegistryEntry:
     z0, degree = 0.5, 45
-    theta0 = cmath.phase(complex(z0))
     series = MultiIndexSeries(
         1, {(n,): (-1.0) ** n * math.factorial(n) for n in range(degree + 1)}, (degree,)
     )
     # the Borel sum 1/(1+t) as its degree-45 polynomial; brg_function bounds the dropped tail
     fn = brg_function(series, LaplaceSpec((z0,), tol=1e-12))
     sector = fn.domain.sectors[0]
-    profile = TypeProfile(sector.alpha, sector.beta, lambda th: abs(z0) * math.cos(th - theta0))
+    profile = TypeProfile(sector.alpha, sector.beta, lambda th: brg_type((z0,), (th,))[0])
     return _entry("euler", fn, {
         "series": series,
         "type_profile": (profile,),
@@ -169,17 +167,13 @@ def poly_entry() -> RegistryEntry:
 
 def brg_const_entry() -> RegistryEntry:
     z0 = 0.5
-    theta0 = cmath.phase(complex(z0))
-    domain = Polysector([Sector(theta0 - 0.5 * math.pi, theta0 + 0.5 * math.pi, math.inf)])
+    domain = half_plane_polysector((z0,))
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return 1.0 - np.exp(-z0 / pts[:, 0])
 
-    profile = TypeProfile(
-        domain.sectors[0].alpha,
-        domain.sectors[0].beta,
-        lambda th: abs(z0) * math.cos(th - theta0),
-    )
+    sector = domain.sectors[0]
+    profile = TypeProfile(sector.alpha, sector.beta, lambda th: brg_type((z0,), (th,))[0])
     return _entry("brg_const", SampledFunction(domain, fn), {
         "series": MultiIndexSeries(1, {(0,): 1.0}, (0,)),
         "type_profile": (profile,),
@@ -189,11 +183,7 @@ def brg_const_entry() -> RegistryEntry:
 
 def brg_const2_entry() -> RegistryEntry:
     z0 = (0.5 + 0j, 0.5 + 0j)
-    sectors = [
-        Sector(cmath.phase(w) - 0.5 * math.pi, cmath.phase(w) + 0.5 * math.pi, math.inf)
-        for w in z0
-    ]
-    domain = Polysector(sectors)
+    domain = half_plane_polysector(z0)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return (1.0 - np.exp(-z0[0] / pts[:, 0])) * (1.0 - np.exp(-z0[1] / pts[:, 1]))

@@ -215,12 +215,6 @@ def truncated_laplace_with_error(
     return val, err
 
 
-def truncated_laplace(phi, spec: LaplaceSpec, z):
-    """Value-only form of :func:`truncated_laplace_with_error`."""
-    val, _ = truncated_laplace_with_error(phi, spec, z)
-    return val
-
-
 def truncated_laplace_nd(
     phi: Callable[[np.ndarray], np.ndarray],
     spec: LaplaceSpec,
@@ -364,7 +358,12 @@ def laplace_monomial_errors(z0: complex, z, top: int) -> tuple[np.ndarray, np.nd
 
 
 def brg_type(z0: Sequence[complex], theta: Sequence[float]) -> tuple[float, ...]:
-    """Per-axis type |z0_j| cos(theta_j - arg z0_j) of the truncated-Laplace expansion."""
+    """Per-axis type |z0_j| cos(theta_j - arg z0_j) of the truncated-Laplace expansion.
+
+    The Laplace-transform step of the Gevrey case: the truncated transform
+    differs from the full one by O(e^{-Re(z0/z)}), which is e^{-type/|z|}
+    along theta.  The ``euler`` and ``brg_const`` type profiles are this law.
+    """
     z0 = tuple(complex(w) for w in z0)
     thetas = tuple(float(t) for t in theta)
     if len(z0) != len(thetas):

@@ -69,7 +69,12 @@ def g_of_delta(delta: float) -> float:
 
 
 def gamma_constant() -> float:
-    """g evaluated at delta = 1 (direction aligned with the segment), ~0.30028."""
+    """g evaluated at delta = 1 (direction aligned with the segment), ~0.30028.
+
+    The share of a type that the derivative-bound step of the Gevrey case
+    keeps in the direction of z0 (:func:`r_tilde` at delta = 1);
+    :func:`final_type` caps each axis's spread type at gamma times its sup.
+    """
     return g_of_delta(1.0)
 
 

@@ -49,7 +49,7 @@ def test_criterion_02_g_bracket():
 def test_criterion_03_h_identity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(12345)
-    worst = 0.0
+    worst = worst_kernel = 0.0
     for _ in range(10_000):
         r = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
         alpha = rng.uniform(-3.0, 3.0)
@@ -64,9 +64,17 @@ def test_criterion_03_h_identity():
         rel = abs(abs(cmath.exp(h)) - want) / want
         worst = max(worst, rel)
         assert rel < 1e-12
+        # the comparison function's reciprocal is the wedge bound (C -> 1/C, eps -> 0)
+        kernel = pg.wedge_bound((z,), (alpha,), (beta,), (lam,), 1.0 / c, 1e-12)
+        rel_kernel = abs(kernel - abs(cmath.exp(-h))) / kernel
+        worst_kernel = max(worst_kernel, rel_kernel)
+        assert rel_kernel < 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    report(3, elapsed, 5, f"modulus identity on 10^4 draws, worst rel err {worst:.2e}")
+    report(
+        3, elapsed, 5,
+        f"modulus identity on 10^4 draws, worst rel err {worst:.2e}; wedge bound {worst_kernel:.2e}",
+    )
 
 
 def test_criterion_04_laplace_closed_forms():
@@ -105,7 +113,7 @@ def test_criterion_05_brg_type_law():
     radii = [0.5 * 0.82**k for k in range(22)]
     details = []
     for theta in (0.0, PI / 6, -PI / 6, PI / 3, -PI / 3):
-        target = 0.5 * math.cos(theta)
+        target = pg.brg_type(entry.known["z0"], (theta,))[0]
         cons = pg.remainder_constants(
             entry.fn, fam, (theta,), [radii], [(n,) for n in range(23)], noise_floor=1e-9
         )

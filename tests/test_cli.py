@@ -1,8 +1,10 @@
+import ast
 import cmath
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +78,10 @@ class TestDispatch:
             ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]}),
             ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]}),
             ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": "many"}),
+            # a verdict or a fit over no direction
+            ("verify", {"suite": "remainder", "testbed": "euler", "directions": [], "radii": [0.4, 0.3]}),
+            ("type-fit", {"testbed": "euler", "mode": "gevrey", "directions": [], "radii": [0.4, 0.3]}),
+            ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]}),
         ],
     )
     def test_bad_config_values(self, tmp_path, capsys, command, cfg):
@@ -129,6 +135,30 @@ class TestDispatch:
         assert set(polygevrey.__all__) <= set(dir(polygevrey))
         with pytest.raises(AttributeError):
             polygevrey.no_such_name
+
+    def test_every_exported_function_has_a_caller(self):
+        # each public function is used by the library, bound by the benchmark
+        # or reached by an acceptance criterion; tests of its own do not count
+        root = Path(__file__).resolve().parents[1]
+        src = root / "src" / "polygevrey"
+        used = set()
+        for path in src.glob("*.py"):
+            if path.name == "__init__.py":  # the export table only
+                continue
+            tree = ast.parse(path.read_text())
+            own = {}  # id of each node inside a def -> the def's name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    for inner in ast.walk(node):
+                        own.setdefault(id(inner), node.name)
+            for node in ast.walk(tree):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and own.get(id(node)) != name:
+                    used.add(name)
+        named = "\n".join(p.read_text() for p in [*root.glob("bench/*.py"), root / "tests" / "test_acceptance.py"])
+        functions = [n for n in polygevrey.__all__ if not isinstance(getattr(polygevrey, n), type)]
+        unreached = [n for n in functions if n not in used and not re.search(rf"\b{n}\b", named)]
+        assert not unreached, f"exported functions that nothing reaches: {unreached}"
 
 
 class TestPredictType:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from polygevrey import (
     SampledFunction,
     Sector,
     fit_flat_type,
-    gevrey_envelope,
     gevrey_envelope_log,
     h_aux,
     null_expansion_check,
@@ -77,23 +77,23 @@ class TestFitFlatType:
 class TestGevreyEnvelope:
     def test_quoted_minimum(self):
         # min over N of N! 10^{-N}; brute force over N <= 100 agrees
-        got = gevrey_envelope(1.0, 1.0, 0.1)
+        got = math.exp(gevrey_envelope_log(1.0, 1.0, 0.1))
         brute = min(math.factorial(n) * 0.1**n for n in range(101))
         assert got == pytest.approx(brute, rel=1e-12)
         assert got == pytest.approx(3.6288e-4, rel=1e-4)
 
     def test_large_radius_constant(self):
-        assert gevrey_envelope(2.5, 1.0, 50.0) == pytest.approx(2.5)
+        assert math.exp(gevrey_envelope_log(2.5, 1.0, 50.0)) == pytest.approx(2.5)
 
     def test_stirling_cross_check(self):
         # e * sqrt(2 pi / (A r)) * e^{-1/(A r)} tracks the discrete minimum
         r, a = 1e-3, 1.0
-        got = gevrey_envelope(1.0, a, r)
+        got = math.exp(gevrey_envelope_log(1.0, a, r))
         stirling = math.e * math.sqrt(2 * PI / (a * r)) * math.exp(-1.0 / (a * r))
         assert got == pytest.approx(stirling, rel=0.01)
 
     def test_nonincreasing_in_r(self):
-        vals = [gevrey_envelope(1.0, 1.0, r) for r in (0.5, 0.2, 0.1, 0.05, 0.01)]
+        vals = [math.exp(gevrey_envelope_log(1.0, 1.0, r)) for r in (0.5, 0.2, 0.1, 0.05, 0.01)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_exponential_law(self):
@@ -102,13 +102,13 @@ class TestGevreyEnvelope:
             assert abs(val - (-1.0)) < 0.1
 
     def test_log_matches_exp_form(self):
-        assert gevrey_envelope(1.0, 1.0, 0.1) == pytest.approx(
-            math.exp(gevrey_envelope_log(1.0, 1.0, 0.1)), rel=1e-14
-        )
+        # min over N of 3 * 2^N N! 20^{-N} = 3 N! / 10^N, in exact integers
+        exact = min(Fraction(3 * math.factorial(n), 10**n) for n in range(101))
+        assert gevrey_envelope_log(3.0, 2.0, 0.05) == pytest.approx(math.log(exact), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            gevrey_envelope(0.0, 1.0, 0.1)
+            gevrey_envelope_log(0.0, 1.0, 0.1)
 
 
 class TestHAux:
@@ -291,46 +291,3 @@ class TestNullExpansion:
         )
         assert not entries[0].decaying
         assert entries[0].c_sup == pytest.approx(8.0)
-
-
-class TestWedgeDiagnostics:
-    def test_fit_wedge_constant(self):
-        from polygevrey import fit_wedge_constant
-
-        a, b, lam, c, eps = -PI / 8, PI / 8, 1.0, 1.0, 0.3
-        samples = []
-        for r in (0.1, 0.3, 0.6):
-            for th in (-0.3, 0.0, 0.3):
-                z = (r * cmath.exp(1j * th * PI / 8 / 0.3),)
-                kernel = wedge_bound(z, (a,), (b,), (lam,), c, eps)
-                samples.append((z, 2.5 * kernel))
-        from polygevrey import fit_wedge_constant as fwc
-
-        assert fwc(samples, (a,), (b,), (lam,), c, eps) == pytest.approx(2.5, rel=1e-12)
-
-    def test_shift_search_satisfies_conditions(self):
-        from polygevrey import wedge_shift_search
-
-        eps, c, lam, alpha = 0.4, 2.0, 1.5, 0.5
-        a = wedge_shift_search(eps, c, lam, alpha)
-        assert c / a**lam < 1
-        # spot-check the sampled angle condition at a few points
-        z0 = cmath.exp(1j * alpha)
-        for t, phi in [(0.01, -alpha), (1.0, 0.0), (50.0, alpha)]:
-            z = a * z0 + t * cmath.exp(1j * phi)
-            theta, theta0 = cmath.phase(z), cmath.phase(z - z0)
-            if theta + alpha > 0:
-                assert (theta0 + alpha) / (theta + alpha) >= 1 - eps - 1e-9
-
-    def test_shift_search_monotone_in_eps(self):
-        from polygevrey import wedge_shift_search
-
-        tight = wedge_shift_search(0.1, 1.0, 1.0, 0.4)
-        loose = wedge_shift_search(0.6, 1.0, 1.0, 0.4)
-        assert loose <= tight
-
-    def test_shift_search_validation(self):
-        from polygevrey import wedge_shift_search
-
-        with pytest.raises(DomainError):
-            wedge_shift_search(1.5, 1.0, 1.0, 0.4)

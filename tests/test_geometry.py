@@ -14,7 +14,6 @@ from polygevrey import (
     Sector,
     distinguished_boundary_points,
     geometric_radii,
-    is_subpolysector,
     ray_points,
 )
 from polygevrey.families import axis_coefficient_ladder
@@ -50,52 +49,6 @@ class TestContains:
     def test_unreduced_angles(self):
         s = Sector(2 * PI - 0.1, 2 * PI + 0.1, 1.0)
         assert s.contains(0.5)
-
-
-class TestSubpolysector:
-    def test_proper_containment(self):
-        t = Polysector([Sector(-0.1, 0.1, 0.5)])
-        s = Polysector([Sector(-0.2, 0.2, 1.0)])
-        assert is_subpolysector(t, s)
-
-    def test_shared_edge_rejected(self):
-        t = Polysector([Sector(-0.2, 0.1, 0.5)])
-        s = Polysector([Sector(-0.2, 0.2, 1.0)])
-        assert not is_subpolysector(t, s)
-
-    def test_equal_radius_rejected(self):
-        t = Polysector([Sector(-0.1, 0.1, 1.0)])
-        s = Polysector([Sector(-0.2, 0.2, 1.0)])
-        assert not is_subpolysector(t, s)
-
-    def test_unbounded_t_rejected(self):
-        t = Polysector([Sector(-0.1, 0.1, math.inf)])
-        s = Polysector([Sector(-0.2, 0.2, math.inf)])
-        assert not is_subpolysector(t, s)
-
-    def test_dimension_mismatch(self):
-        t = Polysector([sector()])
-        s = Polysector([sector(), sector()])
-        with pytest.raises(DimensionMismatchError):
-            is_subpolysector(t, s)
-
-    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(0.01, 1.0), st.floats(0.1, 5)),
-                    min_size=3, max_size=3))
-    def test_transitive_irreflexive(self, triples):
-        # nest three sectors so containment is strict at each step, then check
-        sectors = []
-        lo, width, rho = -3.5, 8.0, 10.0
-        for da, dw, dr in triples:
-            lo2 = lo + abs(da) * 0.1 + 0.01
-            width2 = width * (0.5 + 0.4 * dw / 1.0) * 0.9
-            rho2 = rho * (0.3 + 0.5 * dw)
-            sectors.append((lo2, lo2 + width2, min(rho2, rho * 0.9)))
-            lo, width, rho = lo2, width2, min(rho2, rho * 0.9)
-        ps = [Polysector([Sector(a, b, r)]) for a, b, r in sectors]
-        for p in ps:
-            assert not is_subpolysector(p, p)
-        if is_subpolysector(ps[2], ps[1]) and is_subpolysector(ps[1], ps[0]):
-            assert is_subpolysector(ps[2], ps[0])
 
 
 class TestRayPoints:
