@@ -19,12 +19,11 @@ _EXPORTS = {
         "errors": "CoherenceError ConfigError DimensionMismatchError DomainError FamilyError"
         " GeometryError PolygevreyError ProbeError QuadratureError SeriesError TailError"
         " UnknownEntryError",
-        "geometry": "Multidirection Polysector Sector distinguished_boundary_points"
-        " geometric_radii ray_points",
+        "geometry": "Polysector Sector distinguished_boundary_points geometric_radii ray_points",
         "series": "GevreyFit MultiIndexSeries borel_transform fit_gevrey_type gamma1_norm",
-        "families": "CoherenceReport ExtractResult FirstOrderFamily ProbeSpec TotalFamily app_n"
-        " check_coherence check_first_order_coherence extract_element family_from_series"
-        " first_order_of fit_type_from_remainders remainder_constants",
+        "families": "CoherenceReport ExtractResult ProbeSpec TotalFamily app_n check_coherence"
+        " check_first_order_coherence extract_element family_from_series fit_type_from_remainders"
+        " remainder_constants",
         "transforms": "LaplaceSpec SampledFunction brg_function brg_type interpolate_first_order"
         " truncated_laplace_nd",
         "typecalc": "TypeProfile circle_type final_type fz_type g_of_delta gamma_constant r_tilde"

@@ -21,7 +21,6 @@ CATALOGUE: dict[str, tuple[int, dict[str, str]]] = {
     }),
     "rat2": (2, {
         "total_family": "Taylor slices of 1/((1+z1)(1+z2)): f_{1n}(z2) = (-1)^n/(1+z2), exact",
-        "first_order": "same slices restricted to single-axis indices",
         "series": "coefficients (-1)^{n+m}, exact",
         "gevrey_types": "the double series converges; no finite type",
         "flat_rates": "nonzero limit at the vertex: merely bounded",

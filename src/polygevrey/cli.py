@@ -304,11 +304,10 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
     elif mode == "flat":
         from .flatness_bounds import fit_flat_type
-        from .geometry import Multidirection, ray_points
+        from .geometry import ray_points
 
         for theta_t in _directions(cfg):
-            d = Multidirection(theta_t)
-            pts = ray_points(entry.fn.domain, d, [radii] * entry.dim)
+            pts = ray_points(entry.fn.domain, theta_t, [radii] * entry.dim)
             samples = [
                 (tuple(abs(w) for w in pt), abs(entry.fn(pt)))
                 for pt in pts
@@ -447,11 +446,11 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         from .families import check_first_order_coherence
 
         entry = _entry(cfg)
-        fam1 = entry.known.get("first_order")
-        if fam1 is None:
-            raise ConfigError(f"entry {entry.id!r} has no first-order family")
+        fam = entry.known.get("total_family")
+        if fam is None:
+            raise ConfigError(f"entry {entry.id!r} has no total family")
         rep = check_first_order_coherence(
-            fam1, _get(cfg, "tol", float, 1e-6), max_order=_max_order(cfg, 2)
+            fam, _get(cfg, "tol", float, 1e-6), max_order=_max_order(cfg, 2)
         )
         ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
@@ -471,7 +470,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
     opening = _get(cfg, "opening", float, 1.2)
     cap = _get(cfg, "cap", int, 16)
     z0 = _z0_from(cfg) if "z0" in cfg else (0.92, 0.92)
-    fam1 = testbed.rat2_first_order_family(opening=opening, cap=cap)
+    fam = testbed.rat2_total_family(opening=opening, cap=cap)
     profiles = [TypeProfile.constant(-opening, opening, 1.0)] * 2
     inner = _probe_from(
         cfg, "inner_probe", r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128
@@ -485,7 +484,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
     )
     tol = _get(cfg, "tol", float, 1e-4)
     func = interpolate_first_order(
-        fam1,
+        fam,
         profiles,
         z0,
         probe=inner,

@@ -24,7 +24,7 @@ from .errors import (
     ProbeError,
     Record,
 )
-from .geometry import Polysector, Sector
+from .geometry import Polysector, Sector, ray_points
 from .series import MultiIndexSeries, rate_fit
 from .transforms import LaplaceTables, SampledFunction, borel_disc_types, half_plane_polysector
 
@@ -51,7 +51,11 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 class TotalFamily(Record):
-    """Map (J, N_J) -> coefficient function on the complementary axes."""
+    """Map (J, N_J) -> coefficient function on the complementary axes.
+
+    The first-order family is the part with #J = 1, not a separate type:
+    :meth:`sequence` reads it one axis at a time.
+    """
 
     dim: int
     host: Polysector
@@ -97,57 +101,12 @@ class TotalFamily(Record):
         key = set(_subset_key(axes))
         return tuple(a for a in range(self.dim) if a not in key)
 
-    def to_manifest(self) -> dict:
-        items = []
-        for (axes, idx) in sorted(self.elements):
-            elem = self.elements[(axes, idx)]
-            entry = {"J": list(axes), "N_J": list(idx), "provenance": elem.provenance}
-            if elem.domain.dim == 0:
-                entry["value"] = [elem.const.real, elem.const.imag]
-            items.append(entry)
-        return {
-            "dim": self.dim,
-            "index_bound": list(self.index_bound),
-            "host": self.host.to_json(),
-            "elements": items,
-        }
-
-
-class FirstOrderFamily(Record):
-    """The subfamily depending on all-but-one variable: n coefficient sequences."""
-
-    dim: int
-    host: Polysector
-    sequences: tuple[tuple[SampledFunction, ...], ...]
-
-    def __init__(self, dim, host, sequences):
-        dim = int(dim)
-        if host.dim != dim:
-            raise DimensionMismatchError("host polysector dimension mismatch")
-        sequences = tuple(tuple(seq) for seq in sequences)
-        if len(sequences) != dim:
-            raise DimensionMismatchError("one sequence per axis required")
-        for j, seq in enumerate(sequences):
-            for elem in seq:
-                if elem.domain.dim != dim - 1:
-                    raise FamilyError(f"axis-{j} elements must live on {dim - 1} axes")
-        self._set(dim, host, sequences)
-
-    def caps(self) -> tuple[int, ...]:
-        return tuple(len(seq) - 1 for seq in self.sequences)
-
-
-def first_order_of(fam: TotalFamily) -> FirstOrderFamily:
-    """Select the #J = 1 elements, per axis in index order."""
-    sequences = []
-    for j in range(fam.dim):
+    def sequence(self, axis: int) -> tuple[SampledFunction, ...]:
+        """The #J = 1 elements f_{j,0}, f_{j,1}, ... for J = {axis}, up to the first index not stored."""
         seq = []
-        m = 0
-        while fam.has_element((j,), (m,)):
-            seq.append(fam.element((j,), (m,)))
-            m += 1
-        sequences.append(tuple(seq))
-    return FirstOrderFamily(fam.dim, fam.host, tuple(sequences))
+        while ((axis,), (len(seq),)) in self.elements:
+            seq.append(self.elements[(axis,), (len(seq),)])
+        return tuple(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -599,35 +558,36 @@ def check_coherence(
 
 
 def check_first_order_coherence(
-    fam1: FirstOrderFamily,
+    fam: TotalFamily,
     tol: float,
     probe: ProbeSpec | None = None,
     max_order: int = 2,
 ) -> CoherenceReport:
-    """Cross-consistency of a two-variable first-order family.
+    """Cross-consistency of the first-order (#J = 1) elements of a two-variable family.
 
     The m-th coefficient of f_{1n} and the n-th coefficient of f_{2m} must
     agree (both equal the (n, m) constant of the underlying total family).
     Two ladders: one over every f_{1n} with orders m <= m_cap, one over every
     f_{2m} with orders n <= n_cap.
     """
-    if fam1.dim != 2:
+    if fam.dim != 2:
         raise DimensionMismatchError("first-order coherence check implemented for dim 2")
     probe = probe or ProbeSpec(steps=20, tol=tol)
-    n_cap = min(len(fam1.sequences[0]) - 1, max_order)
-    m_cap = min(len(fam1.sequences[1]) - 1, max_order)
+    seq1, seq2 = fam.sequence(0), fam.sequence(1)
+    n_cap = min(len(seq1) - 1, max_order)
+    m_cap = min(len(seq2) - 1, max_order)
     if n_cap < 0 or m_cap < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
     vals1, errs1, conv1, _ = (
         a[..., 0]
         for a in element_coefficients(
-            fam1.sequences[0][: n_cap + 1], (0,), [(m,) for m in range(m_cap + 1)], probe
+            seq1[: n_cap + 1], (0,), [(m,) for m in range(m_cap + 1)], probe
         )
     )
     vals2, errs2, conv2, _ = (
         a[..., 0]
         for a in element_coefficients(
-            fam1.sequences[1][: m_cap + 1], (0,), [(n,) for n in range(n_cap + 1)], probe
+            seq2[: m_cap + 1], (0,), [(n,) for n in range(n_cap + 1)], probe
         )
     )
     failures = []
@@ -731,11 +691,7 @@ def remainder_constants(
     tiny |z|^N would fabricate spurious constants.  Indices whose every grid
     point is noise-dominated are omitted from the result.
     """
-    from .geometry import Multidirection, ray_points
-
-    d = Multidirection(direction)
-    pts_list = ray_points(f.domain, d, radii)
-    pts = np.asarray(pts_list, dtype=complex)
+    pts = np.asarray(ray_points(f.domain, direction, radii), dtype=complex)
     fvals = f.eval_many(pts)
     rad = np.abs(pts)
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, GeometryError, Record, SeriesError
-from .geometry import Multidirection, Polysector, distinguished_boundary_points, ray_points
+from .geometry import Polysector, distinguished_boundary_points, ray_points
 from .series import rate_fit
 from .transforms import SampledFunction
 
@@ -274,11 +274,14 @@ class NullFitEntry(Record):
 
 def null_expansion_check(
     f: SampledFunction,
-    d: Multidirection,
+    thetas: Sequence[float],
     n_list: Sequence[Sequence[int]],
     radii: Sequence[Sequence[float]],
 ) -> list[NullFitEntry]:
     """Per-N constants c(N) with |f(z)| <= c(N) |z|^N along the ray grid.
+
+    ``thetas`` is the multidirection, a tuple of one angle per axis, and
+    ``radii`` one radius list per axis (:func:`~polygevrey.geometry.ray_points`).
 
     Tests the conclusion of the argument on samples: run along several
     multidirections, it shows a null expansion holding along each of them.
@@ -288,8 +291,7 @@ def null_expansion_check(
     is False when the ratio grows toward the vertex, i.e. the claimed power
     is not actually attained (log-residual large and tilted).
     """
-    pts_list = ray_points(f.domain, d, radii)
-    pts = np.asarray(pts_list, dtype=complex)
+    pts = np.asarray(ray_points(f.domain, thetas, radii), dtype=complex)
     vals = np.abs(f.eval_many(pts))
     rad = np.abs(pts)
     out = []

@@ -1,4 +1,6 @@
-"""Plane sectors, polysectors, multidirections, and the sampling grids built on them.
+"""Plane sectors, polysectors, and the sampling grids built on them.
+
+A multidirection is a plain tuple of angles, one per axis.
 
 Angles are stored unreduced (no mod 2*pi) so that openings close to pi stay
 unambiguous; the sine and circle formulas elsewhere depend on signed angle
@@ -69,13 +71,6 @@ class Sector(Record):
             dist = min(dist, self.rho - r)
         return dist
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rho": "inf" if not self.bounded else self.rho,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "Sector":
         try:
@@ -100,13 +95,6 @@ class Polysector(Record):
     def dim(self) -> int:
         return len(self.sectors)
 
-    @property
-    def bounded(self) -> bool:
-        return all(s.bounded for s in self.sectors)
-
-    def bisector(self) -> "Multidirection":
-        return Multidirection(tuple(s.bisector for s in self.sectors))
-
     def contains(self, zs: Sequence[complex]) -> bool:
         if len(zs) != self.dim:
             raise DimensionMismatchError(f"point has {len(zs)} coordinates, polysector {self.dim}")
@@ -114,9 +102,6 @@ class Polysector(Record):
 
     def axes_subset(self, axes: Iterable[int]) -> "Polysector":
         return Polysector(self.sectors[j] for j in sorted(axes))
-
-    def to_json(self) -> dict:
-        return {"sectors": [s.to_json() for s in self.sectors]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polysector":
@@ -132,39 +117,6 @@ class Polysector(Record):
 EMPTY_POLYSECTOR = Polysector(())
 
 
-class Multidirection(Record):
-    """One fixed argument per axis."""
-
-    thetas: tuple[float, ...]
-
-    def __init__(self, thetas: Iterable[float]):
-        self._set(tuple(float(t) for t in thetas))
-
-    @property
-    def dim(self) -> int:
-        return len(self.thetas)
-
-    def __iter__(self):
-        return iter(self.thetas)
-
-    def __getitem__(self, j):
-        return self.thetas[j]
-
-    def in_polysector(self, s: Polysector) -> bool:
-        if self.dim != s.dim:
-            raise DimensionMismatchError(f"direction dim {self.dim} != polysector dim {s.dim}")
-        return all(sec.alpha < t < sec.beta for sec, t in zip(s.sectors, self.thetas))
-
-    def to_json(self) -> list[float]:
-        return list(self.thetas)
-
-    @classmethod
-    def from_json(cls, obj) -> "Multidirection":
-        if not isinstance(obj, (list, tuple)) or not obj:
-            raise GeometryError(f"bad multidirection descriptor: {obj!r}")
-        return cls(float(t) for t in obj)
-
-
 def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:
     """Default grid r_k = r0 * ratio**k; type fits want log-spaced |z|."""
     if not (r0 > 0 and 0 < ratio < 1 and count >= 1):
@@ -174,16 +126,21 @@ def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:
 
 def ray_points(
     s: Polysector,
-    d: Multidirection,
+    thetas: Sequence[float],
     radii: Sequence[Sequence[float]],
 ) -> list[tuple[complex, ...]]:
-    """Cartesian product of per-axis points r * e^{i theta_j}, all inside ``s``."""
-    if not d.in_polysector(s):
+    """Cartesian product of per-axis points r * e^{i theta_j}, all inside ``s``.
+
+    ``thetas`` is the multidirection: one angle per axis, each inside its sector.
+    """
+    if len(thetas) != s.dim:
+        raise DimensionMismatchError(f"direction has {len(thetas)} angles, polysector {s.dim}")
+    if not all(sec.alpha < t < sec.beta for sec, t in zip(s.sectors, thetas)):
         raise GeometryError("direction lies outside the polysector")
     if len(radii) != s.dim:
         raise DimensionMismatchError("one radius list per axis required")
     per_axis: list[list[complex]] = []
-    for sec, theta, axis in zip(s.sectors, d.thetas, radii):
+    for sec, theta, axis in zip(s.sectors, thetas, radii):
         pts = []
         for r in axis:
             if not 0 < r < sec.rho:

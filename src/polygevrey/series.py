@@ -80,15 +80,6 @@ class MultiIndexSeries(Record):
             self.degree_bound,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "degree_bound": list(self.degree_bound),
-            "coeffs": [
-                {"index": list(ix), "re": c.real, "im": c.imag} for ix, c in self.items()
-            ],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "MultiIndexSeries":
         try:

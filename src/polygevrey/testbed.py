@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalogue import CATALOGUE
 from .errors import Record, UnknownEntryError
-from .families import FirstOrderFamily, TotalFamily, first_order_of, slice_family
+from .families import TotalFamily, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
 from .transforms import LaplaceSpec, SampledFunction, brg_function, brg_type, half_plane_polysector
@@ -93,14 +93,12 @@ def rat2_sector(opening: float = 1.2) -> Sector:
 
 def rat2_entry() -> RegistryEntry:
     domain = Polysector([rat2_sector()] * 2)
-    total = rat2_total_family()
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return 1.0 / ((1.0 + pts[:, 0]) * (1.0 + pts[:, 1]))
 
     return _entry("rat2", SampledFunction(domain, fn), {
-        "total_family": total,
-        "first_order": first_order_of(total),
+        "total_family": rat2_total_family(),
         "series": rat2_series(),
         "gevrey_types": (math.inf, math.inf),
         "flat_rates": (0.0, 0.0),
@@ -135,10 +133,6 @@ def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
                 (-1.0) ** (h + k), provenance="closed-form"
             )
     return TotalFamily(2, host, elements, (cap, cap))
-
-
-def rat2_first_order_family(opening: float = 1.2, cap: int = 8) -> FirstOrderFamily:
-    return first_order_of(rat2_total_family(opening, cap))
 
 
 def poly_series() -> MultiIndexSeries:

@@ -525,15 +525,16 @@ def laplace_bound(phi: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
 
 
 def interpolate_first_order(
-    fam1,
+    fam,
     profiles,
     z0: Sequence[complex],
     probe=None,
     coeff_cap: int = 8,
     precheck_tol: float | None = 1e-4,
 ) -> SampledFunction:
-    """Interpolate a coherent two-variable first-order family.
+    """Interpolate the coherent first-order family of a two-variable total family.
 
+    Only the #J = 1 elements of ``fam`` are read (:meth:`TotalFamily.sequence`).
     Two passes, both closed-form truncated Laplace transforms, with L_j[n] the
     transform of t^n/n! along axis j (:func:`laplace_monomials`).  The first
     pass transforms the exponential generating series of the axis-0 sequence,
@@ -560,9 +561,12 @@ def interpolate_first_order(
     """
     from .families import ProbeSpec, check_first_order_coherence, element_coefficients
 
-    if fam1.dim != 2:
+    if fam.dim != 2:
         raise DomainError("interpolation implemented for two variables")
-    host = fam1.host
+    f1, f2 = fam.sequence(0), fam.sequence(1)
+    if not (f1 and f2):
+        raise DomainError("interpolation needs at least one first-order element per axis")
+    host = fam.host
     z0 = tuple(complex(w) for w in z0)
     if len(z0) != 2:
         raise DomainError("z0 must have two components")
@@ -579,7 +583,7 @@ def interpolate_first_order(
     probe = probe or ProbeSpec()
 
     if precheck_tol is not None:
-        report = check_first_order_coherence(fam1, precheck_tol, probe, max_order=1)
+        report = check_first_order_coherence(fam, precheck_tol, probe, max_order=1)
         if report.failures or report.probe_failures:
             raise CoherenceError(
                 f"first-order family fails coherence at {precheck_tol:g}: "
@@ -588,8 +592,6 @@ def interpolate_first_order(
                 report=report,
             )
 
-    f1 = fam1.sequences[0]
-    f2 = fam1.sequences[1]
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)
     consts, errs, conv, _ = (

@@ -179,20 +179,6 @@ class TypeProfile(Record):
             raise DomainError("constant profile must be positive")
         return cls(alpha, beta, lambda _theta: value)
 
-    def value(self, theta: float) -> float:
-        if not self.alpha < theta < self.beta:
-            raise DomainError(f"theta={theta} outside ({self.alpha}, {self.beta})")
-        v = self.fn(theta)
-        if not v > 0:
-            raise DomainError(f"profile not positive at theta={theta}: {v}")
-        return v
-
-    def inf_on(self, lo: float, hi: float) -> float:
-        """Positivity witness: infimum over a compact subinterval, sampled at 257 points."""
-        if not (self.alpha < lo <= hi < self.beta):
-            raise DomainError("compact subinterval must sit inside the open domain")
-        return min(self.fn(lo + (hi - lo) * k / 256) for k in range(257))
-
     def sup(self) -> float:
         """Approximate sup over the open domain (1024-point grid, local refinement), kept by the profile."""
         return self._sup

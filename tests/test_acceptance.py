@@ -229,11 +229,11 @@ def test_criterion_10_fz_law():
 def test_criterion_11_interpolation_pipeline():
     t0 = time.perf_counter()
     opening = 1.2
-    fam1 = testbed.rat2_first_order_family(opening=opening, cap=16)
+    fam = testbed.rat2_total_family(opening=opening, cap=16)
     profiles = [pg.TypeProfile.constant(-opening, opening, 1.0)] * 2
     inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
     func = pg.interpolate_first_order(
-        fam1,
+        fam,
         profiles,
         (0.92, 0.92),
         probe=inner,
@@ -263,9 +263,7 @@ def test_criterion_12_null_expansion_propagation():
     n_list = [(h, k) for h in range(11) for k in range(11)]
     details = []
     for theta in (0.0, PI / 8):
-        entries = pg.null_expansion_check(
-            f, pg.Multidirection((theta, theta)), n_list, [radii, radii]
-        )
+        entries = pg.null_expansion_check(f, (theta, theta), n_list, [radii, radii])
         assert all(e.decaying for e in entries)
         assert all(math.isfinite(e.c_sup) and e.c_sup > 0 for e in entries)
         cons = {e.n_index: e.c_sup for e in entries}

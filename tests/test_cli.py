@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import importlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -137,8 +139,10 @@ class TestDispatch:
             polygevrey.no_such_name
 
     def test_every_exported_function_has_a_caller(self):
-        # each public function is used by the library, bound by the benchmark
-        # or reached by an acceptance criterion; tests of its own do not count
+        # each exported function and class, and each public method, property
+        # and classmethod of an exported class, is used by the library, bound
+        # by the benchmark or reached by an acceptance criterion; tests of its
+        # own do not count
         root = Path(__file__).resolve().parents[1]
         src = root / "src" / "polygevrey"
         used = set()
@@ -156,9 +160,20 @@ class TestDispatch:
                 if isinstance(node, (ast.Name, ast.Attribute)) and own.get(id(node)) != name:
                     used.add(name)
         named = "\n".join(p.read_text() for p in [*root.glob("bench/*.py"), root / "tests" / "test_acceptance.py"])
-        functions = [n for n in polygevrey.__all__ if not isinstance(getattr(polygevrey, n), type)]
-        unreached = [n for n in functions if n not in used and not re.search(rf"\b{n}\b", named)]
-        assert not unreached, f"exported functions that nothing reaches: {unreached}"
+        members = (types.FunctionType, property, classmethod, staticmethod, functools.cached_property)
+        names = list(polygevrey.__all__)
+        for name in polygevrey.__all__:
+            obj = getattr(polygevrey, name)
+            if isinstance(obj, type) and not issubclass(obj, BaseException):
+                names += [
+                    f"{name}.{attr}" for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and isinstance(member, members)
+                ]
+        unreached = [
+            n for n in names
+            if (word := n.rpartition(".")[2]) not in used and not re.search(rf"\b{word}\b", named)
+        ]
+        assert not unreached, f"exported names that nothing reaches: {unreached}"
 
 
 class TestPredictType:
@@ -537,6 +552,15 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
 
+    def test_first_order_poly(self, tmp_path):
+        # any entry with a total family has a first-order family: its #J = 1 elements
+        cfg = write(tmp_path, "vp.json", {"suite": "first-order", "testbed": "poly", "tol": 1e-6})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "first_order.json").read_text())["report"]
+        assert report["checked_pairs"] == 9
+        assert report["max_residual"] < 1e-9
+
     @pytest.mark.parametrize("suite", ["coherence", "first-order"])
     def test_negative_max_order_rejected(self, tmp_path, capsys, suite):
         cfg = write(tmp_path, "vn.json", {"suite": suite, "testbed": "rat2", "max_order": -1})
@@ -595,6 +619,12 @@ class TestInterpolate:
         }
         path = write(tmp_path, "ip4.json", {**cfg, **bad})
         assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+    def test_empty_family_rejected(self, tmp_path, capsys):
+        # cap -1 stores no first-order element: a config error, not an internal one
+        path = write(tmp_path, "ip5.json", {"testbed": "rat2", "cap": -1})
+        assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert "interpolation needs at least one first-order element per axis" in capsys.readouterr().err
 
     def test_failing_verdict_exit_code(self, tmp_path):
         cfg = write(

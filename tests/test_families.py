@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 from polygevrey import (
     DomainError,
     FamilyError,
-    FirstOrderFamily,
     LaplaceSpec,
     MultiIndexSeries,
-    Multidirection,
     Polysector,
     ProbeError,
     ProbeSpec,
@@ -26,7 +24,6 @@ from polygevrey import (
     check_first_order_coherence,
     extract_element,
     family_from_series,
-    first_order_of,
     fit_type_from_remainders,
     remainder_constants,
 )
@@ -391,37 +388,34 @@ class TestCoherence:
 class TestFirstOrder:
     def test_two_variable_selection(self):
         fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
-        fam1 = first_order_of(fam)
-        assert fam1.dim == 2
-        assert len(fam1.sequences) == 2
-        assert all(len(seq) == 4 for seq in fam1.sequences)
+        seqs = [fam.sequence(axis) for axis in range(2)]
+        assert all(len(seq) == 4 for seq in seqs)
         # matches the worked two-variable shape: one sequence per axis, each
         # element a function of the other variable
-        assert fam1.sequences[0][0].domain.dim == 1
+        assert seqs[0][0].domain.dim == 1
+        assert seqs[1] == tuple(fam.element((1,), (n,)) for n in range(4))
 
     def test_one_variable(self):
         ser = MultiIndexSeries(1, {(n,): float(n + 1) for n in range(3)}, (2,))
         fam = family_from_series(ser, (0.5,))
-        fam1 = first_order_of(fam)
-        assert [el() for el in fam1.sequences[0]] == [1.0, 2.0, 3.0]
+        assert [el() for el in fam.sequence(0)] == [1.0, 2.0, 3.0]
 
     def test_empty_cap(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
         fam = TotalFamily(2, host, {}, (0, 0))
-        fam1 = first_order_of(fam)
-        assert fam1.caps() == (-1, -1)
-        assert check_first_order_coherence(fam1, 1e-6).checked_pairs == 0
+        assert fam.sequence(0) == fam.sequence(1) == ()
+        assert check_first_order_coherence(fam, 1e-6).checked_pairs == 0
 
     def test_first_order_coherence_rat2(self):
-        fam1 = testbed.rat2_first_order_family(cap=4)
-        rep = check_first_order_coherence(fam1, 1e-6, max_order=2)
+        fam = testbed.rat2_total_family(cap=4)
+        rep = check_first_order_coherence(fam, 1e-6, max_order=2)
         assert rep.ok()
         assert rep.checked_pairs == 9
 
     def test_first_order_coherence_runs_two_ladders(self, monkeypatch):
         calls = count_ladders(monkeypatch)
-        fam1 = testbed.rat2_first_order_family(cap=4)
-        rep = check_first_order_coherence(fam1, 1e-6, max_order=2)
+        fam = testbed.rat2_total_family(cap=4)
+        rep = check_first_order_coherence(fam, 1e-6, max_order=2)
         assert rep.checked_pairs == 9
         assert calls == [3, 3]
 
@@ -430,14 +424,17 @@ class TestFirstOrder:
 
         def const(axis, v):
             return SampledFunction(
-                host.axes_subset((axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
+                host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
             )
 
         # f_{11} says the (1, 0) constant is 2; f_{20} says it is 0
-        fam1 = FirstOrderFamily(
-            2, host, ((const(1, 1.0), const(1, 2.0)), (const(0, 1.0), const(0, 0.0)))
-        )
-        rep = check_first_order_coherence(fam1, 1e-6, max_order=1)
+        elements = {
+            ((axis,), (n,)): const(axis, v)
+            for axis, vs in enumerate(((1.0, 2.0), (1.0, 0.0)))
+            for n, v in enumerate(vs)
+        }
+        fam = TotalFamily(2, host, elements, (1, 1))
+        rep = check_first_order_coherence(fam, 1e-6, max_order=1)
         assert rep.checked_pairs == 4
         assert [f[:4] for f in rep.failures] == [((0,), (1,), (1,), (0,))]
 
@@ -498,12 +495,12 @@ class TestFamilyFromSeries:
             assert abs(res.value - want) <= max(5 * res.error, 1e-6)
 
     def test_manifest(self):
+        # each element says how it was made
         fam = family_from_series(testbed.rat2_series(cap=1), (0.5, 0.5))
-        man = fam.to_manifest()
-        assert man["dim"] == 2
-        provs = {tuple(e["J"]): e["provenance"] for e in man["elements"]}
-        assert provs[(0,)] == "closed-form"
-        assert provs[(0, 1)] == "series"
+        assert fam.dim == 2
+        assert fam.element((0,), (1,)).provenance == "closed-form"
+        assert fam.element((1,), (0,)).provenance == "closed-form"
+        assert fam.element((0, 1), (1, 0)).provenance == "series"
 
 
 class TestSharedTables:
@@ -552,9 +549,9 @@ class TestSharedTables:
 
 def per_index_constants(f, fam, direction, radii, n_indices, noise_floor):
     """The remainder constants with one app_n_many call per truncation index."""
-    from polygevrey.geometry import Multidirection, ray_points
+    from polygevrey.geometry import ray_points
 
-    pts = np.asarray(ray_points(f.domain, Multidirection(direction), radii), dtype=complex)
+    pts = np.asarray(ray_points(f.domain, direction, radii), dtype=complex)
     fvals = f.eval_many(pts)
     out = {}
     for n_index in n_indices:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from polygevrey import (
     DimensionMismatchError,
     DomainError,
-    Multidirection,
     Polysector,
     SampledFunction,
     Sector,
@@ -269,7 +268,7 @@ class TestNullExpansion:
         f = SampledFunction(dom, lambda p: np.exp(-1.0 / p[:, 0] - 1.0 / p[:, 1]))
         radii = [1.0 * 0.8**k for k in range(20)]
         entries = null_expansion_check(
-            f, Multidirection((0.0, 0.0)), [(n, n) for n in range(5)], [radii, radii]
+            f, (0.0, 0.0), [(n, n) for n in range(5)], [radii, radii]
         )
         assert all(e.decaying for e in entries)
         assert all(math.isfinite(e.c_sup) and e.c_sup > 0 for e in entries)
@@ -278,7 +277,7 @@ class TestNullExpansion:
         dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)
         f = SampledFunction(dom, lambda p: p[:, 0] ** 3)
         entries = null_expansion_check(
-            f, Multidirection((0.0, 0.0)), [(2, 0)], [[1.0, 0.5, 0.25], [1.0, 0.5]]
+            f, (0.0, 0.0), [(2, 0)], [[1.0, 0.5, 0.25], [1.0, 0.5]]
         )
         assert entries[0].c_sup == pytest.approx(1.0)
         assert entries[0].decaying
@@ -287,7 +286,7 @@ class TestNullExpansion:
         dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)
         f = SampledFunction(dom, lambda p: np.ones(len(p), dtype=complex))
         entries = null_expansion_check(
-            f, Multidirection((0.0, 0.0)), [(1, 0)], [[1.0, 0.5, 0.25, 0.125], [1.0]]
+            f, (0.0, 0.0), [(1, 0)], [[1.0, 0.5, 0.25, 0.125], [1.0]]
         )
         assert not entries[0].decaying
         assert entries[0].c_sup == pytest.approx(8.0)

@@ -6,12 +6,12 @@ import pytest
 from polygevrey import (
     CoherenceError,
     DomainError,
-    FirstOrderFamily,
     Polysector,
     ProbeError,
     ProbeSpec,
     SampledFunction,
     Sector,
+    TotalFamily,
     TypeProfile,
     extract_element,
     interpolate_first_order,
@@ -29,15 +29,15 @@ def host2(opening=OPENING):
 
 
 def constant_sequences(host, values0, values1):
-    ax0 = host.axes_subset((1,))
-    ax1 = host.axes_subset((0,))
+    """A total family whose only elements are the constants f_{1n} = values0[n] and f_{2m} = values1[m]."""
 
-    def mk(dom, v):
-        return SampledFunction(dom, lambda p, _v=v: np.full(len(p), _v, dtype=complex))
+    def mk(axis, v):
+        return SampledFunction(host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex))
 
-    seq0 = tuple(mk(ax0, v) for v in values0)
-    seq1 = tuple(mk(ax1, v) for v in values1)
-    return FirstOrderFamily(2, host, (seq0, seq1))
+    elements = {
+        ((axis,), (n,)): mk(axis, v) for axis, values in enumerate((values0, values1)) for n, v in enumerate(values)
+    }
+    return TotalFamily(2, host, elements, (len(values0) - 1, len(values1) - 1))
 
 
 def profiles(opening=OPENING, value=1.0):
@@ -46,18 +46,18 @@ def profiles(opening=OPENING, value=1.0):
 
 class TestTrivialFamilies:
     def test_zero_family(self):
-        fam1 = constant_sequences(host2(), [0.0] * 6, [0.0] * 6)
+        fam = constant_sequences(host2(), [0.0] * 6, [0.0] * 6)
         func = interpolate_first_order(
-            fam1, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
+            fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
         assert abs(func((0.1, 0.1))) < 1e-10
         res = extract_element(func, (0,), (0,), (0.1,), strict=False)
         assert abs(res.value) < 1e-8
 
     def test_delta_family_interpolates_one(self):
-        fam1 = constant_sequences(host2(), [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0])
+        fam = constant_sequences(host2(), [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0])
         func = interpolate_first_order(
-            fam1, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
+            fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
         assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged"
         res0 = extract_element(func, (0,), (0,), (0.1,), strict=False)
@@ -75,8 +75,8 @@ class TestTrivialFamilies:
         # h2 = sum_m (d_m - [m == 0] sum_n c_n L1[n](z1)) L2[m](z2)
         c = [0.7, -0.2, 0.05, 0.0]
         d = [0.7, 0.3, -0.1, 0.02]
-        fam1 = constant_sequences(host2(), c, d)
-        func = interpolate_first_order(fam1, profiles(), (0.9, 0.8), coeff_cap=3, precheck_tol=None)
+        fam = constant_sequences(host2(), c, d)
+        func = interpolate_first_order(fam, profiles(), (0.9, 0.8), coeff_cap=3, precheck_tol=None)
         z1, z2 = 0.21 + 0.05j, 0.13 - 0.02j
         lap1 = laplace_monomials(0.9, z1, 3)[:, 0]
         lap2 = laplace_monomials(0.8, z2, 3)[:, 0]
@@ -89,43 +89,49 @@ class TestTrivialFamilies:
 class TestValidation:
     def test_dimension(self):
         host = Polysector([Sector(-0.5, 0.5, math.inf)])
-        fam1 = FirstOrderFamily(1, host, ((SampledFunction.constant(1.0),),))
+        fam = TotalFamily(1, host, {((0,), (0,)): SampledFunction.constant(1.0)}, (0,))
         with pytest.raises(DomainError):
-            interpolate_first_order(fam1, profiles(), (0.9, 0.9))
+            interpolate_first_order(fam, profiles(), (0.9, 0.9))
 
     def test_opening_exceeds_pi(self):
         wide = Polysector([Sector(-1.7, 1.7, math.inf)] * 2)
-        fam1 = constant_sequences(wide, [1.0], [1.0])
+        fam = constant_sequences(wide, [1.0], [1.0])
         prof = [TypeProfile.constant(-1.7, 1.7, 1.0)] * 2
         with pytest.raises(DomainError):
-            interpolate_first_order(fam1, prof, (0.9, 0.9))
+            interpolate_first_order(fam, prof, (0.9, 0.9))
 
     def test_z0_exceeds_profile_sup(self):
-        fam1 = constant_sequences(host2(), [1.0], [1.0])
+        fam = constant_sequences(host2(), [1.0], [1.0])
         with pytest.raises(DomainError):
-            interpolate_first_order(fam1, profiles(value=0.5), (0.9, 0.9))
+            interpolate_first_order(fam, profiles(value=0.5), (0.9, 0.9))
+
+    @pytest.mark.parametrize("values0, values1", [([1.0], []), ([], [1.0])])
+    def test_empty_axis_rejected(self, values0, values1):
+        fam = constant_sequences(host2(), values0, values1)
+        with pytest.raises(DomainError, match="at least one first-order element per axis"):
+            interpolate_first_order(fam, profiles(), (0.9, 0.9))
 
     def test_incoherent_family_rejected(self):
         # axis-0 data says the (0,0) constant is 1; axis-1 data says 2
-        fam1 = constant_sequences(host2(), [1.0, 0.0], [2.0, 0.0])
+        fam = constant_sequences(host2(), [1.0, 0.0], [2.0, 0.0])
         with pytest.raises(CoherenceError):
             interpolate_first_order(
-                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4
+                fam, profiles(), (0.9, 0.9), precheck_tol=1e-4
             )
 
     def test_unconverged_precheck_rejected(self):
         # coherent values, but f_{10} carries noise no radius ladder can settle:
         # a precheck that converged on no pair has verified nothing
         host = host2()
-        fam1 = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
+        fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
         noisy = SampledFunction(
             host.axes_subset((1,)),
             lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
         )
-        fam1 = FirstOrderFamily(2, host, ((noisy, fam1.sequences[0][1]), fam1.sequences[1]))
+        fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
         with pytest.raises(CoherenceError) as info:
             interpolate_first_order(
-                fam1, profiles(), (0.9, 0.9), precheck_tol=1e-4
+                fam, profiles(), (0.9, 0.9), precheck_tol=1e-4
             )
         assert info.value.report.probe_failures
         assert not info.value.report.failures
@@ -133,24 +139,24 @@ class TestValidation:
     def test_unconverged_constants_rejected(self):
         # without the precheck, f_{10}'s noise reaches the ladder for the a_{m,n}
         host = host2()
-        fam1 = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
+        fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
         noisy = SampledFunction(
             host.axes_subset((1,)),
             lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
         )
-        fam1 = FirstOrderFamily(2, host, ((noisy, fam1.sequences[0][1]), fam1.sequences[1]))
+        fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
         with pytest.raises(ProbeError, match="unconverged"):
-            interpolate_first_order(fam1, profiles(), (0.9, 0.9), precheck_tol=None)
+            interpolate_first_order(fam, profiles(), (0.9, 0.9), precheck_tol=None)
 
 
 class TestRat2Smoke:
     def test_axis_constants(self):
         # a_{m,n}, the m-th coefficient of f_{1n} = (-1)^n / (1 + z2), is (-1)^(n+m);
         # one ladder with the README's inner probe, every f_{1n} a batch column
-        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=16)
+        fam = testbed.rat2_total_family(opening=OPENING, cap=16)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
         vals, errs, conv, _ = (
-            a[..., 0] for a in element_coefficients(fam1.sequences[0], (0,), [(m,) for m in range(11)], inner)
+            a[..., 0] for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], inner)
         )
         assert vals.shape == (11, 17)
         assert np.all(conv[:2])
@@ -162,13 +168,13 @@ class TestRat2Smoke:
     def test_provenance_counts_unconverged_constants(self):
         # the README interpolate config: orders >= 2 of the a_{m,n} are used
         # although the ladder leaves many unconverged, and the result says so
-        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=16)
+        fam = testbed.rat2_total_family(opening=OPENING, cap=16)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
         func = interpolate_first_order(
-            fam1, profiles(), (0.92, 0.92), probe=inner, coeff_cap=10, precheck_tol=None
+            fam, profiles(), (0.92, 0.92), probe=inner, coeff_cap=10, precheck_tol=None
         )
         _, errs, conv, _ = (
-            a[..., 0] for a in element_coefficients(fam1.sequences[0], (0,), [(m,) for m in range(11)], inner)
+            a[..., 0] for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], inner)
         )
         assert np.all(conv[:2])
         bad = int(np.count_nonzero(~conv))
@@ -180,10 +186,10 @@ class TestRat2Smoke:
 
     def test_low_order_extraction(self):
         # smoke-scale version of the full pipeline: low caps, order <= 1
-        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=10)
+        fam = testbed.rat2_total_family(opening=OPENING, cap=10)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
         func = interpolate_first_order(
-            fam1, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
+            fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
         )
         probe = ProbeSpec(r0=0.2, ratio=0.75, steps=14, tol=1e-5, circle_frac=0.75, circle_nodes=128)
         for axis in (0, 1):
@@ -193,10 +199,10 @@ class TestRat2Smoke:
                 assert res.value == pytest.approx(want, abs=5e-5)
 
     def test_value_close_to_target_function(self):
-        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=12)
+        fam = testbed.rat2_total_family(opening=OPENING, cap=12)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
         func = interpolate_first_order(
-            fam1, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
+            fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
         )
         # differs from 1/((1+z1)(1+z2)) only by terms flat in each variable
         z = (0.09, 0.11)
@@ -216,9 +222,9 @@ class TestDistinctCoordinates:
 
     @staticmethod
     def rat2_interpolant():
-        fam1 = testbed.rat2_first_order_family(opening=OPENING, cap=10)
+        fam = testbed.rat2_total_family(opening=OPENING, cap=10)
         inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
-        return interpolate_first_order(fam1, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None)
+        return interpolate_first_order(fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None)
 
     def test_one_table_per_distinct_coordinate(self, monkeypatch):
         from polygevrey import transforms

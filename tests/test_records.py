@@ -11,12 +11,10 @@ from polygevrey import (
     DomainError,
     ExtractResult,
     FamilyError,
-    FirstOrderFamily,
     FlatFit,
     GeometryError,
     GevreyFit,
     LaplaceSpec,
-    Multidirection,
     MultiIndexSeries,
     NullFitEntry,
     Polysector,
@@ -45,13 +43,11 @@ CONST = SampledFunction.constant(2.0)
 MAKERS = {
     "Sector": lambda: Sector(0.0, 1.0, 2.0),
     "Polysector": lambda: Polysector([Sector(0.0, 1.0)]),
-    "Multidirection": lambda: Multidirection([0.1, 0.2]),
     "MultiIndexSeries": lambda: MultiIndexSeries(1, {(0,): 1.0, (2,): 0.5}),
     "GevreyFit": lambda: GevreyFit((1.0,), 0.0, 0.1, 5),
     "LaplaceSpec": lambda: LaplaceSpec((0.5,), 1e-9),
     "SampledFunction": lambda: SampledFunction(HOST, _one),
     "TotalFamily": lambda: TotalFamily(1, HOST, {((0,), (0,)): CONST}, (0,)),
-    "FirstOrderFamily": lambda: FirstOrderFamily(1, HOST, ((CONST,),)),
     "ProbeSpec": lambda: ProbeSpec(tol=1e-6),
     "ExtractResult": lambda: ExtractResult(1.0 + 0j, 1e-9, True, 0.1),
     "CoherenceReport": lambda: CoherenceReport(3, 1e-9, (), (), 1e-6),

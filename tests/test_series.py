@@ -219,10 +219,15 @@ class TestStructure:
             MultiIndexSeries(2, {(1,): 1.0})
 
     def test_json_roundtrip(self):
-        ser = MultiIndexSeries(2, {(0, 1): 1 + 2j, (3, 2): -0.5}, (3, 2))
-        again = MultiIndexSeries.from_json(ser.to_json())
-        assert again.coeffs == ser.coeffs
-        assert again.degree_bound == ser.degree_bound
+        obj = {
+            "dim": 2,
+            "degree_bound": [3, 2],
+            "coeffs": [{"index": [0, 1], "re": 1.0, "im": 2.0}, {"index": [3, 2], "re": -0.5}],
+        }
+        ser = MultiIndexSeries.from_json(obj)
+        assert ser == MultiIndexSeries(2, {(0, 1): 1 + 2j, (3, 2): -0.5}, (3, 2))
+        del obj["degree_bound"]  # defaults to the largest index per axis
+        assert MultiIndexSeries.from_json(obj).degree_bound == (3, 2)
 
     def test_csv_rows(self):
         ser = MultiIndexSeries(1, {(2,): 4.0}, (2,))

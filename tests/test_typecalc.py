@@ -265,21 +265,9 @@ class TestFinalType:
 
 
 class TestTypeProfile:
-    def test_positivity_witness(self):
-        prof = TypeProfile(-1.0, 1.0, lambda t: 1.0 - abs(t))
-        assert prof.inf_on(-0.5, 0.5) == pytest.approx(0.5)
-        with pytest.raises(DomainError):
-            prof.inf_on(-1.0, 0.5)
-
     def test_sup(self):
         prof = TypeProfile(-1.0, 1.0, lambda t: math.cos(t))
         assert prof.sup() == pytest.approx(1.0, abs=1e-9)
-
-    def test_value_validation(self):
-        prof = TypeProfile.constant(0.0, 1.0, 2.0)
-        assert prof.value(0.5) == 2.0
-        with pytest.raises(DomainError):
-            prof.value(1.5)
 
 
 class TestContinuityProperties:
