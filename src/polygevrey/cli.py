@@ -229,7 +229,6 @@ def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
 def _cmd_transform(cfg: dict, out: Path) -> int:
     import numpy as np
 
-    from .series import borel_transform
     from .transforms import LaplaceSpec, brg_function, laplace_bound
 
     ser = _series_from(cfg)
@@ -245,7 +244,7 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
         dtype=complex,
     )
     vals = func.eval_many(pts)
-    errs = laplace_bound(borel_transform(ser), spec, pts)  # the dropped Borel tail is <= tol
+    errs = laplace_bound(ser, spec, pts)  # the dropped Borel tail is <= tol
     header = []
     for j in range(len(z0)):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
@@ -336,13 +335,12 @@ def _cmd_predict_type(cfg: dict, out: Path) -> int:
     r_alpha = _get(cfg, "R_alpha", float, r0)
     r_beta = _get(cfg, "R_beta", float, r0)
     z0_mod = _get(cfg, "z0_mod", float, r0)
-    profile_value = _get(cfg, "profile_value", float, r0)
     points = _get(cfg, "points", int, 181)
     if points < 2:
         raise ConfigError("points must be >= 2")
     if not alpha < theta0 < beta:
         raise ConfigError("need alpha < theta0 < beta")
-    profile = TypeProfile.constant(alpha, beta, profile_value)
+    profile = TypeProfile.constant(alpha, beta, r0)
     margin = (beta - alpha) * 1e-9
     rows = []
     for k in range(points):

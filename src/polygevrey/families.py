@@ -192,6 +192,8 @@ class ProbeSpec(Record):
     and are declared converged when ``agree`` successive extrapolants match
     within tol (mixed absolute/relative).  The reported value is the
     extrapolant with the smallest error estimate seen along the ladder.
+    ``direction`` gives the ray of each probed axis, one angle per axis
+    (default: the sector bisectors).
     """
 
     r0: float
@@ -307,22 +309,23 @@ def axis_coefficient_ladder(
     sectors: Sequence[Sector],
     orders: Sequence[Sequence[int]],
     probe: ProbeSpec,
-    thetas: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Limits of D^N g / N! as p variables tend to 0 jointly, one ray per axis.
 
-    ``sectors`` and ``thetas`` (default: the bisectors) give the p axes and
-    their rays; ``orders`` lists multi-indices of length p.  ``evalfn`` maps
-    an (mm, p) array of points to an (mm, B) array; all orders and batch
-    columns share one product of circles per rung.  Returns arrays of shape
-    (n_orders, B): values, error estimates, convergence flags, and the radius
-    of the winning window.
+    ``sectors`` and ``probe.direction`` (default: the bisectors) give the p
+    axes and their rays; ``orders`` lists multi-indices of length p.
+    ``evalfn`` maps an (mm, p) array of points to an (mm, B) array; all
+    orders and batch columns share one product of circles per rung.  Returns
+    arrays of shape (n_orders, B): values, error estimates, convergence
+    flags, and the radius of the winning window.
     """
     orders = [tuple(int(m) for m in order) for order in orders]
     if max(max(order) for order in orders) > probe.circle_nodes // 2:
         raise DomainError("requested order exceeds the circle-node anti-aliasing bound")
     p = len(sectors)
-    thetas = [s.bisector for s in sectors] if thetas is None else [float(t) for t in thetas]
+    thetas = [s.bisector for s in sectors] if probe.direction is None else probe.direction
+    if len(thetas) != p:
+        raise DimensionMismatchError(f"probe direction has {len(thetas)} angles for {p} probed axes")
     if not all(s.alpha < t < s.beta for s, t in zip(sectors, thetas)):
         raise DomainError("probe direction outside the sector")
     tracker = None
@@ -354,7 +357,6 @@ def element_coefficients(
     orders: Sequence[Sequence[int]],
     probe: ProbeSpec,
     fixed: Sequence[Sequence[complex]] = ((),),
-    thetas: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Limits of D^N f / N! as the ``axes`` columns tend to 0, for every element and fixed point.
 
@@ -382,7 +384,7 @@ def element_coefficients(
         pts = pts.reshape(-1, domain.dim)
         return np.stack([e.eval_many(pts) for e in elems]).reshape(n_cols, len(sub)).T
 
-    ladder = axis_coefficient_ladder(evalfn, [domain.sectors[a] for a in axes], orders, probe, thetas)
+    ladder = axis_coefficient_ladder(evalfn, [domain.sectors[a] for a in axes], orders, probe)
     return tuple(a.reshape(len(orders), len(elems), len(fixed)) for a in ladder)
 
 
@@ -405,9 +407,7 @@ def extract_element(
     n_index = tuple(int(m) for m in n_index)
     if len(n_index) != len(key):
         raise DimensionMismatchError("index length must match subset size")
-    vals, errs, conv, radii = element_coefficients(
-        [f], key, [n_index], probe, [tuple(z_rest)], probe.direction
-    )
+    vals, errs, conv, radii = element_coefficients([f], key, [n_index], probe, [tuple(z_rest)])
     result = ExtractResult(
         complex(vals[0, 0, 0]), float(errs[0, 0, 0]), bool(conv[0, 0, 0]), float(radii[0, 0, 0])
     )
@@ -652,8 +652,8 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
     """Total family of the truncated-Laplace interpolant, in closed form.
 
     For each subset J and index a_J, the element is the truncated Laplace
-    transform (over the complementary axes) of the partial Borel sum with the
-    J-indices frozen at a_J; the all-axes elements are the series
+    transform (over the complementary axes) of the Borel sum of the slice
+    with the J-indices frozen at a_J; the all-axes elements are the series
     coefficients themselves.  The elements share one :class:`LaplaceTables`:
     evaluated at one point set, the elements of a slice build one monomial
     table per axis between them.
@@ -662,14 +662,8 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
     if len(z0) != fhat.dim:
         raise DimensionMismatchError("one endpoint per axis required")
     borel_disc_types(fhat, z0)
-    host = half_plane_polysector(z0)
     tables = LaplaceTables(z0, fhat.degree_bound)
-
-    def element(sub: MultiIndexSeries, rest: tuple[int, ...]) -> SampledFunction:
-        phi = sub.map_coeffs(lambda ix, c: c / math.prod(math.factorial(k) for k in ix))
-        return tables.transform(phi, rest, host.axes_subset(rest))
-
-    return slice_family(fhat, host, element, "series")
+    return slice_family(fhat, half_plane_polysector(z0), tables.transform, "series")
 
 
 # ---------------------------------------------------------------------------

@@ -69,17 +69,6 @@ class MultiIndexSeries(Record):
     def items(self):
         return sorted(self.coeffs.items())
 
-    @property
-    def n_nonzero(self) -> int:
-        return len(self.coeffs)
-
-    def map_coeffs(self, fn) -> "MultiIndexSeries":
-        return MultiIndexSeries(
-            self.dim,
-            {ix: fn(ix, c) for ix, c in self.coeffs.items()},
-            self.degree_bound,
-        )
-
     @classmethod
     def from_json(cls, obj: dict) -> "MultiIndexSeries":
         try:
@@ -122,19 +111,6 @@ def gamma1_norm(a: MultiIndexSeries, weights: Sequence[float]) -> float:
         )
         best = max(best, log_term)
     return 0.0 if best == -math.inf else math.exp(best)
-
-
-def borel_transform(f: MultiIndexSeries) -> MultiIndexSeries:
-    """Coefficientwise division by N!, scaled through log space."""
-
-    def divide(ix, c):
-        mag = abs(c)
-        if mag == 0:
-            return 0j
-        scale = math.exp(math.log(mag) - _lgamma_sum(ix))
-        return (c / mag) * scale
-
-    return f.map_coeffs(divide)
 
 
 def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
@@ -210,24 +186,17 @@ def _half_window_slopes(idx: np.ndarray, y: np.ndarray, axis: int) -> tuple[floa
     return float(s_lo[axis]), float(s_hi[axis])
 
 
-def fit_gevrey_type(
-    f: MultiIndexSeries,
-    window: tuple[int, int] | None = None,
-) -> GevreyFit:
+def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
     """Least-squares fit of log(|f_N|/N!) ~ log C - sum_j N_j log R_j.
 
-    ``window`` restricts the fit to indices with every component inside
-    [N_min, N_max]; the bound being fitted is asymptotic and early
-    coefficients can pollute the slope.  An axis is reported as unbounded
-    (math.inf) when the fitted rate exceeds TYPE_INFINITY_THRESHOLD, when the
-    slope is steep enough to underflow the machine range within the stored
-    degree, or when the upper-half slope keeps steepening past the lower-half
-    slope (the signature of a convergent series, whose log ratio is concave).
+    An axis is reported as unbounded (math.inf) when the fitted rate exceeds
+    TYPE_INFINITY_THRESHOLD, when the slope is steep enough to underflow the
+    machine range within the stored degree, or when the upper-half slope keeps
+    steepening past the lower-half slope (the signature of a convergent
+    series, whose log ratio is concave).
     """
     entries = []
     for ix, c in f.items():
-        if window is not None and not all(window[0] <= k <= window[1] for k in ix):
-            continue
         mag = abs(c)
         if mag == 0:
             continue

@@ -3,8 +3,10 @@
 Every Borel sum the package integrates is a stored polynomial, and for a
 polynomial the truncated transform is exact: t^n/n! maps to z^n P(n+1, z0/z),
 with P the regularized lower incomplete gamma function (DLMF 8.2, 8.4).
-:func:`laplace_monomials` evaluates that kernel; :func:`laplace_of_polynomial`
-contracts it against the coefficients, one axis at a time.
+:func:`laplace_monomials` evaluates that kernel.  The Borel image of z^N is
+t^N/N!, so the transform of a series' Borel sum is its own coefficients
+contracted against the kernel's tables, one axis at a time
+(:meth:`LaplaceTables.transform`); no factorial is formed.
 
 No library path integrates numerically.  Adaptive composite Gauss-Legendre
 quadrature (15-point panels, recursive bisection on the segment parameter) is
@@ -32,7 +34,7 @@ from .errors import (
     TailError,
 )
 from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
-from .series import MultiIndexSeries, borel_transform, fit_gevrey_type, gamma1_norm
+from .series import MultiIndexSeries, fit_gevrey_type, gamma1_norm
 
 _EPS = float(np.finfo(float).eps)
 
@@ -424,17 +426,14 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
 
     The result is holomorphic on the product of half-planes around the
     arguments of z0 and carries the series' family as its expansion, with the
-    cosine type law of :func:`brg_type`.  The Borel sum is evaluated from the
-    stored coefficients and transformed in closed form; evaluation stays
-    inside |t_j| <= 0.9 R_j and the a-posteriori bound on the dropped tail
-    (from the fitted Gevrey envelope) must clear ``spec.tol``.
+    cosine type law of :func:`brg_type`.  It is the closed-form transform of
+    the stored part of the Borel sum, :meth:`LaplaceTables.transform` of the
+    series itself.  The checks keep the dropped part small: |z0_j| <= 0.9 R_j
+    on every axis, and the a-posteriori bound on the dropped tail (from the
+    fitted Gevrey envelope) must clear ``spec.tol``.
     """
     if fhat.dim != spec.dim:
         raise DomainError("series dimension and spec dimension disagree")
-    domain = half_plane_polysector(spec.z0)
-    if fhat.n_nonzero == 0:
-        return laplace_of_polynomial(fhat, spec, domain)
-
     types = borel_disc_types(fhat, spec.z0)
     for w, r in zip(spec.z0, types):
         if abs(w) > 0.9 * r:
@@ -446,16 +445,14 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
         raise TailError(
             f"Borel-sum tail bound {tail:.3e} exceeds tolerance {spec.tol:.3e}"
         )
-    return laplace_of_polynomial(borel_transform(fhat), spec, domain)
+    return LaplaceTables(spec.z0, fhat.degree_bound).transform(fhat, tuple(range(spec.dim)))
 
 
-def _scaled_coefficients(phi: MultiIndexSeries, dim: int) -> np.ndarray:
-    """The coefficients of ``phi`` times N!, as a dense tensor: the weights of the monomials t^N/N!."""
-    if phi.dim != dim:
-        raise DomainError("polynomial dimension and spec dimension disagree")
-    coef = np.zeros(tuple(d + 1 for d in phi.degree_bound), dtype=complex)
-    for ix, c in phi.coeffs.items():
-        coef[ix] = c * math.prod(math.factorial(k) for k in ix)
+def _dense(fhat: MultiIndexSeries) -> np.ndarray:
+    """The coefficients of ``fhat`` as a dense tensor over its degree box."""
+    coef = np.zeros(tuple(d + 1 for d in fhat.degree_bound), dtype=complex)
+    for ix, c in fhat.coeffs.items():
+        coef[ix] = c
     return coef
 
 
@@ -470,8 +467,9 @@ def _contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
 class LaplaceTables:
     """Shared :func:`laplace_monomials` tables for axes with endpoints ``z0`` and degrees ``tops``.
 
-    Each axis keeps the table of its last point column and rebuilds it when a column differs
-    in some bit, so the transforms of one instance build one table per axis and point set.
+    :meth:`transform` contracts a series' own coefficients against them.  Each axis keeps the
+    table of its last point column and rebuilds it when a column differs in some bit, so the
+    transforms of one instance build one table per axis and point set.
     """
 
     def __init__(self, z0: Sequence[complex], tops: Sequence[int]):
@@ -486,37 +484,38 @@ class LaplaceTables:
             hit[1].flags.writeable = False  # every caller reads the same array
         return hit[1]
 
-    def transform(self, phi: MultiIndexSeries, axes: tuple[int, ...], domain: Polysector) -> SampledFunction:
-        """Truncated Laplace transform of ``phi`` over ``axes``: N!-scaled coefficients times the tables."""
-        coef = _scaled_coefficients(phi, len(axes))
+    def transform(self, fhat: MultiIndexSeries, axes: tuple[int, ...]) -> SampledFunction:
+        """Truncated Laplace transform over ``axes`` of the Borel sum of ``fhat``.
+
+        The sum over N of f_N prod_j L_j[N_j], with L_j[n] the transform of t^n/n!
+        along axis j: the series' own coefficients weight the tables.  The result
+        lives on the half-planes around the endpoints of ``axes``.
+        """
+        coef = _dense(fhat)
 
         def fn(pts: np.ndarray) -> np.ndarray:
             return _contract(coef, [self.table(a, pts[:, j]) for j, a in enumerate(axes)])
 
+        domain = half_plane_polysector([self.z0[a] for a in axes])
         return SampledFunction(domain, fn, provenance="closed-form")
 
 
-def laplace_of_polynomial(phi: MultiIndexSeries, spec: LaplaceSpec, domain: Polysector) -> SampledFunction:
-    """Truncated Laplace transform, over every axis of ``spec``, of the polynomial ``phi``."""
-    return LaplaceTables(spec.z0, phi.degree_bound).transform(phi, tuple(range(spec.dim)), domain)
-
-
-def laplace_bound(phi: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
-    """Per-point bound on the rounding error of :func:`laplace_of_polynomial` at ``pts``.
+def laplace_bound(fhat: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
+    """Per-point bound on the rounding error of :func:`brg_function` at ``pts``.
 
     The same contraction in magnitudes, with every monomial widened by its
     bound from :func:`laplace_monomial_errors`, minus the unwidened one, plus
-    the rounding of the N! scaling, the products over axes and the sums.
+    the rounding of the products over axes and the sums.
     """
-    coef_abs = np.abs(_scaled_coefficients(phi, spec.dim))
+    coef_abs = np.abs(_dense(fhat))
     pts = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
     tabs = [
         laplace_monomial_errors(w, pts[:, j], d)
-        for j, (w, d) in enumerate(zip(spec.z0, phi.degree_bound))
+        for j, (w, d) in enumerate(zip(spec.z0, fhat.degree_bound))
     ]
     mag = _contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
     widened = _contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])
-    gamma = _EPS * (sum(coef_abs.shape) + 2 * phi.dim + 2)
+    gamma = _EPS * (sum(coef_abs.shape) + 2 * fhat.dim + 2)
     return widened - (1.0 - gamma) * mag
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polygevrey import (
+    DimensionMismatchError,
     DomainError,
     FamilyError,
     LaplaceSpec,
@@ -29,7 +30,7 @@ from polygevrey import (
 )
 from polygevrey import testbed
 from polygevrey.families import app_n_many, element_coefficients, nonempty_subsets, slice_family
-from polygevrey.transforms import laplace_of_polynomial
+from polygevrey.transforms import LaplaceTables
 
 PI = math.pi
 
@@ -93,9 +94,9 @@ def count_ladders(monkeypatch) -> list:
     calls = []
     ladder = families.axis_coefficient_ladder
 
-    def counted(evalfn, sectors, orders, probe, thetas=None):
+    def counted(evalfn, sectors, orders, probe):
         calls.append(len(orders))
-        return ladder(evalfn, sectors, orders, probe, thetas)
+        return ladder(evalfn, sectors, orders, probe)
 
     monkeypatch.setattr(families, "axis_coefficient_ladder", counted)
     return calls
@@ -322,6 +323,16 @@ class TestSingleMultidirection:
         with pytest.raises(DomainError):
             extract_element(testbed.get("rat2").fn, (0,), (0,), (0.1 + 0.03j,), probe=probe)
 
+    @pytest.mark.parametrize(
+        "axes, n_index, z_rest, direction",
+        [((0,), (0,), (0.1,), (0.3, 5.0)), ((0,), (0,), (0.1,), ()), ((0, 1), (1, 0), (), (0.2,))],
+        ids=["too-long", "empty", "too-short"],
+    )
+    def test_one_angle_per_probed_axis(self, axes, n_index, z_rest, direction):
+        probe = ProbeSpec(direction=direction)
+        with pytest.raises(DimensionMismatchError):
+            extract_element(testbed.get("rat2").fn, axes, n_index, z_rest, probe=probe)
+
 
 class TestCoherence:
     def test_series_family_passes(self):
@@ -533,9 +544,7 @@ class TestSharedTables:
         fam = family_from_series(ser, z0)
 
         def alone(sub, rest):
-            phi = sub.map_coeffs(lambda ix, c: c / math.prod(math.factorial(k) for k in ix))
-            spec = LaplaceSpec(tuple(z0[a] for a in rest))
-            return laplace_of_polynomial(phi, spec, fam.host.axes_subset(rest))
+            return LaplaceTables(z0, ser.degree_bound).transform(sub, rest)
 
         b[:, keep] = a[:, keep]
         for pts in (a, b, a):

@@ -205,6 +205,6 @@ class TestCutCrossingSectors:
             seen.append(pts[:, 0])
             return np.exp(pts[:, :1])
 
-        axis_coefficient_ladder(evalfn, [s], [(1,)], ProbeSpec(circle_frac=frac), [theta])
+        axis_coefficient_ladder(evalfn, [s], [(1,)], ProbeSpec(circle_frac=frac, direction=(theta,)))
         assert seen
         assert all(s.contains(complex(z)) for pts in seen for z in pts)

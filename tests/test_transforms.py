@@ -12,7 +12,6 @@ from polygevrey import (
     PolygevreyError,
     QuadratureError,
     TailError,
-    borel_transform,
     brg_function,
     brg_type,
     testbed,
@@ -22,13 +21,13 @@ from polygevrey.series import evaluate_many
 from polygevrey.transforms import (
     _GL_NODES,
     _GL_WEIGHTS,
+    LaplaceTables,
     _tail_terms,
     adaptive_panel_quad,
     half_plane_polysector,
     laplace_bound,
     laplace_monomial_errors,
     laplace_monomials,
-    laplace_of_polynomial,
     truncated_laplace_with_error,
 )
 
@@ -229,14 +228,21 @@ class TestLaplaceMonomials:
 
 
 class TestLaplaceOfPolynomial:
+    """``LaplaceTables.transform`` of a series is the transform of its polynomial Borel sum."""
+
     def test_two_axes_match_iterated_quadrature(self):
+        # the Borel sum phi has the coefficients f_N / N!
         phi = MultiIndexSeries(
             2, {(0, 0): 1.0, (1, 0): -0.5j, (0, 2): 0.25, (2, 1): 0.3 - 0.1j}, (2, 2)
         )
+        ser = MultiIndexSeries(
+            2, {ix: c * math.factorial(ix[0]) * math.factorial(ix[1]) for ix, c in phi.items()}, (2, 2)
+        )
         z0 = (0.5, 0.6 * cmath.exp(0.3j))
         spec = LaplaceSpec(z0, tol=1e-12)
-        func = laplace_of_polynomial(phi, spec, half_plane_polysector(z0))
+        func = LaplaceTables(z0, ser.degree_bound).transform(ser, (0, 1))
         assert func.provenance == "closed-form"
+        assert func.domain == half_plane_polysector(z0)
         pts = np.asarray([(0.2, 0.3), (0.05 + 0.04j, 0.5j + 0.4), (1.1, 0.08)])
         got = func.eval_many(pts)
         for p, g in zip(pts, got):
@@ -244,19 +250,19 @@ class TestLaplaceOfPolynomial:
             assert abs(g - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_dimension_check(self):
-        phi = MultiIndexSeries(1, {(0,): 1.0}, (0,))
+        ser = MultiIndexSeries(1, {(0,): 1.0}, (0,))
         with pytest.raises(DomainError):
-            laplace_of_polynomial(phi, LaplaceSpec((0.5, 0.5)), half_plane_polysector((0.5, 0.5)))
+            brg_function(ser, LaplaceSpec((0.5, 0.5)))
 
 
 class TestErrorBound:
     """The reported bound covers the distance to a 40-digit evaluation of the same sum."""
 
     @staticmethod
-    def mp_transform(phi: MultiIndexSeries, z0, p):
+    def mp_transform(ser: MultiIndexSeries, z0, p):
         total = mpmath.mpc(0)
-        for ix, c in phi.coeffs.items():
-            term = mpmath.mpc(c) * mpmath.fprod(mpmath.factorial(k) for k in ix)
+        for ix, c in ser.coeffs.items():
+            term = mpmath.mpc(c)
             for j, k in enumerate(ix):
                 term *= mp_monomial(k, z0[j], p[j])
             total += term
@@ -265,13 +271,12 @@ class TestErrorBound:
     def check(self, ser: MultiIndexSeries, z0, pts):
         spec = LaplaceSpec(z0, tol=1e-12)
         func = brg_function(ser, spec)
-        phi = borel_transform(ser)
         vals = func.eval_many(pts)
-        bounds = laplace_bound(phi, spec, pts)
+        bounds = laplace_bound(ser, spec, pts)
         assert np.all(bounds > 0)
         with mpmath.workdps(40):
             for p, v, b in zip(pts, vals, bounds):
-                err = float(abs(v - self.mp_transform(phi, z0, p)))
+                err = float(abs(v - self.mp_transform(ser, z0, p)))
                 assert err <= b, (p, err, b)
         return bounds
 
