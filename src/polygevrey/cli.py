@@ -9,6 +9,11 @@ orderings.  Exit codes: 0 success (and verification verdicts that pass),
 subcommand, 70 internal error (a bug in the program: ``error.json`` names the
 exception).
 
+Each subcommand, ``verify`` suite and ``type-fit`` mode declares its config
+keys in one table of ``_TABLES``: key -> parser, default, bound.  ``main``
+reads the config through it, so a key outside the table exits 2 before numpy
+loads, anything runs or any report is written.
+
 Importing this module loads only the standard library and ``errors``; each
 subcommand imports what it runs.  ``predict-type`` loads ``typecalc`` alone,
 ``list-testbed`` the static ``catalogue`` alone, and neither loads numpy.  The
@@ -70,36 +75,180 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"config key {key!r} must be {kind}, got {type(val).__name__}")
-    return val
-
+# ---------------------------------------------------------------------------
+# config tables
 
 _REQUIRED = object()
 
 
-def _get(cfg: dict, key: str, kind=float, default=_REQUIRED):
-    """``kind(cfg[key])``, or ``default`` when the key is absent; a bad value is a ConfigError."""
-    if key not in cfg and default is not _REQUIRED:
-        return default
-    val = _require(cfg, key)
-    try:
-        return kind(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has a bad value {val!r}: {exc}") from None
+def _read(raw, table: dict, where: str = "config") -> dict:
+    """Every key of ``table`` (key -> (parser, default[, (lo, hi)])), parsed from ``raw``.
+
+    A key outside the table, a missing required key, a value its parser
+    rejects or one outside its bound is a ConfigError.  An absent key reads
+    its default (a callable one gets the keys read so far), parsed as if
+    written; a default of None reads None.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {sorted(table)}")
+    out = {}
+    for key, (parse, default, *bound) in table.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"{where} key {key!r} is required")
+        val = raw.get(key, default(out) if callable(default) else default)
+        try:
+            out[key] = None if val is None and key not in raw else parse(val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} key {key!r} has a bad value {val!r}: {exc}") from None
+        for lo, hi in bound:
+            if not lo <= out[key] <= hi:
+                raise ConfigError(f"{where} key {key!r} must lie in [{lo}, {hi}], got {out[key]}")
+    return out
+
+
+def _is(kind):
+    """The parser that passes a value of type ``kind`` unchanged and rejects any other."""
+    def parse(val):
+        if not isinstance(val, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(val).__name__}")
+        return val
+    return parse
+
+
+_text, _list = _is(str), _is(list)
 
 
 def _floats(val) -> list[float]:
-    return [float(v) for v in val]
+    vals = [float(v) for v in val]
+    if not vals:
+        raise ValueError("lists no value")
+    return vals
 
 
 def _int_pair(val) -> tuple[int, int]:
     lo, hi = (int(v) for v in val)
     return lo, hi
+
+
+def _z0(val) -> tuple[complex, ...]:
+    """Numbers or [re, im] pairs."""
+    out = []
+    for item in _list(val):
+        parts = item if isinstance(item, list) and len(item) == 2 else [item, 0]
+        if not all(isinstance(v, (int, float)) for v in parts):
+            raise ValueError(f"z0 entries must be numbers or [re, im] pairs, got {item!r}")
+        out.append(complex(*parts))
+    return tuple(out)
+
+
+def _directions(val) -> list[tuple[float, ...]]:
+    """One angle tuple per direction; a verdict over no direction is a config error."""
+    if not _list(val):
+        raise ValueError("lists no direction")
+    return [tuple(float(t) for t in th) if isinstance(th, list) else (float(th),) for th in val]
+
+
+def _radii(val) -> list[float]:
+    """A strictly decreasing list, or a geometric grid {r0, ratio, count}."""
+    if isinstance(val, dict):
+        from .geometry import geometric_radii
+
+        grid = {"r0": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (int, _REQUIRED)}
+        return list(geometric_radii(**_read(val, grid, "radii")))
+    vals = _floats(val)
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        raise ValueError("explicit radii must be strictly decreasing")
+    return vals
+
+
+_PROBE = {
+    "r0": (float, None), "ratio": (float, None), "steps": (int, None), "window": (int, None),
+    "agree": (int, None), "tol": (float, None), "circle_frac": (float, None), "circle_nodes": (int, None),
+}
+
+
+def _probe(**defaults):
+    """The parser of a probe object: its fields over ``defaults`` over ProbeSpec's own."""
+    def parse(val):
+        from .families import ProbeSpec
+        given = {k: v for k, v in _read(val, _PROBE, "probe").items() if v is not None}
+        return ProbeSpec(**{**defaults, **given})
+    return parse
+
+
+def _series(val):
+    from .series import MultiIndexSeries
+    return MultiIndexSeries.from_json(val)
+
+
+def _polysector(val):
+    from .geometry import Polysector
+    return Polysector.from_json(val)
+
+
+_AT_LEAST_0, _AT_LEAST_2 = (0, math.inf), (2, math.inf)
+_RAYS = {"testbed": (_text, _REQUIRED), "directions": (_directions, _REQUIRED), "radii": (_radii, _REQUIRED)}
+_FIT = {  # the remainder fit of type-fit gevrey and verify remainder
+    **_RAYS, "n_max": (int, 20), "window": (_int_pair, lambda c: [4, max(6, c["n_max"] - 4)]),
+    "noise_floor": (float, 1e-9),
+}
+_TABLES = {
+    "transform": {
+        "testbed": (_text, None), "series": (_series, None), "z0": (_z0, _REQUIRED),
+        "tol": (float, 1e-10), "direction": (_floats, _REQUIRED), "radii": (_radii, _REQUIRED),
+    },
+    "type-fit gevrey": _FIT,
+    "type-fit flat": _RAYS,
+    "predict-type": {
+        "alpha": (float, _REQUIRED), "beta": (float, _REQUIRED), "theta0": (float, _REQUIRED),
+        "R0": (float, _REQUIRED), "R_alpha": (float, lambda c: c["R0"]),
+        "R_beta": (float, lambda c: c["R0"]), "z0_mod": (float, lambda c: c["R0"]),
+        "points": (int, 181, _AT_LEAST_2),
+    },
+    "verify coherence": {
+        "testbed": (_text, None), "series": (_series, None), "z0": (_z0, None),
+        "tol": (float, 1e-6), "probe": (_probe(), None), "max_order": (int, 3, _AT_LEAST_0),
+    },
+    "verify pl": {
+        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED),
+        "boundary_density": (int, 6), "interior_samples": (int, 6), "tol": (float, 1e-9),
+        "growth_attestation": (_text, None),
+    },
+    "verify remainder": {**_FIT, "rel_tol": (float, 0.15)},
+    "verify first-order": {
+        "testbed": (_text, _REQUIRED), "tol": (float, 1e-6), "max_order": (int, 2, _AT_LEAST_0),
+    },
+    "interpolate": {
+        "testbed": (_text, _REQUIRED), "opening": (float, 1.2),
+        # 45: the largest degree at which laplace_monomials' tail term count is tested
+        "cap": (int, 16, (-math.inf, 45)), "z0": (_z0, [0.92, 0.92]),
+        "inner_probe": (
+            _probe(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128), {}
+        ),
+        "samples": (_floats, [0.02 * 1.13**k for k in range(10)]), "orders": (int, 3, _AT_LEAST_0),
+        "probe": (_probe(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128), {}),
+        "tol": (float, 1e-4), "coeff_cap": (int, 10),
+        "precheck_tol": (lambda v: None if v is None else float(v), 1e-3),
+    },
+    "list-testbed": {},
+}
+# the key that picks a verify or a type-fit table, and its default
+_VARIANTS = {"verify": ("suite", None), "type-fit": ("mode", "gevrey")}
+
+
+def _table(command: str, raw: dict) -> dict:
+    """The key table of ``command``, or of the verify suite or type-fit mode ``raw`` names, with that key."""
+    if command not in _VARIANTS:
+        return _TABLES[command]
+    key, default = _VARIANTS[command]
+    name = raw.get(key, default)
+    names = [t.partition(" ")[2] for t in _TABLES if t.startswith(command + " ")]
+    if name not in names:
+        raise ConfigError(f"config key {key!r} must be one of {names}, got {name!r}")
+    return {key: (_text, default), **_TABLES[f"{command} {name}"]}
 
 
 def _load_config(path: str) -> dict:
@@ -113,111 +262,51 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _z0_from(cfg) -> tuple[complex, ...]:
-    raw = _require(cfg, "z0", list)
-    out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2 and all(
-            isinstance(v, (int, float)) for v in item
-        ):
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"z0 entries must be numbers or [re, im] pairs, got {item!r}")
-    return tuple(out)
-
-
 def _entry(cfg: dict):
     """The testbed entry named under ``testbed``; the registry loads on first use."""
     from . import testbed
 
-    return testbed.get(_require(cfg, "testbed", str))
+    if cfg["testbed"] is None:
+        raise ConfigError("config needs either 'series' or 'testbed'")
+    return testbed.get(cfg["testbed"])
 
 
 def _series_from(cfg):
-    if "series" in cfg:
-        from .series import MultiIndexSeries
-
-        return MultiIndexSeries.from_json(_require(cfg, "series", dict))
-    if "testbed" in cfg:
-        entry = _entry(cfg)
-        ser = entry.known.get("series")
-        if ser is None:
-            raise ConfigError(f"testbed entry {entry.id!r} carries no series")
-        return ser
-    raise ConfigError("config needs either 'series' or 'testbed'")
+    if cfg["series"] is not None:
+        return cfg["series"]
+    entry = _entry(cfg)
+    ser = entry.known.get("series")
+    if ser is None:
+        raise ConfigError(f"testbed entry {entry.id!r} carries no series")
+    return ser
 
 
-def _radii_from(cfg, key="radii") -> list[float]:
-    raw = _require(cfg, key)
-    if isinstance(raw, dict):
-        from .geometry import geometric_radii
-
-        return list(geometric_radii(_get(raw, "r0"), _get(raw, "ratio"), _get(raw, "count", int)))
-    if isinstance(raw, list):
-        vals = _get(cfg, key, _floats)
-        if not vals:
-            raise ConfigError(f"{key} must not be empty")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("explicit radii must be strictly decreasing")
-        return vals
-    raise ConfigError(f"{key} must be a list or a geometric-grid object")
+def _total_family(cfg):
+    entry = _entry(cfg)
+    fam = entry.known.get("total_family")
+    if fam is None:
+        raise ConfigError(f"entry {entry.id!r} has no total family")
+    return fam
 
 
-_PROBE_FIELDS = {
-    "r0": float, "ratio": float, "steps": int, "window": int, "agree": int,
-    "tol": float, "circle_frac": float, "circle_nodes": int,
-}
-
-
-def _probe_from(cfg, key="probe", **defaults):
-    """The ProbeSpec under ``key``, its fields over ``defaults`` over ProbeSpec's own."""
-    from .families import ProbeSpec
-
-    raw = cfg.get(key, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{key} must be an object")
-    bad = set(raw) - set(_PROBE_FIELDS)
-    if bad:
-        raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
-    return ProbeSpec(**{**defaults, **{k: _get(raw, k, _PROBE_FIELDS[k]) for k in raw}})
-
-
-def _directions(cfg: dict) -> list[tuple[float, ...]]:
-    """The ``directions`` key, one angle tuple each; a verdict over no direction is a config error."""
-    directions = _require(cfg, "directions", list)
-    if not directions:
-        raise ConfigError("config key 'directions' lists no direction")
-    try:
-        return [tuple(float(t) for t in th) if isinstance(th, list) else (float(th),) for th in directions]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad direction in {directions!r}: {exc}") from None
-
-
-def _remainder_fits(cfg: dict, entry, radii: list[float]) -> list[tuple]:
+def _remainder_fits(cfg: dict, entry) -> list[tuple]:
     """(direction, rates, rms) of the Gevrey fit to the constants of f - App_(n,...,n), n <= n_max.
 
-    The family is the one ``family_from_series`` builds from the entry's
-    series and z0; the fit window defaults to (4, max(6, n_max - 4)).
+    The family is the one ``family_from_series`` builds from the entry's series and z0.
     """
     from .families import family_from_series, fit_type_from_remainders, remainder_constants
 
-    directions = _directions(cfg)
     ser, z0 = entry.known.get("series"), entry.known.get("z0")
     if ser is None or z0 is None:
         raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
     fam = family_from_series(ser, z0)
-    n_max = _get(cfg, "n_max", int, 20)
-    window = _get(cfg, "window", _int_pair, (4, max(6, n_max - 4)))
-    floor = _get(cfg, "noise_floor", float, 1e-9)
     fits = []
-    for theta_t in directions:
+    for theta_t in cfg["directions"]:
         cons = remainder_constants(
-            entry.fn, fam, theta_t, [radii] * entry.dim,
-            [(n,) * entry.dim for n in range(n_max + 1)], noise_floor=floor,
+            entry.fn, fam, theta_t, [cfg["radii"]] * entry.dim,
+            [(n,) * entry.dim for n in range(cfg["n_max"] + 1)], noise_floor=cfg["noise_floor"],
         )
-        rates, _, rms = fit_type_from_remainders(cons, window=window)
+        rates, _, rms = fit_type_from_remainders(cons, window=cfg["window"])
         fits.append((theta_t, rates, rms))
     return fits
 
@@ -232,15 +321,13 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
     from .transforms import LaplaceSpec, brg_function, laplace_bound
 
     ser = _series_from(cfg)
-    z0 = _z0_from(cfg)
-    spec = LaplaceSpec(z0, tol=_get(cfg, "tol", float, 1e-10))
+    z0, direction = cfg["z0"], cfg["direction"]
+    spec = LaplaceSpec(z0, tol=cfg["tol"])
     func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
-    direction = _get(cfg, "direction", _floats)
     if len(direction) != len(z0):
         raise ConfigError(f"direction has {len(direction)} angles, z0 has {len(z0)} components")
-    radii = _radii_from(cfg)
     pts = np.asarray(
-        [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in radii],
+        [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in cfg["radii"]],
         dtype=complex,
     )
     vals = func.eval_many(pts)
@@ -258,59 +345,41 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
         rows.append(row)
     _write_csv(out / "transform.csv", header, rows)
     _write_csv(
-        out / "series.csv",
-        ["N", "abs_coeff", "abs_coeff_over_factorial"],
-        [list(row) for row in ser.csv_rows()],
+        out / "series.csv", ["N", "abs_coeff", "abs_coeff_over_factorial"], [list(r) for r in ser.csv_rows()]
     )
-    _write_json(
-        out / "transform.json",
-        {
-            "command": "transform",
-            "dim": len(z0),
-            "points": len(rows),
-            "method": "closed-form",
-            "z0": [[w.real, w.imag] for w in spec.z0],
-            "tol": spec.tol,
-        },
-    )
+    _write_json(out / "transform.json", {
+        "command": "transform", "dim": len(z0), "points": len(rows), "method": "closed-form",
+        "z0": [[w.real, w.imag] for w in spec.z0], "tol": spec.tol,
+    })
     return EXIT_OK
 
 
 def _cmd_type_fit(cfg: dict, out: Path) -> int:
-    mode = cfg.get("mode", "gevrey")
+    mode = cfg["mode"]
     entry = _entry(cfg)
-    radii = _radii_from(cfg)
     rows = []
     report = {"command": "type-fit", "mode": mode, "testbed": entry.id, "directions": []}
     if mode == "gevrey":
-        for theta_t, rates, rms in _remainder_fits(cfg, entry, radii):
+        for theta_t, rates, rms in _remainder_fits(cfg, entry):
             law = None
             profile = entry.known.get("type_profile")
             if profile is not None:
                 law = [p.fn(t) for p, t in zip(profile, theta_t)]
             rows.append(list(theta_t) + list(rates) + [rms] + (law or []))
             report["directions"].append(
-                {
-                    "theta": list(theta_t),
-                    "fitted": list(rates),
-                    "rms": rms,
-                    "law": law,
-                }
+                {"theta": list(theta_t), "fitted": list(rates), "rms": rms, "law": law}
             )
         header = [f"theta{j + 1}" for j in range(entry.dim)]
         header += [f"R{j + 1}_fit" for j in range(entry.dim)] + ["rms"]
         if report["directions"][0]["law"] is not None:
             header += [f"R{j + 1}_law" for j in range(entry.dim)]
-    elif mode == "flat":
+    else:  # flat
         from .flatness_bounds import fit_flat_type
         from .geometry import ray_points
 
-        for theta_t in _directions(cfg):
-            pts = ray_points(entry.fn.domain, theta_t, [radii] * entry.dim)
-            samples = [
-                (tuple(abs(w) for w in pt), abs(entry.fn(pt)))
-                for pt in pts
-            ]
+        for theta_t in cfg["directions"]:
+            pts = ray_points(entry.fn.domain, theta_t, [cfg["radii"]] * entry.dim)
+            samples = [(tuple(abs(w) for w in pt), abs(entry.fn(pt))) for pt in pts]
             fit = fit_flat_type(samples)
             rows.append(list(theta_t) + list(fit.rates) + [fit.residual])
             report["directions"].append(
@@ -318,8 +387,6 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
             )
         header = [f"theta{j + 1}" for j in range(entry.dim)]
         header += [f"flat_rate{j + 1}" for j in range(entry.dim)] + ["residual"]
-    else:
-        raise ConfigError(f"unknown type-fit mode {mode!r}")
     _write_csv(out / "type_fit.csv", header, rows)
     _write_json(out / "type_fit.json", report)
     return EXIT_OK
@@ -328,16 +395,7 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
 def _cmd_predict_type(cfg: dict, out: Path) -> int:
     from .typecalc import TypeProfile, circle_type, final_type, fz_type, r_tilde, sine_type
 
-    alpha = _get(cfg, "alpha")
-    beta = _get(cfg, "beta")
-    theta0 = _get(cfg, "theta0")
-    r0 = _get(cfg, "R0")
-    r_alpha = _get(cfg, "R_alpha", float, r0)
-    r_beta = _get(cfg, "R_beta", float, r0)
-    z0_mod = _get(cfg, "z0_mod", float, r0)
-    points = _get(cfg, "points", int, 181)
-    if points < 2:
-        raise ConfigError("points must be >= 2")
+    alpha, beta, theta0, r0, points = cfg["alpha"], cfg["beta"], cfg["theta0"], cfg["R0"], cfg["points"]
     if not alpha < theta0 < beta:
         raise ConfigError("need alpha < theta0 < beta")
     profile = TypeProfile.constant(alpha, beta, r0)
@@ -348,9 +406,9 @@ def _cmd_predict_type(cfg: dict, out: Path) -> int:
         theta_in = min(max(theta, alpha + margin), beta - margin)
         fz = fz_type(theta, alpha, beta, theta0, r0)
         sine = sine_type(theta, alpha, beta, theta0, r0) if beta - alpha < math.pi else float("nan")
-        circ = circle_type(r_alpha, r_beta, alpha, beta, theta)
+        circ = circle_type(cfg["R_alpha"], cfg["R_beta"], alpha, beta, theta)
         if abs(theta - theta0) < 0.5 * math.pi:
-            rt = r_tilde(z0_mod, theta, theta0)[0]
+            rt = r_tilde(cfg["z0_mod"], theta, theta0)[0]
         else:
             rt = float("nan")
         try:
@@ -358,68 +416,35 @@ def _cmd_predict_type(cfg: dict, out: Path) -> int:
         except DomainError:
             fin = float("nan")
         rows.append([theta, fz, sine, circ, rt, fin])
-    _write_csv(
-        out / "predict_type.csv",
-        ["theta", "fz_type", "sine_type", "circle_type", "r_tilde", "final_type"],
-        rows,
-    )
-    _write_json(
-        out / "predict_type.json",
-        {
-            "command": "predict-type",
-            "alpha": alpha,
-            "beta": beta,
-            "theta0": theta0,
-            "R0": r0,
-            "points": points,
-        },
-    )
+    header = ["theta", "fz_type", "sine_type", "circle_type", "r_tilde", "final_type"]
+    _write_csv(out / "predict_type.csv", header, rows)
+    _write_json(out / "predict_type.json", {
+        "command": "predict-type", "alpha": alpha, "beta": beta, "theta0": theta0, "R0": r0, "points": points,
+    })
     return EXIT_OK
 
 
-def _max_order(cfg: dict, default: int) -> int:
-    max_order = _get(cfg, "max_order", int, default)
-    if max_order < 0:
-        raise ConfigError(f"max_order must be >= 0, got {max_order}")
-    return max_order
-
-
 def _cmd_verify(cfg: dict, out: Path) -> int:
-    suite = _require(cfg, "suite", str)
+    suite = cfg["suite"]
     if suite == "coherence":
         from .families import check_coherence, family_from_series
 
-        tol = _get(cfg, "tol", float, 1e-6)
-        if "series" in cfg or "z0" in cfg:
-            ser = _series_from(cfg)
-            fam = family_from_series(ser, _z0_from(cfg))
+        if cfg["series"] is None and cfg["z0"] is None:
+            fam = _total_family(cfg)
+        elif cfg["z0"] is None:
+            raise ConfigError("config key 'z0' is required with 'series'")
         else:
-            entry = _entry(cfg)
-            fam = entry.known.get("total_family")
-            if fam is None:
-                raise ConfigError(f"entry {entry.id!r} has no total family")
-        rep = check_coherence(
-            fam,
-            tol,
-            probe=_probe_from(cfg) if "probe" in cfg else None,
-            max_order=_max_order(cfg, 3),
-        )
+            fam = family_from_series(_series_from(cfg), cfg["z0"])
+        rep = check_coherence(fam, cfg["tol"], probe=cfg["probe"], max_order=cfg["max_order"])
         ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
     if suite == "pl":
         from .flatness_bounds import pl_check
-        from .geometry import Polysector
 
-        entry = _entry(cfg)
-        poly = Polysector.from_json(_require(cfg, "polysector", dict))
         rep = pl_check(
-            entry.fn,
-            poly,
-            boundary_density=_get(cfg, "boundary_density", int, 6),
-            interior_samples=_get(cfg, "interior_samples", int, 6),
-            tol=_get(cfg, "tol", float, 1e-9),
-            growth_attestation=cfg.get("growth_attestation"),
+            _entry(cfg).fn, cfg["polysector"], cfg["boundary_density"], cfg["interior_samples"], cfg["tol"],
+            growth_attestation=cfg["growth_attestation"],
         )
         _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
@@ -428,32 +453,23 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         profile = entry.known.get("type_profile")
         if profile is None:
             raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
-        rel_tol = _get(cfg, "rel_tol", float, 0.15)
+        rel_tol = cfg["rel_tol"]
         results = []
         ok = True
-        for theta_t, rates, _ in _remainder_fits(cfg, entry, _radii_from(cfg)):
+        for theta_t, rates, _ in _remainder_fits(cfg, entry):
             law = [p.fn(t) for p, t in zip(profile, theta_t)]
             rel = max(abs(r - l) / l for r, l in zip(rates, law))
             ok = ok and rel <= rel_tol
-            results.append(
-                {"theta": list(theta_t), "fitted": list(rates), "law": law, "rel_err": rel}
-            )
+            results.append({"theta": list(theta_t), "fitted": list(rates), "law": law, "rel_err": rel})
         _write_json(out / "remainder.json", {"ok": ok, "rel_tol": rel_tol, "directions": results})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
-    if suite == "first-order":
-        from .families import check_first_order_coherence
+    # first-order
+    from .families import check_first_order_coherence
 
-        entry = _entry(cfg)
-        fam = entry.known.get("total_family")
-        if fam is None:
-            raise ConfigError(f"entry {entry.id!r} has no total family")
-        rep = check_first_order_coherence(
-            fam, _get(cfg, "tol", float, 1e-6), max_order=_max_order(cfg, 2)
-        )
-        ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
-        _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
-        return EXIT_OK if ok else EXIT_VERDICT_FAIL
-    raise ConfigError(f"unknown verify suite {suite!r}")
+    rep = check_first_order_coherence(_total_family(cfg), cfg["tol"], max_order=cfg["max_order"])
+    ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
+    _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
+    return EXIT_OK if ok else EXIT_VERDICT_FAIL
 
 
 def _cmd_interpolate(cfg: dict, out: Path) -> int:
@@ -462,39 +478,21 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
     from .transforms import interpolate_first_order
     from .typecalc import TypeProfile
 
-    name = _require(cfg, "testbed", str)
-    if name != "rat2":
+    if cfg["testbed"] != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
-    opening = _get(cfg, "opening", float, 1.2)
-    cap = _get(cfg, "cap", int, 16)
-    z0 = _z0_from(cfg) if "z0" in cfg else (0.92, 0.92)
-    fam = testbed.rat2_total_family(opening=opening, cap=cap)
+    opening, samples, orders = cfg["opening"], cfg["samples"], cfg["orders"]
+    fam = testbed.rat2_first_order_family(opening=opening, cap=cfg["cap"])
     profiles = [TypeProfile.constant(-opening, opening, 1.0)] * 2
-    inner = _probe_from(
-        cfg, "inner_probe", r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128
-    )
-    samples = _get(cfg, "samples", _floats, [0.02 * 1.13**k for k in range(10)])
-    orders = _get(cfg, "orders", int, 3)
-    if not samples or orders < 0:
-        raise ConfigError("interpolate needs at least one sample and orders >= 0")
-    probe = _probe_from(
-        cfg, "probe", r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128
-    )
-    tol = _get(cfg, "tol", float, 1e-4)
     func = interpolate_first_order(
-        fam,
-        profiles,
-        z0,
-        probe=inner,
-        coeff_cap=_get(cfg, "coeff_cap", int, 10),
-        precheck_tol=_get(cfg, "precheck_tol", lambda v: None if v is None else float(v), 1e-3),
+        fam, profiles, cfg["z0"], probe=cfg["inner_probe"], coeff_cap=cfg["coeff_cap"],
+        precheck_tol=cfg["precheck_tol"],
     )
     rows = []
     worst = 0.0
     for axis in (0, 1):
         # one ladder per axis: every order, every sample point a batch column
         vals, errs, _, _ = element_coefficients(
-            [func], (axis,), [(k,) for k in range(orders + 1)], probe, [(sv,) for sv in samples]
+            [func], (axis,), [(k,) for k in range(orders + 1)], cfg["probe"], [(sv,) for sv in samples]
         )
         for k in range(orders + 1):
             for i, sv in enumerate(samples):
@@ -508,6 +506,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
         ["axis", "order", "z", "re_extracted", "im_extracted", "true", "abs_err", "probe_err"],
         rows,
     )
+    tol = cfg["tol"]
     _write_json(
         out / "interpolate.json",
         {"command": "interpolate", "worst_abs_err": worst, "tol": tol, "ok": worst <= tol,
@@ -569,14 +568,12 @@ def main(argv=None) -> int:
     # list-testbed only prints unless given --out; the other commands default to "."
     out = None if args.out is None and command == "list-testbed" else Path(args.out or ".")
     try:
+        if not args.config and command != "list-testbed":
+            raise ConfigError(f"{command} requires --config")
+        raw = _load_config(args.config) if args.config else {}
+        cfg = _read(raw, _table(command, raw))
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        if command == "list-testbed":
-            cfg = _load_config(args.config) if args.config else {}
-        else:
-            if not args.config:
-                raise ConfigError(f"{command} requires --config")
-            cfg = _load_config(args.config)
         return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -88,7 +88,7 @@ class MultiIndexSeries(Record):
         rows = []
         for ix, c in self.items():
             mag = abs(c)
-            ratio = math.exp(math.log(mag) - _lgamma_sum(ix)) if mag > 0 else 0.0
+            ratio = math.exp(math.log(mag) - _lgamma_sum(ix))
             rows.append((" ".join(str(k) for k in ix), mag, ratio))
         return rows
 
@@ -101,11 +101,8 @@ def gamma1_norm(a: MultiIndexSeries, weights: Sequence[float]) -> float:
         raise SeriesError("Gamma^1 weights must be positive")
     best = -math.inf
     for ix, c in a.coeffs.items():
-        mag = abs(c)
-        if mag == 0:
-            continue
         log_term = (
-            math.log(mag)
+            math.log(abs(c))
             + sum(k * math.log(w) for k, w in zip(ix, weights))
             - _lgamma_sum(ix)
         )
@@ -195,12 +192,7 @@ def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
     steepening past the lower-half slope (the signature of a convergent
     series, whose log ratio is concave).
     """
-    entries = []
-    for ix, c in f.items():
-        mag = abs(c)
-        if mag == 0:
-            continue
-        entries.append((ix, math.log(mag) - _lgamma_sum(ix)))
+    entries = [(ix, math.log(abs(c)) - _lgamma_sum(ix)) for ix, c in f.items()]
     if not entries:
         raise SeriesError("all-zero series cannot be fitted")
     if len(entries) < f.dim + 1:

@@ -84,6 +84,15 @@ class TestDispatch:
             ("verify", {"suite": "remainder", "testbed": "euler", "directions": [], "radii": [0.4, 0.3]}),
             ("type-fit", {"testbed": "euler", "mode": "gevrey", "directions": [], "radii": [0.4, 0.3]}),
             ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]}),
+            # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45
+            ("interpolate", {"testbed": "rat2", "cpa": 3, "tol": 1e-4, "samples": [0.03]}),
+            ("verify", {"suite": "coherence", "testbed": "rat2", "max_ordr": 1}),
+            ("interpolate", {"testbed": "rat2", "cap": 300}),
+            ("interpolate", {"testbed": "rat2", "cap": 46}),
+            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0],
+                           "radii": {"r0": 0.4, "ratio": 0.7, "count": 3, "cuont": 4}}),
+            ("verify", {"suite": "pl", "testbed": "poly", "growth_attestation": 5,
+                        "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
         ],
     )
     def test_bad_config_values(self, tmp_path, capsys, command, cfg):
@@ -653,59 +662,80 @@ _STACK = {"numpy", "families", "transforms", "series", "geometry"}
 _ENTRY = _STACK | {"testbed", "typecalc"}  # testbed imports TypeProfile
 
 
+# the README config of each subcommand, verify suite and type-fit mode, and
+# the numpy and library modules that running it loads
+_README_RUNS = [
+    (["transform"], {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0],
+                     "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _ENTRY),
+    (["type-fit"], {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
+                    "radii": _RADII_TYPE, "n_max": 22, "window": [4, 16], "noise_floor": 1e-9},
+     _ENTRY),
+    (["predict-type"], {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0,
+                        "R_alpha": 1.0, "R_beta": 1.0, "z0_mod": 1.0, "points": 181},
+     {"typecalc"}),
+    (["verify"], {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "max_order": 3}, _ENTRY),
+    (["verify"], {"suite": "coherence", "z0": [0.5, 0.45], "tol": 1e-6, "max_order": 1,
+                  "series": {"dim": 2, "coeffs": [{"index": [h, k], "re": 1.0, "im": 0.0}
+                                                  for h in range(2) for k in range(2)]}},
+     _STACK),
+    (["verify"], {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_PL_SECTOR] * 2}},
+     _ENTRY | {"flatness_bounds"}),
+    (["verify"], {"suite": "remainder", "testbed": "euler", "directions": [0.0, 0.5236],
+                  "radii": _RADII_TYPE, "rel_tol": 0.15}, _ENTRY),
+    (["verify"], {"suite": "first-order", "testbed": "rat2", "tol": 1e-6}, _ENTRY),
+    (["interpolate"], {"testbed": "rat2", "opening": 1.2, "cap": 16, "z0": [0.92, 0.92],
+                       "coeff_cap": 10, "orders": 3, "samples": [0.02, 0.026, 0.034],
+                       "tol": 1e-4}, _ENTRY),
+    (["list-testbed"], None, set()),
+]
+_README_IDS = ["transform", "type-fit", "predict-type", "verify-coherence", "verify-coherence-series",
+               "verify-pl", "verify-remainder", "verify-first-order", "interpolate", "list-testbed"]
+
+
+def run_fresh(tmp_path, argv, cfg):
+    """``cli.main(argv)`` on ``cfg`` in a fresh interpreter: the completed process and its
+    exit code and loaded modules."""
+    if cfg is not None:
+        argv = argv + ["--config", write(tmp_path, "cfg.json", cfg)]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    src = str(Path(polygevrey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, sys\n"
+        "from polygevrey import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "names = ['numpy', 'dataclasses'] + ['polygevrey.' + m for m in ('families', 'transforms',\n"
+        "    'series', 'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
+        "print(json.dumps({'exit': code, 'loaded': [m for m in names if m in sys.modules]}))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res, json.loads(res.stdout.splitlines()[-1])
+
+
 class TestImportFootprint:
     """Each subcommand, run on its README config in a fresh interpreter, loads
     exactly these of numpy and the library's numeric modules, and never
     ``dataclasses`` (generating a class's methods at import costs ~1 ms each)."""
 
-    @pytest.mark.parametrize(
-        "argv, cfg, want",
-        [
-            (["transform"], {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0],
-                             "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _ENTRY),
-            (["type-fit"], {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
-                            "radii": _RADII_TYPE, "n_max": 22, "window": [4, 16], "noise_floor": 1e-9},
-             _ENTRY),
-            (["predict-type"], {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0,
-                                "R_alpha": 1.0, "R_beta": 1.0, "z0_mod": 1.0, "points": 181},
-             {"typecalc"}),
-            (["verify"], {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "max_order": 3}, _ENTRY),
-            (["verify"], {"suite": "coherence", "z0": [0.5, 0.45], "tol": 1e-6, "max_order": 1,
-                          "series": {"dim": 2, "coeffs": [{"index": [h, k], "re": 1.0, "im": 0.0}
-                                                          for h in range(2) for k in range(2)]}},
-             _STACK),
-            (["verify"], {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_PL_SECTOR] * 2}},
-             _ENTRY | {"flatness_bounds"}),
-            (["verify"], {"suite": "remainder", "testbed": "euler", "directions": [0.0, 0.5236],
-                          "radii": _RADII_TYPE, "rel_tol": 0.15}, _ENTRY),
-            (["verify"], {"suite": "first-order", "testbed": "rat2", "tol": 1e-6}, _ENTRY),
-            (["interpolate"], {"testbed": "rat2", "opening": 1.2, "cap": 16, "z0": [0.92, 0.92],
-                               "coeff_cap": 10, "orders": 3, "samples": [0.02, 0.026, 0.034],
-                               "tol": 1e-4}, _ENTRY),
-            (["list-testbed"], None, set()),
-        ],
-        ids=["transform", "type-fit", "predict-type", "verify-coherence", "verify-coherence-series",
-             "verify-pl", "verify-remainder", "verify-first-order", "interpolate", "list-testbed"],
-    )
+    @pytest.mark.parametrize("argv, cfg, want", _README_RUNS, ids=_README_IDS)
     def test_loaded_modules(self, tmp_path, argv, cfg, want):
-        if cfg is not None:
-            argv = argv + ["--config", write(tmp_path, "cfg.json", cfg)]
-        argv = argv + ["--out", str(tmp_path / "out")]
-        src = str(Path(polygevrey.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = (
-            "import json, sys\n"
-            "from polygevrey import cli\n"
-            f"code = cli.main({argv!r})\n"
-            "names = ['numpy', 'dataclasses'] + ['polygevrey.' + m for m in ('families', 'transforms',\n"
-            "    'series', 'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
-            "print(json.dumps({'exit': code, 'loaded': [m for m in names if m in sys.modules]}))\n"
-        )
-        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        facts = json.loads(res.stdout.splitlines()[-1])
+        _, facts = run_fresh(tmp_path, argv, cfg)
         assert facts["exit"] == EXIT_OK
         assert {m.removeprefix("polygevrey.") for m in facts["loaded"]} == want
+
+    @pytest.mark.parametrize("argv, cfg, want", _README_RUNS, ids=_README_IDS)
+    def test_misspelt_key(self, tmp_path, argv, cfg, want):
+        # the same config with its last key misspelt (list-testbed takes no key at
+        # all) stops with exit 2 before numpy loads, and writes no report
+        cfg = dict(cfg or {"testbed": "rat2"})
+        key = list(cfg)[-1]
+        cfg[key[:-1]] = cfg.pop(key)
+        res, facts = run_fresh(tmp_path, argv, cfg)
+        assert facts["exit"] == EXIT_SCHEMA
+        assert f"config error: unknown config key(s) [{key[:-1]!r}]" in res.stderr
+        assert facts["loaded"] == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestListTestbed:

@@ -210,15 +210,22 @@ class TestLaplaceMonomials:
 
     def test_tail_terms_suffice(self):
         # the fixed count drops less than eps/4 of the tail series on |w| < top+1,
-        # Re w > 0, whose sum stays above 1/sqrt 2 in modulus
+        # Re w > 0, whose sum stays above 1/sqrt 2 in modulus.  The reference sum
+        # has terms j <= k, k = 2 * count + 10; by the b_j bound of _tail_terms the
+        # terms it drops add at most b_k (top+2+k)/(k+1), which must stay below eps**2
+        eps = np.finfo(float).eps
         for top in range(46):
+            count = _tail_terms(top)
+            k = 2 * count + 10
+            b_k = np.prod((top + 1) / np.arange(top + 2, top + 2 + k))
+            assert b_k * (top + 2 + k) / (k + 1) <= eps**2, top
             w = (top + 1) * np.outer(np.linspace(0.0, 1.0, 41)[1:] * (1 - 1e-12),
                                      np.exp(1j * np.linspace(-PI / 2, PI / 2, 41))).ravel()
-            ratios = w / np.arange(top + 2, top + 2 + 40 * (top + 1))[:, None]
+            ratios = w / np.arange(top + 2, top + 2 + k)[:, None]
             sums = np.cumsum(np.cumprod(np.vstack([np.ones_like(w), ratios]), axis=0), axis=0)
-            full, cut = sums[-1], sums[_tail_terms(top) - 1]
+            full, cut = sums[-1], sums[count - 1]
             assert np.all(np.abs(full) > 2**-0.5), top
-            assert np.all(np.abs(full - cut) <= 0.25 * np.finfo(float).eps * np.abs(full)), top
+            assert np.all(np.abs(full - cut) <= 0.25 * eps * np.abs(full)), top
 
     def test_domain(self):
         with pytest.raises(DomainError):
