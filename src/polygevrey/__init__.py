@@ -21,7 +21,7 @@ _EXPORTS = {
         " UnknownEntryError",
         "geometry": "Polysector Sector distinguished_boundary_points geometric_radii ray_points",
         "series": "GevreyFit MultiIndexSeries fit_gevrey_type gamma1_norm",
-        "families": "CoherenceReport ExtractResult ProbeSpec TotalFamily app_n check_coherence"
+        "families": "CoherenceReport ExtractResult ProbeSpec TotalFamily app_n_many check_coherence"
         " check_first_order_coherence extract_element family_from_series fit_type_from_remainders"
         " remainder_constants",
         "transforms": "LaplaceSpec SampledFunction brg_function brg_type interpolate_first_order"

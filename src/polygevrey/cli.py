@@ -45,6 +45,7 @@ from .errors import (
     PolygevreyError,
     ProbeError,
     TailError,
+    reject_unknown_keys,
 )
 
 EXIT_OK = 0
@@ -91,9 +92,7 @@ def _read(raw, table: dict, where: str = "config") -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - set(table))
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {sorted(table)}")
+    reject_unknown_keys(raw, table, where, ConfigError)
     out = {}
     for key, (parse, default, *bound) in table.items():
         if key not in raw and default is _REQUIRED:
@@ -379,7 +378,8 @@ def _cmd_type_fit(cfg: dict, out: Path) -> int:
 
         for theta_t in cfg["directions"]:
             pts = ray_points(entry.fn.domain, theta_t, [cfg["radii"]] * entry.dim)
-            samples = [(tuple(abs(w) for w in pt), abs(entry.fn(pt))) for pt in pts]
+            mags = abs(entry.fn.eval_many(pts)).tolist()
+            samples = [(tuple(abs(w) for w in pt), mag) for pt, mag in zip(pts, mags)]
             fit = fit_flat_type(samples)
             rows.append(list(theta_t) + list(fit.rates) + [fit.residual])
             report["directions"].append(

@@ -113,23 +113,18 @@ class TotalFamily(Record):
 # App_N
 
 
-def app_n(fam: TotalFamily, n_index: Sequence[int], z: Sequence[complex], validate: bool = True) -> complex:
-    """Inclusion-exclusion approximant: sum over nonempty J of
-    (-1)^(#J+1) sum_{H_J < N_J} f_{H_J}(z_{J'}) z_J^{H_J}."""
-    return complex(app_n_many(fam, n_index, np.asarray([tuple(z)], dtype=complex), validate=validate)[0])
-
-
 def app_n_many(
     fam: TotalFamily,
-    n_index: Sequence[int],
+    n_indices: Sequence[Sequence[int]],
     pts: np.ndarray,
     validate: bool = True,
 ) -> np.ndarray:
-    return _app_n_grid(fam, [n_index], pts, validate)[0]
+    """Inclusion-exclusion approximant App_N at the rows of ``pts``, one row of the result per N.
 
-
-def _app_n_grid(fam: TotalFamily, n_indices, pts: np.ndarray, validate: bool) -> list[np.ndarray]:
-    """App_N at ``pts`` for each N in ``n_indices``; each element is evaluated once."""
+    App_N(z) = sum over nonempty J of (-1)^(#J+1) sum_{H_J < N_J} f_{H_J}(z_{J'}) z_J^{H_J}.
+    ``pts`` has shape (k, dim) and the result (len(n_indices), k); each element is
+    evaluated once, on all k points, whichever truncation indices need it.
+    """
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
     for n_index in n_indices:
         if len(n_index) != fam.dim:
@@ -139,9 +134,7 @@ def _app_n_grid(fam: TotalFamily, n_indices, pts: np.ndarray, validate: bool) ->
         if any(k > b + 1 for k, b in zip(n_index, fam.index_bound)):
             raise FamilyError(f"truncation {n_index} exceeds index bound {fam.index_bound} + 1")
     pts = np.asarray(pts, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != fam.dim:
+    if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatchError("points must have one column per axis")
     if validate:
         for p in pts:
@@ -151,23 +144,20 @@ def _app_n_grid(fam: TotalFamily, n_indices, pts: np.ndarray, validate: bool) ->
     tops = [max((n[a] for n in n_indices), default=0) - 1 for a in range(fam.dim)]
     ptabs = [_powers_vec(pts[:, a], top) for a, top in enumerate(tops)]
     values = {}
-    out = []
-    for n_index in n_indices:
-        total = np.zeros(len(pts), dtype=complex)
+    out = np.zeros((len(n_indices), len(pts)), dtype=complex)
+    for row, n_index in zip(out, n_indices):
         for axes in nonempty_subsets(fam.dim):
             if any(n_index[a] == 0 for a in axes):
                 continue
             sign = -1.0 if len(axes) % 2 == 0 else 1.0
-            rest = fam.rest_axes(axes)
-            rest_pts = pts[:, rest] if rest else np.zeros((len(pts), 0), dtype=complex)
+            rest_pts = pts[:, list(fam.rest_axes(axes))]
             for idx in itertools.product(*(range(n_index[a]) for a in axes)):
                 if (axes, idx) not in values:
                     values[axes, idx] = fam.element(axes, idx).eval_many(rest_pts)
                 mono = np.ones(len(pts), dtype=complex)
                 for a, h in zip(axes, idx):
                     mono = mono * ptabs[a][h]
-                total = total + sign * values[axes, idx] * mono
-        out.append(total)
+                row += sign * values[axes, idx] * mono
     return out
 
 
@@ -493,7 +483,8 @@ def check_coherence(
     against the stored f_{(N_J, N_L)} at sampled complementary points.
     Residuals are relative to max(1, |target|).  Probe non-convergence is
     recorded per pair, not fatal.  One radius ladder per (J, L) serves every
-    stored f_{N_J}, every sampled point and every N_L.
+    stored f_{N_J}, every sampled point and every N_L, and each target is
+    evaluated in one call on all the sampled points.
 
     The default probe ties its agreement tolerance to ``tol`` (both are
     relative): demanding extrapolant agreement far below the asserted
@@ -538,14 +529,16 @@ def check_coherence(
                     if not fam.has_element(union, union_idx):
                         missing += 1
                         continue
-                    target_fn = fam.element(union, union_idx)
                     pair = (j_axes, l_axes, n_j, n_l)
-                    for k, z_rest in enumerate(z_rests):
-                        if note is not None or not conv[o, e, k]:
-                            probe_failures.append(pair + (note or f"unconverged ({errs[o, e, k]:.3e})",))
+                    if note is not None:
+                        probe_failures.extend([pair + (note,)] * len(z_rests))
+                        continue
+                    targets = fam.element(union, union_idx).eval_many(z_rests).tolist()
+                    for k, target in enumerate(targets):
+                        if not conv[o, e, k]:
+                            probe_failures.append(pair + (f"unconverged ({errs[o, e, k]:.3e})",))
                             continue
                         checked += 1
-                        target = target_fn(z_rest)
                         residual = abs(complex(vals[o, e, k]) - target) / max(1.0, abs(target))
                         max_residual = max(max_residual, residual)
                         if residual > tol:
@@ -690,7 +683,7 @@ def remainder_constants(
     rad = np.abs(pts)
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
     out = {}
-    for n_index, app in zip(n_indices, _app_n_grid(fam, n_indices, pts, validate=False)):
+    for n_index, app in zip(n_indices, app_n_many(fam, n_indices, pts, validate=False)):
         diff = np.abs(fvals - app)
         keep = diff > noise_floor
         if not np.any(keep):

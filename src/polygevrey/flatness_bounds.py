@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, GeometryError, Record, SeriesError
-from .geometry import Polysector, distinguished_boundary_points, ray_points
+from .geometry import Polysector, Sector, distinguished_boundary_points, ray_points
 from .series import rate_fit
 from .transforms import SampledFunction
 
@@ -114,10 +114,7 @@ def h_aux(z: complex, alpha: float, beta: float, lam: float, c: float) -> comple
         raise DomainError("h is undefined at the vertex")
     if not (alpha < beta and lam > 0 and c > 0):
         raise DomainError("need alpha < beta, lambda > 0, C > 0")
-    theta = cmath.phase(z)
-    mid = 0.5 * (alpha + beta)
-    theta += 2.0 * math.pi * round((mid - theta) / (2.0 * math.pi))
-    logz = complex(math.log(abs(z)), theta)
+    logz = complex(math.log(abs(z)), Sector(alpha, beta).arg_nearest_branch(z))
     width = beta - alpha
     return (
         (-1j * lam / (2.0 * width)) * logz * logz
@@ -153,9 +150,7 @@ def wedge_bound(
     for zj, aj, bj, lj in zip(z, alphas, betas, lams):
         if zj == 0:
             raise DomainError("wedge bound undefined at the vertex")
-        theta = cmath.phase(zj)
-        mid = 0.5 * (aj + bj)
-        theta += 2.0 * math.pi * round((mid - theta) / (2.0 * math.pi))
+        theta = Sector(aj, bj).arg_nearest_branch(zj)
         if not aj - 1e-12 <= theta <= bj + 1e-12:
             raise DomainError(f"arg z = {theta} outside the wedge [{aj}, {bj}]")
         mu *= (bj - min(max(theta, aj), bj)) / (bj - aj)
@@ -222,8 +217,11 @@ def pl_check(
 
     The subexponential-growth hypothesis that makes the principle valid is
     the caller's responsibility; pass ``growth_attestation`` to record it.
-    A sample point where ``f`` raises DomainError or ArithmeticError is
-    counted as an evaluation failure; any other exception propagates.
+    ``f`` is evaluated twice, once on the boundary grid and once on the
+    interior grid.  When a grid's call raises DomainError or
+    ArithmeticError, that grid is evaluated again one point at a time, and
+    each point that raises one of those is counted as an evaluation failure;
+    any other exception propagates.
     """
     if s.dim != f.domain.dim:
         raise DimensionMismatchError(
@@ -236,10 +234,14 @@ def pl_check(
 
     def probe(points):
         nonlocal failures
+        try:
+            return list(zip(points, np.abs(f.eval_many(points)).tolist()))
+        except (DomainError, ArithmeticError):
+            pass
         vals = []
         for pt in points:
             try:
-                vals.append((pt, abs(f(pt))))
+                vals.append((pt, float(np.abs(f.eval_many([pt]))[0])))
             except (DomainError, ArithmeticError):
                 failures += 1
         return vals

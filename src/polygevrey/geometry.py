@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, GeometryError, Record
+from .errors import DimensionMismatchError, GeometryError, Record, reject_unknown_keys
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,6 +73,7 @@ class Sector(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Sector":
+        reject_unknown_keys(obj, ("alpha", "beta", "rho"), "sector", GeometryError)
         try:
             rho = obj["rho"]
             rho = math.inf if rho in ("inf", None) else float(rho)
@@ -105,6 +106,7 @@ class Polysector(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polysector":
+        reject_unknown_keys(obj, ("sectors",), "polysector", GeometryError)
         try:
             raw = obj["sectors"]
         except (KeyError, TypeError) as exc:

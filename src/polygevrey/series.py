@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, Record, SeriesError
+from .errors import DimensionMismatchError, Record, SeriesError, reject_unknown_keys
 
 #: fitted rates above this are reported as an unbounded (convergent) type
 TYPE_INFINITY_THRESHOLD = 1e6
@@ -71,14 +71,17 @@ class MultiIndexSeries(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultiIndexSeries":
+        reject_unknown_keys(obj, ("dim", "coeffs", "degree_bound"), "series", SeriesError)
         try:
             dim = int(obj["dim"])
-            coeffs = {
-                tuple(int(k) for k in entry["index"]): complex(entry["re"], entry.get("im", 0.0))
-                for entry in obj["coeffs"]
-            }
+            coeffs = {}
+            for entry in obj["coeffs"]:
+                reject_unknown_keys(entry, ("index", "re", "im"), "coefficient", SeriesError)
+                coeffs[tuple(int(k) for k in entry["index"])] = complex(entry["re"], entry.get("im", 0.0))
             bound = obj.get("degree_bound")
             bound = tuple(int(b) for b in bound) if bound is not None else None
+        except SeriesError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SeriesError(f"bad series descriptor: {obj!r}") from exc
         return cls(dim, coeffs, bound)

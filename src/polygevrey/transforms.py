@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     CoherenceError,
     DomainError,
-    FamilyError,
     ProbeError,
     QuadratureError,
     Record,
@@ -83,46 +82,29 @@ class LaplaceSpec(Record):
 
 
 class SampledFunction(Record):
-    """Holomorphic function represented by an evaluation callback on a polysector.
+    """Holomorphic function on a polysector: a domain plus a batch callback.
 
-    ``fn`` receives a complex array of shape (k, dim) and returns k values;
-    callbacks must be pure.  On a 0-dimensional domain (the all-axes elements
-    of a total family) the function is the constant ``const`` and has no
-    callback.  ``provenance`` records how the values are made.
+    ``fn`` receives a complex array of shape (k, dim), one point per row, and
+    returns k values; callbacks must be pure.  :meth:`eval_many` is the only
+    way to evaluate.  A constant (an all-axes element of a total family) is a
+    callback on the 0-dimensional polysector, whose points are the rows of a
+    (k, 0) array.  ``provenance`` records how the values are made.
     """
 
     domain: Polysector
-    fn: Callable | None
-    const: complex | None
+    fn: Callable
     provenance: str
 
-    def __init__(self, domain: Polysector, fn: Callable | None = None, const: complex | None = None,
-                 provenance: str = "closed-form"):
-        self._set(domain, fn, const, provenance)
-        if self.domain.dim == 0:
-            if self.const is None:
-                raise FamilyError("0-dimensional functions must carry a constant value")
-        elif self.fn is None:
-            raise FamilyError("positive-dimensional functions need an eval callback")
+    def __init__(self, domain: Polysector, fn: Callable, provenance: str = "closed-form"):
+        self._set(domain, fn, provenance)
 
     @classmethod
     def constant(cls, value: complex, provenance: str = "closed-form") -> "SampledFunction":
-        return cls(EMPTY_POLYSECTOR, const=complex(value), provenance=provenance)
-
-    def __call__(self, zs=()) -> complex:
-        if self.domain.dim == 0:
-            return self.const
-        if isinstance(zs, (complex, float, int)):
-            zs = (zs,)
-        return complex(self.fn(np.asarray([tuple(zs)], dtype=complex))[0])
+        value = complex(value)
+        return cls(EMPTY_POLYSECTOR, lambda pts: np.full(len(pts), value, dtype=complex), provenance)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        if self.domain.dim == 0:
-            return np.full(len(pts), self.const, dtype=complex)
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return np.asarray(self.fn(pts), dtype=complex)
+        return np.asarray(self.fn(np.asarray(pts, dtype=complex)), dtype=complex)
 
 
 def _gl_panel(fvec, a: float, b: float):
@@ -608,7 +590,6 @@ def interpolate_first_order(
     w01, w02 = z0
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
         z1, i1 = np.unique(pts[:, 0], return_inverse=True)
         z2, i2 = np.unique(pts[:, 1], return_inverse=True)
         lap1 = laplace_monomials(w01, z1, n_cap)  # (n_cap+1, k1)

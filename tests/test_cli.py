@@ -738,6 +738,33 @@ class TestImportFootprint:
         assert not (tmp_path / "out").exists()
 
 
+_PL_RUN = _README_RUNS[_README_IDS.index("verify-pl")][1]
+_SERIES_RUN = _README_RUNS[_README_IDS.index("verify-coherence-series")][1]
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({**_PL_RUN, "polysector": {"sectors": [_PL_SECTOR, {**_PL_SECTOR, "rh0": 2.0}]}},
+         "unknown sector key(s) ['rh0']; allowed: ['alpha', 'beta', 'rho']"),
+        ({**_PL_RUN, "polysector": {"sectors": [_PL_SECTOR] * 2, "sectros": []}},
+         "unknown polysector key(s) ['sectros']; allowed: ['sectors']"),
+        ({**_SERIES_RUN, "series": {**_SERIES_RUN["series"], "coeffs": [{"index": [0, 0], "re": 1.0, "imag": 3.0}]}},
+         "unknown coefficient key(s) ['imag']; allowed: ['im', 'index', 're']"),
+        ({**_SERIES_RUN, "series": {**_SERIES_RUN["series"], "degre_bound": [1, 1]}},
+         "unknown series key(s) ['degre_bound']; allowed: ['coeffs', 'degree_bound', 'dim']"),
+    ],
+    ids=["sector", "polysector", "coefficient", "series"],
+)
+def test_misspelt_nested_key(tmp_path, capsys, cfg, message):
+    # a key outside the schema of a nested object is a config error naming the
+    # key and the allowed keys, and no report is written
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestListTestbed:
     def test_prints_and_writes(self, tmp_path, capsys):
         assert main(["list-testbed", "--out", str(tmp_path)]) == EXIT_OK

@@ -20,7 +20,7 @@ from polygevrey import (
     SampledFunction,
     Sector,
     TotalFamily,
-    app_n,
+    app_n_many,
     check_coherence,
     check_first_order_coherence,
     extract_element,
@@ -29,7 +29,7 @@ from polygevrey import (
     remainder_constants,
 )
 from polygevrey import testbed
-from polygevrey.families import app_n_many, element_coefficients, nonempty_subsets, slice_family
+from polygevrey.families import element_coefficients, nonempty_subsets, slice_family
 from polygevrey.transforms import LaplaceTables
 
 PI = math.pi
@@ -105,46 +105,53 @@ def count_ladders(monkeypatch) -> list:
 class TestAppN:
     def test_cross_product_exact(self):
         fam = xy_family()
-        assert app_n(fam, (2, 2), (0.3, 0.4)) == pytest.approx(0.12, abs=1e-15)
+        assert app_n_many(fam, [(2, 2)], [(0.3, 0.4)])[0, 0] == pytest.approx(0.12, abs=1e-15)
 
     def test_zero_truncation(self):
         fam = xy_family()
-        assert app_n(fam, (0, 0), (0.3, 0.4)) == 0
+        assert app_n_many(fam, [(0, 0)], [(0.3, 0.4)])[0, 0] == 0
 
     def test_one_variable_partial_sum(self):
         ser = MultiIndexSeries(1, {(n,): 1.0 for n in range(4)}, (3,))
         host = Polysector([Sector(-0.5, 0.5, 1.0)])
         fam = testbed.polynomial_family(ser, host)
-        assert app_n(fam, (4,), (0.5,)) == pytest.approx(1.875)
+        assert app_n_many(fam, [(4,)], [(0.5,)])[0, 0] == pytest.approx(1.875)
+
+    def test_one_row_per_truncation_index(self):
+        fam = xy_family()
+        got = app_n_many(fam, [(0, 0), (2, 2), (1, 1)], [(0.3, 0.4), (0.5, 0.1)])
+        assert got.shape == (3, 2)
+        assert np.allclose(got, [[0, 0], [0.12, 0.05], [0, 0]], rtol=0, atol=1e-15)
 
     def test_polynomial_identity_at_random_points(self):
         entry = testbed.get("poly")
         fam = entry.known["total_family"]
         rng = np.random.default_rng(7)
+        zs = []
         for _ in range(50):
             r = 0.05 + 0.85 * rng.random(2)
             th = (-PI / 3 + 2 * PI / 3 * rng.random(2)) * 0.999
-            z = tuple(r * np.exp(1j * th))
-            want = entry.fn(z)
-            got = app_n(fam, (3, 4), z)
-            assert abs(got - want) < 1e-13
+            zs.append(r * np.exp(1j * th))
+        want = entry.fn.eval_many(zs)
+        got = app_n_many(fam, [(3, 4)], zs)[0]
+        assert np.all(np.abs(got - want) < 1e-13)
 
     def test_missing_element(self):
         fam = xy_family()
         with pytest.raises(FamilyError):
             fam.element((0,), (5,))
         with pytest.raises(FamilyError):
-            app_n(fam, (3, 3), (0.1, 0.1))
+            app_n_many(fam, [(3, 3)], [(0.1, 0.1)])
 
     def test_truncation_bound_validation(self):
         fam = xy_family()
         with pytest.raises(FamilyError):
-            app_n(fam, (4, 0), (0.1, 0.1))
+            app_n_many(fam, [(4, 0)], [(0.1, 0.1)])
 
     def test_outside_host(self):
         fam = xy_family()
         with pytest.raises(DomainError):
-            app_n(fam, (1, 1), (2.0, 0.1))
+            app_n_many(fam, [(1, 1)], [(2.0, 0.1)])
 
     def test_subset_order(self):
         assert nonempty_subsets(2) == [(0,), (1,), (0, 1)]
@@ -346,7 +353,7 @@ class TestCoherence:
     def test_injected_inconsistency_flagged(self):
         fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
         els = dict(fam.elements)
-        els[((0, 1), (1, 1))] = SampledFunction.constant(els[((0, 1), (1, 1))].const + 1.0)
+        els[((0, 1), (1, 1))] = SampledFunction.constant(els[((0, 1), (1, 1))].eval_many([()])[0] + 1.0)
         bad = TotalFamily(2, fam.host, els, fam.index_bound)
         rep = check_coherence(bad, 1e-6, max_order=1)
         assert not rep.ok()
@@ -387,6 +394,38 @@ class TestCoherence:
         assert not rep.ok()
         assert ((0, 1), (2,), (1, 0), (0,)) in [f[:4] for f in rep.failures]
 
+    def test_three_variables_one_target_call_per_pair(self, monkeypatch):
+        # each non-constant target f_{(N_J, N_L)} (one rest axis) is evaluated in
+        # one call on the pair's two sampled points, not once per point
+        from polygevrey import transforms
+
+        ser = MultiIndexSeries(3, {n: 1.0 + sum(n) for n in itertools.product(range(2), repeat=3)}, (1, 1, 1))
+        fam = testbed.polynomial_family(ser, Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 3))
+        want = {}
+        for j_axes in nonempty_subsets(3):
+            for l_axes in nonempty_subsets(3):
+                if set(j_axes) & set(l_axes) or len(j_axes) + len(l_axes) == 3:
+                    continue
+                union = tuple(sorted(j_axes + l_axes))
+                for n_j in fam.stored_indices(j_axes):
+                    for n_l in itertools.product(range(2), repeat=len(l_axes)):
+                        index = dict(zip(j_axes, n_j)) | dict(zip(l_axes, n_l))
+                        target = fam.element(union, tuple(index[a] for a in union))
+                        want[id(target)] = want.get(id(target), 0) + 1
+        rows = {}
+        eval_many = transforms.SampledFunction.eval_many
+
+        def counted(self, pts):
+            # a ladder evaluates some targets too, on its 64 circle nodes per point
+            if id(self) in want and len(pts) < 64:
+                rows.setdefault(id(self), []).append(len(pts))
+            return eval_many(self, pts)
+
+        monkeypatch.setattr(transforms.SampledFunction, "eval_many", counted)
+        rep = check_coherence(fam, 1e-6, max_order=1)
+        assert rep.ok() and not rep.probe_failures
+        assert rows == {key: [2] * n for key, n in want.items()}
+
     def test_criterion_seven_family_one_ladder_per_pair(self, monkeypatch):
         fam = criterion_seven_family()
         calls = count_ladders(monkeypatch)
@@ -409,7 +448,7 @@ class TestFirstOrder:
     def test_one_variable(self):
         ser = MultiIndexSeries(1, {(n,): float(n + 1) for n in range(3)}, (2,))
         fam = family_from_series(ser, (0.5,))
-        assert [el() for el in fam.sequence(0)] == [1.0, 2.0, 3.0]
+        assert [el.eval_many([()])[0] for el in fam.sequence(0)] == [1.0, 2.0, 3.0]
 
     def test_empty_cap(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
@@ -454,8 +493,8 @@ class TestFamilyFromSeries:
     def test_one_variable_constants(self):
         ser = MultiIndexSeries(1, {(0,): 2.0, (1,): -1.0}, (1,))
         fam = family_from_series(ser, (0.5,))
-        assert fam.element((0,), (0,))() == 2.0
-        assert fam.element((0,), (1,))() == -1.0
+        assert fam.element((0,), (0,)).eval_many([()])[0] == 2.0
+        assert fam.element((0,), (1,)).eval_many([()])[0] == -1.0
 
     def test_constant_series_closed_forms(self):
         # fhat = 1 on two axes: each first-order zero-index element is the
@@ -465,16 +504,16 @@ class TestFamilyFromSeries:
         fam = family_from_series(ser, z0)
         for z in (0.1, 0.2 * cmath.exp(0.5j)):
             want2 = 1 - cmath.exp(-z0[1] / z)
-            assert fam.element((0,), (0,))((z,)) == pytest.approx(want2, rel=1e-9)
+            assert fam.element((0,), (0,)).eval_many([(z,)])[0] == pytest.approx(want2, rel=1e-9)
             want1 = 1 - cmath.exp(-z0[0] / z)
-            assert fam.element((1,), (0,))((z,)) == pytest.approx(want1, rel=1e-9)
+            assert fam.element((1,), (0,)).eval_many([(z,)])[0] == pytest.approx(want1, rel=1e-9)
 
     def test_constants_equal_coefficients(self):
         ser = testbed.rat2_series(cap=3)
         fam = family_from_series(ser, (0.5, 0.5))
         for h in range(4):
             for k in range(4):
-                assert fam.element((0, 1), (h, k))() == ser[(h, k)]
+                assert fam.element((0, 1), (h, k)).eval_many([()])[0] == ser[(h, k)]
 
     def test_borel_disc_guard(self):
         with pytest.raises(DomainError):
@@ -502,7 +541,7 @@ class TestFamilyFromSeries:
         probe = ProbeSpec(steps=18, tol=1e-6)
         for idx in ((0,), (1,)):
             res = extract_element(func, (0,), idx, (0.12,), probe=probe, strict=False)
-            want = fam.element((0,), idx)((0.12,))
+            want = fam.element((0,), idx).eval_many([(0.12,)])[0]
             assert abs(res.value - want) <= max(5 * res.error, 1e-6)
 
     def test_manifest(self):
@@ -529,9 +568,9 @@ class TestSharedTables:
         fam = three_variable_family()
         pts = np.asarray([(0.2, 0.1 + 0.05j, 0.3), (0.1, 0.2, 0.15 - 0.1j)])
         tables = count_tables(monkeypatch)
-        app_n_many(fam, (3, 3, 3), pts)
+        app_n_many(fam, [(3, 3, 3)], pts)
         assert tables == [2] * 3
-        app_n_many(fam, (2, 2, 2), pts)
+        app_n_many(fam, [(2, 2, 2)], pts)
         assert len(tables) == 3
 
     @settings(max_examples=40, deadline=None)
@@ -564,7 +603,7 @@ def per_index_constants(f, fam, direction, radii, n_indices, noise_floor):
     fvals = f.eval_many(pts)
     out = {}
     for n_index in n_indices:
-        diff = np.abs(fvals - app_n_many(fam, n_index, pts, validate=False))
+        diff = np.abs(fvals - app_n_many(fam, [n_index], pts, validate=False)[0])
         keep = diff > noise_floor
         if np.any(keep):
             weight = np.prod(np.abs(pts) ** np.asarray(n_index, dtype=float), axis=1)

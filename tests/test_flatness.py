@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from polygevrey import (
     DimensionMismatchError,
     DomainError,
+    GeometryError,
     Polysector,
     SampledFunction,
     Sector,
+    distinguished_boundary_points,
     fit_flat_type,
     gevrey_envelope_log,
     h_aux,
@@ -181,6 +183,12 @@ class TestWedgeBound:
         with pytest.raises(DomainError):
             wedge_bound((0.5 * cmath.exp(1.0j),), (-0.4,), (0.4,), (1.0,), 1.0, 0.5)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.4, 0.4), (0.5, 0.3)])
+    def test_empty_wedge_rejected(self, alpha, beta):
+        # an axis with alpha >= beta is not a sector, even for z on its edge
+        with pytest.raises(GeometryError, match="sector needs alpha < beta"):
+            wedge_bound((0.5 * cmath.exp(0.4j),), (alpha,), (beta,), (1.0,), 1.0, 0.5)
+
 
 class TestPLCheck:
     def test_polynomial_no_violations(self):
@@ -227,6 +235,54 @@ class TestPLCheck:
         f = SampledFunction(host, fragile)
         rep = pl_check(f, host, boundary_density=4, interior_samples=4)
         assert rep.eval_failures > 0
+
+    def test_one_call_per_grid(self):
+        host = Polysector([Sector(-PI / 4, PI / 4, 1.0)] * 2)
+        rows = []
+
+        def counted(p):
+            rows.append(len(p))
+            return p[:, 0] * p[:, 1]
+
+        assert pl_check(SampledFunction(host, counted), host, boundary_density=3, interior_samples=4).ok()
+        # the boundary grid (3 edge points per edge, 3 on the arc: 9 per axis), then the interior (2 x 2 per axis)
+        assert rows == [9 * 9, 4 * 4]
+
+    def test_bad_row_matches_pointwise_reference(self):
+        # one interior point raises: the interior is evaluated again one point at
+        # a time, and the report is the one a pointwise evaluation gives
+        host = Polysector([Sector(-0.5, 0.5, 1.0)])
+        batches = []
+
+        def partial(p):
+            batches.append(p.copy())
+            if np.any((np.abs(np.abs(p[:, 0]) - 0.495) < 0.01) & (np.abs(np.angle(p[:, 0]) - 0.1) < 0.05)):
+                raise DomainError("one interior point outside the domain")
+            return np.exp(1.0 / p[:, 0])
+
+        f = SampledFunction(host, partial)
+        rep = pl_check(f, host, boundary_density=4, interior_samples=8)
+        boundary, interior = batches[0], batches[1]
+        assert len(batches) == 2 + len(interior)
+
+        def pointwise(points):
+            vals, failures = [], 0
+            for pt in points:
+                try:
+                    vals.append((tuple(pt), float(np.abs(f.eval_many([pt]))[0])))
+                except DomainError:
+                    failures += 1
+            return vals, failures
+
+        bvals, bfail = pointwise(boundary)
+        ivals, ifail = pointwise(interior)
+        assert (bfail, ifail) == (0, 1)
+        assert rep.eval_failures == 1
+        assert rep.boundary_max == max(v for _, v in bvals)
+        assert rep.interior_max == max(v for _, v in ivals)
+        want = sorted(((pt, v) for pt, v in ivals if v > rep.boundary_max + rep.tolerance), key=lambda t: -t[1])
+        assert want and rep.violations == tuple(want)
+        assert [tuple(pt) for pt in boundary] == distinguished_boundary_points(host, 4)
 
     def test_callback_bug_propagates(self):
         # a bug in a callback is not a sampling gap

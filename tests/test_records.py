@@ -10,7 +10,6 @@ from polygevrey import (
     CoherenceReport,
     DomainError,
     ExtractResult,
-    FamilyError,
     FlatFit,
     GeometryError,
     GevreyFit,
@@ -25,7 +24,6 @@ from polygevrey import (
     TotalFamily,
     TypeProfile,
 )
-from polygevrey.geometry import EMPTY_POLYSECTOR
 from polygevrey.testbed import RegistryEntry
 
 
@@ -101,9 +99,6 @@ def test_cached_sup_is_not_a_field():
         (lambda: Sector(0.0, 1.0, 0.0), GeometryError, "sector radius must be positive, got 0.0"),
         (lambda: GevreyFit((1.0,), 0.0, -0.1), SeriesError, "negative residual"),
         (lambda: GevreyFit((0.0,), 0.0, 0.1), SeriesError, "type estimates must be positive (possibly inf)"),
-        (lambda: SampledFunction(EMPTY_POLYSECTOR, _one), FamilyError,
-         "0-dimensional functions must carry a constant value"),
-        (lambda: SampledFunction(HOST), FamilyError, "positive-dimensional functions need an eval callback"),
         (lambda: ProbeSpec(r0=-1.0, window=1), DomainError,
          "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, steps=14, window=1, agree=3, tol=1e-08, "
          "circle_frac=0.5, circle_nodes=64, direction=None): need r0 > 0, window >= 2"),
