@@ -163,21 +163,6 @@ def _radii(val) -> list[float]:
     return vals
 
 
-_PROBE = {
-    "r0": (float, None), "ratio": (float, None), "steps": (int, None), "window": (int, None),
-    "agree": (int, None), "tol": (float, None), "circle_frac": (float, None), "circle_nodes": (int, None),
-}
-
-
-def _probe(**defaults):
-    """The parser of a probe object: its fields over ``defaults`` over ProbeSpec's own."""
-    def parse(val):
-        from .families import ProbeSpec
-        given = {k: v for k, v in _read(val, _PROBE, "probe").items() if v is not None}
-        return ProbeSpec(**{**defaults, **given})
-    return parse
-
-
 def _series(val):
     from .series import MultiIndexSeries
     return MultiIndexSeries.from_json(val)
@@ -209,11 +194,10 @@ _TABLES = {
     },
     "verify coherence": {
         "testbed": (_text, None), "series": (_series, None), "z0": (_z0, None),
-        "tol": (float, 1e-6), "probe": (_probe(), None), "max_order": (int, 3, _AT_LEAST_0),
+        "tol": (float, 1e-6), "max_order": (int, 3, _AT_LEAST_0),
     },
     "verify pl": {
-        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED),
-        "boundary_density": (int, 6), "interior_samples": (int, 6), "tol": (float, 1e-9),
+        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED), "tol": (float, 1e-9),
         "growth_attestation": (_text, None),
     },
     "verify remainder": {**_FIT, "rel_tol": (float, 0.15)},
@@ -224,13 +208,8 @@ _TABLES = {
         "testbed": (_text, _REQUIRED), "opening": (float, 1.2),
         # 45: the largest degree at which laplace_monomials' tail term count is tested
         "cap": (int, 16, (-math.inf, 45)), "z0": (_z0, [0.92, 0.92]),
-        "inner_probe": (
-            _probe(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128), {}
-        ),
         "samples": (_floats, [0.02 * 1.13**k for k in range(10)]), "orders": (int, 3, _AT_LEAST_0),
-        "probe": (_probe(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128), {}),
         "tol": (float, 1e-4), "coeff_cap": (int, 10),
-        "precheck_tol": (lambda v: None if v is None else float(v), 1e-3),
     },
     "list-testbed": {},
 }
@@ -271,7 +250,10 @@ def _entry(cfg: dict):
 
 
 def _series_from(cfg):
+    """The inline ``series`` or the series of the ``testbed`` entry; naming both is a ConfigError."""
     if cfg["series"] is not None:
+        if cfg["testbed"] is not None:
+            raise ConfigError("config names both 'series' and 'testbed'; give one")
         return cfg["series"]
     entry = _entry(cfg)
     ser = entry.known.get("series")
@@ -319,12 +301,12 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
 
     from .transforms import LaplaceSpec, brg_function, laplace_bound
 
-    ser = _series_from(cfg)
     z0, direction = cfg["z0"], cfg["direction"]
-    spec = LaplaceSpec(z0, tol=cfg["tol"])
-    func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
     if len(direction) != len(z0):
         raise ConfigError(f"direction has {len(direction)} angles, z0 has {len(z0)} components")
+    ser = _series_from(cfg)
+    spec = LaplaceSpec(z0, tol=cfg["tol"])
+    func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
     pts = np.asarray(
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in cfg["radii"]],
         dtype=complex,
@@ -431,11 +413,12 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
 
         if cfg["series"] is None and cfg["z0"] is None:
             fam = _total_family(cfg)
-        elif cfg["z0"] is None:
-            raise ConfigError("config key 'z0' is required with 'series'")
         else:
-            fam = family_from_series(_series_from(cfg), cfg["z0"])
-        rep = check_coherence(fam, cfg["tol"], probe=cfg["probe"], max_order=cfg["max_order"])
+            ser = _series_from(cfg)
+            if cfg["z0"] is None:
+                raise ConfigError("config key 'z0' is required with 'series'")
+            fam = family_from_series(ser, cfg["z0"])
+        rep = check_coherence(fam, cfg["tol"], max_order=cfg["max_order"])
         ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
         _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
         return EXIT_OK if ok else EXIT_VERDICT_FAIL
@@ -443,8 +426,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         from .flatness_bounds import pl_check
 
         rep = pl_check(
-            _entry(cfg).fn, cfg["polysector"], cfg["boundary_density"], cfg["interior_samples"], cfg["tol"],
-            growth_attestation=cfg["growth_attestation"],
+            _entry(cfg).fn, cfg["polysector"], tol=cfg["tol"], growth_attestation=cfg["growth_attestation"]
         )
         _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
@@ -474,7 +456,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
 
 def _cmd_interpolate(cfg: dict, out: Path) -> int:
     from . import testbed
-    from .families import element_coefficients
+    from .families import ProbeSpec, element_coefficients
     from .transforms import interpolate_first_order
     from .typecalc import TypeProfile
 
@@ -482,17 +464,21 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
         raise ConfigError("interpolate currently drives the rat2 first-order family")
     opening, samples, orders = cfg["opening"], cfg["samples"], cfg["orders"]
     fam = testbed.rat2_first_order_family(opening=opening, cap=cfg["cap"])
+    outside = [sv for sv in samples if not all(sec.contains(sv) for sec in fam.host.sectors)]
+    if outside:
+        raise ConfigError(f"config key 'samples' lists points outside the sector: {outside}")
     profiles = [TypeProfile.constant(-opening, opening, 1.0)] * 2
+    inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
+    outer = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
     func = interpolate_first_order(
-        fam, profiles, cfg["z0"], probe=cfg["inner_probe"], coeff_cap=cfg["coeff_cap"],
-        precheck_tol=cfg["precheck_tol"],
+        fam, profiles, cfg["z0"], probe=inner, coeff_cap=cfg["coeff_cap"], precheck_tol=1e-3
     )
     rows = []
     worst = 0.0
     for axis in (0, 1):
         # one ladder per axis: every order, every sample point a batch column
         vals, errs, _, _ = element_coefficients(
-            [func], (axis,), [(k,) for k in range(orders + 1)], cfg["probe"], [(sv,) for sv in samples]
+            [func], (axis,), [(k,) for k in range(orders + 1)], outer, [(sv,) for sv in samples]
         )
         for k in range(orders + 1):
             for i, sv in enumerate(samples):

@@ -113,17 +113,12 @@ class TotalFamily(Record):
 # App_N
 
 
-def app_n_many(
-    fam: TotalFamily,
-    n_indices: Sequence[Sequence[int]],
-    pts: np.ndarray,
-    validate: bool = True,
-) -> np.ndarray:
+def app_n_many(fam: TotalFamily, n_indices: Sequence[Sequence[int]], pts: np.ndarray) -> np.ndarray:
     """Inclusion-exclusion approximant App_N at the rows of ``pts``, one row of the result per N.
 
     App_N(z) = sum over nonempty J of (-1)^(#J+1) sum_{H_J < N_J} f_{H_J}(z_{J'}) z_J^{H_J}.
-    ``pts`` has shape (k, dim) and the result (len(n_indices), k); each element is
-    evaluated once, on all k points, whichever truncation indices need it.
+    ``pts`` (k, dim) holds points of the host polysector and the result is (len(n_indices), k);
+    each element is evaluated once, on all k points, whichever truncation indices need it.
     """
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
     for n_index in n_indices:
@@ -136,10 +131,9 @@ def app_n_many(
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatchError("points must have one column per axis")
-    if validate:
-        for p in pts:
-            if not fam.host.contains(tuple(p)):
-                raise DomainError(f"point {tuple(p)} outside the host polysector")
+    for p in pts:
+        if not fam.host.contains(tuple(p)):
+            raise DomainError(f"point {tuple(p)} outside the host polysector")
     # z_a^h by repeated products: the same values whatever the top power
     tops = [max((n[a] for n in n_indices), default=0) - 1 for a in range(fam.dim)]
     ptabs = [_powers_vec(pts[:, a], top) for a, top in enumerate(tops)]
@@ -171,6 +165,8 @@ def _powers_vec(col: np.ndarray, top: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # radius ladders
 
+_WINDOW, _AGREE = 5, 3  # rungs per extrapolant; successive extrapolants that must match
+
 
 class ProbeSpec(Record):
     """Radius ladder and Cauchy-circle controls for coefficient extraction.
@@ -178,8 +174,8 @@ class ProbeSpec(Record):
     The ladder walks r_k = r0 * ratio**k toward the vertex; at each rung the
     derivative is read off a trapezoid-sampled circle of radius
     circle_frac * (distance to the sector boundary).  Extrapolants come from
-    Neville interpolation to radius zero over the trailing ``window`` rungs
-    and are declared converged when ``agree`` successive extrapolants match
+    Neville interpolation to radius zero over a five-rung window, and the
+    ladder is declared converged when three successive extrapolants match
     within tol (mixed absolute/relative).  The reported value is the
     extrapolant with the smallest error estimate seen along the ladder.
     ``direction`` gives the ray of each probed axis, one angle per axis
@@ -189,23 +185,18 @@ class ProbeSpec(Record):
     r0: float
     ratio: float
     steps: int
-    window: int
-    agree: int
     tol: float
     circle_frac: float
     circle_nodes: int
     direction: tuple[float, ...] | None
 
-    def __init__(self, r0: float = 0.3, ratio: float = 0.7, steps: int = 14, window: int = 5, agree: int = 3,
-                 tol: float = 1e-8, circle_frac: float = 0.5, circle_nodes: int = 64,
-                 direction: tuple[float, ...] | None = None):
-        self._set(r0, ratio, steps, window, agree, tol, circle_frac, circle_nodes, direction)
+    def __init__(self, r0: float = 0.3, ratio: float = 0.7, steps: int = 14, tol: float = 1e-8,
+                 circle_frac: float = 0.5, circle_nodes: int = 64, direction: tuple[float, ...] | None = None):
+        self._set(r0, ratio, steps, tol, circle_frac, circle_nodes, direction)
         rules = (
             (self.r0 > 0, "r0 > 0"),
             (0 < self.ratio < 1, "0 < ratio < 1"),
-            (self.window >= 2, "window >= 2"),
-            (self.steps >= self.window, "steps >= window"),
-            (self.agree >= 1, "agree >= 1"),
+            (self.steps >= _WINDOW, f"steps >= {_WINDOW}"),
             (self.tol > 0, "tol > 0"),
             (0 < self.circle_frac < 1, "0 < circle_frac < 1"),
             (self.circle_nodes >= 2, "circle_nodes >= 2"),
@@ -253,10 +244,9 @@ class _LadderTracker:
     def push(self, r: float, values: np.ndarray):
         self.radii.append(r)
         self.samples.append(values)
-        w = self.probe.window
-        if len(self.radii) < w:
+        if len(self.radii) < _WINDOW:
             return
-        est = _neville_zero(self.radii[-w:], self.samples[-w:])
+        est = _neville_zero(self.radii[-_WINDOW:], self.samples[-_WINDOW:])
         self.extrap.append(est)
         if len(self.extrap) < 2:
             return
@@ -264,7 +254,7 @@ class _LadderTracker:
         scale = np.maximum(1.0, np.abs(est))
         ok = diff <= self.probe.tol * scale
         self._agree_count = np.where(ok, self._agree_count + 1, 0)
-        newly = (self._agree_count >= self.probe.agree - 1) & ~self.converged
+        newly = (self._agree_count >= _AGREE - 1) & ~self.converged
         self.converged |= newly
         if len(self.extrap) >= 3:
             err = np.maximum(diff, np.abs(self.extrap[-2] - self.extrap[-3]))
@@ -683,7 +673,7 @@ def remainder_constants(
     rad = np.abs(pts)
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
     out = {}
-    for n_index, app in zip(n_indices, app_n_many(fam, n_indices, pts, validate=False)):
+    for n_index, app in zip(n_indices, app_n_many(fam, n_indices, pts)):
         diff = np.abs(fvals - app)
         keep = diff > noise_floor
         if not np.any(keep):

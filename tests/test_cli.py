@@ -70,12 +70,12 @@ class TestDispatch:
             ("transform", {"series": {"dim": 1, "coeffs": [{"index": ["a"], "re": 1.0}]}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
             ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0, 0.1], "radii": [0.4]}),
             ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": []}),
-            ("verify", {"suite": "coherence", "testbed": "rat2", "probe": {"steps": "many"}}),
+            ("verify", {"suite": "coherence", "testbed": "rat2", "tol": "tight"}),
             ("verify", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [{"alpha": "x", "beta": 1.0, "rho": 1.0}]}}),
-            ("verify", {"suite": "pl", "testbed": "poly", "boundary_density": [6], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
-            ("interpolate", {"testbed": "rat2", "inner_probe": {"bogus": 1}}),
-            ("interpolate", {"testbed": "rat2", "probe": {"r0": "far"}}),
-            ("interpolate", {"testbed": "rat2", "precheck_tol": "loose"}),
+            ("verify", {"suite": "pl", "testbed": "poly", "tol": [1e-9], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
+            ("interpolate", {"testbed": "rat2", "opening": "wide"}),
+            ("interpolate", {"testbed": "rat2", "z0": [0.92, ["a", 0]]}),
+            ("interpolate", {"testbed": "rat2", "tol": "loose"}),
             ("interpolate", {"testbed": "rat2", "coeff_cap": -1}),
             ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]}),
             ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]}),
@@ -183,6 +183,40 @@ class TestDispatch:
             if (word := n.rpartition(".")[2]) not in used and not re.search(rf"\b{word}\b", named)
         ]
         assert not unreached, f"exported names that nothing reaches: {unreached}"
+
+    def test_every_config_key_is_set_by_an_example(self):
+        # each key a config table declares is set in a README example or a
+        # benchmark config; a setting that only tests change is a constant
+        from polygevrey.cli import _TABLES
+
+        root = Path(__file__).resolve().parents[1]
+        examples = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S)
+        text = "\n".join(examples) + (root / "bench" / "workloads.py").read_text()
+        keys = {key for table in _TABLES.values() for key in table}
+        unset = sorted(key for key in keys if not re.search(rf'"{key}"\s*:', text))
+        assert not unset, f"config keys that no README example or benchmark config sets: {unset}"
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("verify", {"suite": "coherence", "testbed": "rat2", "probe": {"steps": 20}}),
+            ("verify", {"suite": "pl", "testbed": "poly", "boundary_density": 6}),
+            ("verify", {"suite": "pl", "testbed": "poly", "interior_samples": 6}),
+            ("interpolate", {"testbed": "rat2", "inner_probe": {"steps": 20}}),
+            ("interpolate", {"testbed": "rat2", "probe": {"steps": 16}}),
+            ("interpolate", {"testbed": "rat2", "precheck_tol": 1e-3}),
+        ],
+        ids=["coherence-probe", "pl-boundary_density", "pl-interior_samples", "interpolate-inner_probe",
+             "interpolate-probe", "interpolate-precheck_tol"],
+    )
+    def test_fixed_settings_are_not_keys(self, tmp_path, capsys, command, cfg):
+        # the ladder probes, the precheck tolerance and the pl densities are
+        # constants: naming one is an unknown key, and no report is written
+        key = list(cfg)[-1]
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        assert f"config error: unknown config key(s) [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPredictType:
@@ -329,6 +363,18 @@ class TestTransform:
         assert main(["transform", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert (out / "error.json").exists()
 
+    def test_direction_length_checked_before_the_tail(self, tmp_path, capsys):
+        # at tol 1e-30 euler's dropped Borel tail fails its bound (exit 3), but
+        # a direction with one angle too many is a config error first
+        cfg = {"testbed": "euler", "z0": [0.5], "tol": 1e-30, "direction": [0.0], "radii": [0.3, 0.2]}
+        out = tmp_path / "out"
+        assert main(["transform", "--config", write(tmp_path, "t1.json", cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        bad = tmp_path / "bad"
+        path = write(tmp_path, "t2.json", {**cfg, "direction": [0.0, 0.1]})
+        assert main(["transform", "--config", path, "--out", str(bad)]) == EXIT_SCHEMA
+        assert "direction has 2 angles, z0 has 1 components" in capsys.readouterr().err
+        assert list(bad.iterdir()) == []
+
 
 class TestTypeFit:
     def test_euler_within_ten_percent(self, tmp_path):
@@ -397,28 +443,6 @@ class TestVerify:
         report = json.loads((out / "coherence.json").read_text())
         assert report["ok"]
         assert report["report"]["max_residual"] < 1e-6
-
-    @pytest.mark.parametrize(
-        "probe",
-        [
-            {"r0": 0.0},
-            {"ratio": 1.5},
-            {"ratio": 0.0},
-            {"window": 1},
-            {"steps": 0},
-            {"agree": 0},
-            {"tol": 0.0},
-            {"circle_frac": 1.0},
-            {"circle_nodes": 1},
-        ],
-    )
-    def test_bad_probe_rejected(self, tmp_path, probe):
-        cfg = write(
-            tmp_path,
-            "vb.json",
-            {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "probe": probe},
-        )
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
     def test_pl_dimension_mismatch(self, tmp_path, capsys):
         cfg = write(
@@ -524,8 +548,6 @@ class TestVerify:
                         {"alpha": -PI / 3, "beta": PI / 3, "rho": 1.0},
                     ]
                 },
-                "boundary_density": 4,
-                "interior_samples": 4,
             },
         )
         out = tmp_path / "out"
@@ -603,9 +625,6 @@ class TestInterpolate:
                 "orders": 1,
                 "samples": [0.04, 0.06, 0.09],
                 "tol": 1e-3,
-                "precheck_tol": None,
-                "inner_probe": {"steps": 16, "tol": 1e-10},
-                "probe": {"steps": 13},
             },
         )
         out = tmp_path / "out"
@@ -621,13 +640,11 @@ class TestInterpolate:
         assert main(["interpolate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize("bad", [{"samples": [-0.03]}, {"samples": []}, {"orders": -1}])
-    def test_bad_samples_or_orders_rejected(self, tmp_path, bad):
-        cfg = {
-            "testbed": "rat2", "cap": 8, "coeff_cap": 4, "precheck_tol": None,
-            "inner_probe": {"steps": 16, "tol": 1e-10}, "probe": {"steps": 13},
-        }
+    def test_bad_samples_or_orders_rejected(self, tmp_path, capsys, bad):
+        cfg = {"testbed": "rat2", "cap": 8, "coeff_cap": 4}
         path = write(tmp_path, "ip4.json", {**cfg, **bad})
         assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert f"config key {next(iter(bad))!r}" in capsys.readouterr().err
 
     def test_empty_family_rejected(self, tmp_path, capsys):
         # cap -1 stores no first-order element: a config error, not an internal one
@@ -646,9 +663,6 @@ class TestInterpolate:
                 "orders": 0,
                 "samples": [0.05, 0.08],
                 "tol": 1e-12,
-                "precheck_tol": None,
-                "inner_probe": {"steps": 16, "tol": 1e-10},
-                "probe": {"steps": 13},
             },
         )
         out = tmp_path / "out"
@@ -678,7 +692,8 @@ _README_RUNS = [
                   "series": {"dim": 2, "coeffs": [{"index": [h, k], "re": 1.0, "im": 0.0}
                                                   for h in range(2) for k in range(2)]}},
      _STACK),
-    (["verify"], {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_PL_SECTOR] * 2}},
+    (["verify"], {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_PL_SECTOR] * 2},
+                  "growth_attestation": "a polynomial: bounded on the polysector"},
      _ENTRY | {"flatness_bounds"}),
     (["verify"], {"suite": "remainder", "testbed": "euler", "directions": [0.0, 0.5236],
                   "radii": _RADII_TYPE, "rel_tol": 0.15}, _ENTRY),
@@ -763,6 +778,28 @@ def test_misspelt_nested_key(tmp_path, capsys, cfg, message):
     assert main(["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_CONST_SERIES = {"dim": 1, "coeffs": [{"index": [0], "re": 1.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("transform", {"testbed": "euler", "series": _CONST_SERIES, "z0": [0.5], "direction": [0.0],
+                       "radii": [0.2, 0.1]}),
+        ("verify", {**_SERIES_RUN, "testbed": "rat2"}),
+        ("verify", {"suite": "coherence", "testbed": "rat2", "series": _SERIES_RUN["series"]}),
+    ],
+    ids=["transform", "verify-coherence", "verify-coherence-no-z0"],
+)
+def test_series_and_testbed_rejected(tmp_path, capsys, command, cfg):
+    # a series comes inline or from a testbed entry, not both: exit 2 naming
+    # both keys, and no report
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+    assert "config names both 'series' and 'testbed'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestListTestbed:

@@ -603,7 +603,7 @@ def per_index_constants(f, fam, direction, radii, n_indices, noise_floor):
     fvals = f.eval_many(pts)
     out = {}
     for n_index in n_indices:
-        diff = np.abs(fvals - app_n_many(fam, [n_index], pts, validate=False)[0])
+        diff = np.abs(fvals - app_n_many(fam, [n_index], pts)[0])
         keep = diff > noise_floor
         if np.any(keep):
             weight = np.prod(np.abs(pts) ** np.asarray(n_index, dtype=float), axis=1)

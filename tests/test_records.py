@@ -99,9 +99,9 @@ def test_cached_sup_is_not_a_field():
         (lambda: Sector(0.0, 1.0, 0.0), GeometryError, "sector radius must be positive, got 0.0"),
         (lambda: GevreyFit((1.0,), 0.0, -0.1), SeriesError, "negative residual"),
         (lambda: GevreyFit((0.0,), 0.0, 0.1), SeriesError, "type estimates must be positive (possibly inf)"),
-        (lambda: ProbeSpec(r0=-1.0, window=1), DomainError,
-         "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, steps=14, window=1, agree=3, tol=1e-08, "
-         "circle_frac=0.5, circle_nodes=64, direction=None): need r0 > 0, window >= 2"),
+        (lambda: ProbeSpec(r0=-1.0, steps=4), DomainError,
+         "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, steps=4, tol=1e-08, "
+         "circle_frac=0.5, circle_nodes=64, direction=None): need r0 > 0, steps >= 5"),
         (lambda: TypeProfile(1.0, 0.0, _profile), GeometryError, "profile domain needs alpha < beta"),
         (lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"b": ""}), ValueError, "known fields ['a'] != noted ['b']"),
         (lambda: FlatFit((-0.5,), 0.0, 0.1, (False,)), SeriesError, "flat rates must be nonnegative"),
@@ -112,3 +112,23 @@ def test_construction_checks(make, exc, message):
     with pytest.raises(exc) as info:
         make()
     assert info.value.args == (message,)
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("r0", 0.0, "r0 > 0"),
+        ("ratio", 1.5, "0 < ratio < 1"),
+        ("ratio", 0.0, "0 < ratio < 1"),
+        ("steps", 4, "steps >= 5"),  # the five-rung extrapolation window
+        ("tol", 0.0, "tol > 0"),
+        ("circle_frac", 1.0, "0 < circle_frac < 1"),
+        ("circle_nodes", 1, "circle_nodes >= 2"),
+    ],
+    ids=["r0", "ratio-above", "ratio-zero", "steps", "tol", "circle_frac", "circle_nodes"],
+)
+def test_probe_rules(field, value, rule):
+    # each rule a ProbeSpec checks, broken alone, is named alone
+    with pytest.raises(DomainError) as info:
+        ProbeSpec(**{field: value})
+    assert str(info.value).endswith(f"direction=None): need {rule}")
