@@ -12,7 +12,8 @@ exception).
 Each subcommand, ``verify`` suite and ``type-fit`` mode declares its config
 keys in one table of ``_TABLES``: key -> parser, default, bound.  ``main``
 reads the config through it, so a key outside the table exits 2 before numpy
-loads, anything runs or any report is written.
+loads, anything runs or any report is written.  This module alone reads
+configs (a nested object before its library module loads) and writes reports.
 
 Importing this module loads only the standard library and ``errors``; each
 subcommand imports what it runs.  ``predict-type`` loads ``typecalc`` alone,
@@ -45,7 +46,6 @@ from .errors import (
     PolygevreyError,
     ProbeError,
     TailError,
-    reject_unknown_keys,
 )
 
 EXIT_OK = 0
@@ -86,13 +86,15 @@ def _read(raw, table: dict, where: str = "config") -> dict:
     """Every key of ``table`` (key -> (parser, default[, (lo, hi)])), parsed from ``raw``.
 
     A key outside the table, a missing required key, a value its parser
-    rejects or one outside its bound is a ConfigError.  An absent key reads
-    its default (a callable one gets the keys read so far), parsed as if
-    written; a default of None reads None.
+    rejects or overflows, or one outside its bound is a ConfigError (a nested
+    table's passes unchanged).  An absent key reads its default (a callable
+    one gets the keys read so far), parsed as if written; None reads None.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    reject_unknown_keys(raw, table, where, ConfigError)
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {sorted(table)}")
     out = {}
     for key, (parse, default, *bound) in table.items():
         if key not in raw and default is _REQUIRED:
@@ -100,7 +102,9 @@ def _read(raw, table: dict, where: str = "config") -> dict:
         val = raw.get(key, default(out) if callable(default) else default)
         try:
             out[key] = None if val is None and key not in raw else parse(val)
-        except (TypeError, ValueError) as exc:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where} key {key!r} has a bad value {val!r}: {exc}") from None
         for lo, hi in bound:
             if not lo <= out[key] <= hi:
@@ -150,13 +154,36 @@ def _directions(val) -> list[tuple[float, ...]]:
     return [tuple(float(t) for t in th) if isinstance(th, list) else (float(th),) for th in val]
 
 
+def _ints(val) -> tuple[int, ...]:
+    return tuple(int(v) for v in val)
+
+
+def _rho(val) -> float:  # "inf" or null: an unbounded sector
+    return math.inf if val in ("inf", None) else float(val)
+
+
+_GRID = {"r0": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (int, _REQUIRED)}
+_COEFFICIENT = {"index": (_ints, _REQUIRED), "re": (float, _REQUIRED), "im": (float, 0.0)}
+_SECTOR = {"alpha": (float, _REQUIRED), "beta": (float, _REQUIRED), "rho": (_rho, _REQUIRED)}
+
+
+def _each(table: dict, where: str):
+    """The parser of a list of objects, each read through ``table``."""
+    return lambda val: [_read(obj, table, where) for obj in _list(val)]
+
+
+_SERIES = {"dim": (int, _REQUIRED), "coeffs": (_each(_COEFFICIENT, "coefficient"), _REQUIRED),
+           "degree_bound": (_ints, None)}
+_POLYSECTOR = {"sectors": (_each(_SECTOR, "sector"), _REQUIRED)}
+
+
 def _radii(val) -> list[float]:
     """A strictly decreasing list, or a geometric grid {r0, ratio, count}."""
     if isinstance(val, dict):
+        grid = _read(val, _GRID, "radii")
         from .geometry import geometric_radii
 
-        grid = {"r0": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (int, _REQUIRED)}
-        return list(geometric_radii(**_read(val, grid, "radii")))
+        return list(geometric_radii(**grid))
     vals = _floats(val)
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ValueError("explicit radii must be strictly decreasing")
@@ -164,13 +191,20 @@ def _radii(val) -> list[float]:
 
 
 def _series(val):
+    ser = _read(val, _SERIES, "series")
     from .series import MultiIndexSeries
-    return MultiIndexSeries.from_json(val)
+
+    coeffs = {c["index"]: complex(c["re"], c["im"]) for c in ser["coeffs"]}
+    return MultiIndexSeries(ser["dim"], coeffs, ser["degree_bound"])  # None: the largest index per axis
 
 
 def _polysector(val):
-    from .geometry import Polysector
-    return Polysector.from_json(val)
+    sectors = _read(val, _POLYSECTOR, "polysector")["sectors"]
+    if not sectors:
+        raise ConfigError("polysector key 'sectors' lists no sector")
+    from .geometry import Polysector, Sector
+
+    return Polysector(Sector(**sec) for sec in sectors)
 
 
 _AT_LEAST_0, _AT_LEAST_2 = (0, math.inf), (2, math.inf)
@@ -229,10 +263,17 @@ def _table(command: str, raw: dict) -> dict:
     return {key: (_text, default), **_TABLES[f"{command} {name}"]}
 
 
+def _finite(literal: str) -> float:
+    """A JSON number literal as a float; NaN, Infinity or one that overflows is a ConfigError."""
+    if not math.isfinite(val := float(literal)):
+        raise ConfigError(f"config holds the non-finite number {literal}")
+    return val
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -268,6 +309,17 @@ def _total_family(cfg):
     if fam is None:
         raise ConfigError(f"entry {entry.id!r} has no total family")
     return fam
+
+
+def _write_coherence(path: Path, rep) -> int:
+    """Write a coherence or first-order verdict; one over zero checked pairs is not a pass."""
+    ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
+    report = {key: getattr(rep, key) for key in ("checked_pairs", "max_residual", "tolerance", "missing")}
+    for key, last in (("failures", "residual"), ("probe_failures", "note")):
+        report[key] = [{"J": list(j), "L": list(l), "N_J": list(nj), "N_L": list(nl), last: v}
+                       for j, l, nj, nl, v in getattr(rep, key)]
+    _write_json(path, {"ok": ok, "report": report})
+    return EXIT_OK if ok else EXIT_VERDICT_FAIL
 
 
 def _remainder_fits(cfg: dict, entry) -> list[tuple]:
@@ -325,9 +377,11 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
         row += [v.real, v.imag, float(e)]
         rows.append(row)
     _write_csv(out / "transform.csv", header, rows)
-    _write_csv(
-        out / "series.csv", ["N", "abs_coeff", "abs_coeff_over_factorial"], [list(r) for r in ser.csv_rows()]
-    )
+    coeff_rows = []
+    for ix, c in ser.items():  # |f_N| / N! in log space: N! overflows past N ~ 170
+        ratio = math.exp(math.log(abs(c)) - sum(math.lgamma(n + 1) for n in ix))
+        coeff_rows.append([" ".join(str(n) for n in ix), abs(c), ratio])
+    _write_csv(out / "series.csv", ["N", "abs_coeff", "abs_coeff_over_factorial"], coeff_rows)
     _write_json(out / "transform.json", {
         "command": "transform", "dim": len(z0), "points": len(rows), "method": "closed-form",
         "z0": [[w.real, w.imag] for w in spec.z0], "tol": spec.tol,
@@ -419,16 +473,15 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
                 raise ConfigError("config key 'z0' is required with 'series'")
             fam = family_from_series(ser, cfg["z0"])
         rep = check_coherence(fam, cfg["tol"], max_order=cfg["max_order"])
-        ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
-        _write_json(out / "coherence.json", {"ok": ok, "report": rep.to_json()})
-        return EXIT_OK if ok else EXIT_VERDICT_FAIL
+        return _write_coherence(out / "coherence.json", rep)
     if suite == "pl":
         from .flatness_bounds import pl_check
 
-        rep = pl_check(
-            _entry(cfg).fn, cfg["polysector"], tol=cfg["tol"], growth_attestation=cfg["growth_attestation"]
-        )
-        _write_json(out / "pl.json", {"ok": rep.ok(), "report": rep.to_json()})
+        rep = pl_check(_entry(cfg).fn, cfg["polysector"], tol=cfg["tol"])
+        report = {k: getattr(rep, k) for k in ("boundary_max", "interior_max", "tolerance", "eval_failures")}
+        report["violations"] = [{"z": [[w.real, w.imag] for w in pt], "abs": v} for pt, v in rep.violations]
+        report["growth_attestation"] = cfg["growth_attestation"]
+        _write_json(out / "pl.json", {"ok": rep.ok(), "report": report})
         return EXIT_OK if rep.ok() else EXIT_VERDICT_FAIL
     if suite == "remainder":
         entry = _entry(cfg)
@@ -449,9 +502,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     from .families import check_first_order_coherence
 
     rep = check_first_order_coherence(_total_family(cfg), cfg["tol"], max_order=cfg["max_order"])
-    ok = rep.ok() and not rep.probe_failures and rep.checked_pairs > 0
-    _write_json(out / "first_order.json", {"ok": ok, "report": rep.to_json()})
-    return EXIT_OK if ok else EXIT_VERDICT_FAIL
+    return _write_coherence(out / "first_order.json", rep)
 
 
 def _cmd_interpolate(cfg: dict, out: Path) -> int:

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, the base class of its value types,
-and the unknown-key check of its JSON readers."""
+"""Exception types shared across the package, and the base class of its value types."""
 
 
 class Record:
@@ -41,16 +40,6 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-
-def reject_unknown_keys(obj, allowed, where: str, error: type) -> None:
-    """Raise ``error`` naming each key of the dict ``obj`` outside ``allowed``.
-
-    Anything but a dict passes: its parser rejects it with its own message.
-    """
-    unknown = sorted(set(obj) - set(allowed)) if isinstance(obj, dict) else []
-    if unknown:
-        raise error(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 class PolygevreyError(Exception):

@@ -421,28 +421,6 @@ class CoherenceReport(Record):
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "checked_pairs": self.checked_pairs,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "missing": self.missing,
-            "failures": [
-                {
-                    "J": list(j),
-                    "L": list(l),
-                    "N_J": list(nj),
-                    "N_L": list(nl),
-                    "residual": res,
-                }
-                for (j, l, nj, nl, res) in self.failures
-            ],
-            "probe_failures": [
-                {"J": list(j), "L": list(l), "N_J": list(nj), "N_L": list(nl), "note": note}
-                for (j, l, nj, nl, note) in self.probe_failures
-            ],
-        }
-
 
 def _rest_samples(host: Polysector, axes: Sequence[int]):
     """Two points per axis on its bisector, at 0.35 (at most rho/2) and 0.55 times that."""

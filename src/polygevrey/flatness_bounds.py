@@ -166,26 +166,13 @@ class BoundReport(Record):
     violations: tuple
     tolerance: float
     eval_failures: int
-    growth_attestation: str | None
 
     def __init__(self, boundary_max: float, interior_max: float, violations: tuple, tolerance: float,
-                 eval_failures: int = 0, growth_attestation: str | None = None):
-        self._set(boundary_max, interior_max, violations, tolerance, eval_failures, growth_attestation)
+                 eval_failures: int = 0):
+        self._set(boundary_max, interior_max, violations, tolerance, eval_failures)
 
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "boundary_max": self.boundary_max,
-            "interior_max": self.interior_max,
-            "tolerance": self.tolerance,
-            "eval_failures": self.eval_failures,
-            "growth_attestation": self.growth_attestation,
-            "violations": [
-                {"z": [[w.real, w.imag] for w in pt], "abs": v} for pt, v in self.violations
-            ],
-        }
 
 
 def _interior_grid(s: Polysector, per_axis: int) -> list[tuple[complex, ...]]:
@@ -211,12 +198,11 @@ def pl_check(
     boundary_density: int = 6,
     interior_samples: int = 6,
     tol: float = 1e-9,
-    growth_attestation: str | None = None,
 ) -> BoundReport:
     """Compare |f| on the distinguished boundary against interior samples.
 
     The subexponential-growth hypothesis that makes the principle valid is
-    the caller's responsibility; pass ``growth_attestation`` to record it.
+    the caller's responsibility (``pl.json`` records a config's attestation).
     ``f`` is evaluated twice, once on the boundary grid and once on the
     interior grid.  When a grid's call raises DomainError or
     ArithmeticError, that grid is evaluated again one point at a time, and
@@ -258,20 +244,18 @@ def pl_check(
             key=lambda t: -t[1],
         )
     )
-    return BoundReport(boundary_max, interior_max, violations, tol, failures, growth_attestation)
+    return BoundReport(boundary_max, interior_max, violations, tol, failures)
 
 
 class NullFitEntry(Record):
-    """Sup- and regression-based constants for |f| <= c |z|^N along a ray grid."""
+    """Sup constant for |f| <= c |z|^N along a ray grid, and whether the ratio decays."""
 
     n_index: tuple[int, ...]
     c_sup: float
-    c_lsq: float
-    log_residual: float
     decaying: bool
 
-    def __init__(self, n_index, c_sup: float, c_lsq: float, log_residual: float, decaying: bool):
-        self._set(n_index, c_sup, c_lsq, log_residual, decaying)
+    def __init__(self, n_index, c_sup: float, decaying: bool):
+        self._set(n_index, c_sup, decaying)
 
 
 def null_expansion_check(
@@ -289,9 +273,8 @@ def null_expansion_check(
     multidirections, it shows a null expansion holding along each of them.
 
     ``c_sup`` is the grid supremum of |f|/|z|^N (the bound the definition
-    asks for); ``c_lsq`` the least-squares constant on logs.  ``decaying``
-    is False when the ratio grows toward the vertex, i.e. the claimed power
-    is not actually attained (log-residual large and tilted).
+    asks for).  ``decaying`` is False when the ratio grows toward the
+    vertex, i.e. the claimed power is not actually attained.
     """
     pts = np.asarray(ray_points(f.domain, thetas, radii), dtype=complex)
     vals = np.abs(f.eval_many(pts))
@@ -303,14 +286,12 @@ def null_expansion_check(
         nonzero = vals > 0
         ratio = np.where(nonzero, vals / weight, 0.0)
         c_sup = float(np.max(ratio))
-        logs = np.log(ratio[nonzero]) if np.any(nonzero) else np.asarray([-math.inf])
-        c_lsq = float(math.exp(np.mean(logs))) if np.all(np.isfinite(logs)) else 0.0
-        spread = float(np.std(logs)) if logs.size else 0.0
+        logs = np.log(ratio[nonzero])
         # growing toward the vertex: correlate log-ratio against -log min radius
         min_rad = np.min(rad, axis=1)[nonzero]
         decaying = True
         if logs.size >= 2 and np.ptp(np.log(min_rad)) > 0:
             slope = np.polyfit(np.log(min_rad), logs, 1)[0]
             decaying = slope >= -1e-6
-        out.append(NullFitEntry(n_index, c_sup, c_lsq, spread, decaying))
+        out.append(NullFitEntry(n_index, c_sup, decaying))
     return out

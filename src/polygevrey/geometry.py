@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, GeometryError, Record, reject_unknown_keys
+from .errors import DimensionMismatchError, GeometryError, Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,21 +71,10 @@ class Sector(Record):
             dist = min(dist, self.rho - r)
         return dist
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Sector":
-        reject_unknown_keys(obj, ("alpha", "beta", "rho"), "sector", GeometryError)
-        try:
-            rho = obj["rho"]
-            rho = math.inf if rho in ("inf", None) else float(rho)
-            alpha, beta = float(obj["alpha"]), float(obj["beta"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GeometryError(f"bad sector descriptor: {obj!r}") from exc
-        return cls(alpha, beta, rho)
-
 
 class Polysector(Record):
     """Cartesian product of sectors.  Dimension 0 is allowed only as the
-    domain of constant family elements; JSON input requires dim >= 1."""
+    domain of constant family elements; a config's polysector needs dim >= 1."""
 
     sectors: tuple[Sector, ...]
 
@@ -103,17 +92,6 @@ class Polysector(Record):
 
     def axes_subset(self, axes: Iterable[int]) -> "Polysector":
         return Polysector(self.sectors[j] for j in sorted(axes))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polysector":
-        reject_unknown_keys(obj, ("sectors",), "polysector", GeometryError)
-        try:
-            raw = obj["sectors"]
-        except (KeyError, TypeError) as exc:
-            raise GeometryError(f"bad polysector descriptor: {obj!r}") from exc
-        if not raw:
-            raise GeometryError("polysector descriptor needs at least one sector")
-        return cls(Sector.from_json(s) for s in raw)
 
 
 EMPTY_POLYSECTOR = Polysector(())

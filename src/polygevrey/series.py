@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, Record, SeriesError, reject_unknown_keys
+from .errors import DimensionMismatchError, Record, SeriesError
 
 #: fitted rates above this are reported as an unbounded (convergent) type
 TYPE_INFINITY_THRESHOLD = 1e6
@@ -69,32 +69,6 @@ class MultiIndexSeries(Record):
     def items(self):
         return sorted(self.coeffs.items())
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultiIndexSeries":
-        reject_unknown_keys(obj, ("dim", "coeffs", "degree_bound"), "series", SeriesError)
-        try:
-            dim = int(obj["dim"])
-            coeffs = {}
-            for entry in obj["coeffs"]:
-                reject_unknown_keys(entry, ("index", "re", "im"), "coefficient", SeriesError)
-                coeffs[tuple(int(k) for k in entry["index"])] = complex(entry["re"], entry.get("im", 0.0))
-            bound = obj.get("degree_bound")
-            bound = tuple(int(b) for b in bound) if bound is not None else None
-        except SeriesError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SeriesError(f"bad series descriptor: {obj!r}") from exc
-        return cls(dim, coeffs, bound)
-
-    def csv_rows(self) -> list[tuple[str, float, float]]:
-        """Rows (N, |f_N|, |f_N|/N!) for external plotting."""
-        rows = []
-        for ix, c in self.items():
-            mag = abs(c)
-            ratio = math.exp(math.log(mag) - _lgamma_sum(ix))
-            rows.append((" ".join(str(k) for k in ix), mag, ratio))
-        return rows
-
 
 def gamma1_norm(a: MultiIndexSeries, weights: Sequence[float]) -> float:
     """sup over stored indices of |a_N| * A^N / N!, computed in log space."""
@@ -144,10 +118,9 @@ class GevreyFit(Record):
     type_estimate: tuple[float, ...]
     log_prefactor: float
     residual: float
-    n_points: int
 
-    def __init__(self, type_estimate, log_prefactor: float, residual: float, n_points: int = 0):
-        self._set(type_estimate, log_prefactor, residual, n_points)
+    def __init__(self, type_estimate, log_prefactor: float, residual: float):
+        self._set(type_estimate, log_prefactor, residual)
         if self.residual < 0:
             raise SeriesError("negative residual")
         if any(not (t > 0) for t in self.type_estimate):
@@ -221,4 +194,4 @@ def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
             types.append(math.inf)
             continue
         types.append(rate)
-    return GevreyFit(tuple(types), intercept, rms, len(entries))
+    return GevreyFit(tuple(types), intercept, rms)

@@ -41,6 +41,71 @@ def with_fn(entry, fn):
     return RegistryEntry(entry.id, entry.dim, fn, entry.known, entry.notes)
 
 
+# (command, config, a text its config error must contain)
+_BAD_VALUES = [
+    ("transform", {"testbed": "euler", "z0": [0.5], "tol": "tight", "direction": [0.0], "radii": [0.4]},
+     "config key 'tol'"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": ["east"], "radii": [0.4]},
+     "config key 'direction'"),
+    ("transform", {"testbed": "euler", "z0": [["a", 0]], "direction": [0.0], "radii": [0.4]},
+     "config key 'z0'"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": {"r0": "x", "ratio": 0.7, "count": 3}},
+     "radii key 'r0'"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.4, None]},
+     "config key 'radii'"),
+    ("transform", {"series": {"dim": "two", "coeffs": []}, "z0": [0.5], "direction": [0.0], "radii": [0.4]},
+     "series key 'dim'"),
+    ("transform", {"series": {"dim": 1, "coeffs": [{"index": ["a"], "re": 1.0}]}, "z0": [0.5], "direction": [0.0], "radii": [0.4]},
+     "coefficient key 'index'"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0, 0.1], "radii": [0.4]},
+     "direction has 2 angles, z0 has 1"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": []},
+     "config key 'radii' has a bad value []: lists no value"),
+    ("verify", {"suite": "coherence", "testbed": "rat2", "tol": "tight"},
+     "config key 'tol'"),
+    ("verify", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [{"alpha": "x", "beta": 1.0, "rho": 1.0}]}},
+     "sector key 'alpha'"),
+    ("verify", {"suite": "pl", "testbed": "poly", "tol": [1e-9], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}},
+     "config key 'tol'"),
+    ("interpolate", {"testbed": "rat2", "opening": "wide"},
+     "config key 'opening'"),
+    ("interpolate", {"testbed": "rat2", "z0": [0.92, ["a", 0]]},
+     "config key 'z0'"),
+    ("interpolate", {"testbed": "rat2", "tol": "loose"},
+     "config key 'tol'"),
+    ("interpolate", {"testbed": "rat2", "coeff_cap": -1},
+     "coeff_cap must be >= 0"),
+    ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]},
+     "config key 'window'"),
+    ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]},
+     "config key 'directions'"),
+    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": "many"},
+     "config key 'points'"),
+    # a verdict or a fit over no direction
+    ("verify", {"suite": "remainder", "testbed": "euler", "directions": [], "radii": [0.4, 0.3]},
+     "config key 'directions' has a bad value []: lists no direction"),
+    ("type-fit", {"testbed": "euler", "mode": "gevrey", "directions": [], "radii": [0.4, 0.3]},
+     "config key 'directions' has a bad value []: lists no direction"),
+    ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]},
+     "config key 'directions' has a bad value []: lists no direction"),
+    # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45
+    ("interpolate", {"testbed": "rat2", "cpa": 3, "tol": 1e-4, "samples": [0.03]},
+     "unknown config key(s) ['cpa']"),
+    ("verify", {"suite": "coherence", "testbed": "rat2", "max_ordr": 1},
+     "unknown config key(s) ['max_ordr']"),
+    ("interpolate", {"testbed": "rat2", "cap": 300},
+     "config key 'cap' must lie in"),
+    ("interpolate", {"testbed": "rat2", "cap": 46},
+     "config key 'cap' must lie in"),
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0],
+                   "radii": {"r0": 0.4, "ratio": 0.7, "count": 3, "cuont": 4}},
+     "unknown radii key(s) ['cuont']"),
+    ("verify", {"suite": "pl", "testbed": "poly", "growth_attestation": 5,
+                "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}},
+     "config key 'growth_attestation'"),
+]
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_UNKNOWN_COMMAND
@@ -59,46 +124,39 @@ class TestDispatch:
         assert main(["transform", "--config", str(tmp_path / "none.json")]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize(
-        "command, cfg",
-        [
-            ("transform", {"testbed": "euler", "z0": [0.5], "tol": "tight", "direction": [0.0], "radii": [0.4]}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": ["east"], "radii": [0.4]}),
-            ("transform", {"testbed": "euler", "z0": [["a", 0]], "direction": [0.0], "radii": [0.4]}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": {"r0": "x", "ratio": 0.7, "count": 3}}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.4, None]}),
-            ("transform", {"series": {"dim": "two", "coeffs": []}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
-            ("transform", {"series": {"dim": 1, "coeffs": [{"index": ["a"], "re": 1.0}]}, "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0, 0.1], "radii": [0.4]}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": []}),
-            ("verify", {"suite": "coherence", "testbed": "rat2", "tol": "tight"}),
-            ("verify", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [{"alpha": "x", "beta": 1.0, "rho": 1.0}]}}),
-            ("verify", {"suite": "pl", "testbed": "poly", "tol": [1e-9], "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
-            ("interpolate", {"testbed": "rat2", "opening": "wide"}),
-            ("interpolate", {"testbed": "rat2", "z0": [0.92, ["a", 0]]}),
-            ("interpolate", {"testbed": "rat2", "tol": "loose"}),
-            ("interpolate", {"testbed": "rat2", "coeff_cap": -1}),
-            ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]}),
-            ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]}),
-            ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": "many"}),
-            # a verdict or a fit over no direction
-            ("verify", {"suite": "remainder", "testbed": "euler", "directions": [], "radii": [0.4, 0.3]}),
-            ("type-fit", {"testbed": "euler", "mode": "gevrey", "directions": [], "radii": [0.4, 0.3]}),
-            ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]}),
-            # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45
-            ("interpolate", {"testbed": "rat2", "cpa": 3, "tol": 1e-4, "samples": [0.03]}),
-            ("verify", {"suite": "coherence", "testbed": "rat2", "max_ordr": 1}),
-            ("interpolate", {"testbed": "rat2", "cap": 300}),
-            ("interpolate", {"testbed": "rat2", "cap": 46}),
-            ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0],
-                           "radii": {"r0": 0.4, "ratio": 0.7, "count": 3, "cuont": 4}}),
-            ("verify", {"suite": "pl", "testbed": "poly", "growth_attestation": 5,
-                        "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}}),
-        ],
+        "command, cfg, must", _BAD_VALUES, ids=[f"{case[0]}-cfg{i}" for i, case in enumerate(_BAD_VALUES)]
     )
-    def test_bad_config_values(self, tmp_path, capsys, command, cfg):
+    def test_bad_config_values(self, tmp_path, capsys, command, cfg, must):
+        # each case exits 2 for its own reason: the message names its key or rule
         path = write(tmp_path, "bad.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {must}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, must",
+        [
+            ("verify", '{"suite": "pl", "testbed": "poly", "tol": NaN, "polysector": {"sectors": %s}}'
+             % json.dumps([{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2), "non-finite number NaN"),
+            ("transform", '{"testbed": "euler", "z0": [0.5], "tol": Infinity, "direction": [0.0], "radii": [0.4]}',
+             "non-finite number Infinity"),
+            ("predict-type", '{"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": NaN}', "non-finite number NaN"),
+            ("verify", '{"suite": "coherence", "testbed": "rat2", "tol": 1e400}', "non-finite number 1e400"),
+            ("interpolate", '{"testbed": "rat2", "z0": [-Infinity, 0.92]}', "non-finite number -Infinity"),
+            ("verify", '{"suite": "coherence", "testbed": "rat2", "tol": 1%s}' % ("0" * 400),
+             "config key 'tol' has a bad value 1000"),
+        ],
+        ids=["nan", "infinity", "predict-nan", "overflow", "minus-infinity", "huge-int"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command, text, must):
+        # json reads NaN, Infinity and 1e400 as floats, and a float() of a
+        # 401-digit integer overflows: each is a config error before anything runs
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and must in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "module, blas, want",
@@ -185,16 +243,35 @@ class TestDispatch:
         assert not unreached, f"exported names that nothing reaches: {unreached}"
 
     def test_every_config_key_is_set_by_an_example(self):
-        # each key a config table declares is set in a README example or a
-        # benchmark config; a setting that only tests change is a constant
-        from polygevrey.cli import _TABLES
+        # each key a config table declares, nested tables included, is set in a
+        # README example or a benchmark config; a setting that only tests change
+        # is a constant
+        from polygevrey.cli import _COEFFICIENT, _GRID, _POLYSECTOR, _SECTOR, _SERIES, _TABLES
 
         root = Path(__file__).resolve().parents[1]
         examples = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S)
         text = "\n".join(examples) + (root / "bench" / "workloads.py").read_text()
-        keys = {key for table in _TABLES.values() for key in table}
+        tables = [*_TABLES.values(), _GRID, _SERIES, _COEFFICIENT, _POLYSECTOR, _SECTOR]
+        keys = {key for table in tables for key in table}
         unset = sorted(key for key in keys if not re.search(rf'"{key}"\s*:', text))
         assert not unset, f"config keys that no README example or benchmark config sets: {unset}"
+
+    def test_only_the_cli_knows_the_file_formats(self):
+        # cli reads every config and writes every report: no other module
+        # imports json or defines a reader or writer of a file format
+        src = Path(polygevrey.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found += [f"{path.name}: import {a.name}" for a in node.names if a.name == "json"]
+                elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                    found.append(f"{path.name}: from json import")
+                elif isinstance(node, ast.FunctionDef) and node.name in ("from_json", "to_json", "csv_rows"):
+                    found.append(f"{path.name}: def {node.name}")
+        assert not found, f"file formats outside cli: {found}"
 
     @pytest.mark.parametrize(
         "command, cfg",
@@ -778,6 +855,26 @@ def test_misspelt_nested_key(tmp_path, capsys, cfg, message):
     assert main(["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({**_SERIES_RUN, "series": {**_SERIES_RUN["series"], "degre_bound": [1, 1]}}, "degre_bound"),
+        ({**_SERIES_RUN, "series": {**_SERIES_RUN["series"], "coeffs": [{"index": [0, 0], "re": 1.0, "imag": 3.0}]}},
+         "imag"),
+        ({**_PL_RUN, "polysector": {"sectors": [_PL_SECTOR] * 2, "sectros": []}}, "sectros"),
+        ({**_PL_RUN, "polysector": {"sectors": [_PL_SECTOR, {**_PL_SECTOR, "rh0": 2.0}]}}, "rh0"),
+    ],
+    ids=["series", "coefficient", "polysector", "sector"],
+)
+def test_misspelt_nested_key_loads_nothing(tmp_path, cfg, key):
+    # a nested object is read before its library module (and numpy) loads
+    res, facts = run_fresh(tmp_path, ["verify"], cfg)
+    assert facts["exit"] == EXIT_SCHEMA
+    assert f"key(s) [{key!r}]" in res.stderr
+    assert facts["loaded"] == []
+    assert not (tmp_path / "out").exists()
 
 
 _CONST_SERIES = {"dim": 1, "coeffs": [{"index": [0], "re": 1.0, "im": 0.0}]}

@@ -367,10 +367,21 @@ class TestCoherence:
         assert rep.max_residual == 0.0
         assert rep.ok()
 
-    def test_report_json(self):
-        fam = family_from_series(testbed.rat2_series(cap=2), (0.5, 0.5))
+    def test_report_json(self, tmp_path):
+        # verify coherence writes the report of check_coherence on the same family
+        from polygevrey.cli import EXIT_OK, main
+
+        ser = testbed.rat2_series(cap=2)
+        fam = family_from_series(ser, (0.5, 0.5))
         rep = check_coherence(fam, 1e-6, max_order=1)
-        obj = rep.to_json()
+        coeffs = [{"index": list(ix), "re": c.real, "im": c.imag} for ix, c in ser.items()]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "suite": "coherence", "z0": [0.5, 0.5], "tol": 1e-6, "max_order": 1,
+            "series": {"dim": 2, "coeffs": coeffs, "degree_bound": list(ser.degree_bound)},
+        }))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        obj = json.loads((tmp_path / "coherence.json").read_text())["report"]
         assert obj["checked_pairs"] == rep.checked_pairs
         assert obj["failures"] == []
 

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -311,11 +312,23 @@ class TestPLCheck:
         with pytest.raises(DimensionMismatchError, match="1 axes.*has 2"):
             pl_check(f, Polysector([Sector(-0.5, 0.5, 1.0)]))
 
-    def test_attestation_recorded(self):
+    def test_attestation_recorded(self, tmp_path, monkeypatch):
+        # verify pl copies the config's growth_attestation into pl.json
+        from polygevrey import testbed
+        from polygevrey.cli import EXIT_OK, main
+        from polygevrey.testbed import RegistryEntry
+
         host = Polysector([Sector(-0.5, 0.5, 1.0)])
         f = SampledFunction(host, lambda p: np.ones(len(p), dtype=complex))
-        rep = pl_check(f, host, growth_attestation="bounded by 1, subexponential")
-        assert rep.to_json()["growth_attestation"] == "bounded by 1, subexponential"
+        monkeypatch.setattr(testbed, "get", lambda entry_id: RegistryEntry(entry_id, 1, f, {}, {}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "suite": "pl", "testbed": "ones", "growth_attestation": "bounded by 1, subexponential",
+            "polysector": {"sectors": [{"alpha": -0.5, "beta": 0.5, "rho": 1.0}]},
+        }))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "pl.json").read_text())["report"]
+        assert report["growth_attestation"] == "bounded by 1, subexponential"
 
 
 class TestNullExpansion:

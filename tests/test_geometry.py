@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -120,23 +121,40 @@ class TestGrids:
         assert r == (0.5, 0.25, 0.125, 0.0625)
 
 
+def read_polysector(obj) -> Polysector:
+    """``obj`` as the CLI reads the ``polysector`` of a ``verify pl`` config."""
+    from polygevrey import cli
+
+    raw = {"suite": "pl", "testbed": "poly", "polysector": obj}
+    return cli._read(raw, cli._table("verify", raw))["polysector"]
+
+
 class TestJson:
     def test_roundtrip(self):
         obj = {"sectors": [{"alpha": -0.2, "beta": 0.3, "rho": 1.5}, {"alpha": 0.0, "beta": 1.0, "rho": None}]}
-        s = Polysector.from_json(obj)
+        s = read_polysector(obj)
         assert s == Polysector([Sector(-0.2, 0.3, 1.5), Sector(0.0, 1.0, math.inf)])
 
     def test_inf_radius_spelling(self):
         obj = {"sectors": [{"alpha": 0.0, "beta": 1.0, "rho": "inf"}]}
-        s = Polysector.from_json(obj)
+        s = read_polysector(obj)
         assert not s.sectors[0].bounded
         assert s.sectors[0].rho == math.inf
 
-    def test_bad_descriptor(self):
-        with pytest.raises(GeometryError):
-            Polysector.from_json({"sectors": []})
-        with pytest.raises(GeometryError):
-            Sector.from_json({"alpha": 0.0})
+    def test_bad_descriptor(self, tmp_path, capsys):
+        # exit 2 naming the rule, and no report
+        from polygevrey.cli import EXIT_SCHEMA, main
+
+        for obj, message in [
+            ({"sectors": []}, "polysector key 'sectors' lists no sector"),
+            ({"sectors": [{"alpha": 0.0}]}, "sector key 'beta' is required"),
+        ]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"suite": "pl", "testbed": "poly", "polysector": obj}))
+            out = tmp_path / "out"
+            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_SCHEMA
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestInvariants:

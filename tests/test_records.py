@@ -42,7 +42,7 @@ MAKERS = {
     "Sector": lambda: Sector(0.0, 1.0, 2.0),
     "Polysector": lambda: Polysector([Sector(0.0, 1.0)]),
     "MultiIndexSeries": lambda: MultiIndexSeries(1, {(0,): 1.0, (2,): 0.5}),
-    "GevreyFit": lambda: GevreyFit((1.0,), 0.0, 0.1, 5),
+    "GevreyFit": lambda: GevreyFit((1.0,), 0.0, 0.1),
     "LaplaceSpec": lambda: LaplaceSpec((0.5,), 1e-9),
     "SampledFunction": lambda: SampledFunction(HOST, _one),
     "TotalFamily": lambda: TotalFamily(1, HOST, {((0,), (0,)): CONST}, (0,)),
@@ -53,7 +53,7 @@ MAKERS = {
     "RegistryEntry": lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"a": "note"}),
     "FlatFit": lambda: FlatFit((0.5,), 0.0, 0.1, (False,)),
     "BoundReport": lambda: BoundReport(1.0, 0.5, (), 1e-9),
-    "NullFitEntry": lambda: NullFitEntry((1,), 1.0, 1.0, 0.1, True),
+    "NullFitEntry": lambda: NullFitEntry((1,), 1.0, True),
 }
 
 # fields that hold a dict make an instance unhashable

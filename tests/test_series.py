@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -175,22 +176,36 @@ class TestStructure:
             MultiIndexSeries(2, {(1,): 1.0})
 
     def test_json_roundtrip(self):
+        # a config's series object, as the CLI reads it
+        from polygevrey import cli
+
         obj = {
             "dim": 2,
             "degree_bound": [3, 2],
             "coeffs": [{"index": [0, 1], "re": 1.0, "im": 2.0}, {"index": [3, 2], "re": -0.5}],
         }
-        ser = MultiIndexSeries.from_json(obj)
+        raw = {"suite": "coherence", "series": obj}
+        ser = cli._read(raw, cli._table("verify", raw))["series"]
         assert ser == MultiIndexSeries(2, {(0, 1): 1 + 2j, (3, 2): -0.5}, (3, 2))
         del obj["degree_bound"]  # defaults to the largest index per axis
-        assert MultiIndexSeries.from_json(obj).degree_bound == (3, 2)
+        assert cli._read(raw, cli._table("verify", raw))["series"].degree_bound == (3, 2)
 
-    def test_csv_rows(self):
-        ser = MultiIndexSeries(1, {(2,): 4.0}, (2,))
-        ((label, mag, ratio),) = ser.csv_rows()
+    def test_csv_rows(self, tmp_path):
+        # transform writes one series.csv row (N, |f_N|, |f_N|/N!) per stored coefficient
+        from polygevrey.cli import EXIT_OK, main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "series": {"dim": 1, "coeffs": [{"index": [2], "re": 4.0}], "degree_bound": [2]},
+            "z0": [0.5], "direction": [0.0], "radii": [0.2, 0.1],
+        }))
+        assert main(["transform", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        header, row = (tmp_path / "series.csv").read_text().splitlines()
+        assert header == "N,abs_coeff,abs_coeff_over_factorial"
+        label, mag, ratio = row.split(",")
         assert label == "2"
-        assert mag == pytest.approx(4.0)
-        assert ratio == pytest.approx(2.0)
+        assert float(mag) == pytest.approx(4.0)
+        assert float(ratio) == pytest.approx(2.0)
 
     def test_zero_coefficients_dropped(self):
         ser = MultiIndexSeries(1, {(0,): 0.0, (1,): 2.0}, (1,))
