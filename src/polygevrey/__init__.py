@@ -20,7 +20,7 @@ _EXPORTS = {
         " GeometryError PolygevreyError ProbeError QuadratureError SeriesError TailError"
         " UnknownEntryError",
         "geometry": "Polysector Sector distinguished_boundary_points geometric_radii ray_points",
-        "series": "GevreyFit MultiIndexSeries fit_gevrey_type gamma1_norm",
+        "series": "MultiIndexSeries fit_gevrey_type gamma1_norm",
         "families": "CoherenceReport ExtractResult ProbeSpec TotalFamily app_n_many check_coherence"
         " check_first_order_coherence extract_element family_from_series fit_type_from_remainders"
         " remainder_constants",

@@ -124,15 +124,33 @@ def _is(kind):
 _text, _list = _is(str), _is(list)
 
 
+def _real(val) -> float:
+    """A JSON number as a float, never a bool or a string (finite: the loader refuses NaN and infinities)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"expected a number, got {type(val).__name__}")
+    return float(val)
+
+
+def _int(val) -> int:
+    """A JSON integer; a bool or a float, integral or not, is not one."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise TypeError(f"expected an integer, got {type(val).__name__}")
+    return val
+
+
 def _floats(val) -> list[float]:
-    vals = [float(v) for v in val]
+    vals = [_real(v) for v in _list(val)]
     if not vals:
         raise ValueError("lists no value")
     return vals
 
 
+def _ints(val) -> tuple[int, ...]:
+    return tuple(_int(v) for v in _list(val))
+
+
 def _int_pair(val) -> tuple[int, int]:
-    lo, hi = (int(v) for v in val)
+    lo, hi = _ints(val)
     return lo, hi
 
 
@@ -141,9 +159,10 @@ def _z0(val) -> tuple[complex, ...]:
     out = []
     for item in _list(val):
         parts = item if isinstance(item, list) and len(item) == 2 else [item, 0]
-        if not all(isinstance(v, (int, float)) for v in parts):
-            raise ValueError(f"z0 entries must be numbers or [re, im] pairs, got {item!r}")
-        out.append(complex(*parts))
+        try:
+            out.append(complex(*map(_real, parts)))
+        except TypeError:
+            raise ValueError(f"z0 entries must be numbers or [re, im] pairs, got {item!r}") from None
     return tuple(out)
 
 
@@ -151,20 +170,16 @@ def _directions(val) -> list[tuple[float, ...]]:
     """One angle tuple per direction; a verdict over no direction is a config error."""
     if not _list(val):
         raise ValueError("lists no direction")
-    return [tuple(float(t) for t in th) if isinstance(th, list) else (float(th),) for th in val]
-
-
-def _ints(val) -> tuple[int, ...]:
-    return tuple(int(v) for v in val)
+    return [tuple(map(_real, th)) if isinstance(th, list) else (_real(th),) for th in val]
 
 
 def _rho(val) -> float:  # "inf" or null: an unbounded sector
-    return math.inf if val in ("inf", None) else float(val)
+    return math.inf if val in ("inf", None) else _real(val)
 
 
-_GRID = {"r0": (float, _REQUIRED), "ratio": (float, _REQUIRED), "count": (int, _REQUIRED)}
-_COEFFICIENT = {"index": (_ints, _REQUIRED), "re": (float, _REQUIRED), "im": (float, 0.0)}
-_SECTOR = {"alpha": (float, _REQUIRED), "beta": (float, _REQUIRED), "rho": (_rho, _REQUIRED)}
+_GRID = {"r0": (_real, _REQUIRED), "ratio": (_real, _REQUIRED), "count": (_int, _REQUIRED)}
+_COEFFICIENT = {"index": (_ints, _REQUIRED), "re": (_real, _REQUIRED), "im": (_real, 0.0)}
+_SECTOR = {"alpha": (_real, _REQUIRED), "beta": (_real, _REQUIRED), "rho": (_rho, _REQUIRED)}
 
 
 def _each(table: dict, where: str):
@@ -172,7 +187,7 @@ def _each(table: dict, where: str):
     return lambda val: [_read(obj, table, where) for obj in _list(val)]
 
 
-_SERIES = {"dim": (int, _REQUIRED), "coeffs": (_each(_COEFFICIENT, "coefficient"), _REQUIRED),
+_SERIES = {"dim": (_int, _REQUIRED), "coeffs": (_each(_COEFFICIENT, "coefficient"), _REQUIRED),
            "degree_bound": (_ints, None)}
 _POLYSECTOR = {"sectors": (_each(_SECTOR, "sector"), _REQUIRED)}
 
@@ -210,40 +225,40 @@ def _polysector(val):
 _AT_LEAST_0, _AT_LEAST_2 = (0, math.inf), (2, math.inf)
 _RAYS = {"testbed": (_text, _REQUIRED), "directions": (_directions, _REQUIRED), "radii": (_radii, _REQUIRED)}
 _FIT = {  # the remainder fit of type-fit gevrey and verify remainder
-    **_RAYS, "n_max": (int, 20), "window": (_int_pair, lambda c: [4, max(6, c["n_max"] - 4)]),
-    "noise_floor": (float, 1e-9),
+    **_RAYS, "n_max": (_int, 20), "window": (_int_pair, lambda c: [4, max(6, c["n_max"] - 4)]),
+    "noise_floor": (_real, 1e-9),
 }
 _TABLES = {
     "transform": {
         "testbed": (_text, None), "series": (_series, None), "z0": (_z0, _REQUIRED),
-        "tol": (float, 1e-10), "direction": (_floats, _REQUIRED), "radii": (_radii, _REQUIRED),
+        "tol": (_real, 1e-10), "direction": (_floats, _REQUIRED), "radii": (_radii, _REQUIRED),
     },
     "type-fit gevrey": _FIT,
     "type-fit flat": _RAYS,
     "predict-type": {
-        "alpha": (float, _REQUIRED), "beta": (float, _REQUIRED), "theta0": (float, _REQUIRED),
-        "R0": (float, _REQUIRED), "R_alpha": (float, lambda c: c["R0"]),
-        "R_beta": (float, lambda c: c["R0"]), "z0_mod": (float, lambda c: c["R0"]),
-        "points": (int, 181, _AT_LEAST_2),
+        "alpha": (_real, _REQUIRED), "beta": (_real, _REQUIRED), "theta0": (_real, _REQUIRED),
+        "R0": (_real, _REQUIRED), "R_alpha": (_real, lambda c: c["R0"]),
+        "R_beta": (_real, lambda c: c["R0"]), "z0_mod": (_real, lambda c: c["R0"]),
+        "points": (_int, 181, _AT_LEAST_2),
     },
     "verify coherence": {
         "testbed": (_text, None), "series": (_series, None), "z0": (_z0, None),
-        "tol": (float, 1e-6), "max_order": (int, 3, _AT_LEAST_0),
+        "tol": (_real, 1e-6), "max_order": (_int, 3, _AT_LEAST_0),
     },
     "verify pl": {
-        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED), "tol": (float, 1e-9),
+        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED), "tol": (_real, 1e-9),
         "growth_attestation": (_text, None),
     },
-    "verify remainder": {**_FIT, "rel_tol": (float, 0.15)},
+    "verify remainder": {**_FIT, "rel_tol": (_real, 0.15)},
     "verify first-order": {
-        "testbed": (_text, _REQUIRED), "tol": (float, 1e-6), "max_order": (int, 2, _AT_LEAST_0),
+        "testbed": (_text, _REQUIRED), "tol": (_real, 1e-6), "max_order": (_int, 2, _AT_LEAST_0),
     },
     "interpolate": {
-        "testbed": (_text, _REQUIRED), "opening": (float, 1.2),
+        "testbed": (_text, _REQUIRED), "opening": (_real, 1.2),
         # 45: the largest degree at which laplace_monomials' tail term count is tested
-        "cap": (int, 16, (-math.inf, 45)), "z0": (_z0, [0.92, 0.92]),
-        "samples": (_floats, [0.02 * 1.13**k for k in range(10)]), "orders": (int, 3, _AT_LEAST_0),
-        "tol": (float, 1e-4), "coeff_cap": (int, 10),
+        "cap": (_int, 16, (-math.inf, 45)), "z0": (_z0, [0.92, 0.92]),
+        "samples": (_floats, [0.02 * 1.13**k for k in range(10)]), "orders": (_int, 3, _AT_LEAST_0),
+        "tol": (_real, 1e-4), "coeff_cap": (_int, 10),
     },
     "list-testbed": {},
 }
@@ -339,7 +354,7 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
             entry.fn, fam, theta_t, [cfg["radii"]] * entry.dim,
             [(n,) * entry.dim for n in range(cfg["n_max"] + 1)], noise_floor=cfg["noise_floor"],
         )
-        rates, _, rms = fit_type_from_remainders(cons, window=cfg["window"])
+        rates, rms = fit_type_from_remainders(cons, window=cfg["window"])
         fits.append((theta_t, rates, rms))
     return fits
 

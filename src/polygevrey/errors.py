@@ -80,14 +80,7 @@ class TailError(PolygevreyError, RuntimeError):
 
 
 class ProbeError(PolygevreyError, RuntimeError):
-    """A radius ladder did not produce converged extrapolants.
-
-    ``best`` holds the least-uncertain extrapolation found along the ladder.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A radius ladder did not produce converged extrapolants."""
 
 
 class FamilyError(PolygevreyError, KeyError):

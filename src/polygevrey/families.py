@@ -374,13 +374,13 @@ def extract_element(
     n_index: Sequence[int],
     z_rest: Sequence[complex],
     probe: ProbeSpec | None = None,
-    strict: bool = True,
 ) -> ExtractResult:
     """Coefficient f_{N_J}(z_rest): limit of D^{(N_J, 0)} f / N_J! as z_J -> 0.
 
     ``z_rest`` lists the fixed coordinates for the complementary axes in
-    increasing axis order.  Raises ProbeError (carrying the best estimate)
-    when the extrapolants never settle and ``strict`` is set.
+    increasing axis order.  When the extrapolants never settle, the result
+    holds the least-uncertain one with ``converged`` False; the caller reads
+    that flag.
     """
     probe = probe or ProbeSpec()
     key = _subset_key(axes)
@@ -388,16 +388,9 @@ def extract_element(
     if len(n_index) != len(key):
         raise DimensionMismatchError("index length must match subset size")
     vals, errs, conv, radii = element_coefficients([f], key, [n_index], probe, [tuple(z_rest)])
-    result = ExtractResult(
+    return ExtractResult(
         complex(vals[0, 0, 0]), float(errs[0, 0, 0]), bool(conv[0, 0, 0]), float(radii[0, 0, 0])
     )
-    if strict and not result.converged:
-        raise ProbeError(
-            f"probe did not converge for J={key}, N_J={n_index}: "
-            f"best error {result.error:.3e}",
-            best=result,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +431,7 @@ def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
     return tuple(mapping[a] for a in sorted(mapping))
 
 
-def check_coherence(
-    fam: TotalFamily,
-    tol: float,
-    probe: ProbeSpec | None = None,
-    max_order: int = 3,
-) -> CoherenceReport:
+def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> CoherenceReport:
     """Compare derivative limits of stored elements against deeper elements.
 
     For each disjoint pair of nonempty subsets (J, L), each stored N_J and
@@ -454,13 +442,13 @@ def check_coherence(
     stored f_{N_J}, every sampled point and every N_L, and each target is
     evaluated in one call on all the sampled points.
 
-    The default probe ties its agreement tolerance to ``tol`` (both are
-    relative): demanding extrapolant agreement far below the asserted
-    residual only wastes ladder rungs on double-precision noise.
+    The ladders take 20 rungs and tie their agreement tolerance to ``tol``
+    (both are relative): demanding extrapolant agreement far below the
+    asserted residual only wastes ladder rungs on double-precision noise.
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
-    probe = probe or ProbeSpec(steps=20, tol=tol)
+    probe = ProbeSpec(steps=20, tol=tol)
     failures = []
     probe_failures = []
     max_residual = 0.0
@@ -663,19 +651,21 @@ def remainder_constants(
 
 def fit_type_from_remainders(
     constants: dict[tuple[int, ...], float],
-    window: tuple[int, int] | None = None,
-) -> tuple[tuple[float, ...], float, float]:
-    """Per-axis rate from log(c(N)/N!) ~ log C - sum N_j log R_j."""
+    window: tuple[int, int],
+) -> tuple[tuple[float, ...], float]:
+    """Per-axis rate from log(c(N)/N!) ~ log C - sum N_j log R_j, and the fit's rms residual.
+
+    Only the indices N whose every component lies in ``window`` (inclusive)
+    and whose constant is positive enter the fit.
+    """
     indices = []
     logvals = []
     for n_index, c in sorted(constants.items()):
-        if window is not None and not all(window[0] <= k <= window[1] for k in n_index):
-            continue
-        if c <= 0:
+        if c <= 0 or not all(window[0] <= k <= window[1] for k in n_index):
             continue
         indices.append(n_index)
         logvals.append(math.log(c) - sum(math.lgamma(k + 1) for k in n_index))
     if not indices or len(indices) < len(indices[0]) + 1:
         raise DomainError("too few remainder constants for a rate fit")
-    slopes, intercept, rms = rate_fit(indices, logvals)
-    return tuple(math.exp(-s) for s in slopes), intercept, rms
+    slopes, rms = rate_fit(indices, logvals)
+    return tuple(math.exp(-s) for s in slopes), rms

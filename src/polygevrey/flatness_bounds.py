@@ -23,20 +23,17 @@ from .transforms import SampledFunction
 
 
 class FlatFit(Record):
-    """Per-axis exponential decay rates fitted along a ray grid.
+    """Per-axis exponential decay rates fitted along a ray grid, and the fit's rms residual.
 
     A zero rate means "merely bounded along this axis": the axis contributes
     no decaying exponential and its term drops from the envelope.
     """
 
     rates: tuple[float, ...]
-    log_prefactor: float
     residual: float
-    bounded_only: tuple[bool, ...]
-    zero_samples: int
 
-    def __init__(self, rates, log_prefactor: float, residual: float, bounded_only, zero_samples: int = 0):
-        self._set(rates, log_prefactor, residual, bounded_only, zero_samples)
+    def __init__(self, rates, residual: float):
+        self._set(rates, residual)
         if any(r < 0 for r in self.rates):
             raise SeriesError("flat rates must be nonnegative")
         if self.residual < 0:
@@ -49,11 +46,9 @@ def fit_flat_type(samples: Sequence[tuple[Sequence[float], float]]) -> FlatFit:
     ``samples`` holds (per-axis radii, |f|) pairs gathered along a ray grid.
     The radii must vary independently per axis (a cartesian grid does) or the
     regression is singular; spanning at least a decade keeps the slopes well
-    conditioned.  Exact zeros carry no slope information: they are excluded
-    and counted.
+    conditioned.  Exact zeros carry no slope information and are excluded.
     """
     kept = []
-    zeros = 0
     dim = None
     for radii, mag in samples:
         radii = tuple(float(r) for r in radii)
@@ -63,27 +58,15 @@ def fit_flat_type(samples: Sequence[tuple[Sequence[float], float]]) -> FlatFit:
             raise DomainError("inconsistent sample dimensions")
         if any(r <= 0 for r in radii):
             raise DomainError("radii must be positive")
-        if mag == 0:
-            zeros += 1
-            continue
-        kept.append((radii, float(mag)))
+        if mag != 0:
+            kept.append((radii, float(mag)))
     if dim is None or len(kept) < dim + 1:
         raise DomainError("need at least n+1 samples with |f| > 0")
     preds = [[1.0 / r for r in radii] for radii, _ in kept]
-    logs = [math.log(mag) for _, mag in kept]
-    slopes, intercept, rms = rate_fit(preds, [-v for v in logs])
+    slopes, rms = rate_fit(preds, [-math.log(mag) for _, mag in kept])
     # model: -log|f| = R . (1/r) - log M; slopes at roundoff scale mean
     # "merely bounded", same as genuinely negative ones
-    rates = []
-    bounded = []
-    for s in slopes:
-        if s < 1e-12:
-            rates.append(0.0)
-            bounded.append(True)
-        else:
-            rates.append(float(s))
-            bounded.append(False)
-    return FlatFit(tuple(rates), -intercept, rms, tuple(bounded), zeros)
+    return FlatFit(tuple(0.0 if s < 1e-12 else float(s) for s in slopes), rms)
 
 
 def gevrey_envelope_log(c: float, a: float, r: float) -> float:
@@ -158,6 +141,11 @@ def wedge_bound(
     return base ** ((1.0 - eps) ** n * mu)
 
 
+#: density of pl_check's grids: points on each edge and on the arc of a
+#: sector's boundary, and rays plus radii of its interior grid
+PL_SAMPLES = 6
+
+
 class BoundReport(Record):
     """Boundary sup versus interior sup, with the offending points if any."""
 
@@ -192,14 +180,12 @@ def _interior_grid(s: Polysector, per_axis: int) -> list[tuple[complex, ...]]:
     return [tuple(p) for p in itertools.product(*axes)]
 
 
-def pl_check(
-    f: SampledFunction,
-    s: Polysector,
-    boundary_density: int = 6,
-    interior_samples: int = 6,
-    tol: float = 1e-9,
-) -> BoundReport:
+def pl_check(f: SampledFunction, s: Polysector, tol: float = 1e-9) -> BoundReport:
     """Compare |f| on the distinguished boundary against interior samples.
+
+    Both grids are products over the axes at density PL_SAMPLES: the
+    distinguished boundary (:func:`~polygevrey.geometry.distinguished_boundary_points`)
+    and interior rays and radii of each (bounded) sector.
 
     The subexponential-growth hypothesis that makes the principle valid is
     the caller's responsibility (``pl.json`` records a config's attestation).
@@ -213,8 +199,8 @@ def pl_check(
         raise DimensionMismatchError(
             f"polysector has {s.dim} axes, the function's domain has {f.domain.dim}"
         )
-    boundary = distinguished_boundary_points(s, boundary_density)
-    interior = _interior_grid(s, interior_samples)
+    boundary = distinguished_boundary_points(s, PL_SAMPLES)
+    interior = _interior_grid(s, PL_SAMPLES)
 
     failures = 0
 

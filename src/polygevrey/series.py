@@ -112,23 +112,8 @@ def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-class GevreyFit(Record):
-    """Per-axis type estimate from a log-linear coefficient fit."""
-
-    type_estimate: tuple[float, ...]
-    log_prefactor: float
-    residual: float
-
-    def __init__(self, type_estimate, log_prefactor: float, residual: float):
-        self._set(type_estimate, log_prefactor, residual)
-        if self.residual < 0:
-            raise SeriesError("negative residual")
-        if any(not (t > 0) for t in self.type_estimate):
-            raise SeriesError("type estimates must be positive (possibly inf)")
-
-
-def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tuple[np.ndarray, float, float]:
-    """OLS of logvals against multi-indices: returns (slopes, intercept, rms residual)."""
+def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tuple[np.ndarray, float]:
+    """OLS of logvals against multi-indices with an intercept: returns (slopes, rms residual)."""
     idx = np.asarray(indices, dtype=float)
     y = np.asarray(logvals, dtype=float)
     if idx.ndim != 2 or idx.shape[0] != y.shape[0]:
@@ -137,7 +122,7 @@ def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tupl
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ sol
     rms = float(np.sqrt(np.mean((fitted - y) ** 2))) if y.size else 0.0
-    return sol[:-1], float(sol[-1]), rms
+    return sol[:-1], rms
 
 
 def _half_window_slopes(idx: np.ndarray, y: np.ndarray, axis: int) -> tuple[float, float] | None:
@@ -151,22 +136,21 @@ def _half_window_slopes(idx: np.ndarray, y: np.ndarray, axis: int) -> tuple[floa
     upper = vals >= mid
     if lower.sum() < 3 or upper.sum() < 3:
         return None
-    try:
-        s_lo, *_ = rate_fit(idx[lower], y[lower])
-        s_hi, *_ = rate_fit(idx[upper], y[upper])
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        return None
+    s_lo, _ = rate_fit(idx[lower], y[lower])
+    s_hi, _ = rate_fit(idx[upper], y[upper])
     return float(s_lo[axis]), float(s_hi[axis])
 
 
-def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
-    """Least-squares fit of log(|f_N|/N!) ~ log C - sum_j N_j log R_j.
+def fit_gevrey_type(f: MultiIndexSeries) -> tuple[float, ...]:
+    """Per-axis types R_j from a least-squares fit of log(|f_N|/N!) ~ log C - sum_j N_j log R_j.
 
     An axis is reported as unbounded (math.inf) when the fitted rate exceeds
     TYPE_INFINITY_THRESHOLD, when the slope is steep enough to underflow the
     machine range within the stored degree, or when the upper-half slope keeps
     steepening past the lower-half slope (the signature of a convergent
-    series, whose log ratio is concave).
+    series, whose log ratio is concave).  A rate that underflows is reported
+    as 0.0: the coefficients grow too fast for any Borel disc.  Raises
+    SeriesError when there are fewer than dim + 1 nonzero coefficients.
     """
     entries = [(ix, math.log(abs(c)) - _lgamma_sum(ix)) for ix, c in f.items()]
     if not entries:
@@ -175,7 +159,7 @@ def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
         raise SeriesError(f"need at least {f.dim + 1} nonzero coefficients, have {len(entries)}")
     indices = [ix for ix, _ in entries]
     logvals = [v for _, v in entries]
-    slopes, intercept, rms = rate_fit(indices, logvals)
+    slopes, _ = rate_fit(indices, logvals)
 
     idx_arr = np.asarray(indices, dtype=float)
     y_arr = np.asarray(logvals, dtype=float)
@@ -194,4 +178,4 @@ def fit_gevrey_type(f: MultiIndexSeries) -> GevreyFit:
             types.append(math.inf)
             continue
         types.append(rate)
-    return GevreyFit(tuple(types), intercept, rms)
+    return tuple(types)

@@ -389,10 +389,11 @@ def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Se
 def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[float, ...]:
     """Fitted Gevrey type of ``fhat`` per axis; DomainError when some |z0_j| is not inside it.
 
-    A series with too few nonzero coefficients to fit counts as unbounded.
+    A series with too few nonzero coefficients to fit counts as unbounded;
+    one whose fitted rate underflows has type 0.0, and no z0 lies inside it.
     """
     try:
-        types = fit_gevrey_type(fhat).type_estimate
+        types = fit_gevrey_type(fhat)
     except SeriesError:
         types = (math.inf,) * fhat.dim
     for j, w in enumerate(z0):
@@ -557,7 +558,7 @@ def interpolate_first_order(
         t0 = cmath.phase(w)
         if sec.alpha < t0 - 0.5 * math.pi - 1e-12 or sec.beta > t0 + 0.5 * math.pi + 1e-12:
             raise DomainError(f"axis {j} sector not contained in the half-plane around arg z0")
-        if not abs(w) < profiles[j].sup():
+        if not abs(w) < profiles[j].sup:
             raise DomainError(f"|z0| on axis {j} must stay below the profile sup")
     if coeff_cap < 0:
         raise DomainError(f"coeff_cap must be >= 0, got {coeff_cap}")

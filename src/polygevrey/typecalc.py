@@ -179,12 +179,9 @@ class TypeProfile(Record):
             raise DomainError("constant profile must be positive")
         return cls(alpha, beta, lambda _theta: value)
 
+    @cached_property
     def sup(self) -> float:
         """Approximate sup over the open domain (1024-point grid, local refinement), kept by the profile."""
-        return self._sup
-
-    @cached_property
-    def _sup(self) -> float:
         margin = (self.beta - self.alpha) * 1e-9
         lo, hi = self.alpha + margin, self.beta - margin
         step = (hi - lo) / 1023
@@ -221,7 +218,7 @@ def final_type(
             )
         if r0 <= 0:
             raise DomainError("r0 must be positive")
-        gamma_j = prof.sup()
+        gamma_j = prof.sup
         t_j = min(r0, gamma_j * gamma, prof.fn(theta0))
         spread = sine_type(theta, alpha, beta, theta0, t_j)
         out.append(min(spread, prof.fn(theta), r_tilde(gamma_j, theta, theta0)[0]))

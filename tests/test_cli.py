@@ -1,5 +1,6 @@
 import ast
 import cmath
+import copy
 import functools
 import importlib
 import json
@@ -15,6 +16,7 @@ import pytest
 
 import polygevrey
 
+from polygevrey import cli
 from polygevrey.cli import (
     EXIT_INTERNAL,
     EXIT_NUMERICAL,
@@ -106,6 +108,55 @@ _BAD_VALUES = [
 ]
 
 
+# the parsers of number keys: a scalar or a list of them, and whether the numbers are integers
+_SCALARS = {cli._real: False, cli._rho: False, cli._int: True}
+_LISTS = {cli._floats: False, cli._radii: False, cli._z0: False, cli._directions: False,
+          cli._ints: True, cli._int_pair: True}
+_NUMBERS = {**_SCALARS, **_LISTS}
+_SECTOR_OK = {"alpha": -1.0, "beta": 1.0, "rho": 1.0}
+_PL_OK = {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [_SECTOR_OK] * 2}}
+_SERIES_OK = {"series": {"dim": 1, "coeffs": [{"index": [0], "re": 1.0}]}, "z0": [0.5],
+              "direction": [0.0], "radii": [0.4]}
+_RAYS_OK = {"testbed": "euler", "directions": [0.0], "radii": [0.4]}
+# (name, table, key prefix of its messages, command, a config it accepts, path to the table's object)
+_MOUNTS = [
+    *[(name.replace(" ", "-"), cli._TABLES[name], "config", name.partition(" ")[0], cfg, ()) for name, cfg in [
+        ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
+        ("type-fit gevrey", {"mode": "gevrey", **_RAYS_OK}),
+        ("type-fit flat", {"mode": "flat", **_RAYS_OK}),
+        ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0}),
+        ("verify coherence", {"suite": "coherence", "testbed": "rat2"}),
+        ("verify pl", _PL_OK),
+        ("verify remainder", {"suite": "remainder", **_RAYS_OK}),
+        ("verify first-order", {"suite": "first-order", "testbed": "rat2"}),
+        ("interpolate", {"testbed": "rat2"}),
+    ]],
+    ("series", cli._SERIES, "series", "transform", _SERIES_OK, ("series",)),
+    ("coefficient", cli._COEFFICIENT, "coefficient", "transform", _SERIES_OK, ("series", "coeffs", 0)),
+    ("grid", cli._GRID, "radii", "transform", {**_SERIES_OK, "radii": {"r0": 0.4, "ratio": 0.7, "count": 3}},
+     ("radii",)),
+    ("sector", cli._SECTOR, "sector", "verify", _PL_OK, ("polysector", "sectors", 0)),
+]
+
+
+def _number_key_cases():
+    """A string, a bool and, for an integer key, 2.5 in place of each number of every key table."""
+    cases = []
+    for name, table, where, command, base, path in _MOUNTS:
+        for key, (parse, *_) in table.items():
+            if parse not in _NUMBERS:
+                continue
+            for bad in ["2", True] + [2.5] * _NUMBERS[parse]:
+                value = bad if parse in _SCALARS else [bad, 9][: 1 + (parse is cli._int_pair)]
+                cfg = copy.deepcopy(base)
+                obj = cfg
+                for step in path:
+                    obj = obj[step]
+                obj[key] = value
+                cases.append(pytest.param(command, cfg, f"{where} key {key!r}", id=f"{name}-{key}-{bad!r}"))
+    return cases
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_UNKNOWN_COMMAND
@@ -157,6 +208,24 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and must in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, must", _number_key_cases())
+    def test_number_keys_take_json_numbers(self, tmp_path, capsys, command, cfg, must):
+        # a number written as a string, a bool, or a fraction where an integer
+        # is declared is a config error naming its key, before anything runs
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "bad.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        assert f"config error: {must} has a bad value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_key_parser_is_classified(self):
+        # a key table's parser is a number parser, or reads text or nested objects
+        tables = [table for _, table, *_ in _MOUNTS] + [cli._POLYSECTOR]
+        others = {cli._text, cli._series, cli._polysector}
+        unknown = [key for table in tables for key, (parse, *_) in table.items()
+                   if parse not in _NUMBERS and parse not in others and key not in ("coeffs", "sectors")]
+        assert not unknown
+        assert {id(t) for t in cli._TABLES.values() if t} <= {id(table) for _, table, *_ in _MOUNTS}
 
     @pytest.mark.parametrize(
         "module, blas, want",
@@ -439,6 +508,22 @@ class TestTransform:
         out = tmp_path / "out3"
         assert main(["transform", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert (out / "error.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("transform", {"series": {"dim": 1, "coeffs": [{"index": [0], "re": 1e-300}, {"index": [1], "re": 1e300}]},
+                           "z0": [0.5], "direction": [0.0], "radii": [0.4]}),
+            ("verify", {"suite": "coherence", "z0": [0.5, 0.5], "max_order": 1, "series": {"dim": 2, "coeffs": [
+                {"index": [0, 0], "re": 1e-300}, {"index": [1, 0], "re": 1e300}, {"index": [0, 1], "re": 1e300}]}}),
+        ],
+        ids=["transform", "verify-coherence"],
+    )
+    def test_underflowed_type_has_no_borel_disc(self, tmp_path, capsys, command, cfg):
+        # the fitted rate exp(-1381) underflows to 0: no z0 lies inside the Borel disc
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "uf.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        assert "z0 outside the Borel disc on axis 0: |z0|=0.5, type=0" in capsys.readouterr().err
 
     def test_direction_length_checked_before_the_tail(self, tmp_path, capsys):
         # at tol 1e-30 euler's dropped Borel tail fails its bound (exit 3), but

@@ -51,7 +51,7 @@ class TestTrivialFamilies:
             fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
         assert abs(func.eval_many([(0.1, 0.1)])[0]) < 1e-10
-        res = extract_element(func, (0,), (0,), (0.1,), strict=False)
+        res = extract_element(func, (0,), (0,), (0.1,))
         assert abs(res.value) < 1e-8
 
     def test_delta_family_interpolates_one(self):
@@ -60,9 +60,9 @@ class TestTrivialFamilies:
             fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
         assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged"
-        res0 = extract_element(func, (0,), (0,), (0.1,), strict=False)
+        res0 = extract_element(func, (0,), (0,), (0.1,))
         assert res0.value == pytest.approx(1.0, abs=1e-6)
-        res1 = extract_element(func, (1,), (0,), (0.1,), strict=False)
+        res1 = extract_element(func, (1,), (0,), (0.1,))
         assert res1.value == pytest.approx(1.0, abs=1e-6)
         # closed form of the two passes for this family
         z1, z2 = 0.17, 0.23
@@ -194,7 +194,7 @@ class TestRat2Smoke:
         probe = ProbeSpec(r0=0.2, ratio=0.75, steps=14, tol=1e-5, circle_frac=0.75, circle_nodes=128)
         for axis in (0, 1):
             for order in (0, 1):
-                res = extract_element(func, (axis,), (order,), (0.05,), probe=probe, strict=False)
+                res = extract_element(func, (axis,), (order,), (0.05,), probe=probe)
                 want = (-1.0) ** order / 1.05
                 assert res.value == pytest.approx(want, abs=5e-5)
 

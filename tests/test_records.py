@@ -12,7 +12,6 @@ from polygevrey import (
     ExtractResult,
     FlatFit,
     GeometryError,
-    GevreyFit,
     LaplaceSpec,
     MultiIndexSeries,
     NullFitEntry,
@@ -42,7 +41,6 @@ MAKERS = {
     "Sector": lambda: Sector(0.0, 1.0, 2.0),
     "Polysector": lambda: Polysector([Sector(0.0, 1.0)]),
     "MultiIndexSeries": lambda: MultiIndexSeries(1, {(0,): 1.0, (2,): 0.5}),
-    "GevreyFit": lambda: GevreyFit((1.0,), 0.0, 0.1),
     "LaplaceSpec": lambda: LaplaceSpec((0.5,), 1e-9),
     "SampledFunction": lambda: SampledFunction(HOST, _one),
     "TotalFamily": lambda: TotalFamily(1, HOST, {((0,), (0,)): CONST}, (0,)),
@@ -51,7 +49,7 @@ MAKERS = {
     "CoherenceReport": lambda: CoherenceReport(3, 1e-9, (), (), 1e-6),
     "TypeProfile": lambda: TypeProfile(-1.0, 1.0, _profile),
     "RegistryEntry": lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"a": "note"}),
-    "FlatFit": lambda: FlatFit((0.5,), 0.0, 0.1, (False,)),
+    "FlatFit": lambda: FlatFit((0.5,), 0.1),
     "BoundReport": lambda: BoundReport(1.0, 0.5, (), 1e-9),
     "NullFitEntry": lambda: NullFitEntry((1,), 1.0, True),
 }
@@ -88,7 +86,7 @@ def test_unequal_fields_and_types():
 
 def test_cached_sup_is_not_a_field():
     prof, fresh = TypeProfile(-1.0, 1.0, _profile), TypeProfile(-1.0, 1.0, _profile)
-    assert prof.sup() == pytest.approx(1.25)
+    assert prof.sup == pytest.approx(1.25)
     assert prof == fresh and hash(prof) == hash(fresh)
 
 
@@ -97,15 +95,13 @@ def test_cached_sup_is_not_a_field():
     [
         (lambda: Sector(1.0, 0.0), GeometryError, "sector needs alpha < beta, got (1.0, 0.0)"),
         (lambda: Sector(0.0, 1.0, 0.0), GeometryError, "sector radius must be positive, got 0.0"),
-        (lambda: GevreyFit((1.0,), 0.0, -0.1), SeriesError, "negative residual"),
-        (lambda: GevreyFit((0.0,), 0.0, 0.1), SeriesError, "type estimates must be positive (possibly inf)"),
         (lambda: ProbeSpec(r0=-1.0, steps=4), DomainError,
          "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, steps=4, tol=1e-08, "
          "circle_frac=0.5, circle_nodes=64, direction=None): need r0 > 0, steps >= 5"),
         (lambda: TypeProfile(1.0, 0.0, _profile), GeometryError, "profile domain needs alpha < beta"),
         (lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"b": ""}), ValueError, "known fields ['a'] != noted ['b']"),
-        (lambda: FlatFit((-0.5,), 0.0, 0.1, (False,)), SeriesError, "flat rates must be nonnegative"),
-        (lambda: FlatFit((0.5,), 0.0, -0.1, (False,)), SeriesError, "negative residual"),
+        (lambda: FlatFit((-0.5,), 0.1), SeriesError, "flat rates must be nonnegative"),
+        (lambda: FlatFit((0.5,), -0.1), SeriesError, "negative residual"),
     ],
 )
 def test_construction_checks(make, exc, message):

@@ -7,7 +7,6 @@ import pytest
 from polygevrey import UnknownEntryError, check_coherence
 from polygevrey import testbed
 from polygevrey.catalogue import CATALOGUE
-from polygevrey.families import ProbeSpec
 from polygevrey.transforms import LaplaceSpec, truncated_laplace_with_error
 
 PI = math.pi
@@ -70,8 +69,7 @@ class TestRat2:
 
     def test_known_family_coherent_tight(self):
         fam = testbed.rat2_total_family(cap=3)
-        probe = ProbeSpec(steps=18, tol=1e-8)
-        rep = check_coherence(fam, 1e-8, probe=probe, max_order=2)
+        rep = check_coherence(fam, 1e-8, max_order=2)
         assert rep.ok()
         assert not rep.probe_failures
         assert rep.max_residual < 1e-8

@@ -244,14 +244,14 @@ class TestFinalType:
             seen.append(t)
             return 1.0 + 0.2 * math.cos(t - 0.1)
 
-        sup = TypeProfile(self.alpha, self.beta, fn).sup()
+        sup = TypeProfile(self.alpha, self.beta, fn).sup
         one_sup = len(seen)
         seen.clear()
         prof = TypeProfile(self.alpha, self.beta, fn)
         thetas = np.linspace(self.alpha + 1e-6, self.beta - 1e-6, 181)
         sweep = [final_type((float(t),), (self.theta0,), (1.5,), (prof,))[0] for t in thetas]
         assert len(seen) == one_sup + 2 * len(thetas)
-        assert prof.sup() == sup
+        assert prof.sup == sup
         fresh = [
             final_type((float(t),), (self.theta0,), (1.5,), (TypeProfile(self.alpha, self.beta, fn),))[0]
             for t in thetas[::30]
@@ -267,7 +267,7 @@ class TestFinalType:
 class TestTypeProfile:
     def test_sup(self):
         prof = TypeProfile(-1.0, 1.0, lambda t: math.cos(t))
-        assert prof.sup() == pytest.approx(1.0, abs=1e-9)
+        assert prof.sup == pytest.approx(1.0, abs=1e-9)
 
 
 class TestContinuityProperties:
