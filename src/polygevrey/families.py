@@ -412,7 +412,13 @@ class CoherenceReport(Record):
         self._set(checked_pairs, max_residual, failures, probe_failures, tolerance, missing)
 
     def ok(self) -> bool:
-        return not self.failures
+        """The one verdict: at least one checked pair, no failure and no probe failure."""
+        return self.checked_pairs > 0 and not self.failures and not self.probe_failures
+
+
+def _coherence_probe(tol: float) -> ProbeSpec:
+    """The probe of both coherence checks: 20 rungs at agreement ``tol`` (see :func:`check_coherence`)."""
+    return ProbeSpec(steps=20, tol=tol)
 
 
 def _rest_samples(host: Polysector, axes: Sequence[int]):
@@ -448,7 +454,7 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
-    probe = ProbeSpec(steps=20, tol=tol)
+    probe = _coherence_probe(tol)
     failures = []
     probe_failures = []
     max_residual = 0.0
@@ -506,22 +512,17 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     )
 
 
-def check_first_order_coherence(
-    fam: TotalFamily,
-    tol: float,
-    probe: ProbeSpec | None = None,
-    max_order: int = 2,
-) -> CoherenceReport:
+def check_first_order_coherence(fam: TotalFamily, tol: float, max_order: int = 2) -> CoherenceReport:
     """Cross-consistency of the first-order (#J = 1) elements of a two-variable family.
 
     The m-th coefficient of f_{1n} and the n-th coefficient of f_{2m} must
     agree (both equal the (n, m) constant of the underlying total family).
-    Two ladders: one over every f_{1n} with orders m <= m_cap, one over every
-    f_{2m} with orders n <= n_cap.
+    Two ladders on the probe of :func:`check_coherence`: one over every f_{1n}
+    with orders m <= m_cap, one over every f_{2m} with orders n <= n_cap.
     """
     if fam.dim != 2:
         raise DimensionMismatchError("first-order coherence check implemented for dim 2")
-    probe = probe or ProbeSpec(steps=20, tol=tol)
+    probe = _coherence_probe(tol)
     seq1, seq2 = fam.sequence(0), fam.sequence(1)
     n_cap = min(len(seq1) - 1, max_order)
     m_cap = min(len(seq2) - 1, max_order)

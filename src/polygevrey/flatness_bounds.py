@@ -241,7 +241,7 @@ class NullFitEntry(Record):
     decaying: bool
 
     def __init__(self, n_index, c_sup: float, decaying: bool):
-        self._set(n_index, c_sup, decaying)
+        self._set(n_index, c_sup, bool(decaying))
 
 
 def null_expansion_check(

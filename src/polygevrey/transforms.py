@@ -510,9 +510,8 @@ def interpolate_first_order(
     fam,
     profiles,
     z0: Sequence[complex],
-    probe=None,
     coeff_cap: int = 8,
-    precheck_tol: float | None = 1e-4,
+    precheck_tol: float | None = 1e-3,
 ) -> SampledFunction:
     """Interpolate the coherent first-order family of a two-variable total family.
 
@@ -523,7 +522,8 @@ def interpolate_first_order(
     h1 = sum_n f_{1n}(z2) L_1[n](z1).  Its m-th axis-1 coefficient is
     sum_n a_{m,n} L_1[n](z1), where a_{m,n} is the m-th coefficient of f_{1n}
     at the vertex; the constants come from one radius ladder over every
-    f_{1n} at once.  The second pass transforms the corrected axis-1 sequence,
+    f_{1n} at once, on the construction's own probe (20 rungs to agreement
+    1e-11 on 128-node circles).  The second pass transforms the corrected axis-1 sequence,
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
@@ -535,11 +535,11 @@ def interpolate_first_order(
     orders of a_{m,n} are numerically fragile to extract and strongly damped
     by the t^m/m! weights, so a small cap loses little.  Unless
     ``precheck_tol`` is None, the family must first pass
-    :func:`check_first_order_coherence` at that tolerance over orders <= 1
-    (CoherenceError otherwise).  Raises ProbeError when the ladder leaves
-    orders 0 and 1 of the constants unconverged; the result's
-    ``provenance`` counts the unconverged higher-order constants and gives
-    their worst probe error.
+    :func:`check_first_order_coherence` at that tolerance over orders <= 1, on
+    that check's own probe (CoherenceError unless its report is ``ok()``).
+    Raises ProbeError when the ladder leaves orders 0 and 1 of the constants
+    unconverged; the result's ``provenance`` counts the unconverged
+    higher-order constants and gives their worst probe error.
     """
     from .families import ProbeSpec, check_first_order_coherence, element_coefficients
 
@@ -562,11 +562,10 @@ def interpolate_first_order(
             raise DomainError(f"|z0| on axis {j} must stay below the profile sup")
     if coeff_cap < 0:
         raise DomainError(f"coeff_cap must be >= 0, got {coeff_cap}")
-    probe = probe or ProbeSpec()
 
     if precheck_tol is not None:
-        report = check_first_order_coherence(fam, precheck_tol, probe, max_order=1)
-        if report.failures or report.probe_failures:
+        report = check_first_order_coherence(fam, precheck_tol, max_order=1)
+        if not report.ok():
             raise CoherenceError(
                 f"first-order family fails coherence at {precheck_tol:g}: "
                 f"max residual {report.max_residual:.3e}, "
@@ -576,6 +575,7 @@ def interpolate_first_order(
 
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)
+    probe = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
     consts, errs, conv, _ = (
         a[..., 0] for a in element_coefficients(f1, (0,), [(m,) for m in range(m_cap + 1)], probe)
     )

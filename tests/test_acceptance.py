@@ -230,15 +230,7 @@ def test_criterion_11_interpolation_pipeline():
     opening = 1.2
     fam = testbed.rat2_total_family(opening=opening, cap=16)
     profiles = [pg.TypeProfile.constant(-opening, opening, 1.0)] * 2
-    inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
-    func = pg.interpolate_first_order(
-        fam,
-        profiles,
-        (0.92, 0.92),
-        probe=inner,
-        coeff_cap=10,
-        precheck_tol=1e-3,
-    )
+    func = pg.interpolate_first_order(fam, profiles, (0.92, 0.92), coeff_cap=10)
     probe = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
     samples = [0.02 * 1.13**k for k in range(10)]
     worst = 0.0

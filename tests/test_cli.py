@@ -801,7 +801,8 @@ class TestInterpolate:
         cfg = write(tmp_path, "ip2.json", {"testbed": "euler"})
         assert main(["interpolate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("bad", [{"samples": [-0.03]}, {"samples": []}, {"orders": -1}])
+    # orders 9 > cap 8: the family stores no element to compare order 9 with
+    @pytest.mark.parametrize("bad", [{"samples": [-0.03]}, {"samples": []}, {"orders": -1}, {"orders": 9}])
     def test_bad_samples_or_orders_rejected(self, tmp_path, capsys, bad):
         cfg = {"testbed": "rat2", "cap": 8, "coeff_cap": 4}
         path = write(tmp_path, "ip4.json", {**cfg, **bad})

@@ -366,7 +366,8 @@ class TestCoherence:
         rep = check_coherence(fam, 1e-8)
         assert rep.checked_pairs == 0
         assert rep.max_residual == 0.0
-        assert rep.ok()
+        # a check that compared nothing has not shown coherence
+        assert not rep.ok()
 
     def test_report_json(self, tmp_path):
         # verify coherence writes the report of check_coherence on the same family
@@ -480,6 +481,26 @@ class TestFirstOrder:
         rep = check_first_order_coherence(fam, 1e-6, max_order=2)
         assert rep.checked_pairs == 9
         assert calls == [3, 3]
+
+    def test_unconverged_pairs_fail_the_verdict(self):
+        # coherent constants, but f_{10} carries noise no radius ladder settles:
+        # the pairs it enters are probe failures, the others pass
+        host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)
+
+        def const(axis, v):
+            return SampledFunction(
+                host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
+            )
+
+        elements = {((axis,), (n,)): const(axis, v) for axis in (0, 1) for n, v in enumerate((1.0, 0.0))}
+        elements[(0,), (0,)] = SampledFunction(
+            host.axes_subset((1,)), lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0]))
+        )
+        rep = check_first_order_coherence(TotalFamily(2, host, elements, (1, 1)), 1e-4, max_order=1)
+        assert rep.checked_pairs > 0
+        assert rep.probe_failures
+        assert not rep.failures
+        assert not rep.ok()
 
     def test_first_order_incoherent_pair_named(self):
         host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)

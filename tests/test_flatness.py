@@ -354,6 +354,14 @@ class TestNullExpansion:
         assert entries[0].c_sup == pytest.approx(1.0)
         assert entries[0].decaying
 
+    def test_decaying_is_a_bool(self):
+        # z1^3 against |z|^2 decays toward the vertex, against |z|^4 grows
+        dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)
+        f = SampledFunction(dom, lambda p: p[:, 0] ** 3)
+        entries = null_expansion_check(f, (0.0, 0.0), [(2, 0), (4, 0)], [[1.0, 0.5, 0.25], [1.0]])
+        assert [e.decaying for e in entries] == [True, False]
+        assert all(type(e.decaying) is bool for e in entries)
+
     def test_nondecay_flagged(self):
         dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)
         f = SampledFunction(dom, lambda p: np.ones(len(p), dtype=complex))

@@ -13,6 +13,8 @@ from polygevrey import (
     Sector,
     TotalFamily,
     TypeProfile,
+    check_coherence,
+    check_first_order_coherence,
     extract_element,
     interpolate_first_order,
 )
@@ -22,6 +24,8 @@ from polygevrey.transforms import laplace_monomials
 
 PI = math.pi
 OPENING = 1.2
+# the probe of interpolate_first_order's ladder for the constants a_{m,n}
+CONSTRUCTION_PROBE = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
 
 
 def host2(opening=OPENING):
@@ -152,11 +156,11 @@ class TestValidation:
 class TestRat2Smoke:
     def test_axis_constants(self):
         # a_{m,n}, the m-th coefficient of f_{1n} = (-1)^n / (1 + z2), is (-1)^(n+m);
-        # one ladder with the README's inner probe, every f_{1n} a batch column
+        # one ladder with the construction probe, every f_{1n} a batch column
         fam = testbed.rat2_total_family(opening=OPENING, cap=16)
-        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
         vals, errs, conv, _ = (
-            a[..., 0] for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], inner)
+            a[..., 0]
+            for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], CONSTRUCTION_PROBE)
         )
         assert vals.shape == (11, 17)
         assert np.all(conv[:2])
@@ -169,12 +173,10 @@ class TestRat2Smoke:
         # the README interpolate config: orders >= 2 of the a_{m,n} are used
         # although the ladder leaves many unconverged, and the result says so
         fam = testbed.rat2_total_family(opening=OPENING, cap=16)
-        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
-        func = interpolate_first_order(
-            fam, profiles(), (0.92, 0.92), probe=inner, coeff_cap=10, precheck_tol=None
-        )
+        func = interpolate_first_order(fam, profiles(), (0.92, 0.92), coeff_cap=10, precheck_tol=None)
         _, errs, conv, _ = (
-            a[..., 0] for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], inner)
+            a[..., 0]
+            for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], CONSTRUCTION_PROBE)
         )
         assert np.all(conv[:2])
         bad = int(np.count_nonzero(~conv))
@@ -187,10 +189,7 @@ class TestRat2Smoke:
     def test_low_order_extraction(self):
         # smoke-scale version of the full pipeline: low caps, order <= 1
         fam = testbed.rat2_total_family(opening=OPENING, cap=10)
-        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
-        func = interpolate_first_order(
-            fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
-        )
+        func = interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
         probe = ProbeSpec(r0=0.2, ratio=0.75, steps=14, tol=1e-5, circle_frac=0.75, circle_nodes=128)
         for axis in (0, 1):
             for order in (0, 1):
@@ -200,10 +199,7 @@ class TestRat2Smoke:
 
     def test_value_close_to_target_function(self):
         fam = testbed.rat2_total_family(opening=OPENING, cap=12)
-        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
-        func = interpolate_first_order(
-            fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None
-        )
+        func = interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
         # differs from 1/((1+z1)(1+z2)) only by terms flat in each variable
         z = (0.09, 0.11)
         target = 1.0 / ((1 + z[0]) * (1 + z[1]))
@@ -223,8 +219,7 @@ class TestDistinctCoordinates:
     @staticmethod
     def rat2_interpolant():
         fam = testbed.rat2_total_family(opening=OPENING, cap=10)
-        inner = ProbeSpec(r0=0.3, ratio=0.7, steps=16, tol=1e-10, circle_frac=0.75, circle_nodes=128)
-        return interpolate_first_order(fam, profiles(), (0.9, 0.9), probe=inner, coeff_cap=6, precheck_tol=None)
+        return interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
 
     def test_one_table_per_distinct_coordinate(self, monkeypatch):
         from polygevrey import transforms
@@ -250,3 +245,40 @@ class TestDistinctCoordinates:
         batch = func.eval_many(pts)
         alone = np.asarray([func.eval_many([p])[0] for p in pts])
         assert np.all(np.abs(batch - alone) <= 1e-14 * np.abs(alone))
+
+
+def record_probes(monkeypatch) -> list:
+    """Record the probe of every radius ladder run from now on."""
+    from polygevrey import families
+
+    probes = []
+    ladder = families.axis_coefficient_ladder
+
+    def recorded(evalfn, sectors, orders, probe):
+        probes.append(probe)
+        return ladder(evalfn, sectors, orders, probe)
+
+    monkeypatch.setattr(families, "axis_coefficient_ladder", recorded)
+    return probes
+
+
+class TestProbes:
+    """Every coherence check probes by one rule; the constants ladder by the construction's own."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_coherence_checks_probe_at_their_tolerance(self, monkeypatch, tol):
+        fam = testbed.rat2_total_family(opening=OPENING, cap=4)
+        probes = record_probes(monkeypatch)
+        assert check_coherence(fam, tol, max_order=1).ok()
+        n_coherence = len(probes)
+        assert check_first_order_coherence(fam, tol, max_order=1).ok()
+        assert n_coherence > 0 and len(probes) == n_coherence + 2
+        interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=2, precheck_tol=tol)
+        rule = ProbeSpec(steps=20, tol=tol)
+        assert probes == [rule] * (n_coherence + 4) + [CONSTRUCTION_PROBE]
+
+    def test_precheck_default(self, monkeypatch):
+        fam = testbed.rat2_total_family(opening=OPENING, cap=4)
+        probes = record_probes(monkeypatch)
+        interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=2)
+        assert probes == [ProbeSpec(steps=20, tol=1e-3)] * 2 + [CONSTRUCTION_PROBE]
