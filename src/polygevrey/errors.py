@@ -45,6 +45,8 @@ class Record:
 class PolygevreyError(Exception):
     """Base class for all package errors."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 class GeometryError(PolygevreyError, ValueError):
     """Invalid sector/polysector data or a point outside its domain."""

@@ -416,11 +416,6 @@ class CoherenceReport(Record):
         return self.checked_pairs > 0 and not self.failures and not self.probe_failures
 
 
-def _coherence_probe(tol: float) -> ProbeSpec:
-    """The probe of both coherence checks: 20 rungs at agreement ``tol`` (see :func:`check_coherence`)."""
-    return ProbeSpec(steps=20, tol=tol)
-
-
 def _rest_samples(host: Polysector, axes: Sequence[int]):
     """Two points per axis on its bisector, at 0.35 (at most rho/2) and 0.55 times that."""
     grids = []
@@ -435,6 +430,29 @@ def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
     mapping = dict(zip(j_axes, n_j))
     mapping.update(zip(l_axes, n_l))
     return tuple(mapping[a] for a in sorted(mapping))
+
+
+def _pair_ladder(fam: TotalFamily, j_axes, n_js, l_axes, n_ls, tol: float):
+    """L-derivative limits at orders ``n_ls`` of f_{N_J} for N_J in ``n_js``, on one radius ladder.
+
+    Both coherence checks build every ladder here.  The L columns tend to 0 on
+    20 rungs at agreement ``tol``; the other columns sit at the
+    :func:`_rest_samples` points.  Returns those points; values, errors and
+    convergence flags shaped (len(n_ls), len(n_js), n_points); and the
+    ProbeError message (no flag set) if the ladder produced no extrapolant,
+    else None.
+    """
+    cols = fam.rest_axes(j_axes)  # the axis of each column of f_{N_J}
+    z_rests = _rest_samples(fam.host, [a for a in cols if a not in l_axes])
+    elems = [fam.element(j_axes, n_j) for n_j in n_js]
+    try:
+        vals, errs, conv, _ = element_coefficients(
+            elems, [cols.index(a) for a in l_axes], n_ls, ProbeSpec(steps=20, tol=tol), z_rests
+        )
+    except ProbeError as exc:
+        shape = (len(n_ls), len(n_js), len(z_rests))
+        return z_rests, np.zeros(shape), np.full(shape, np.inf), np.zeros(shape, dtype=bool), str(exc)
+    return z_rests, vals, errs, conv, None
 
 
 def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> CoherenceReport:
@@ -454,7 +472,6 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
-    probe = _coherence_probe(tol)
     failures = []
     probe_failures = []
     max_residual = 0.0
@@ -465,26 +482,13 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
         stored = fam.stored_indices(j_axes)
         if not stored:
             continue
-        cols = fam.rest_axes(j_axes)  # the axis of each column of f_{N_J}
         for l_axes in subsets:
             if set(j_axes) & set(l_axes):
                 continue
             union = _subset_key(set(j_axes) | set(l_axes))
-            rest = [a for a in cols if a not in l_axes]
-            z_rests = _rest_samples(fam.host, rest)
             l_ranges = [range(min(max_order, fam.index_bound[a]) + 1) for a in l_axes]
             n_ls = list(itertools.product(*l_ranges))
-            try:
-                vals, errs, conv, _ = element_coefficients(
-                    [fam.element(j_axes, n_j) for n_j in stored],
-                    [cols.index(a) for a in l_axes],
-                    n_ls,
-                    probe,
-                    z_rests,
-                )
-                note = None
-            except ProbeError as exc:
-                note = str(exc)
+            z_rests, vals, errs, conv, note = _pair_ladder(fam, j_axes, stored, l_axes, n_ls, tol)
             for e, n_j in enumerate(stored):
                 for o, n_l in enumerate(n_ls):
                     union_idx = _merge_index(j_axes, n_j, l_axes, n_l)
@@ -492,13 +496,10 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
                         missing += 1
                         continue
                     pair = (j_axes, l_axes, n_j, n_l)
-                    if note is not None:
-                        probe_failures.extend([pair + (note,)] * len(z_rests))
-                        continue
                     targets = fam.element(union, union_idx).eval_many(z_rests).tolist()
                     for k, target in enumerate(targets):
                         if not conv[o, e, k]:
-                            probe_failures.append(pair + (f"unconverged ({errs[o, e, k]:.3e})",))
+                            probe_failures.append(pair + (note or f"unconverged ({errs[o, e, k]:.3e})",))
                             continue
                         checked += 1
                         residual = abs(complex(vals[o, e, k]) - target) / max(1.0, abs(target))
@@ -507,60 +508,44 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
                             failures.append(pair + (residual,))
     failures.sort()
     probe_failures.sort(key=lambda t: t[:4])
-    return CoherenceReport(
-        checked, max_residual, tuple(failures), tuple(probe_failures), tol, missing
-    )
+    return CoherenceReport(checked, max_residual, tuple(failures), tuple(probe_failures), tol, missing)
 
 
 def check_first_order_coherence(fam: TotalFamily, tol: float, max_order: int = 2) -> CoherenceReport:
-    """Cross-consistency of the first-order (#J = 1) elements of a two-variable family.
+    """Cross-consistency of the first-order (#J = 1) elements, for every pair of axes j < l.
 
-    The m-th coefficient of f_{1n} and the n-th coefficient of f_{2m} must
-    agree (both equal the (n, m) constant of the underlying total family).
-    Two ladders on the probe of :func:`check_coherence`: one over every f_{1n}
-    with orders m <= m_cap, one over every f_{2m} with orders n <= n_cap.
+    The m-th l-coefficient of f_{j,n} and the n-th j-coefficient of f_{l,m}
+    must agree at each sampled point of the other axes (both equal the (n, m)
+    coefficient there of the underlying total family).  Two ladders per pair,
+    on the probe and points of :func:`check_coherence`: one over every f_{j,n}
+    along l with orders m <= m_cap, one over every f_{l,m} along j with
+    orders n <= n_cap.  A family with fewer than two axes checks no pair.
     """
-    if fam.dim != 2:
-        raise DimensionMismatchError("first-order coherence check implemented for dim 2")
-    probe = _coherence_probe(tol)
-    seq1, seq2 = fam.sequence(0), fam.sequence(1)
-    n_cap = min(len(seq1) - 1, max_order)
-    m_cap = min(len(seq2) - 1, max_order)
-    if n_cap < 0 or m_cap < 0:
-        return CoherenceReport(0, 0.0, (), (), tol)
-    vals1, errs1, conv1, _ = (
-        a[..., 0]
-        for a in element_coefficients(
-            seq1[: n_cap + 1], (0,), [(m,) for m in range(m_cap + 1)], probe
-        )
-    )
-    vals2, errs2, conv2, _ = (
-        a[..., 0]
-        for a in element_coefficients(
-            seq2[: m_cap + 1], (0,), [(n,) for n in range(n_cap + 1)], probe
-        )
-    )
     failures = []
     probe_failures = []
     max_residual = 0.0
     checked = 0
-    for n in range(n_cap + 1):
-        for m in range(m_cap + 1):
-            if not (conv1[m, n] and conv2[n, m]):
-                probe_failures.append(
-                    ((0,), (1,), (n,), (m,), f"unconverged ({float(errs1[m, n]):.3e}/{float(errs2[n, m]):.3e})")
-                )
+    for j, l in itertools.combinations(range(fam.dim), 2):
+        n_cap = min(len(fam.sequence(j)) - 1, max_order)
+        m_cap = min(len(fam.sequence(l)) - 1, max_order)
+        ns, ms = [(n,) for n in range(n_cap + 1)], [(m,) for m in range(m_cap + 1)]
+        if not (ns and ms):
+            continue
+        z_rests, vals1, errs1, conv1, note1 = _pair_ladder(fam, (j,), ns, (l,), ms, tol)
+        _, vals2, errs2, conv2, note2 = _pair_ladder(fam, (l,), ms, (j,), ns, tol)
+        for (n,), (m,), k in itertools.product(ns, ms, range(len(z_rests))):
+            pair = ((j,), (l,), (n,), (m,))
+            if not (conv1[m, n, k] and conv2[n, m, k]):
+                errs = f"{float(errs1[m, n, k]):.3e}/{float(errs2[n, m, k]):.3e}"
+                probe_failures.append(pair + (note1 or note2 or f"unconverged ({errs})",))
                 continue
             checked += 1
-            a = complex(vals1[m, n])
-            b = complex(vals2[n, m])
-            residual = abs(a - b) / max(1.0, abs(a))
+            a = complex(vals1[m, n, k])
+            residual = abs(a - complex(vals2[n, m, k])) / max(1.0, abs(a))
             max_residual = max(max_residual, residual)
             if residual > tol:
-                failures.append(((0,), (1,), (n,), (m,), residual))
-    return CoherenceReport(
-        checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol
-    )
+                failures.append(pair + (residual,))
+    return CoherenceReport(checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol)
 
 
 # ---------------------------------------------------------------------------

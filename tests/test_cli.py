@@ -576,6 +576,22 @@ class TestTypeFit:
         assert main(["type-fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert "too few remainder constants" in capsys.readouterr().err
 
+    def test_index_bound_message_unquoted(self, tmp_path, capsys):
+        # FamilyError is a KeyError, whose own str() would print the message's repr
+        cfg = write(
+            tmp_path,
+            "tf4.json",
+            {
+                "testbed": "euler",
+                "mode": "gevrey",
+                "directions": [0.0],
+                "radii": {"r0": 0.5, "ratio": 0.82, "count": 8},
+                "n_max": 60,
+            },
+        )
+        assert main(["type-fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == "config error: truncation (47,) exceeds index bound (45,) + 1\n"
+
     def test_flat_mode(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -770,6 +786,15 @@ class TestVerify:
         assert report["ok"] is False
         assert report["report"]["checked_pairs"] == 0
 
+    def test_unknown_testbed_message_unquoted(self, tmp_path, capsys):
+        # UnknownEntryError is a KeyError, whose own str() would print the message's repr
+        from polygevrey import testbed
+
+        cfg = write(tmp_path, "vt.json", {"suite": "coherence", "testbed": "nope"})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        want = f"config error: no testbed entry named 'nope'; have {testbed.ids()}\n"
+        assert capsys.readouterr().err == want
+
     def test_unknown_suite(self, tmp_path):
         cfg = write(tmp_path, "vu.json", {"suite": "nope"})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
@@ -803,11 +828,17 @@ class TestInterpolate:
 
     # orders 9 > cap 8: the family stores no element to compare order 9 with
     @pytest.mark.parametrize("bad", [{"samples": [-0.03]}, {"samples": []}, {"orders": -1}, {"orders": 9}])
-    def test_bad_samples_or_orders_rejected(self, tmp_path, capsys, bad):
+    def test_bad_samples_or_orders_rejected(self, tmp_path, capsys, monkeypatch, bad):
+        # each is rejected before the interpolant is built: no radius ladder runs
+        from polygevrey import families
+
+        ladders = []
+        monkeypatch.setattr(families, "axis_coefficient_ladder", lambda *args: ladders.append(args))
         cfg = {"testbed": "rat2", "cap": 8, "coeff_cap": 4}
         path = write(tmp_path, "ip4.json", {**cfg, **bad})
         assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert f"config key {next(iter(bad))!r}" in capsys.readouterr().err
+        assert ladders == []
 
     def test_empty_family_rejected(self, tmp_path, capsys):
         # cap -1 stores no first-order element: a config error, not an internal one

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polygevrey import (
+    CoherenceReport,
     DimensionMismatchError,
     DomainError,
     FamilyError,
@@ -448,6 +449,81 @@ class TestCoherence:
         assert rep.ok() and not rep.probe_failures
 
 
+def first_order_reference(fam, tol, max_order=2):
+    """The two-variable first-order check as written before it covered every pair of axes.
+
+    Two ladders on the coherence probe: one over every f_{1n} with orders
+    m <= m_cap, one over every f_{2m} with orders n <= n_cap; the m-th
+    coefficient of f_{1n} must match the n-th coefficient of f_{2m}.
+    """
+    assert fam.dim == 2
+    probe = ProbeSpec(steps=20, tol=tol)
+    seq1, seq2 = fam.sequence(0), fam.sequence(1)
+    n_cap = min(len(seq1) - 1, max_order)
+    m_cap = min(len(seq2) - 1, max_order)
+    if n_cap < 0 or m_cap < 0:
+        return CoherenceReport(0, 0.0, (), (), tol)
+    vals1, errs1, conv1, _ = (
+        a[..., 0]
+        for a in element_coefficients(
+            seq1[: n_cap + 1], (0,), [(m,) for m in range(m_cap + 1)], probe
+        )
+    )
+    vals2, errs2, conv2, _ = (
+        a[..., 0]
+        for a in element_coefficients(
+            seq2[: m_cap + 1], (0,), [(n,) for n in range(n_cap + 1)], probe
+        )
+    )
+    failures = []
+    probe_failures = []
+    max_residual = 0.0
+    checked = 0
+    for n in range(n_cap + 1):
+        for m in range(m_cap + 1):
+            if not (conv1[m, n] and conv2[n, m]):
+                probe_failures.append(
+                    ((0,), (1,), (n,), (m,), f"unconverged ({float(errs1[m, n]):.3e}/{float(errs2[n, m]):.3e})")
+                )
+                continue
+            checked += 1
+            a = complex(vals1[m, n])
+            b = complex(vals2[n, m])
+            residual = abs(a - b) / max(1.0, abs(a))
+            max_residual = max(max_residual, residual)
+            if residual > tol:
+                failures.append(((0,), (1,), (n,), (m,), residual))
+    return CoherenceReport(
+        checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol
+    )
+
+
+def constant_first_order_family(values, noisy=False):
+    """Two-variable first-order family of constants: f_{j,n} = values[j][n].
+
+    With ``noisy``, f_{1,0} carries noise no radius ladder settles.
+    """
+    host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)
+
+    def const(axis, v):
+        return SampledFunction(
+            host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
+        )
+
+    elements = {((axis,), (n,)): const(axis, v) for axis, vs in enumerate(values) for n, v in enumerate(vs)}
+    if noisy:
+        elements[(0,), (0,)] = SampledFunction(
+            host.axes_subset((1,)), lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0]))
+        )
+    return TotalFamily(2, host, elements, (1, 1))
+
+
+def three_variable_polynomial_family():
+    coeffs = {(0, 0, 0): 2.0, (1, 1, 0): 1.0, (2, 1, 1): -0.5, (0, 3, 1): 0.25, (1, 0, 2): 0.7}
+    ser = MultiIndexSeries(3, coeffs, (2, 3, 2))
+    return testbed.polynomial_family(ser, Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 3))
+
+
 class TestFirstOrder:
     def test_two_variable_selection(self):
         fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
@@ -485,41 +561,76 @@ class TestFirstOrder:
     def test_unconverged_pairs_fail_the_verdict(self):
         # coherent constants, but f_{10} carries noise no radius ladder settles:
         # the pairs it enters are probe failures, the others pass
-        host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)
-
-        def const(axis, v):
-            return SampledFunction(
-                host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
-            )
-
-        elements = {((axis,), (n,)): const(axis, v) for axis in (0, 1) for n, v in enumerate((1.0, 0.0))}
-        elements[(0,), (0,)] = SampledFunction(
-            host.axes_subset((1,)), lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0]))
-        )
-        rep = check_first_order_coherence(TotalFamily(2, host, elements, (1, 1)), 1e-4, max_order=1)
+        fam = constant_first_order_family(((1.0, 0.0), (1.0, 0.0)), noisy=True)
+        rep = check_first_order_coherence(fam, 1e-4, max_order=1)
         assert rep.checked_pairs > 0
         assert rep.probe_failures
         assert not rep.failures
         assert not rep.ok()
 
     def test_first_order_incoherent_pair_named(self):
-        host = Polysector([Sector(-1.0, 1.0, math.inf)] * 2)
-
-        def const(axis, v):
-            return SampledFunction(
-                host.axes_subset((1 - axis,)), lambda p, _v=v: np.full(len(p), _v, dtype=complex)
-            )
-
         # f_{11} says the (1, 0) constant is 2; f_{20} says it is 0
-        elements = {
-            ((axis,), (n,)): const(axis, v)
-            for axis, vs in enumerate(((1.0, 2.0), (1.0, 0.0)))
-            for n, v in enumerate(vs)
-        }
-        fam = TotalFamily(2, host, elements, (1, 1))
+        fam = constant_first_order_family(((1.0, 2.0), (1.0, 0.0)))
         rep = check_first_order_coherence(fam, 1e-6, max_order=1)
         assert rep.checked_pairs == 4
         assert [f[:4] for f in rep.failures] == [((0,), (1,), (1,), (0,))]
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2])
+    def test_two_variables_match_reference_rat2(self, max_order):
+        fam = testbed.rat2_total_family(cap=4)
+        rep = check_first_order_coherence(fam, 1e-6, max_order=max_order)
+        assert rep == first_order_reference(fam, 1e-6, max_order=max_order)
+
+    @pytest.mark.parametrize(
+        "make, tol",
+        [
+            (lambda: testbed.get("poly").known["total_family"], 1e-6),
+            (lambda: constant_first_order_family(((1.0, 2.0), (1.0, 0.0))), 1e-6),
+            (lambda: constant_first_order_family(((1.0, 0.0), (1.0, 0.0)), noisy=True), 1e-4),
+        ],
+        ids=["poly", "incoherent-pair", "noisy-element"],
+    )
+    def test_two_variables_match_reference(self, make, tol):
+        # the whole report, failures and probe failures included, as the two-variable check gave it
+        fam = make()
+        rep = check_first_order_coherence(fam, tol, max_order=1)
+        assert rep == first_order_reference(fam, tol, max_order=1)
+
+    def test_three_variables_every_axis_pair(self, monkeypatch):
+        # 3 axis pairs x 3 x 3 orders x 2 sampled points on the third axis, two ladders per pair
+        calls = count_ladders(monkeypatch)
+        rep = check_first_order_coherence(three_variable_polynomial_family(), 1e-6)
+        assert rep.checked_pairs == 54
+        assert calls == [3] * 6
+        assert rep.ok() and not rep.probe_failures
+        assert rep.max_residual < 1e-9
+
+    def test_three_variables_injected_error_named(self):
+        # f_{(0),(1)} + 0.01 moves its order-0 limit along both other axes
+        fam = three_variable_polynomial_family()
+        els = dict(fam.elements)
+        good = els[((0,), (1,))]
+        els[((0,), (1,))] = SampledFunction(good.domain, lambda p: good.eval_many(p) + 0.01)
+        rep = check_first_order_coherence(TotalFamily(3, fam.host, els, fam.index_bound), 1e-6)
+        assert not rep.ok()
+        assert {f[:4] for f in rep.failures} == {((0,), (1,), (1,), (0,)), ((0,), (2,), (1,), (0,))}
+
+    @pytest.mark.parametrize("check, pairs", [(check_coherence, 8), (check_first_order_coherence, 4)])
+    def test_no_extrapolant_is_a_probe_failure(self, check, pairs):
+        # sectors of radius 1e-3 leave 4 of the 20 rungs inside, fewer than one
+        # window: each pair of the ladder is a probe failure naming why
+        ser = MultiIndexSeries(2, {(0, 0): 2.0, (1, 1): 1.0}, (1, 1))
+        fam = testbed.polynomial_family(ser, Polysector([Sector(-1.0, 1.0, 1e-3)] * 2))
+        rep = check(fam, 1e-6, max_order=1)
+        assert rep.checked_pairs == 0 and not rep.ok()
+        assert len(rep.probe_failures) == pairs
+        assert all("no extrapolants" in f[4] for f in rep.probe_failures)
+
+    def test_one_variable_checks_no_pair(self):
+        ser = MultiIndexSeries(1, {(n,): float(n + 1) for n in range(3)}, (2,))
+        rep = check_first_order_coherence(family_from_series(ser, (0.5,)), 1e-6)
+        assert rep.checked_pairs == 0
+        assert not rep.ok()
 
 
 class TestFamilyFromSeries:
