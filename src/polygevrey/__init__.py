@@ -24,7 +24,7 @@ _EXPORTS = {
         "families": "CoherenceReport ExtractResult ProbeSpec TotalFamily app_n_many check_coherence"
         " check_first_order_coherence extract_element family_from_series fit_type_from_remainders"
         " remainder_constants",
-        "transforms": "LaplaceSpec SampledFunction brg_function brg_type interpolate_first_order"
+        "transforms": "SampledFunction brg_function brg_type interpolate_first_order"
         " truncated_laplace_nd",
         "typecalc": "TypeProfile circle_type final_type fz_type g_of_delta gamma_constant r_tilde"
         " sine_type",

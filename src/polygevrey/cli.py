@@ -131,6 +131,13 @@ def _real(val) -> float:
     return float(val)
 
 
+def _positive(val) -> float:
+    """A JSON number above 0: a tolerance."""
+    if not (val := _real(val)) > 0:
+        raise ValueError("must be positive")
+    return val
+
+
 def _int(val) -> int:
     """A JSON integer; a bool or a float, integral or not, is not one."""
     if isinstance(val, bool) or not isinstance(val, int):
@@ -226,12 +233,12 @@ _AT_LEAST_0, _AT_LEAST_2 = (0, math.inf), (2, math.inf)
 _RAYS = {"testbed": (_text, _REQUIRED), "directions": (_directions, _REQUIRED), "radii": (_radii, _REQUIRED)}
 _FIT = {  # the remainder fit of type-fit gevrey and verify remainder
     **_RAYS, "n_max": (_int, 20), "window": (_int_pair, lambda c: [4, max(6, c["n_max"] - 4)]),
-    "noise_floor": (_real, 1e-9),
+    "noise_floor": (_real, 1e-9, _AT_LEAST_0),
 }
 _TABLES = {
     "transform": {
         "testbed": (_text, None), "series": (_series, None), "z0": (_z0, _REQUIRED),
-        "tol": (_real, 1e-10), "direction": (_floats, _REQUIRED), "radii": (_radii, _REQUIRED),
+        "tol": (_positive, 1e-10), "direction": (_floats, _REQUIRED), "radii": (_radii, _REQUIRED),
     },
     "type-fit gevrey": _FIT,
     "type-fit flat": _RAYS,
@@ -243,22 +250,22 @@ _TABLES = {
     },
     "verify coherence": {
         "testbed": (_text, None), "series": (_series, None), "z0": (_z0, None),
-        "tol": (_real, 1e-6), "max_order": (_int, 3, _AT_LEAST_0),
+        "tol": (_positive, 1e-6), "max_order": (_int, 3, _AT_LEAST_0),
     },
     "verify pl": {
-        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED), "tol": (_real, 1e-9),
+        "testbed": (_text, _REQUIRED), "polysector": (_polysector, _REQUIRED), "tol": (_positive, 1e-9),
         "growth_attestation": (_text, None),
     },
-    "verify remainder": {**_FIT, "rel_tol": (_real, 0.15)},
+    "verify remainder": {**_FIT, "rel_tol": (_positive, 0.15)},
     "verify first-order": {
-        "testbed": (_text, _REQUIRED), "tol": (_real, 1e-6), "max_order": (_int, 2, _AT_LEAST_0),
+        "testbed": (_text, _REQUIRED), "tol": (_positive, 1e-6), "max_order": (_int, 2, _AT_LEAST_0),
     },
     "interpolate": {
         "testbed": (_text, _REQUIRED), "opening": (_real, 1.2),
         # 45: the largest degree at which laplace_monomials' tail term count is tested
         "cap": (_int, 16, (-math.inf, 45)), "z0": (_z0, [0.92, 0.92]),
         "samples": (_floats, [0.02 * 1.13**k for k in range(10)]), "orders": (_int, 3, _AT_LEAST_0),
-        "tol": (_real, 1e-4), "coeff_cap": (_int, 10),
+        "tol": (_positive, 1e-4), "coeff_cap": (_int, 10, _AT_LEAST_0),
     },
     "list-testbed": {},
 }
@@ -366,20 +373,19 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
 def _cmd_transform(cfg: dict, out: Path) -> int:
     import numpy as np
 
-    from .transforms import LaplaceSpec, brg_function, laplace_bound
+    from .transforms import brg_function, laplace_bound
 
     z0, direction = cfg["z0"], cfg["direction"]
     if len(direction) != len(z0):
         raise ConfigError(f"direction has {len(direction)} angles, z0 has {len(z0)} components")
     ser = _series_from(cfg)
-    spec = LaplaceSpec(z0, tol=cfg["tol"])
-    func = brg_function(ser, spec)  # rejects z0 outside the Borel disc or an uncontrolled tail
+    func = brg_function(ser, z0, cfg["tol"])  # rejects z0 outside the Borel disc or an uncontrolled tail
     pts = np.asarray(
         [[r * complex(math.cos(t), math.sin(t)) for t in direction] for r in cfg["radii"]],
         dtype=complex,
     )
     vals = func.eval_many(pts)
-    errs = laplace_bound(ser, spec, pts)  # the dropped Borel tail is <= tol
+    errs = laplace_bound(ser, z0, pts)  # the dropped Borel tail is <= tol
     header = []
     for j in range(len(z0)):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
@@ -399,7 +405,7 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
     _write_csv(out / "series.csv", ["N", "abs_coeff", "abs_coeff_over_factorial"], coeff_rows)
     _write_json(out / "transform.json", {
         "command": "transform", "dim": len(z0), "points": len(rows), "method": "closed-form",
-        "z0": [[w.real, w.imag] for w in spec.z0], "tol": spec.tol,
+        "z0": [[w.real, w.imag] for w in z0], "tol": cfg["tol"],
     })
     return EXIT_OK
 

@@ -594,8 +594,6 @@ def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFa
     table per axis between them.
     """
     z0 = tuple(complex(w) for w in z0)
-    if len(z0) != fhat.dim:
-        raise DimensionMismatchError("one endpoint per axis required")
     borel_disc_types(fhat, z0)
     tables = LaplaceTables(z0, fhat.degree_bound)
     return slice_family(fhat, half_plane_polysector(z0), tables.transform, "series")

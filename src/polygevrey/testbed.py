@@ -21,7 +21,7 @@ from .errors import Record, UnknownEntryError
 from .families import TotalFamily, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
-from .transforms import LaplaceSpec, SampledFunction, brg_function, brg_type, half_plane_polysector
+from .transforms import SampledFunction, brg_function, brg_type, half_plane_polysector
 from .typecalc import TypeProfile
 
 
@@ -76,7 +76,7 @@ def euler_entry() -> RegistryEntry:
         1, {(n,): (-1.0) ** n * math.factorial(n) for n in range(degree + 1)}, (degree,)
     )
     # the Borel sum 1/(1+t) as its degree-45 polynomial; brg_function bounds the dropped tail
-    fn = brg_function(series, LaplaceSpec((z0,), tol=1e-12))
+    fn = brg_function(series, (z0,), tol=1e-12)
     sector = fn.domain.sectors[0]
     profile = TypeProfile(sector.alpha, sector.beta, lambda th: brg_type((z0,), (th,))[0])
     return _entry("euler", fn, {

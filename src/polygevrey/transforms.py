@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CoherenceError,
+    DimensionMismatchError,
     DomainError,
     ProbeError,
     QuadratureError,
@@ -54,31 +55,6 @@ _GL_WEIGHTS = np.array([
     0.19843148532711163, 0.18616100001556224, 0.16626920581699411, 0.13957067792615432,
     0.10715922046717176, 0.07036604748810715, 0.030753241996118154,
 ])
-
-
-class LaplaceSpec(Record):
-    """Integration endpoints and tolerance for truncated Laplace transforms.
-
-    ``tol`` bounds the dropped Borel tail in :func:`brg_function`; the
-    reference quadrature takes it as its error budget.
-    """
-
-    z0: tuple[complex, ...]
-    tol: float
-
-    def __init__(self, z0, tol: float = 1e-10):
-        if isinstance(z0, (complex, float, int)):
-            z0 = (z0,)
-        z0 = tuple(complex(w) for w in z0)
-        if any(w == 0 for w in z0):
-            raise DomainError("integration endpoints must be nonzero")
-        if not tol > 0:
-            raise DomainError("tolerance must be positive")
-        self._set(z0, float(tol))
-
-    @property
-    def dim(self) -> int:
-        return len(self.z0)
 
 
 class SampledFunction(Record):
@@ -172,17 +148,17 @@ def _require_half_plane(z0: complex, z: np.ndarray):
 
 def truncated_laplace_with_error(
     phi: Callable[[np.ndarray], np.ndarray],
-    spec: LaplaceSpec,
+    z0: complex,
     z,
+    tol: float = 1e-10,
 ):
-    """(1/z) * integral of phi(t) e^{-t/z} dt over the segment [0, z0].
+    """(1/z) * integral of phi(t) e^{-t/z} dt over the segment [0, z0], to error ``tol``.
 
-    Parametrized as t = s z0, s in [0, 1], with z0 = ``spec.z0[0]``.  ``phi``
-    maps an array of t values to an array of the same shape.  ``z`` may be a
-    scalar or a 1-D array; the quadrature refinement tree is shared across
-    the batch.
+    Parametrized as t = s z0, s in [0, 1].  ``phi`` maps an array of t values
+    to an array of the same shape.  ``z`` may be a scalar or a 1-D array; the
+    quadrature refinement tree is shared across the batch.
     """
-    z0 = spec.z0[0]
+    z0 = complex(z0)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr == 0):
         raise DomainError("z must be nonzero")
@@ -193,7 +169,7 @@ def truncated_laplace_with_error(
         kern = w[None, :] * np.exp(-np.multiply.outer(s, w))
         return ph[:, None] * kern
 
-    val, err = adaptive_panel_quad(fvec, 0.0, 1.0, spec.tol)
+    val, err = adaptive_panel_quad(fvec, 0.0, 1.0, tol)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(val[0]), float(err[0])
     return val, err
@@ -201,29 +177,30 @@ def truncated_laplace_with_error(
 
 def truncated_laplace_nd(
     phi: Callable[[np.ndarray], np.ndarray],
-    spec: LaplaceSpec,
+    z0: Sequence[complex],
     z: Sequence[complex],
+    tol: float = 1e-10,
 ) -> complex:
-    """Iterated truncated Laplace transform over all axes of ``spec.z0``.
+    """Iterated truncated Laplace transform over all axes of ``z0``, each level to error ``tol``.
 
     ``phi`` maps an array of points with shape (k, n) to a (k,) array.  Axis 0
     is integrated outermost, the last axis innermost; each level runs the 1-D
     adaptive quadrature with the inner levels evaluated at its panel nodes.
     """
-    n = spec.dim
+    n = len(z0)
     zt = tuple(complex(w) for w in z)
     if len(zt) != n:
-        raise DomainError(f"point has {len(zt)} coordinates, spec has {n}")
+        raise DomainError(f"point has {len(zt)} coordinates, z0 has {n}")
     ws = []
     for j in range(n):
         if zt[j] == 0:
             raise DomainError("z components must be nonzero")
-        ws.append(_require_half_plane(spec.z0[j], np.asarray([zt[j]]))[0])
+        ws.append(_require_half_plane(z0[j], np.asarray([zt[j]]))[0])
 
     def level(j: int, prefix: np.ndarray) -> np.ndarray:
         nb = prefix.shape[0]
         wj = ws[j]
-        z0j = spec.z0[j]
+        z0j = complex(z0[j])
 
         def fvec(s: np.ndarray) -> np.ndarray:
             m = s.size
@@ -235,7 +212,7 @@ def truncated_laplace_nd(
             kern = wj * np.exp(-s * wj)
             return np.asarray(inner, dtype=complex).reshape(m, nb) * kern[:, None]
 
-        val, _ = adaptive_panel_quad(fvec, 0.0, 1.0, spec.tol)
+        val, _ = adaptive_panel_quad(fvec, 0.0, 1.0, tol)
         return val
 
     start = np.zeros((1, 0), dtype=complex)
@@ -387,11 +364,17 @@ def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Se
 
 
 def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[float, ...]:
-    """Fitted Gevrey type of ``fhat`` per axis; DomainError when some |z0_j| is not inside it.
+    """Fitted Gevrey type of ``fhat`` per axis, after the checks every endpoint tuple passes.
 
-    A series with too few nonzero coefficients to fit counts as unbounded;
-    one whose fitted rate underflows has type 0.0, and no z0 lies inside it.
+    DimensionMismatchError unless there is one endpoint per axis; DomainError
+    for a zero endpoint or when some |z0_j| is not inside the type.  A series
+    with too few nonzero coefficients to fit counts as unbounded; one whose
+    fitted rate underflows has type 0.0, and no z0 lies inside it.
     """
+    if len(z0) != fhat.dim:
+        raise DimensionMismatchError(f"one endpoint per axis required: {len(z0)} for {fhat.dim} axes")
+    if any(w == 0 for w in z0):
+        raise DomainError("integration endpoints must be nonzero")
     try:
         types = fit_gevrey_type(fhat)
     except SeriesError:
@@ -404,8 +387,8 @@ def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[flo
     return types
 
 
-def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
-    """Truncated Laplace transform of the Borel sum of a 1-Gevrey series.
+def brg_function(fhat: MultiIndexSeries, z0: Sequence[complex], tol: float = 1e-10) -> SampledFunction:
+    """Truncated Laplace transform of the Borel sum of a 1-Gevrey series, from endpoints ``z0``.
 
     The result is holomorphic on the product of half-planes around the
     arguments of z0 and carries the series' family as its expansion, with the
@@ -413,22 +396,22 @@ def brg_function(fhat: MultiIndexSeries, spec: LaplaceSpec) -> SampledFunction:
     the stored part of the Borel sum, :meth:`LaplaceTables.transform` of the
     series itself.  The checks keep the dropped part small: |z0_j| <= 0.9 R_j
     on every axis, and the a-posteriori bound on the dropped tail (from the
-    fitted Gevrey envelope) must clear ``spec.tol``.
+    fitted Gevrey envelope) must clear ``tol``.
     """
-    if fhat.dim != spec.dim:
-        raise DomainError("series dimension and spec dimension disagree")
-    types = borel_disc_types(fhat, spec.z0)
-    for w, r in zip(spec.z0, types):
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
+    types = borel_disc_types(fhat, z0)
+    for w, r in zip(z0, types):
         if abs(w) > 0.9 * r:
             raise TailError(
                 f"Borel sum restricted to |t| <= 0.9 R: |z0|={abs(w):.6g} vs R={r:.6g}"
             )
-    tail = _borel_tail_bound(fhat, types, [abs(w) for w in spec.z0])
-    if not tail <= spec.tol:
+    tail = _borel_tail_bound(fhat, types, [abs(w) for w in z0])
+    if not tail <= tol:
         raise TailError(
-            f"Borel-sum tail bound {tail:.3e} exceeds tolerance {spec.tol:.3e}"
+            f"Borel-sum tail bound {tail:.3e} exceeds tolerance {tol:.3e}"
         )
-    return LaplaceTables(spec.z0, fhat.degree_bound).transform(fhat, tuple(range(spec.dim)))
+    return LaplaceTables(z0, fhat.degree_bound).transform(fhat, tuple(range(fhat.dim)))
 
 
 def _dense(fhat: MultiIndexSeries) -> np.ndarray:
@@ -483,8 +466,8 @@ class LaplaceTables:
         return SampledFunction(domain, fn, provenance="closed-form")
 
 
-def laplace_bound(fhat: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
-    """Per-point bound on the rounding error of :func:`brg_function` at ``pts``.
+def laplace_bound(fhat: MultiIndexSeries, z0: Sequence[complex], pts) -> np.ndarray:
+    """Per-point bound on the rounding error of :func:`brg_function` from ``z0`` at ``pts``.
 
     The same contraction in magnitudes, with every monomial widened by its
     bound from :func:`laplace_monomial_errors`, minus the unwidened one, plus
@@ -494,7 +477,7 @@ def laplace_bound(fhat: MultiIndexSeries, spec: LaplaceSpec, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
     tabs = [
         laplace_monomial_errors(w, pts[:, j], d)
-        for j, (w, d) in enumerate(zip(spec.z0, fhat.degree_bound))
+        for j, (w, d) in enumerate(zip(z0, fhat.degree_bound))
     ]
     mag = _contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
     widened = _contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])

@@ -76,7 +76,7 @@ _BAD_VALUES = [
     ("interpolate", {"testbed": "rat2", "tol": "loose"},
      "config key 'tol'"),
     ("interpolate", {"testbed": "rat2", "coeff_cap": -1},
-     "coeff_cap must be >= 0"),
+     "config key 'coeff_cap' must lie in [0, inf]"),
     ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "window": [4]},
      "config key 'window'"),
     ("type-fit", {"testbed": "euler", "directions": [[0.0, "x"]], "mode": "flat", "radii": [0.4]},
@@ -105,11 +105,27 @@ _BAD_VALUES = [
     ("verify", {"suite": "pl", "testbed": "poly", "growth_attestation": 5,
                 "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}},
      "config key 'growth_attestation'"),
+    # a tolerance of 0 or below, and a negative noise floor
+    ("transform", {"testbed": "euler", "z0": [0.5], "tol": -1, "direction": [0.0], "radii": [0.4]},
+     "config key 'tol' has a bad value -1: must be positive"),
+    ("verify", {"suite": "coherence", "testbed": "rat2", "tol": 0},
+     "config key 'tol' has a bad value 0: must be positive"),
+    ("verify", {"suite": "pl", "testbed": "poly", "tol": -1,
+                "polysector": {"sectors": [{"alpha": -1.0, "beta": 1.0, "rho": 1.0}] * 2}},
+     "config key 'tol' has a bad value -1: must be positive"),
+    ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "rel_tol": -0.1},
+     "config key 'rel_tol' has a bad value -0.1: must be positive"),
+    ("verify", {"suite": "first-order", "testbed": "rat2", "tol": 0},
+     "config key 'tol' has a bad value 0: must be positive"),
+    ("interpolate", {"testbed": "rat2", "tol": -1},
+     "config key 'tol' has a bad value -1: must be positive"),
+    ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "noise_floor": -1e-9},
+     "config key 'noise_floor' must lie in [0, inf]"),
 ]
 
 
 # the parsers of number keys: a scalar or a list of them, and whether the numbers are integers
-_SCALARS = {cli._real: False, cli._rho: False, cli._int: True}
+_SCALARS = {cli._real: False, cli._positive: False, cli._rho: False, cli._int: True}
 _LISTS = {cli._floats: False, cli._radii: False, cli._z0: False, cli._directions: False,
           cli._ints: True, cli._int_pair: True}
 _NUMBERS = {**_SCALARS, **_LISTS}
@@ -785,6 +801,17 @@ class TestVerify:
         report = json.loads((out / "coherence.json").read_text())
         assert report["ok"] is False
         assert report["report"]["checked_pairs"] == 0
+
+    def test_zero_endpoint_rejected_before_any_ladder(self, tmp_path, capsys, monkeypatch):
+        # a series' family checks its endpoints as brg_function does: no ladder starts
+        from polygevrey import families
+
+        ladders = []
+        monkeypatch.setattr(families, "axis_coefficient_ladder", lambda *args: ladders.append(args))
+        cfg = write(tmp_path, "vz.json", {**_SERIES_RUN, "z0": [0.0, 0.3]})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == "config error: integration endpoints must be nonzero\n"
+        assert ladders == []
 
     def test_unknown_testbed_message_unquoted(self, tmp_path, capsys):
         # UnknownEntryError is a KeyError, whose own str() would print the message's repr

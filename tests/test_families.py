@@ -13,7 +13,6 @@ from polygevrey import (
     DimensionMismatchError,
     DomainError,
     FamilyError,
-    LaplaceSpec,
     MultiIndexSeries,
     Polysector,
     ProbeSpec,
@@ -21,6 +20,7 @@ from polygevrey import (
     Sector,
     TotalFamily,
     app_n_many,
+    brg_function,
     check_coherence,
     check_first_order_coherence,
     extract_element,
@@ -659,6 +659,17 @@ class TestFamilyFromSeries:
             for k in range(4):
                 assert fam.element((0, 1), (h, k)).eval_many([()])[0] == ser[(h, k)]
 
+    @pytest.mark.parametrize("build", [family_from_series, brg_function])
+    def test_endpoint_checks(self, build):
+        # both builders check their endpoints in borel_disc_types
+        ser = testbed.rat2_series(cap=3)
+        with pytest.raises(DomainError, match="integration endpoints must be nonzero"):
+            build(ser, (0.0, 0.3))
+        with pytest.raises(DimensionMismatchError, match="one endpoint per axis required"):
+            build(ser, (0.5,))
+        with pytest.raises(DomainError, match="integration endpoints must be nonzero"):
+            build(testbed.euler_entry().known["series"], (0.0,))
+
     def test_borel_disc_guard(self):
         with pytest.raises(DomainError):
             family_from_series(testbed.euler_entry().known["series"], (1.2,))
@@ -676,12 +687,10 @@ class TestFamilyFromSeries:
 
     def test_extraction_recovers_elements(self):
         # coefficients of the assembled transform match the family elements
-        from polygevrey import LaplaceSpec, brg_function
-
         ser = testbed.rat2_series(cap=6)
         z0 = (0.5, 0.5)
         fam = family_from_series(ser, z0)
-        func = brg_function(ser, LaplaceSpec(z0, tol=1e-12))
+        func = brg_function(ser, z0, tol=1e-12)
         probe = ProbeSpec(steps=18, tol=1e-6)
         for idx in ((0,), (1,)):
             res = extract_element(func, (0,), idx, (0.12,), probe=probe)

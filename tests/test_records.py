@@ -12,7 +12,6 @@ from polygevrey import (
     ExtractResult,
     FlatFit,
     GeometryError,
-    LaplaceSpec,
     MultiIndexSeries,
     NullFitEntry,
     Polysector,
@@ -41,7 +40,6 @@ MAKERS = {
     "Sector": lambda: Sector(0.0, 1.0, 2.0),
     "Polysector": lambda: Polysector([Sector(0.0, 1.0)]),
     "MultiIndexSeries": lambda: MultiIndexSeries(1, {(0,): 1.0, (2,): 0.5}),
-    "LaplaceSpec": lambda: LaplaceSpec((0.5,), 1e-9),
     "SampledFunction": lambda: SampledFunction(HOST, _one),
     "TotalFamily": lambda: TotalFamily(1, HOST, {((0,), (0,)): CONST}, (0,)),
     "ProbeSpec": lambda: ProbeSpec(tol=1e-6),

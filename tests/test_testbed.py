@@ -7,7 +7,7 @@ import pytest
 from polygevrey import UnknownEntryError, check_coherence
 from polygevrey import testbed
 from polygevrey.catalogue import CATALOGUE
-from polygevrey.transforms import LaplaceSpec, truncated_laplace_with_error
+from polygevrey.transforms import truncated_laplace_with_error
 
 PI = math.pi
 
@@ -144,8 +144,7 @@ class TestEuler:
                 for z in map(mpmath.mpc, zs)
             ])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
-        spec = LaplaceSpec((0.5,), tol=1e-12)
-        gl15, _ = truncated_laplace_with_error(lambda t: 1 / (1 + t), spec, zs)
+        gl15, _ = truncated_laplace_with_error(lambda t: 1 / (1 + t), 0.5, zs, 1e-12)
         assert np.max(np.abs(got - gl15) / np.abs(gl15)) <= 1e-14
 
 

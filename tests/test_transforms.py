@@ -1,13 +1,17 @@
 import cmath
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from polygevrey import (
+    DimensionMismatchError,
     DomainError,
-    LaplaceSpec,
     MultiIndexSeries,
     PolygevreyError,
     QuadratureError,
@@ -68,55 +72,69 @@ class TestTruncatedLaplace:
     @pytest.mark.parametrize("z0", [1.0, 0.5, 0.8 * cmath.exp(0.4j)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_polynomial_closed_forms(self, k, z0):
-        spec = LaplaceSpec((z0,), tol=1e-12)
         theta0 = cmath.phase(complex(z0))
         for r in (0.05, 0.2, 1.0, 3.0):
             for dth in (-1.2, 0.0, 0.9):
                 z = r * cmath.exp(1j * (theta0 + dth))
-                got = truncated_laplace_with_error(lambda t: t**k, spec, z)[0]
+                got = truncated_laplace_with_error(lambda t: t**k, z0, z, 1e-12)[0]
                 want = laplace_poly_closed(k, complex(z0), z)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_exponential_integrand(self):
         # phi = e^{-a t}: (1 - e^{-(a + 1/z) z0}) / (a z + 1)
         a, z0, z = 2.0, 1.0, 0.4
-        spec = LaplaceSpec((z0,), tol=1e-12)
-        got = truncated_laplace_with_error(lambda t: np.exp(-a * t), spec, z)[0]
+        got = truncated_laplace_with_error(lambda t: np.exp(-a * t), z0, z, 1e-12)[0]
         want = (1 - math.exp(-(a + 1 / z) * z0)) / (a * z + 1)
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_quoted_values(self):
-        spec = LaplaceSpec((1.0,), tol=1e-12)
-        assert truncated_laplace_with_error(lambda t: np.ones_like(t), spec, 0.1)[0] == pytest.approx(
+        assert truncated_laplace_with_error(lambda t: np.ones_like(t), 1.0, 0.1, 1e-12)[0] == pytest.approx(
             1 - math.exp(-10), rel=1e-12
         )
-        assert truncated_laplace_with_error(lambda t: t, spec, 0.5)[0] == pytest.approx(
+        assert truncated_laplace_with_error(lambda t: t, 1.0, 0.5, 1e-12)[0] == pytest.approx(
             0.5 - 1.5 * math.exp(-2), rel=1e-12
         )
-        assert truncated_laplace_with_error(lambda t: np.zeros_like(t), spec, 0.3)[0] == 0
+        assert truncated_laplace_with_error(lambda t: np.zeros_like(t), 1.0, 0.3, 1e-12)[0] == 0
 
     def test_batch_matches_scalar(self):
-        spec = LaplaceSpec((0.7,), tol=1e-12)
         zs = np.array([0.1, 0.3 + 0.2j, 2.0 - 0.5j])
-        batch, errs = truncated_laplace_with_error(lambda t: 1 / (1 + t), spec, zs)
+        batch, errs = truncated_laplace_with_error(lambda t: 1 / (1 + t), 0.7, zs, 1e-12)
         for z, b in zip(zs, batch):
-            assert truncated_laplace_with_error(lambda t: 1 / (1 + t), spec, z)[0] == pytest.approx(
+            assert truncated_laplace_with_error(lambda t: 1 / (1 + t), 0.7, z, 1e-12)[0] == pytest.approx(
                 complex(b), rel=1e-11
             )
         assert np.all(errs >= 0)
 
     def test_half_plane_enforced(self):
-        spec = LaplaceSpec((1.0,), tol=1e-10)
         with pytest.raises(DomainError):
-            truncated_laplace_with_error(lambda t: t, spec, -0.3)
+            truncated_laplace_with_error(lambda t: t, 1.0, -0.3, 1e-10)
         with pytest.raises(DomainError):
-            truncated_laplace_with_error(lambda t: t, spec, 0.4 * cmath.exp(1.6j))
+            truncated_laplace_with_error(lambda t: t, 1.0, 0.4 * cmath.exp(1.6j), 1e-10)
+
+    def test_benchmark_tracer_reads_the_arguments(self):
+        # the benchmark's tracer counts the points z at argument position 2; its
+        # install() rebinds module globals, so it runs in a fresh interpreter
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+            "import numpy as np\n"
+            "from tracer import Tracer, install\n"
+            "from polygevrey import transforms\n"
+            "tracer = Tracer()\n"
+            "install(tracer)\n"
+            "transforms.truncated_laplace_with_error(lambda t: t, 0.5, np.array([0.1, 0.2, 0.3]), 1e-8)\n"
+            "print(json.dumps(tracer.counts))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        counts = json.loads(res.stdout)
+        assert counts["transforms.laplace.points"] == 3
+        assert counts["transforms.quad.panels"] > 0
 
     def test_scheme_independence(self):
         # same integral through an unrelated quadrature scheme
         z0, z = 0.5, 0.17
-        spec = LaplaceSpec((z0,), tol=1e-12)
-        got = truncated_laplace_with_error(lambda t: 1 / (1 + t), spec, z)[0]
+        got = truncated_laplace_with_error(lambda t: 1 / (1 + t), z0, z, 1e-12)[0]
         want = adaptive_simpson(
             lambda s: z0 / z * math.exp(-s * z0 / z) / (1 + s * z0), 0.0, 1.0, 1e-13
         )
@@ -125,27 +143,23 @@ class TestTruncatedLaplace:
 
 class TestTruncatedLaplaceND:
     def test_separable_constant(self):
-        spec = LaplaceSpec((0.5, 0.5), tol=1e-11)
         z = (0.2, 0.3)
-        got = truncated_laplace_nd(lambda p: np.ones(len(p)), spec, z)
+        got = truncated_laplace_nd(lambda p: np.ones(len(p)), (0.5, 0.5), z, 1e-11)
         want = (1 - math.exp(-0.5 / 0.2)) * (1 - math.exp(-0.5 / 0.3))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_separable_linear_factor(self):
-        spec = LaplaceSpec((1.0, 0.6), tol=1e-11)
         z = (0.5, 0.4)
-        got = truncated_laplace_nd(lambda p: p[:, 0], spec, z)
+        got = truncated_laplace_nd(lambda p: p[:, 0], (1.0, 0.6), z, 1e-11)
         want = laplace_poly_closed(1, 1.0, 0.5) * laplace_poly_closed(0, 0.6, 0.4)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_zero(self):
-        spec = LaplaceSpec((1.0, 1.0), tol=1e-10)
-        assert truncated_laplace_nd(lambda p: np.zeros(len(p)), spec, (0.3, 0.3)) == 0
+        assert truncated_laplace_nd(lambda p: np.zeros(len(p)), (1.0, 1.0), (0.3, 0.3), 1e-10) == 0
 
     def test_dimension_check(self):
-        spec = LaplaceSpec((1.0, 1.0), tol=1e-10)
         with pytest.raises(DomainError):
-            truncated_laplace_nd(lambda p: np.ones(len(p)), spec, (0.3,))
+            truncated_laplace_nd(lambda p: np.ones(len(p)), (1.0, 1.0), (0.3,), 1e-10)
 
 
 def mp_monomial(n: int, z0: complex, z: complex):
@@ -179,11 +193,11 @@ class TestLaplaceMonomials:
         assert sides == {True, False}  # both the head and the tail branch ran
 
     def test_matches_quadrature(self):
-        spec = LaplaceSpec((0.7 * cmath.exp(-0.3j),), tol=1e-13)
+        z0 = 0.7 * cmath.exp(-0.3j)
         zs = np.asarray([0.05, 0.3 + 0.2j, 1.5 * cmath.exp(-1.2j), 4.0])
-        got = laplace_monomials(spec.z0[0], zs, 6)
+        got = laplace_monomials(z0, zs, 6)
         for n in range(7):
-            want = truncated_laplace_with_error(lambda t: t**n / math.factorial(n), spec, zs)[0]
+            want = truncated_laplace_with_error(lambda t: t**n / math.factorial(n), z0, zs, 1e-13)[0]
             assert np.allclose(got[n], want, rtol=1e-10, atol=0)
 
     def test_scalar_point(self):
@@ -246,20 +260,19 @@ class TestLaplaceOfPolynomial:
             2, {ix: c * math.factorial(ix[0]) * math.factorial(ix[1]) for ix, c in phi.items()}, (2, 2)
         )
         z0 = (0.5, 0.6 * cmath.exp(0.3j))
-        spec = LaplaceSpec(z0, tol=1e-12)
         func = LaplaceTables(z0, ser.degree_bound).transform(ser, (0, 1))
         assert func.provenance == "closed-form"
         assert func.domain == half_plane_polysector(z0)
         pts = np.asarray([(0.2, 0.3), (0.05 + 0.04j, 0.5j + 0.4), (1.1, 0.08)])
         got = func.eval_many(pts)
         for p, g in zip(pts, got):
-            want = truncated_laplace_nd(lambda q: evaluate_many(phi, q), spec, p)
+            want = truncated_laplace_nd(lambda q: evaluate_many(phi, q), z0, p, 1e-12)
             assert abs(g - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_dimension_check(self):
         ser = MultiIndexSeries(1, {(0,): 1.0}, (0,))
-        with pytest.raises(DomainError):
-            brg_function(ser, LaplaceSpec((0.5, 0.5)))
+        with pytest.raises(DimensionMismatchError):
+            brg_function(ser, (0.5, 0.5))
 
 
 class TestErrorBound:
@@ -276,10 +289,9 @@ class TestErrorBound:
         return total
 
     def check(self, ser: MultiIndexSeries, z0, pts):
-        spec = LaplaceSpec(z0, tol=1e-12)
-        func = brg_function(ser, spec)
+        func = brg_function(ser, z0, 1e-12)
         vals = func.eval_many(pts)
-        bounds = laplace_bound(ser, spec, pts)
+        bounds = laplace_bound(ser, z0, pts)
         assert np.all(bounds > 0)
         with mpmath.workdps(40):
             for p, v, b in zip(pts, vals, bounds):
@@ -315,7 +327,7 @@ class TestErrorBound:
         bounds = self.check(entry.known["series"], z0, pts)
         assert np.max(bounds) < 1e-14
         # the same values as the testbed's closed form
-        func = brg_function(entry.known["series"], LaplaceSpec(z0))
+        func = brg_function(entry.known["series"], z0)
         assert np.allclose(func.eval_many(pts), entry.fn.eval_many(pts), rtol=1e-14, atol=1e-15)
 
 
@@ -379,8 +391,7 @@ def euler_series(n_max=40):
 
 class TestBrgFunction:
     def test_euler_vs_direct_quadrature(self):
-        spec = LaplaceSpec((0.5,), tol=1e-12)
-        func = brg_function(euler_series(), spec)
+        func = brg_function(euler_series(), (0.5,), 1e-12)
         z = 0.2
         got = func.eval_many([(z,)])[0]
         want = adaptive_simpson(
@@ -389,37 +400,33 @@ class TestBrgFunction:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_constant_series_closed_form(self):
-        spec = LaplaceSpec((0.5,), tol=1e-12)
-        func = brg_function(MultiIndexSeries(1, {(0,): 1.0}, (0,)), spec)
+        func = brg_function(MultiIndexSeries(1, {(0,): 1.0}, (0,)), (0.5,), 1e-12)
         for z in (0.1, 0.4 * cmath.exp(0.7j)):
             assert func.eval_many([(z,)])[0] == pytest.approx(1 - cmath.exp(-0.5 / z), rel=1e-10)
 
     def test_zero_series(self):
-        spec = LaplaceSpec((0.5,), tol=1e-10)
-        func = brg_function(MultiIndexSeries(1, {}, (5,)), spec)
+        func = brg_function(MultiIndexSeries(1, {}, (5,)), (0.5,), 1e-10)
         assert func.eval_many([(0.2,)])[0] == 0
 
     def test_two_axes_product(self):
-        spec = LaplaceSpec((0.4, 0.4), tol=1e-10)
-        func = brg_function(MultiIndexSeries(2, {(0, 0): 1.0}, (0, 0)), spec)
+        func = brg_function(MultiIndexSeries(2, {(0, 0): 1.0}, (0, 0)), (0.4, 0.4), 1e-10)
         z = (0.15, 0.25)
         want = (1 - math.exp(-0.4 / 0.15)) * (1 - math.exp(-0.4 / 0.25))
         assert func.eval_many([z])[0] == pytest.approx(want, rel=1e-8)
 
     def test_outside_borel_disc(self):
         with pytest.raises(DomainError):
-            brg_function(euler_series(), LaplaceSpec((1.1,), tol=1e-10))
+            brg_function(euler_series(), (1.1,), 1e-10)
 
     def test_tail_guard(self):
         with pytest.raises(TailError):
-            brg_function(euler_series(), LaplaceSpec((0.95,), tol=1e-10))
+            brg_function(euler_series(), (0.95,), 1e-10)
 
     def test_remainder_decay_bound(self):
         # |F - App_N| <= C_hat N! (|z|/R(theta))^N with a single fitted C_hat
         from polygevrey import family_from_series, remainder_constants
 
-        spec = LaplaceSpec((0.5,), tol=1e-12)
-        func = brg_function(euler_series(), spec)
+        func = brg_function(euler_series(), (0.5,), 1e-12)
         fam = family_from_series(euler_series(), (0.5,))
         theta = 0.3
         radius_grid = [0.4 * 0.8**k for k in range(16)]
@@ -441,10 +448,10 @@ class TestBrgFunction:
 
 class TestSpecJson:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            LaplaceSpec((0.0,))
-        with pytest.raises(DomainError):
-            LaplaceSpec((1.0,), tol=-1)
+        with pytest.raises(DomainError, match="integration endpoints must be nonzero"):
+            brg_function(euler_series(), (0.0,))
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            brg_function(euler_series(), (0.5,), tol=-1)
 
 
 class TestGaussLegendreRule:
