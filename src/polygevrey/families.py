@@ -25,7 +25,7 @@ from .errors import (
     Record,
 )
 from .geometry import Polysector, Sector, ray_points
-from .series import MultiIndexSeries, rate_fit
+from .series import MultiIndexSeries, _powers, rate_fit
 from .transforms import LaplaceTables, SampledFunction, borel_disc_types, half_plane_polysector
 
 
@@ -136,7 +136,7 @@ def app_n_many(fam: TotalFamily, n_indices: Sequence[Sequence[int]], pts: np.nda
             raise DomainError(f"point {tuple(p)} outside the host polysector")
     # z_a^h by repeated products: the same values whatever the top power
     tops = [max((n[a] for n in n_indices), default=0) - 1 for a in range(fam.dim)]
-    ptabs = [_powers_vec(pts[:, a], top) for a, top in enumerate(tops)]
+    ptabs = [_powers(pts[:, a], top) for a, top in enumerate(tops)]
     values = {}
     out = np.zeros((len(n_indices), len(pts)), dtype=complex)
     for row, n_index in zip(out, n_indices):
@@ -152,13 +152,6 @@ def app_n_many(fam: TotalFamily, n_indices: Sequence[Sequence[int]], pts: np.nda
                 for a, h in zip(axes, idx):
                     mono = mono * ptabs[a][h]
                 row += sign * values[axes, idx] * mono
-    return out
-
-
-def _powers_vec(col: np.ndarray, top: int) -> list[np.ndarray]:
-    out = [np.ones_like(col)]
-    for _ in range(top):
-        out.append(out[-1] * col)
     return out
 
 

@@ -1,8 +1,8 @@
-"""Sparse multivariate formal power series and Gevrey-norm machinery.
+"""Sparse multivariate formal power series, Gevrey-norm machinery, and the one polynomial kernel.
 
-All factorial and power arithmetic runs in log space: coefficients of
-1-Gevrey series grow like N!, which overflows doubles past N ~ 170, while the
-ratios |f_N| A^N / N! that the norms and fits consume stay tame.
+Norms and fits work in log space: coefficients of 1-Gevrey series grow like
+N!, which overflows doubles past N ~ 170, while the ratios |f_N| A^N / N!
+they consume stay tame.  Every sum sum_N c_N prod_j T_j[N_j, k] is :func:`_contract`.
 """
 
 from __future__ import annotations
@@ -87,29 +87,39 @@ def gamma1_norm(a: MultiIndexSeries, weights: Sequence[float]) -> float:
     return 0.0 if best == -math.inf else math.exp(best)
 
 
+def _powers(z: np.ndarray, top: int) -> np.ndarray:
+    """z**k for k = 0..top as a (top+1, *z.shape) table, by repeated products."""
+    tab = np.ones((top + 1,) + np.shape(z), dtype=complex)
+    for k in range(1, top + 1):
+        tab[k] = tab[k - 1] * z
+    return tab
+
+
+def _dense(f: MultiIndexSeries) -> np.ndarray:
+    """The coefficients of ``f`` as a dense tensor over its degree box."""
+    coef = np.zeros(tuple(d + 1 for d in f.degree_bound), dtype=complex)
+    for ix, c in f.coeffs.items():
+        coef[ix] = c
+    return coef
+
+
+def _contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
+    """Sum over N of tensor[N] prod_j tabs[j][N_j, k], one axis at a time; (k,) complex out."""
+    # no optimize: einsum's complex loops add each point's terms in one order, whatever the batch
+    out = np.einsum("nk,n...->k...", tabs[0], tensor, dtype=complex)
+    for tab in tabs[1:]:
+        out = np.einsum("kn...,nk->k...", out, tab, dtype=complex)
+    return out
+
+
 def evaluate_many(f: MultiIndexSeries, pts: np.ndarray) -> np.ndarray:
-    """Vectorized f(z) over an array of points with shape (..., dim)."""
+    """f(z) at points of shape (..., dim): the dense coefficients :func:`_contract`-ed with power tables."""
     pts = np.asarray(pts, dtype=complex)
     if pts.shape[-1] != f.dim:
         raise DimensionMismatchError("last axis of pts must equal series dim")
-    out = np.zeros(pts.shape[:-1], dtype=complex)
-    if not f.coeffs:
-        return out
-    # per-axis power tables up to the stored degree
-    tops = [max(ix[j] for ix in f.coeffs) for j in range(f.dim)]
-    powers = []
-    for j, top in enumerate(tops):
-        tab = np.ones((top + 1,) + pts.shape[:-1], dtype=complex)
-        for k in range(1, top + 1):
-            tab[k] = tab[k - 1] * pts[..., j]
-        powers.append(tab)
-    for ix, c in f.coeffs.items():
-        term = np.full(pts.shape[:-1], c, dtype=complex)
-        for j, k in enumerate(ix):
-            if k:
-                term = term * powers[j][k]
-        out += term
-    return out
+    rows = pts.reshape(-1, f.dim)
+    tabs = [_powers(rows[:, j], top) for j, top in enumerate(f.degree_bound)]
+    return _contract(_dense(f), tabs).reshape(pts.shape[:-1])
 
 
 def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tuple[np.ndarray, float]:

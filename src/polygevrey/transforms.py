@@ -34,7 +34,7 @@ from .errors import (
     TailError,
 )
 from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
-from .series import MultiIndexSeries, fit_gevrey_type, gamma1_norm
+from .series import MultiIndexSeries, _contract, _dense, _powers, fit_gevrey_type, gamma1_norm
 
 _EPS = float(np.finfo(float).eps)
 
@@ -257,7 +257,10 @@ def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     depends on ``top`` alone (:func:`_tail_terms`: 34, 47 and 71 at top 6, 16
     and 45), which bounds the dropped part by eps/4 of the sum, and its terms
     are multiplied and added in a fixed order.  So each point's values are
-    the same bits whatever other points share the call.
+    the same bits whatever other points share the call.  The sums over these
+    tables keep that: :meth:`LaplaceTables.transform`, ``series.evaluate_many``
+    and the :func:`interpolate_first_order` interpolant add their terms in the
+    fixed order of an einsum without ``optimize`` (``series._contract``).
     """
     z0 = complex(z0)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -267,8 +270,7 @@ def laplace_monomials(z0: complex, z, top: int) -> np.ndarray:
     n = np.arange(top + 1)
     lgam = _log_factorials(top + 1)
     t = np.exp(-w - lgam[: top + 1, None] + np.multiply.outer(n, np.log(w)))
-    zn = np.cumprod(np.vstack([np.ones_like(z)] + [z] * top), axis=0)
-    vals = zn * (1.0 - np.cumsum(t, axis=0))
+    vals = _powers(z, top) * (1.0 - np.cumsum(t, axis=0))
     cols = np.flatnonzero(np.abs(w) < top + 1)
     if cols.size == 0:
         return vals
@@ -363,6 +365,14 @@ def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Se
     return norm * (full - stored)
 
 
+def _require_endpoints(z0: Sequence[complex], dim: int):
+    """DimensionMismatchError unless ``z0`` has ``dim`` endpoints; DomainError for a zero endpoint."""
+    if len(z0) != dim:
+        raise DimensionMismatchError(f"one endpoint per axis required: {len(z0)} for {dim} axes")
+    if any(w == 0 for w in z0):
+        raise DomainError("integration endpoints must be nonzero")
+
+
 def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[float, ...]:
     """Fitted Gevrey type of ``fhat`` per axis, after the checks every endpoint tuple passes.
 
@@ -371,10 +381,7 @@ def borel_disc_types(fhat: MultiIndexSeries, z0: Sequence[complex]) -> tuple[flo
     with too few nonzero coefficients to fit counts as unbounded; one whose
     fitted rate underflows has type 0.0, and no z0 lies inside it.
     """
-    if len(z0) != fhat.dim:
-        raise DimensionMismatchError(f"one endpoint per axis required: {len(z0)} for {fhat.dim} axes")
-    if any(w == 0 for w in z0):
-        raise DomainError("integration endpoints must be nonzero")
+    _require_endpoints(z0, fhat.dim)
     try:
         types = fit_gevrey_type(fhat)
     except SeriesError:
@@ -412,22 +419,6 @@ def brg_function(fhat: MultiIndexSeries, z0: Sequence[complex], tol: float = 1e-
             f"Borel-sum tail bound {tail:.3e} exceeds tolerance {tol:.3e}"
         )
     return LaplaceTables(z0, fhat.degree_bound).transform(fhat, tuple(range(fhat.dim)))
-
-
-def _dense(fhat: MultiIndexSeries) -> np.ndarray:
-    """The coefficients of ``fhat`` as a dense tensor over its degree box."""
-    coef = np.zeros(tuple(d + 1 for d in fhat.degree_bound), dtype=complex)
-    for ix, c in fhat.coeffs.items():
-        coef[ix] = c
-    return coef
-
-
-def _contract(tensor: np.ndarray, tabs: list) -> np.ndarray:
-    """Sum over N of tensor[N] prod_j tabs[j][N_j, k], one axis at a time; (k,) out."""
-    out = np.tensordot(tabs[0], tensor, axes=(0, 0))  # (k, remaining axes)
-    for tab in tabs[1:]:
-        out = np.einsum("kn...,nk->k...", out, tab)
-    return out
 
 
 class LaplaceTables:
@@ -479,8 +470,8 @@ def laplace_bound(fhat: MultiIndexSeries, z0: Sequence[complex], pts) -> np.ndar
         laplace_monomial_errors(w, pts[:, j], d)
         for j, (w, d) in enumerate(zip(z0, fhat.degree_bound))
     ]
-    mag = _contract(coef_abs, [np.abs(vals) for vals, _ in tabs])
-    widened = _contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs])
+    mag = _contract(coef_abs, [np.abs(vals) for vals, _ in tabs]).real
+    widened = _contract(coef_abs, [np.abs(vals) + errs for vals, errs in tabs]).real
     gamma = _EPS * (sum(coef_abs.shape) + 2 * fhat.dim + 2)
     return widened - (1.0 - gamma) * mag
 
@@ -533,8 +524,7 @@ def interpolate_first_order(
         raise DomainError("interpolation needs at least one first-order element per axis")
     host = fam.host
     z0 = tuple(complex(w) for w in z0)
-    if len(z0) != 2:
-        raise DomainError("z0 must have two components")
+    _require_endpoints(z0, 2)
     for j, (sec, w) in enumerate(zip(host.sectors, z0)):
         if sec.opening > math.pi + 1e-12:
             raise DomainError(f"axis {j} opening exceeds pi")
@@ -580,8 +570,8 @@ def interpolate_first_order(
         lap2 = laplace_monomials(w02, z2, m_cap)  # (m_cap+1, k2)
         f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])
         f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])
-        h1 = np.sum(f1vals[:, i2] * lap1[:, i1], axis=0)
-        h2 = np.sum((f2vals - consts @ lap1)[:, i1] * lap2[:, i2], axis=0)
-        return h1 + h2
+        h1 = np.einsum("nk,nk->k", f1vals[:, i2], lap1[:, i1])
+        corrected = f2vals - np.einsum("mn,nk->mk", consts, lap1)
+        return h1 + np.einsum("mk,mk->k", corrected[:, i1], lap2[:, i2])
 
     return SampledFunction(host, fn, provenance=provenance)

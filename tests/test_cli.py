@@ -358,6 +358,31 @@ class TestDispatch:
                     found.append(f"{path.name}: def {node.name}")
         assert not found, f"file formats outside cli: {found}"
 
+    def test_no_blas_ordered_sum(self):
+        # a BLAS product adds in an order that changes with the number of
+        # points, so a point's value would depend on the points that share its
+        # call; only the reference quadrature's panel and rate_fit's least
+        # squares, which evaluate no function, may use one
+        allowed = {("transforms.py", "_gl_panel"), ("series.py", "rate_fit")}
+        src = Path(polygevrey.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            exempt = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
+                for node in ast.walk(func)
+            }
+            for node in ast.walk(tree):
+                if id(node) in exempt:
+                    continue
+                if isinstance(node, ast.Attribute) and node.attr in ("tensordot", "dot", "matmul"):
+                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.append(f"{path.name}:{node.lineno}: @")
+        assert not found, f"BLAS-ordered sums: {found}"
+
     @pytest.mark.parametrize(
         "command, cfg",
         [
@@ -865,6 +890,17 @@ class TestInterpolate:
         path = write(tmp_path, "ip4.json", {**cfg, **bad})
         assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert f"config key {next(iter(bad))!r}" in capsys.readouterr().err
+        assert ladders == []
+
+    def test_zero_endpoint_rejected_before_any_ladder(self, tmp_path, capsys, monkeypatch):
+        # the interpolant checks its endpoints as brg_function does: no ladder starts
+        from polygevrey import families
+
+        ladders = []
+        monkeypatch.setattr(families, "axis_coefficient_ladder", lambda *args: ladders.append(args))
+        path = write(tmp_path, "ip6.json", {"testbed": "rat2", "cap": 8, "coeff_cap": 4, "z0": [0.0, 0.92]})
+        assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == "config error: integration endpoints must be nonzero\n"
         assert ladders == []
 
     def test_empty_family_rejected(self, tmp_path, capsys):

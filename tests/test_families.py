@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from polygevrey import (
     SampledFunction,
     Sector,
     TotalFamily,
+    TypeProfile,
     app_n_many,
     brg_function,
     check_coherence,
@@ -26,11 +28,12 @@ from polygevrey import (
     extract_element,
     family_from_series,
     fit_type_from_remainders,
+    interpolate_first_order,
     remainder_constants,
 )
 from polygevrey import testbed
 from polygevrey.families import element_coefficients, nonempty_subsets, slice_family
-from polygevrey.transforms import LaplaceTables
+from polygevrey.transforms import LaplaceTables, laplace_bound
 
 PI = math.pi
 
@@ -54,14 +57,18 @@ def three_variable_family():
     return family_from_series(three_variable_series(), (0.5, 0.5, 0.5))
 
 
-def criterion_seven_family():
+def criterion_seven_series():
     rng = np.random.default_rng(20250808)
     coeffs = {}
     for h in range(7):
         for k in range(7):
             u = 0.6 + 0.8 * rng.random()
             coeffs[(h, k)] = u * math.factorial(h) * math.factorial(k) * 1.3 ** (-h) * 1.1 ** (-k)
-    return family_from_series(MultiIndexSeries(2, coeffs, (6, 6)), (0.5, 0.45))
+    return MultiIndexSeries(2, coeffs, (6, 6))
+
+
+def criterion_seven_family():
+    return family_from_series(criterion_seven_series(), (0.5, 0.45))
 
 
 # three points in C^3, every coordinate within 1.3 of the positive real axis
@@ -824,3 +831,59 @@ class TestRemainderFits:
         # c(N) is the flat sup, consistent with rate |z0| = 0.5
         rates, _ = fit_type_from_remainders(cons, window=(2, 9))
         assert rates[0] == pytest.approx(0.5, rel=0.15)
+
+
+def family_elements(fam) -> list:
+    # the all-axes elements are constants of no variable
+    return [(el.eval_many, el.domain.dim) for el in fam.elements.values() if el.domain.dim]
+
+
+def rat2_interpolant():
+    # the interpolate subcommand's construction (rat2, z0 = (0.92, 0.92)) at cap 8, coeff_cap 4
+    fam = testbed.rat2_first_order_family(opening=1.2, cap=8)
+    profiles = [TypeProfile.constant(-1.2, 1.2, 1.0)] * 2
+    return interpolate_first_order(fam, profiles, (0.92, 0.92), coeff_cap=4)
+
+
+# each target: the (function of a (k, dim) point array, dim) pairs it checks; the
+# tail tolerances of the criterion-7 and three-variable transforms only let them be built
+_BATCH_TARGETS = {
+    "euler": lambda: [(testbed.get("euler").fn.eval_many, 1)],
+    "criterion-7-series": lambda: [(brg_function(criterion_seven_series(), (0.5, 0.45), tol=0.1).eval_many, 2)],
+    "three-variable-series": lambda: [
+        (brg_function(three_variable_series(), (0.3, 0.3, 0.3), tol=1.0).eval_many, 3)
+    ],
+    "criterion-7-family": lambda: family_elements(criterion_seven_family()),
+    "poly-family": lambda: family_elements(
+        testbed.polynomial_family(testbed.poly_series(), Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 2))
+    ),
+    "laplace-bound": lambda: [(functools.partial(laplace_bound, criterion_seven_series(), (0.5, 0.45)), 2)],
+    "rat2-interpolant": lambda: [(rat2_interpolant().eval_many, 2)],
+}
+
+
+@functools.cache
+def batch_targets(name: str) -> list:
+    return _BATCH_TARGETS[name]()
+
+
+# batches of points in C^3, every coordinate within 1.2 of the positive real axis
+point_rows = st.lists(
+    st.tuples(*[st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.02, 0.6), st.floats(-1.2, 1.2))] * 3),
+    min_size=2,
+    max_size=12,
+).map(lambda rows: np.asarray(rows, dtype=complex))
+
+
+class TestBatchInvariance:
+    """A point's value is the same bits whether it is evaluated alone or in any batch."""
+
+    @pytest.mark.parametrize("target", list(_BATCH_TARGETS))
+    @settings(max_examples=25, deadline=None)
+    @given(rows=point_rows)
+    def test_each_row_alone_equals_its_batched_value(self, target, rows):
+        for fn, dim in batch_targets(target):
+            pts = rows[:, :dim]
+            batched = fn(pts)
+            alone = np.asarray([fn(pts[i : i + 1])[0] for i in range(len(pts))])
+            assert np.array_equal(batched, alone), np.flatnonzero(batched != alone)

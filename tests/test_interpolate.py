@@ -237,14 +237,12 @@ class TestDistinctCoordinates:
         assert sorted(calls) == [3, 128]  # not 2 x 384
 
     def test_matches_pointwise_evaluation(self):
-        # not bit for bit: consts @ lap1 runs through BLAS and the sums over
-        # orders through numpy reductions, whose summation order both change
-        # with the number of points
+        # bit for bit: every sum over orders runs in einsum's fixed order
         func = self.rat2_interpolant()
         pts = self.ladder_grid()
         batch = func.eval_many(pts)
         alone = np.asarray([func.eval_many([p])[0] for p in pts])
-        assert np.all(np.abs(batch - alone) <= 1e-14 * np.abs(alone))
+        assert np.array_equal(batch, alone)
 
 
 def record_probes(monkeypatch) -> list:
