@@ -11,6 +11,7 @@ zero: finite differences are unstable near the vertex, circles are not.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -54,7 +55,7 @@ class TotalFamily(Record):
     """Map (J, N_J) -> coefficient function on the complementary axes.
 
     The first-order family is the part with #J = 1, not a separate type:
-    :meth:`sequence` reads it one axis at a time.
+    :meth:`sequence` reads it one axis at a time, :meth:`first_order` as a family.
     """
 
     dim: int
@@ -107,6 +108,12 @@ class TotalFamily(Record):
         while ((axis,), (len(seq),)) in self.elements:
             seq.append(self.elements[(axis,), (len(seq),)])
         return tuple(seq)
+
+    def first_order(self, max_order: int) -> TotalFamily:
+        """The #J = 1 family: each :meth:`sequence` up to ``max_order``, index bound len(sequence) - 1."""
+        seqs = [self.sequence(axis) for axis in range(self.dim)]
+        elements = {((a,), (n,)): el for a, seq in enumerate(seqs) for n, el in enumerate(seq[: max_order + 1])}
+        return TotalFamily(self.dim, self.host, elements, [len(seq) - 1 for seq in seqs])
 
 
 # ---------------------------------------------------------------------------
@@ -425,39 +432,21 @@ def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
     return tuple(mapping[a] for a in sorted(mapping))
 
 
-def _pair_ladder(fam: TotalFamily, j_axes, n_js, l_axes, n_ls, tol: float):
-    """L-derivative limits at orders ``n_ls`` of f_{N_J} for N_J in ``n_js``, on one radius ladder.
-
-    Both coherence checks build every ladder here.  The L columns tend to 0 on
-    20 rungs at agreement ``tol``; the other columns sit at the
-    :func:`_rest_samples` points.  Returns those points; values, errors and
-    convergence flags shaped (len(n_ls), len(n_js), n_points); and the
-    ProbeError message (no flag set) if the ladder produced no extrapolant,
-    else None.
-    """
-    cols = fam.rest_axes(j_axes)  # the axis of each column of f_{N_J}
-    z_rests = _rest_samples(fam.host, [a for a in cols if a not in l_axes])
-    elems = [fam.element(j_axes, n_j) for n_j in n_js]
-    try:
-        vals, errs, conv, _ = element_coefficients(
-            elems, [cols.index(a) for a in l_axes], n_ls, ProbeSpec(steps=20, tol=tol), z_rests
-        )
-    except ProbeError as exc:
-        shape = (len(n_ls), len(n_js), len(z_rests))
-        return z_rests, np.zeros(shape), np.full(shape, np.inf), np.zeros(shape, dtype=bool), str(exc)
-    return z_rests, vals, errs, conv, None
-
-
 def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> CoherenceReport:
-    """Compare derivative limits of stored elements against deeper elements.
+    """Compare derivative limits of stored elements with deeper elements or with each other.
 
     For each disjoint pair of nonempty subsets (J, L), each stored N_J and
-    each N_L up to ``max_order``, the L-derivative limit of f_{N_J} is checked
-    against the stored f_{(N_J, N_L)} at sampled complementary points.
-    Residuals are relative to max(1, |target|).  Probe non-convergence is
-    recorded per pair, not fatal.  One radius ladder per (J, L) serves every
-    stored f_{N_J}, every sampled point and every N_L, and each target is
-    evaluated in one call on all the sampled points.
+    each N_L up to ``max_order``, the L-derivative limit of f_{N_J} at sampled
+    complementary points is checked against the stored f_{(N_J, N_L)}.  Where
+    that element is not stored but f_{N_L} is, and N_J is within
+    ``max_order``, the L-limit of f_{N_J} is checked against the J-limit of
+    f_{N_L} instead (both equal f_{(N_J, N_L)} there), once per unordered
+    pair; a pair with neither counts as ``missing``.  Residuals are relative
+    to max(1, |reference|), the reference being the stored element or the
+    L-limit of f_{N_J}.  Probe non-convergence is recorded per pair, not
+    fatal.  One radius ladder per (J, L), run only when some pair needs it,
+    serves every stored f_{N_J}, every sampled point and every N_L, and each
+    target is evaluated in one call on all the sampled points.
 
     The ladders take 20 rungs and tie their agreement tolerance to ``tol``
     (both are relative): demanding extrapolant agreement far below the
@@ -465,80 +454,71 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
-    failures = []
-    probe_failures = []
-    max_residual = 0.0
-    checked = 0
-    missing = 0
     subsets = nonempty_subsets(fam.dim)
-    for j_axes in subsets:
-        stored = fam.stored_indices(j_axes)
-        if not stored:
+    stored = {axes: fam.stored_indices(axes) for axes in subsets}
+    tops = [min(max_order, b) for b in fam.index_bound]
+    orders = {axes: list(itertools.product(*(range(tops[a] + 1) for a in axes))) for axes in subsets}
+    probe = ProbeSpec(steps=20, tol=tol)
+
+    @functools.cache
+    def ladder(j_axes, l_axes):
+        """(points, values, errors, flags, ProbeError text or None) of the one (J, L) ladder.
+
+        The L-limits at ``orders[l_axes]`` of every stored f_{N_J}, shaped (N_L, N_J, point); no flag
+        is set when the ladder produced no extrapolant.
+        """
+        cols = fam.rest_axes(j_axes)  # the axis of each column of f_{N_J}
+        z_rests = _rest_samples(fam.host, [a for a in cols if a not in l_axes])
+        elems = [fam.element(j_axes, n_j) for n_j in stored[j_axes]]
+        try:
+            found = element_coefficients(elems, [cols.index(a) for a in l_axes], orders[l_axes], probe, z_rests)
+        except ProbeError as exc:
+            shape = (len(orders[l_axes]), len(elems), len(z_rests))
+            return z_rests, np.zeros(shape), np.full(shape, np.inf), np.zeros(shape, dtype=bool), str(exc)
+        return (z_rests,) + found[:3] + (None,)
+
+    failures, probe_failures, max_residual, checked, missing = [], [], 0.0, 0, 0
+    for j_axes, l_axes in itertools.permutations(subsets, 2):
+        if set(j_axes) & set(l_axes):
             continue
-        for l_axes in subsets:
-            if set(j_axes) & set(l_axes):
-                continue
-            union = _subset_key(set(j_axes) | set(l_axes))
-            l_ranges = [range(min(max_order, fam.index_bound[a]) + 1) for a in l_axes]
-            n_ls = list(itertools.product(*l_ranges))
-            z_rests, vals, errs, conv, note = _pair_ladder(fam, j_axes, stored, l_axes, n_ls, tol)
-            for e, n_j in enumerate(stored):
-                for o, n_l in enumerate(n_ls):
-                    union_idx = _merge_index(j_axes, n_j, l_axes, n_l)
-                    if not fam.has_element(union, union_idx):
-                        missing += 1
+        union = _subset_key(j_axes + l_axes)
+        for e, n_j in enumerate(stored[j_axes]):
+            for o, n_l in enumerate(orders[l_axes]):
+                pair = (j_axes, l_axes, n_j, n_l)
+                joint = _merge_index(j_axes, n_j, l_axes, n_l)
+                if fam.has_element(union, joint):
+                    z_rests, vals, errs, conv, note = ladder(j_axes, l_axes)
+                    refs = fam.element(union, joint).eval_many(z_rests).tolist()
+                    others, flags, err_rows = vals[o, e], conv[o, e], (errs[o, e],)
+                elif n_l in stored[l_axes] and n_j in orders[j_axes]:
+                    if j_axes > l_axes:  # the pair met already, as (f_{N_L}, f_{N_J})
                         continue
-                    pair = (j_axes, l_axes, n_j, n_l)
-                    targets = fam.element(union, union_idx).eval_many(z_rests).tolist()
-                    for k, target in enumerate(targets):
-                        if not conv[o, e, k]:
-                            probe_failures.append(pair + (note or f"unconverged ({errs[o, e, k]:.3e})",))
-                            continue
-                        checked += 1
-                        residual = abs(complex(vals[o, e, k]) - target) / max(1.0, abs(target))
-                        max_residual = max(max_residual, residual)
-                        if residual > tol:
-                            failures.append(pair + (residual,))
+                    _, vals1, errs1, conv1, note1 = ladder(j_axes, l_axes)
+                    _, vals2, errs2, conv2, note2 = ladder(l_axes, j_axes)
+                    e2, o2 = stored[l_axes].index(n_l), orders[j_axes].index(n_j)
+                    refs, others, flags = vals1[o, e].tolist(), vals2[o2, e2], conv1[o, e] & conv2[o2, e2]
+                    err_rows, note = (errs1[o, e], errs2[o2, e2]), note1 or note2
+                else:
+                    missing += 1
+                    continue
+                for k, ref in enumerate(refs):
+                    if not flags[k]:
+                        errs_k = "/".join(f"{row[k]:.3e}" for row in err_rows)
+                        probe_failures.append(pair + (note or f"unconverged ({errs_k})",))
+                        continue
+                    checked += 1
+                    residual = abs(ref - complex(others[k])) / max(1.0, abs(ref))
+                    max_residual = max(max_residual, residual)
+                    if residual > tol:
+                        failures.append(pair + (residual,))
     failures.sort()
     probe_failures.sort(key=lambda t: t[:4])
     return CoherenceReport(checked, max_residual, tuple(failures), tuple(probe_failures), tol, missing)
 
 
 def check_first_order_coherence(fam: TotalFamily, tol: float, max_order: int = 2) -> CoherenceReport:
-    """Cross-consistency of the first-order (#J = 1) elements, for every pair of axes j < l.
-
-    The m-th l-coefficient of f_{j,n} and the n-th j-coefficient of f_{l,m}
-    must agree at each sampled point of the other axes (both equal the (n, m)
-    coefficient there of the underlying total family).  Two ladders per pair,
-    on the probe and points of :func:`check_coherence`: one over every f_{j,n}
-    along l with orders m <= m_cap, one over every f_{l,m} along j with
-    orders n <= n_cap.  A family with fewer than two axes checks no pair.
-    """
-    failures = []
-    probe_failures = []
-    max_residual = 0.0
-    checked = 0
-    for j, l in itertools.combinations(range(fam.dim), 2):
-        n_cap = min(len(fam.sequence(j)) - 1, max_order)
-        m_cap = min(len(fam.sequence(l)) - 1, max_order)
-        ns, ms = [(n,) for n in range(n_cap + 1)], [(m,) for m in range(m_cap + 1)]
-        if not (ns and ms):
-            continue
-        z_rests, vals1, errs1, conv1, note1 = _pair_ladder(fam, (j,), ns, (l,), ms, tol)
-        _, vals2, errs2, conv2, note2 = _pair_ladder(fam, (l,), ms, (j,), ns, tol)
-        for (n,), (m,), k in itertools.product(ns, ms, range(len(z_rests))):
-            pair = ((j,), (l,), (n,), (m,))
-            if not (conv1[m, n, k] and conv2[n, m, k]):
-                errs = f"{float(errs1[m, n, k]):.3e}/{float(errs2[n, m, k]):.3e}"
-                probe_failures.append(pair + (note1 or note2 or f"unconverged ({errs})",))
-                continue
-            checked += 1
-            a = complex(vals1[m, n, k])
-            residual = abs(a - complex(vals2[n, m, k])) / max(1.0, abs(a))
-            max_residual = max(max_residual, residual)
-            if residual > tol:
-                failures.append(pair + (residual,))
-    return CoherenceReport(checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol)
+    """:func:`check_coherence` on ``fam.first_order(max_order)``; kept while the benchmark tracer binds it."""
+    return check_coherence(fam.first_order(max_order), tol, max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -505,17 +505,20 @@ def interpolate_first_order(
     the distinct values of each coordinate only: a ladder rung's circle nodes
     paired with three fixed values cost 128 + 3 table points, not 2 x 384.
 
-    ``coeff_cap`` bounds the number of corrected axis-1 coefficients: high
-    orders of a_{m,n} are numerically fragile to extract and strongly damped
-    by the t^m/m! weights, so a small cap loses little.  Unless
-    ``precheck_tol`` is None, the family must first pass
-    :func:`check_first_order_coherence` at that tolerance over orders <= 1, on
-    that check's own probe (CoherenceError unless its report is ``ok()``).
-    Raises ProbeError when the ladder leaves orders 0 and 1 of the constants
-    unconverged; the result's ``provenance`` counts the unconverged
-    higher-order constants and gives their worst probe error.
+    The ladder extracts the constants of the corrected orders m <= ``coeff_cap``
+    (and m below the axis-1 sequence's length), and the interpolant uses only
+    the orders m <= m*, where m* is the last order such that every a_{m',n}
+    with m' <= m* converged.  High orders of a_{m,n} are numerically fragile
+    to extract; at a wide opening the weights L_2[m] damp an unconverged one,
+    at a narrow one it would spoil the interpolant.  Unless ``precheck_tol``
+    is None, the family must first pass :func:`check_coherence` on its
+    first-order family (:meth:`TotalFamily.first_order`) at that tolerance
+    over orders <= 1, on that check's own probe (CoherenceError unless its
+    report is ``ok()``).  Raises ProbeError when the ladder leaves orders 0
+    and 1 of the constants unconverged; the result's ``provenance`` counts
+    the unconverged constants, gives their worst probe error, and names m*.
     """
-    from .families import ProbeSpec, check_first_order_coherence, element_coefficients
+    from .families import ProbeSpec, check_coherence, element_coefficients
 
     if fam.dim != 2:
         raise DomainError("interpolation implemented for two variables")
@@ -537,7 +540,7 @@ def interpolate_first_order(
         raise DomainError(f"coeff_cap must be >= 0, got {coeff_cap}")
 
     if precheck_tol is not None:
-        report = check_first_order_coherence(fam, precheck_tol, max_order=1)
+        report = check_coherence(fam.first_order(1), precheck_tol, 1)
         if not report.ok():
             raise CoherenceError(
                 f"first-order family fails coherence at {precheck_tol:g}: "
@@ -561,6 +564,9 @@ def interpolate_first_order(
     provenance = f"closed-form; {int(np.count_nonzero(bad))} of {conv.size} constants a_(m,n) unconverged"
     if bad.any():
         provenance += f", worst probe error {float(np.max(errs[bad])):.3e}"
+    m_cap = int(np.cumprod(conv.all(axis=1)).sum()) - 1  # m*: every constant of each order m <= m* converged
+    consts = consts[: m_cap + 1]
+    provenance += f"; corrected orders m <= {m_cap} used"
     w01, w02 = z0
 
     def fn(pts: np.ndarray) -> np.ndarray:

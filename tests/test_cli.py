@@ -90,7 +90,7 @@ _BAD_VALUES = [
      "config key 'directions' has a bad value []: lists no direction"),
     ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]},
      "config key 'directions' has a bad value []: lists no direction"),
-    # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45
+    # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45, a grid too long to run
     ("interpolate", {"testbed": "rat2", "cpa": 3, "tol": 1e-4, "samples": [0.03]},
      "unknown config key(s) ['cpa']"),
     ("verify", {"suite": "coherence", "testbed": "rat2", "max_ordr": 1},
@@ -99,6 +99,8 @@ _BAD_VALUES = [
      "config key 'cap' must lie in"),
     ("interpolate", {"testbed": "rat2", "cap": 46},
      "config key 'cap' must lie in"),
+    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": 10_001},
+     "config key 'points' must lie in [2, 10000]"),
     ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0],
                    "radii": {"r0": 0.4, "ratio": 0.7, "count": 3, "cuont": 4}},
      "unknown radii key(s) ['cuont']"),
@@ -852,6 +854,33 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
+class TestTracer:
+    """The benchmark's tracer counts each coherence report once."""
+
+    @pytest.mark.parametrize(
+        "cfg, report",
+        [
+            ({"suite": "first-order", "testbed": "rat2", "tol": 1e-6}, "first_order.json"),
+            ({"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "max_order": 1}, "coherence.json"),
+        ],
+        ids=["first-order", "coherence"],
+    )
+    def test_one_call_per_report(self, tmp_path, cfg, report):
+        root = Path(__file__).resolve().parents[1]
+        stats, out = tmp_path / "stats.json", tmp_path / "out"
+        argv = ["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run(
+            [sys.executable, str(root / "bench" / "tracer.py"), str(stats), str(tmp_path / "spans.jsonl"), "--", *argv],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert res.returncode == EXIT_OK, res.stderr
+        counts = json.loads(stats.read_text())
+        checked = json.loads((out / report).read_text())["report"]["checked_pairs"]
+        assert counts["families.coherence.calls"] == 1
+        assert counts["families.coherence.pairs_checked"] == checked > 0
+
+
 class TestInterpolate:
     def test_smoke(self, tmp_path):
         cfg = write(
@@ -873,6 +902,17 @@ class TestInterpolate:
         assert report["worst_abs_err"] < 1e-3
         assert report["provenance"].startswith("closed-form; ")
         assert "of 77 constants a_(m,n) unconverged" in report["provenance"]
+
+    def test_narrow_opening_builds_from_converged_constants(self, tmp_path):
+        # at opening 0.03 the ladder leaves orders m >= 2 of the a_{m,n} unconverged
+        # (probe errors up to 1.8e13) and the weights L_2[m] no longer damp them:
+        # built from every constant, the interpolant was off by 9.95 at z = 0.06
+        cfg = write(tmp_path, "narrow.json", {"testbed": "rat2", "opening": 0.03})
+        out = tmp_path / "out"
+        assert main(["interpolate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "interpolate.json").read_text())
+        assert report["ok"] and report["worst_abs_err"] <= report["tol"]
+        assert report["provenance"].endswith("; corrected orders m <= 1 used")
 
     def test_non_rat2_rejected(self, tmp_path):
         cfg = write(tmp_path, "ip2.json", {"testbed": "euler"})

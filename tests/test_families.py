@@ -639,6 +639,60 @@ class TestFirstOrder:
         assert rep.checked_pairs == 0
         assert not rep.ok()
 
+    def test_first_order_family(self):
+        # the #J = 1 elements up to max_order; the index bound keeps each sequence's length
+        fam = testbed.rat2_total_family(cap=4)
+        first = fam.first_order(2)
+        assert sorted(first.elements) == [((a,), (n,)) for a in range(2) for n in range(3)]
+        assert first.index_bound == (4, 4)
+        assert all(first.elements[key] is fam.elements[key] for key in first.elements)
+        assert fam.first_order(-1).elements == {}
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2])
+    def test_old_name_is_one_call(self, max_order):
+        fam = testbed.rat2_total_family(cap=4)
+        rep = check_coherence(fam.first_order(max_order), 1e-6, max_order)
+        assert check_first_order_coherence(fam, 1e-6, max_order=max_order) == rep
+
+    def test_three_variables_pairs_of_one_axis_with_two_missing(self):
+        # the first-order family stores no f_{N_L} with #L = 2: 3 axes x 3 orders x 9 N_L
+        rep = check_coherence(three_variable_polynomial_family().first_order(2), 1e-6, 2)
+        assert rep.checked_pairs == 54
+        assert rep.missing == 81
+
+
+def no_strong_expansion_family(cap=3):
+    """The exact first-order family of z1/(z1+z2) on (|arg z_j| < pi/4)^2.
+
+    The function is holomorphic and bounded there (|f| <= sqrt 2) but has no
+    strong expansion: its limit at the vertex depends on how z1 and z2 tend
+    to 0.  f_{1,0} = 0, f_{1,n} = (-1)^(n-1) z2^(-n) and f_{2,m} = (-1)^m z1^(-m),
+    so the (0, 0) constant is 0 along axis 1 and 1 along axis 2.
+    """
+    host = Polysector([Sector(-PI / 4, PI / 4, math.inf)] * 2)
+
+    def element(axis, n):
+        sign = (-1.0) ** (n - 1 if axis == 0 else n)
+        if axis == 0 and n == 0:
+            return SampledFunction(host.axes_subset((1,)), lambda p: np.zeros(len(p), dtype=complex))
+        return SampledFunction(host.axes_subset((1 - axis,)), lambda p: sign * p[:, 0] ** (-n))
+
+    elements = {((axis,), (n,)): element(axis, n) for axis in range(2) for n in range(cap + 1)}
+    return TotalFamily(2, host, elements, (cap, cap))
+
+
+class TestNoStrongExpansion:
+    def test_cross_limits_fail_the_vertex_constant(self):
+        # no f_{(N_1, N_2)} is stored: the check compares the cross-limits, and the
+        # (0, 0) constant reads 0 from f_{1,0} but 1 from f_{2,0}
+        rep = check_coherence(no_strong_expansion_family(), 1e-6, max_order=1)
+        assert rep.checked_pairs > 0
+        assert [f[:4] for f in rep.failures] == [((0,), (1,), (0,), (0,))]
+        assert rep.failures[0][4] == pytest.approx(1.0, abs=1e-9)
+        # f_{1,2}, f_{1,3} and f_{2,2}, f_{2,3} lie past max_order on their own axis
+        assert rep.missing == 8
+        assert not rep.ok()
+
 
 class TestFamilyFromSeries:
     def test_one_variable_constants(self):

@@ -63,7 +63,7 @@ class TestTrivialFamilies:
         func = interpolate_first_order(
             fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
         )
-        assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged"
+        assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged; corrected orders m <= 4 used"
         res0 = extract_element(func, (0,), (0,), (0.1,))
         assert res0.value == pytest.approx(1.0, abs=1e-6)
         res1 = extract_element(func, (1,), (0,), (0.1,))
@@ -170,8 +170,8 @@ class TestRat2Smoke:
         assert np.max(np.abs(vals - exact)) <= 0.1
 
     def test_provenance_counts_unconverged_constants(self):
-        # the README interpolate config: orders >= 2 of the a_{m,n} are used
-        # although the ladder leaves many unconverged, and the result says so
+        # the README interpolate config: the ladder leaves many a_{m,n} of orders
+        # m >= 2 unconverged, so the interpolant stops at order 1 and says so
         fam = testbed.rat2_total_family(opening=OPENING, cap=16)
         func = interpolate_first_order(fam, profiles(), (0.92, 0.92), coeff_cap=10, precheck_tol=None)
         _, errs, conv, _ = (
@@ -181,9 +181,10 @@ class TestRat2Smoke:
         assert np.all(conv[:2])
         bad = int(np.count_nonzero(~conv))
         assert bad > 0
+        assert not np.all(conv[2])
         assert func.provenance == (
             f"closed-form; {bad} of {conv.size} constants a_(m,n) unconverged, "
-            f"worst probe error {float(np.max(errs[~conv])):.3e}"
+            f"worst probe error {float(np.max(errs[~conv])):.3e}; corrected orders m <= 1 used"
         )
 
     def test_low_order_extraction(self):

@@ -26,8 +26,10 @@ from polygevrey.transforms import (
     _GL_NODES,
     _GL_WEIGHTS,
     LaplaceTables,
+    _borel_tail_bound,
     _tail_terms,
     adaptive_panel_quad,
+    borel_disc_types,
     half_plane_polysector,
     laplace_bound,
     laplace_monomial_errors,
@@ -421,6 +423,24 @@ class TestBrgFunction:
     def test_tail_guard(self):
         with pytest.raises(TailError):
             brg_function(euler_series(), (0.95,), 1e-10)
+
+    @pytest.mark.parametrize("degree", [10, 20, 30, 45])
+    def test_tail_bound_margins(self, degree):
+        # euler's Borel sum is 1/(1+t); the degree-d series drops (-t)^(d+1)/(1+t), whose
+        # largest modulus on the path [0, z0] is z0^(d+1)/(1+z0).  Measured on these
+        # points: the bound is 3.000x that tail at every degree, and 83x to 2,392x the
+        # true error of the function (30-digit mpmath); pinned to [2.5, 4] and [40, 5,000]
+        z0, pts = 0.5, [0.1, 0.3, 0.5 + 0.2j, 0.8 - 0.3j, 1.2]
+        ser = euler_series(degree)
+        bound = _borel_tail_bound(ser, borel_disc_types(ser, (z0,)), [z0])
+        with mpmath.workdps(30):
+            tail = mpmath.mpf(z0) ** (degree + 1) / (1 + mpmath.mpf(z0))
+            assert 2.5 <= bound / tail <= 4.0
+            values = brg_function(ser, (z0,), tol=bound).eval_many(np.asarray(pts, dtype=complex)[:, None])
+            for z, value in zip(pts, values.tolist()):
+                z = mpmath.mpc(z)
+                true = mpmath.quad(lambda t: mpmath.exp(-t / z) / (1 + t), [0, z0]) / z
+                assert 40 <= bound / abs(mpmath.mpc(value) - true) <= 5000
 
     def test_remainder_decay_bound(self):
         # |F - App_N| <= C_hat N! (|z|/R(theta))^N with a single fitted C_hat
