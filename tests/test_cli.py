@@ -90,7 +90,7 @@ _BAD_VALUES = [
      "config key 'directions' has a bad value []: lists no direction"),
     ("type-fit", {"testbed": "flat1", "mode": "flat", "directions": [], "radii": [0.4, 0.3]},
      "config key 'directions' has a bad value []: lists no direction"),
-    # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45, a grid too long to run
+    # a misspelt top-level key, an unknown grid key, a cap past the tested degree 45
     ("interpolate", {"testbed": "rat2", "cpa": 3, "tol": 1e-4, "samples": [0.03]},
      "unknown config key(s) ['cpa']"),
     ("verify", {"suite": "coherence", "testbed": "rat2", "max_ordr": 1},
@@ -99,8 +99,6 @@ _BAD_VALUES = [
      "config key 'cap' must lie in"),
     ("interpolate", {"testbed": "rat2", "cap": 46},
      "config key 'cap' must lie in"),
-    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": 10_001},
-     "config key 'points' must lie in [2, 10000]"),
     ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0],
                    "radii": {"r0": 0.4, "ratio": 0.7, "count": 3, "cuont": 4}},
      "unknown radii key(s) ['cuont']"),
@@ -123,6 +121,9 @@ _BAD_VALUES = [
      "config key 'tol' has a bad value -1: must be positive"),
     ("verify", {"suite": "remainder", "testbed": "euler", "directions": [0.0], "radii": [0.4, 0.3], "noise_floor": -1e-9},
      "config key 'noise_floor' must lie in [0, inf]"),
+    # a grid too long to run
+    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": 10_001},
+     "config key 'points' must lie in [2, 10000]"),
 ]
 
 
