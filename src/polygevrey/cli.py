@@ -536,7 +536,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
     if cfg["testbed"] != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
     opening, samples, orders = cfg["opening"], cfg["samples"], cfg["orders"]
-    fam = testbed.rat2_first_order_family(opening=opening, cap=cfg["cap"])
+    fam = testbed.rat2_total_family(opening=opening, cap=cfg["cap"])
     outside = [sv for sv in samples if not all(sec.contains(sv) for sec in fam.host.sectors)]
     if outside:
         raise ConfigError(f"config key 'samples' lists points outside the sector: {outside}")

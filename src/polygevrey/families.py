@@ -173,11 +173,13 @@ class ProbeSpec(Record):
 
     The ladder walks r_k = r0 * ratio**k toward the vertex; at each rung the
     derivative is read off a trapezoid-sampled circle of radius
-    circle_frac * (distance to the sector boundary).  Extrapolants come from
-    Neville interpolation to radius zero over a five-rung window, and the
-    ladder is declared converged when three successive extrapolants match
-    within tol (mixed absolute/relative).  The reported value is the
-    extrapolant with the smallest error estimate seen along the ladder.
+    circle_frac * (distance to the sector boundary), and every rung inside the
+    sectors is evaluated in one call.  Extrapolants come from Neville
+    interpolation to radius zero over each five-rung window, and a limit is
+    declared converged when three successive extrapolants match within tol
+    (mixed absolute/relative).  The reading stops at the first extrapolant
+    where every limit of the ladder has converged, or at the last; each limit
+    reports the first extrapolant of least error estimate up to there.
     ``direction`` gives the ray of each probed axis, one angle per axis
     (default: the sector bisectors).
     """
@@ -219,69 +221,13 @@ class ExtractResult(Record):
         self._set(value, error, converged, radius)
 
 
-def _neville_zero(xs: Sequence[float], ys: list[np.ndarray]) -> np.ndarray:
+def _neville_zero(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
+    """Neville extrapolant to radius 0 of every ``_WINDOW`` consecutive rungs (xs, ys), along the first axis."""
     p = np.asarray(ys, dtype=complex)
     x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
-    for j in range(1, len(xs)):
+    for j in range(1, _WINDOW):
         p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
-    return p[0]
-
-
-class _LadderTracker:
-    """Windowed Richardson state for a (n_orders, batch) grid of limits."""
-
-    def __init__(self, shape: tuple[int, ...], probe: ProbeSpec):
-        self.probe = probe
-        self.radii: list[float] = []
-        self.samples: list[np.ndarray] = []
-        self.extrap: list[np.ndarray] = []
-        self.best = np.zeros(shape, dtype=complex)
-        self.best_err = np.full(shape, np.inf)
-        self.best_radius = np.zeros(shape)
-        self.converged = np.zeros(shape, dtype=bool)
-        self._agree_count = np.zeros(shape, dtype=int)
-
-    def push(self, r: float, values: np.ndarray):
-        self.radii.append(r)
-        self.samples.append(values)
-        if len(self.radii) < _WINDOW:
-            return
-        est = _neville_zero(self.radii[-_WINDOW:], self.samples[-_WINDOW:])
-        self.extrap.append(est)
-        if len(self.extrap) < 2:
-            return
-        diff = np.abs(est - self.extrap[-2])
-        scale = np.maximum(1.0, np.abs(est))
-        ok = diff <= self.probe.tol * scale
-        self._agree_count = np.where(ok, self._agree_count + 1, 0)
-        newly = (self._agree_count >= _AGREE - 1) & ~self.converged
-        self.converged |= newly
-        if len(self.extrap) >= 3:
-            err = np.maximum(diff, np.abs(self.extrap[-2] - self.extrap[-3]))
-        else:
-            err = diff
-        better = err < self.best_err
-        self.best = np.where(better, est, self.best)
-        self.best_err = np.where(better, err, self.best_err)
-        self.best_radius = np.where(better, r, self.best_radius)
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(np.all(self.converged))
-
-
-def _circle_orders(evalfn, centers, rhos, orders: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """D^N g(centers)/N! for each row N of ``orders`` from one product of circles with nodes ``unit``."""
-    p, nodes = len(centers), len(unit)
-    rings = [c + rho * unit for c, rho in zip(centers, rhos)]
-    grids = np.meshgrid(*rings, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(evalfn(pts), dtype=complex).reshape((nodes,) * p + (-1,))
-    spec = np.fft.fftn(vals, axes=tuple(range(p))) / nodes**p
-    coeff = spec[tuple(orders.T)]
-    for m, rho in zip(orders.T.tolist(), rhos):
-        coeff = coeff * np.array([rho ** -k for k in m])[:, None]
-    return coeff  # (n_orders, B)
+    return p
 
 
 def axis_coefficient_ladder(
@@ -294,10 +240,17 @@ def axis_coefficient_ladder(
 
     ``sectors`` and ``probe.direction`` (default: the bisectors) give the p
     axes and their rays; ``orders`` lists multi-indices of length p.
-    ``evalfn`` maps an (mm, p) array of points to an (mm, B) array; all
-    orders and batch columns share one product of circles per rung.  Returns
-    arrays of shape (n_orders, B): values, error estimates, convergence
-    flags, and the radius of the winning window.
+    ``evalfn`` maps an (mm, p) array of points to an (mm, B) array.  One
+    ``evalfn`` call evaluates every rung whose centres lie in their sectors:
+    each rung's product of circles, stacked in rung order, with all orders
+    and batch columns read off one FFT.  A pure-value ladder (orders
+    [(0, ..., 0)]) keeps one ``evalfn`` call per rung, on that rung's centre:
+    a callback may round a row of a (1, p) array differently from the same
+    row of an (R, p) array (a matrix product does), so stacking the centres
+    would move the limits.  The reading stops as :class:`ProbeSpec` says;
+    rungs past the stop are evaluated but not read.
+    Returns arrays of shape (n_orders, B): values, error estimates,
+    convergence flags, and the radius of the winning window's last rung.
     """
     orders = [tuple(int(m) for m in order) for order in orders]
     if max(max(order) for order in orders) > probe.circle_nodes // 2:
@@ -308,27 +261,44 @@ def axis_coefficient_ladder(
         raise DimensionMismatchError(f"probe direction has {len(thetas)} angles for {p} probed axes")
     if not all(s.alpha < t < s.beta for s, t in zip(sectors, thetas)):
         raise DomainError("probe direction outside the sector")
-    tracker = None
-    pure_value = orders == [(0,) * p]
-    order_arr = np.asarray(orders, dtype=int).reshape(len(orders), p)
-    unit = np.exp(1j * (2.0 * math.pi * np.arange(probe.circle_nodes) / probe.circle_nodes))
+    radii, centers = [], []
     for r in probe.radii():
-        centers = [r * cmath.exp(1j * t) for t in thetas]
-        if not all(s.contains(c) for s, c in zip(sectors, centers)):
-            continue
-        if pure_value:
-            sample = np.asarray(evalfn(np.asarray([centers])), dtype=complex).reshape(1, -1)
-        else:
-            rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
-            sample = _circle_orders(evalfn, centers, rhos, order_arr, unit)
-        if tracker is None:
-            tracker = _LadderTracker(sample.shape, probe)
-        tracker.push(r, sample)
-        if tracker.all_converged:
-            break
-    if tracker is None or not tracker.extrap:
+        rung = [r * cmath.exp(1j * t) for t in thetas]
+        if all(s.contains(c) for s, c in zip(sectors, rung)):
+            radii.append(r)
+            centers.append(rung)
+    if len(radii) < _WINDOW:
         raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
-    return tracker.best, tracker.best_err, tracker.converged, tracker.best_radius
+    if orders == [(0,) * p]:
+        samples = np.stack([np.asarray(evalfn(np.asarray([c])), dtype=complex).reshape(1, -1) for c in centers])
+    else:
+        nodes = probe.circle_nodes
+        unit = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+        rhos = [[probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, rung)] for rung in centers]
+        rings = [[c + rho * unit for c, rho in zip(rung, rs)] for rung, rs in zip(centers, rhos)]
+        pts = np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*r, indexing="ij")], -1) for r in rings])
+        vals = np.asarray(evalfn(pts), dtype=complex).reshape((len(radii),) + (nodes,) * p + (-1,))
+        spec = np.fft.fftn(vals, axes=tuple(range(1, p + 1))) / nodes**p
+        samples = spec[(slice(None),) + tuple(np.asarray(orders).T)]  # (rungs, n_orders, B)
+        for a, m in enumerate(zip(*orders)):
+            samples = samples * np.array([[rs[a] ** -k for k in m] for rs in rhos])[:, :, None]
+    est = _neville_zero(radii, samples)  # row j: extrapolant e_j, from rungs j .. j + _WINDOW - 1
+    diff = np.abs(np.diff(est, axis=0))  # row k: |e_{k+1} - e_k|
+    ok = diff <= probe.tol * np.maximum(1.0, np.abs(est[1:]))
+    row = np.arange(len(ok)).reshape(-1, 1, 1)
+    agree = row - np.maximum.accumulate(np.where(ok, -1, row), axis=0)  # successive agreements up to row
+    converged = np.logical_or.accumulate(agree >= _AGREE - 1, axis=0)
+    done = converged.all(axis=(1, 2))
+    read = int(np.argmax(done)) + 1 if done.any() else len(done)  # differences read, up to the stop
+    # candidate j >= 1 is e_j, of error max(|e_j - e_{j-1}|, |e_{j-1} - e_{j-2}|) (the first: |e_1 - e_0|);
+    # candidate 0 stands for no estimate: value 0, error inf, radius 0
+    err = np.maximum(diff, np.concatenate([diff[:1], diff[:-1]]))[:read]
+    err = np.concatenate([np.full((1,) + err.shape[1:], np.inf), np.where(np.isnan(err), np.inf, err)])
+    pick = np.argmin(err, axis=0)[None]  # the first of least error
+    est[0] = 0.0
+    last_rung = np.asarray([0.0] + radii[_WINDOW:])
+    flags = converged[read - 1] if read else np.zeros(est.shape[1:], dtype=bool)
+    return np.take_along_axis(est, pick, 0)[0], np.take_along_axis(err, pick, 0)[0], flags, last_rung[pick[0]]
 
 
 def element_coefficients(
@@ -450,7 +420,8 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
 
     The ladders take 20 rungs and tie their agreement tolerance to ``tol``
     (both are relative): demanding extrapolant agreement far below the
-    asserted residual only wastes ladder rungs on double-precision noise.
+    asserted residual only leaves limits unconverged on double-precision
+    noise.
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)

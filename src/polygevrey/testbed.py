@@ -120,27 +120,17 @@ def _rat2_slice(domain: Polysector, sign: float) -> SampledFunction:
     return SampledFunction(domain, fn, provenance="closed-form")
 
 
-def rat2_first_order_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
-    """The #J = 1 part of :func:`rat2_total_family`: f_{j,h} = (-1)^h / (1 + z_other), h <= cap."""
+def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
+    """f_{j,h} = (-1)^h / (1 + z_other) and f_{(0,1),(h,k)} = (-1)^(h+k), for h, k <= cap."""
     host = Polysector([rat2_sector(opening)] * 2)
+    ax0, ax1 = host.axes_subset((1,)), host.axes_subset((0,))
     elements = {}
-    ax0 = host.axes_subset((1,))
-    ax1 = host.axes_subset((0,))
     for h in range(cap + 1):
         elements[((0,), (h,))] = _rat2_slice(ax0, (-1.0) ** h)
         elements[((1,), (h,))] = _rat2_slice(ax1, (-1.0) ** h)
-    return TotalFamily(2, host, elements, (cap, cap))
-
-
-def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
-    first = rat2_first_order_family(opening, cap)
-    elements = dict(first.elements)
-    for h in range(cap + 1):
         for k in range(cap + 1):
-            elements[((0, 1), (h, k))] = SampledFunction.constant(
-                (-1.0) ** (h + k), provenance="closed-form"
-            )
-    return TotalFamily(2, first.host, elements, (cap, cap))
+            elements[((0, 1), (h, k))] = SampledFunction.constant((-1.0) ** (h + k), provenance="closed-form")
+    return TotalFamily(2, host, elements, (cap, cap))
 
 
 def poly_series() -> MultiIndexSeries:

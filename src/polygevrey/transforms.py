@@ -502,8 +502,9 @@ def interpolate_first_order(
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
     one variable, so the interpolant evaluates the tables and the elements on
-    the distinct values of each coordinate only: a ladder rung's circle nodes
-    paired with three fixed values cost 128 + 3 table points, not 2 x 384.
+    the distinct values of each coordinate only: a ladder of 16 rungs of 128
+    circle nodes paired with three fixed values costs 2,048 + 3 table points,
+    not 2 x 6,144.
 
     The ladder extracts the constants of the corrected orders m <= ``coeff_cap``
     (and m below the axis-1 sequence's length), and the interpolant uses only

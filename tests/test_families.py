@@ -16,6 +16,7 @@ from polygevrey import (
     FamilyError,
     MultiIndexSeries,
     Polysector,
+    ProbeError,
     ProbeSpec,
     SampledFunction,
     Sector,
@@ -31,8 +32,15 @@ from polygevrey import (
     interpolate_first_order,
     remainder_constants,
 )
-from polygevrey import testbed
-from polygevrey.families import element_coefficients, nonempty_subsets, slice_family
+from polygevrey import families, testbed
+from polygevrey.families import (
+    _AGREE,
+    _WINDOW,
+    axis_coefficient_ladder,
+    element_coefficients,
+    nonempty_subsets,
+    slice_family,
+)
 from polygevrey.transforms import LaplaceTables, laplace_bound
 
 PI = math.pi
@@ -768,14 +776,14 @@ class TestFamilyFromSeries:
 
 
 class TestSharedTables:
-    def test_criterion_seven_one_table_per_rung(self, monkeypatch):
-        # 2 ladders x 16 rungs x 1 rest axis; the 7 stored elements of each
-        # (J, L) share one 64-node circle, so they share its table
+    def test_criterion_seven_one_table_per_ladder(self, monkeypatch):
+        # 2 ladders x 1 rest axis; the 7 stored elements of each (J, L) share
+        # its one evaluation, 20 rungs of 64 circle nodes, so they share its table
         fam = criterion_seven_family()
         tables = count_tables(monkeypatch)
         rep = check_coherence(fam, 1e-6, max_order=3)
         assert rep.checked_pairs == 56 and rep.ok() and not rep.probe_failures
-        assert tables == [64] * 32
+        assert tables == [1280] * 2
 
     def test_app_n_one_table_per_axis(self, monkeypatch):
         # every element on a rest axis reads the same column of the grid
@@ -894,7 +902,7 @@ def family_elements(fam) -> list:
 
 def rat2_interpolant():
     # the interpolate subcommand's construction (rat2, z0 = (0.92, 0.92)) at cap 8, coeff_cap 4
-    fam = testbed.rat2_first_order_family(opening=1.2, cap=8)
+    fam = testbed.rat2_total_family(opening=1.2, cap=8)
     profiles = [TypeProfile.constant(-1.2, 1.2, 1.0)] * 2
     return interpolate_first_order(fam, profiles, (0.92, 0.92), coeff_cap=4)
 
@@ -941,3 +949,240 @@ class TestBatchInvariance:
             batched = fn(pts)
             alone = np.asarray([fn(pts[i : i + 1])[0] for i in range(len(pts))])
             assert np.array_equal(batched, alone), np.flatnonzero(batched != alone)
+
+
+# ---------------------------------------------------------------------------
+# the reference radius ladder: one evalfn call and one tracker push per rung,
+# stopping once every limit has converged
+
+
+def _window_neville_zero(xs, ys):
+    p = np.asarray(ys, dtype=complex)
+    x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
+    for j in range(1, len(xs)):
+        p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
+    return p[0]
+
+
+class _LadderTracker:
+    """Windowed Richardson state for a (n_orders, batch) grid of limits."""
+
+    def __init__(self, shape, probe):
+        self.probe = probe
+        self.radii = []
+        self.samples = []
+        self.extrap = []
+        self.best = np.zeros(shape, dtype=complex)
+        self.best_err = np.full(shape, np.inf)
+        self.best_radius = np.zeros(shape)
+        self.converged = np.zeros(shape, dtype=bool)
+        self._agree_count = np.zeros(shape, dtype=int)
+
+    def push(self, r, values):
+        self.radii.append(r)
+        self.samples.append(values)
+        if len(self.radii) < _WINDOW:
+            return
+        est = _window_neville_zero(self.radii[-_WINDOW:], self.samples[-_WINDOW:])
+        self.extrap.append(est)
+        if len(self.extrap) < 2:
+            return
+        diff = np.abs(est - self.extrap[-2])
+        scale = np.maximum(1.0, np.abs(est))
+        ok = diff <= self.probe.tol * scale
+        self._agree_count = np.where(ok, self._agree_count + 1, 0)
+        newly = (self._agree_count >= _AGREE - 1) & ~self.converged
+        self.converged |= newly
+        if len(self.extrap) >= 3:
+            err = np.maximum(diff, np.abs(self.extrap[-2] - self.extrap[-3]))
+        else:
+            err = diff
+        better = err < self.best_err
+        self.best = np.where(better, est, self.best)
+        self.best_err = np.where(better, err, self.best_err)
+        self.best_radius = np.where(better, r, self.best_radius)
+
+    @property
+    def all_converged(self):
+        return bool(np.all(self.converged))
+
+
+def _circle_orders(evalfn, centers, rhos, orders, unit):
+    """D^N g(centers)/N! for each row N of ``orders`` from one product of circles with nodes ``unit``."""
+    p, nodes = len(centers), len(unit)
+    rings = [c + rho * unit for c, rho in zip(centers, rhos)]
+    grids = np.meshgrid(*rings, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = np.asarray(evalfn(pts), dtype=complex).reshape((nodes,) * p + (-1,))
+    spec = np.fft.fftn(vals, axes=tuple(range(p))) / nodes**p
+    coeff = spec[tuple(orders.T)]
+    for m, rho in zip(orders.T.tolist(), rhos):
+        coeff = coeff * np.array([rho ** -k for k in m])[:, None]
+    return coeff  # (n_orders, B)
+
+
+def per_rung_ladder(evalfn, sectors, orders, probe):
+    """The reference for ``axis_coefficient_ladder``: the same four arrays, rung by rung."""
+    orders = [tuple(int(m) for m in order) for order in orders]
+    if max(max(order) for order in orders) > probe.circle_nodes // 2:
+        raise DomainError("requested order exceeds the circle-node anti-aliasing bound")
+    p = len(sectors)
+    thetas = [s.bisector for s in sectors] if probe.direction is None else probe.direction
+    if len(thetas) != p:
+        raise DimensionMismatchError(f"probe direction has {len(thetas)} angles for {p} probed axes")
+    if not all(s.alpha < t < s.beta for s, t in zip(sectors, thetas)):
+        raise DomainError("probe direction outside the sector")
+    tracker = None
+    pure_value = orders == [(0,) * p]
+    order_arr = np.asarray(orders, dtype=int).reshape(len(orders), p)
+    unit = np.exp(1j * (2.0 * math.pi * np.arange(probe.circle_nodes) / probe.circle_nodes))
+    for r in probe.radii():
+        centers = [r * cmath.exp(1j * t) for t in thetas]
+        if not all(s.contains(c) for s, c in zip(sectors, centers)):
+            continue
+        if pure_value:
+            sample = np.asarray(evalfn(np.asarray([centers])), dtype=complex).reshape(1, -1)
+        else:
+            rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
+            sample = _circle_orders(evalfn, centers, rhos, order_arr, unit)
+        if tracker is None:
+            tracker = _LadderTracker(sample.shape, probe)
+        tracker.push(r, sample)
+        if tracker.all_converged:
+            break
+    if tracker is None or not tracker.extrap:
+        raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
+    return tracker.best, tracker.best_err, tracker.converged, tracker.best_radius
+
+
+def assert_identical(got, want):
+    """Equal reports, with every array of the same dtype and the same bits."""
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), np.argwhere(got != want)
+    else:
+        assert got == want
+
+
+def linear_form_callback(weights, ripple):
+    """Columns 1 / (1 - z . w), one per column w of ``weights``.
+
+    The last column adds ``ripple`` times a term no ladder settles.  The matrix
+    product is what makes a stacked pure-value ladder round differently: BLAS
+    may round a row of an (R, p) product differently from the same row alone.
+    """
+
+    def evalfn(pts):
+        vals = 1.0 / (1.0 - pts @ weights)
+        vals[:, -1] += ripple * np.cos(40.0 / np.abs(pts).sum(axis=1))
+        return vals
+
+    return evalfn
+
+
+@st.composite
+def ladder_cases(draw):
+    """(evalfn, sectors, orders, probe) over 1 or 2 axes, 1-3 columns and bounded or unbounded sectors."""
+    p = draw(st.sampled_from([1, 2]))
+    cols = draw(st.integers(1, 3))
+    nodes = draw(st.sampled_from([12, 24, 48, 64, 100, 128]))
+    half = st.floats(0.3, 1.5)
+    rho = st.one_of(st.just(math.inf), st.floats(0.15, 1.0))
+    sectors = [Sector(-h, h, r) for h, r in draw(st.lists(st.tuples(half, rho), min_size=p, max_size=p))]
+    weight = st.builds(lambda m, t: m * cmath.exp(1j * t), st.floats(0.1, 0.6), st.floats(-PI, PI))
+    weights = np.asarray(draw(st.lists(weight, min_size=p * cols, max_size=p * cols))).reshape(p, cols)
+    ripple = draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-5]))
+    index = st.tuples(*[st.integers(0, 5)] * p)
+    orders = [(0,) * p] if draw(st.integers(0, 3)) == 0 else draw(st.lists(index, min_size=1, max_size=4, unique=True))
+    probe = ProbeSpec(steps=draw(st.integers(5, 21)), tol=10.0 ** draw(st.floats(-13, -4)),
+                      circle_frac=draw(st.floats(0.3, 0.9)), circle_nodes=nodes)
+    return linear_form_callback(weights, ripple), sectors, orders, probe
+
+
+def rat2_interpolant_ladders():
+    """The interpolate subcommand's ladders: the interpolant's constants, then its outer ladder per axis."""
+    func = rat2_interpolant()
+    outer = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
+    points = [(0.1,), (0.2 + 0.1j,), (0.3,)]
+    found = [element_coefficients([func], (axis,), [(k,) for k in range(5)], outer, points) for axis in (0, 1)]
+    return func.provenance, found
+
+
+# workload callbacks, each run once through the array pass and once through the reference
+_WORKLOAD_LADDERS = {
+    "rat2-slice-orders-0-12": lambda: element_coefficients(
+        [testbed.get("rat2").fn], (0,), [(k,) for k in range(13)], ProbeSpec(tol=1e-5), [(0.1 + 0.03j,), (0.25,)]
+    ),
+    "rat2-value": lambda: element_coefficients([testbed.get("rat2").fn], (0,), [(0,)], ProbeSpec(), [(0.1,)]),
+    "rat2-joint": lambda: element_coefficients(
+        [testbed.get("rat2").fn], (0, 1), list(itertools.product(range(3), repeat=2)), ProbeSpec(), [()]
+    ),
+    "rat2-first-order-elements": lambda: element_coefficients(
+        testbed.rat2_total_family(cap=4).sequence(0), (0,), [(k,) for k in range(4)], ProbeSpec(), [()]
+    ),
+    "criterion-7-coherence": lambda: check_coherence(criterion_seven_family(), 1e-6, max_order=3),
+    "rat2-interpolant": rat2_interpolant_ladders,
+}
+
+
+class TestLadderReference:
+    """The array-pass ladder returns the per-rung loop's four arrays, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ladder_cases())
+    def test_equals_per_rung_loop(self, case):
+        try:
+            want = per_rung_ladder(*case)
+        except ProbeError:
+            with pytest.raises(ProbeError):
+                axis_coefficient_ladder(*case)
+            return
+        assert_identical(axis_coefficient_ladder(*case), want)
+
+    @pytest.mark.parametrize("name", list(_WORKLOAD_LADDERS))
+    def test_workload_ladders(self, name, monkeypatch):
+        got = _WORKLOAD_LADDERS[name]()
+        monkeypatch.setattr(families, "axis_coefficient_ladder", per_rung_ladder)
+        assert_identical(got, _WORKLOAD_LADDERS[name]())
+
+    def test_five_rungs_read_nothing_and_four_raise(self):
+        # five in-sector rungs make one extrapolant and no difference: nothing is read
+        evalfn = linear_form_callback(np.asarray([[0.5]]), 0.0)
+        got = axis_coefficient_ladder(evalfn, [Sector(-1.0, 1.0)], [(1,)], ProbeSpec(steps=5))
+        assert_identical(got, per_rung_ladder(evalfn, [Sector(-1.0, 1.0)], [(1,)], ProbeSpec(steps=5)))
+        assert_identical(got, (np.zeros((1, 1), complex), np.full((1, 1), np.inf), np.zeros((1, 1), bool),
+                               np.zeros((1, 1))))
+        # four in-sector rungs make no extrapolant
+        with pytest.raises(ProbeError, match="no extrapolants"):
+            axis_coefficient_ladder(evalfn, [Sector(-1.0, 1.0, 0.1)], [(1,)], ProbeSpec(r0=0.3, steps=8))
+
+
+class TestLadderEvaluation:
+    """A circle ladder evaluates every in-sector rung in one call; a pure-value ladder, one call per rung."""
+
+    weights = np.asarray([[0.5, 0.3j], [0.2, -0.4]])
+
+    def counted(self, calls):
+        evalfn = linear_form_callback(self.weights, 0.0)
+
+        def counting(pts):
+            calls.append(len(pts))
+            return evalfn(pts)
+
+        return counting
+
+    @pytest.mark.parametrize("rho, rungs", [(math.inf, 14), (0.25, 13)])
+    def test_one_call_per_circle_ladder(self, rho, rungs):
+        # r0 = 0.3 lies outside the bounded sector: its rung is not evaluated
+        calls = []
+        probe = ProbeSpec(circle_nodes=16, tol=1e-15)
+        axis_coefficient_ladder(self.counted(calls), [Sector(-1.0, 1.0, rho)] * 2, [(1, 0), (0, 2)], probe)
+        assert calls == [rungs * 16**2]
+
+    def test_one_call_per_rung_of_a_pure_value_ladder(self):
+        calls = []
+        axis_coefficient_ladder(self.counted(calls), [Sector(-1.0, 1.0, 0.25)] * 2, [(0, 0)], ProbeSpec(tol=1e-15))
+        assert calls == [1] * 13
