@@ -531,20 +531,18 @@ def _cmd_interpolate(cfg: dict, out: Path) -> int:
     from . import testbed
     from .families import ProbeSpec, element_coefficients
     from .transforms import interpolate_first_order
-    from .typecalc import TypeProfile
 
     if cfg["testbed"] != "rat2":
         raise ConfigError("interpolate currently drives the rat2 first-order family")
-    opening, samples, orders = cfg["opening"], cfg["samples"], cfg["orders"]
-    fam = testbed.rat2_total_family(opening=opening, cap=cfg["cap"])
+    samples, orders = cfg["samples"], cfg["orders"]
+    fam = testbed.rat2_total_family(opening=cfg["opening"], cap=cfg["cap"])
     outside = [sv for sv in samples if not all(sec.contains(sv) for sec in fam.host.sectors)]
     if outside:
         raise ConfigError(f"config key 'samples' lists points outside the sector: {outside}")
     if orders > cfg["cap"] >= 0:  # a negative cap stores no element, which interpolate_first_order reports
         raise ConfigError(f"config key 'orders' ({orders}) exceeds 'cap' ({cfg['cap']}), the family's last order")
-    profiles = [TypeProfile.constant(-opening, opening, 1.0)] * 2
     outer = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
-    func = interpolate_first_order(fam, profiles, cfg["z0"], coeff_cap=cfg["coeff_cap"])
+    func = interpolate_first_order(fam, cfg["z0"], cfg["coeff_cap"])
     rows = []
     worst = 0.0
     points = [(sv,) for sv in samples]

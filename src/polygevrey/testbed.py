@@ -7,6 +7,7 @@ expansion).  The registry is code, not data files: closed forms need exact
 evaluation.  No entry integrates numerically: euler is ``brg_function`` of its
 own series, the closed-form transform of its degree-45 Borel polynomial.
 Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
+Only the ``euler`` and ``brg_const`` builders load ``typecalc``, for their type profiles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .families import TotalFamily, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
 from .transforms import SampledFunction, brg_function, brg_type, half_plane_polysector
-from .typecalc import TypeProfile
 
 
 class RegistryEntry(Record):
@@ -71,6 +71,8 @@ def flat1_entry() -> RegistryEntry:
 
 
 def euler_entry() -> RegistryEntry:
+    from .typecalc import TypeProfile
+
     z0, degree = 0.5, 45
     series = MultiIndexSeries(
         1, {(n,): (-1.0) ** n * math.factorial(n) for n in range(degree + 1)}, (degree,)
@@ -124,12 +126,13 @@ def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
     """f_{j,h} = (-1)^h / (1 + z_other) and f_{(0,1),(h,k)} = (-1)^(h+k), for h, k <= cap."""
     host = Polysector([rat2_sector(opening)] * 2)
     ax0, ax1 = host.axes_subset((1,)), host.axes_subset((0,))
+    joint = {sign: SampledFunction.constant(sign) for sign in (1.0, -1.0)}  # shared by all (cap+1)^2 keys
     elements = {}
     for h in range(cap + 1):
         elements[((0,), (h,))] = _rat2_slice(ax0, (-1.0) ** h)
         elements[((1,), (h,))] = _rat2_slice(ax1, (-1.0) ** h)
         for k in range(cap + 1):
-            elements[((0, 1), (h, k))] = SampledFunction.constant((-1.0) ** (h + k), provenance="closed-form")
+            elements[((0, 1), (h, k))] = joint[(-1.0) ** (h + k)]
     return TotalFamily(2, host, elements, (cap, cap))
 
 
@@ -158,6 +161,8 @@ def poly_entry() -> RegistryEntry:
 
 
 def brg_const_entry() -> RegistryEntry:
+    from .typecalc import TypeProfile
+
     z0 = 0.5
     domain = half_plane_polysector((z0,))
 

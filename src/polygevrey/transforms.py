@@ -479,14 +479,10 @@ def laplace_bound(fhat: MultiIndexSeries, z0: Sequence[complex], pts) -> np.ndar
 # ---------------------------------------------------------------------------
 # first-order interpolation (two variables)
 
+_PRECHECK_TOL = 1e-3  # of the coherence check every family passes before interpolation
 
-def interpolate_first_order(
-    fam,
-    profiles,
-    z0: Sequence[complex],
-    coeff_cap: int = 8,
-    precheck_tol: float | None = 1e-3,
-) -> SampledFunction:
+
+def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> SampledFunction:
     """Interpolate the coherent first-order family of a two-variable total family.
 
     Only the #J = 1 elements of ``fam`` are read (:meth:`TotalFamily.sequence`).
@@ -506,18 +502,24 @@ def interpolate_first_order(
     circle nodes paired with three fixed values costs 2,048 + 3 table points,
     not 2 x 6,144.
 
+    The endpoints' one hypothesis: each host sector lies in the half-plane
+    around arg z0_j (DomainError otherwise), so its opening is at most pi.  A
+    finite family needs no bound on |z0_j|, since each pass transforms a
+    polynomial Borel sum exactly; the Borel-Ritt-type theorem for an infinite
+    family needs |z0_j| below the family's type.
+
     The ladder extracts the constants of the corrected orders m <= ``coeff_cap``
     (and m below the axis-1 sequence's length), and the interpolant uses only
     the orders m <= m*, where m* is the last order such that every a_{m',n}
     with m' <= m* converged.  High orders of a_{m,n} are numerically fragile
     to extract; at a wide opening the weights L_2[m] damp an unconverged one,
-    at a narrow one it would spoil the interpolant.  Unless ``precheck_tol``
-    is None, the family must first pass :func:`check_coherence` on its
-    first-order family (:meth:`TotalFamily.first_order`) at that tolerance
-    over orders <= 1, on that check's own probe (CoherenceError unless its
-    report is ``ok()``).  Raises ProbeError when the ladder leaves orders 0
-    and 1 of the constants unconverged; the result's ``provenance`` counts
-    the unconverged constants, gives their worst probe error, and names m*.
+    at a narrow one it would spoil the interpolant.  The family must first
+    pass :func:`check_coherence` on its first-order family
+    (:meth:`TotalFamily.first_order`) at tolerance 1e-3 over orders <= 1, on
+    that check's own probe (CoherenceError unless its report is ``ok()``).
+    Raises ProbeError when the ladder leaves orders 0 and 1 of the constants
+    unconverged; the result's ``provenance`` counts the unconverged constants,
+    gives their worst probe error, and names m*.
     """
     from .families import ProbeSpec, check_coherence, element_coefficients
 
@@ -529,26 +531,20 @@ def interpolate_first_order(
     host = fam.host
     z0 = tuple(complex(w) for w in z0)
     _require_endpoints(z0, 2)
-    for j, (sec, w) in enumerate(zip(host.sectors, z0)):
-        if sec.opening > math.pi + 1e-12:
-            raise DomainError(f"axis {j} opening exceeds pi")
-        t0 = cmath.phase(w)
+    for j, (sec, t0) in enumerate(zip(host.sectors, map(cmath.phase, z0))):
         if sec.alpha < t0 - 0.5 * math.pi - 1e-12 or sec.beta > t0 + 0.5 * math.pi + 1e-12:
             raise DomainError(f"axis {j} sector not contained in the half-plane around arg z0")
-        if not abs(w) < profiles[j].sup:
-            raise DomainError(f"|z0| on axis {j} must stay below the profile sup")
     if coeff_cap < 0:
         raise DomainError(f"coeff_cap must be >= 0, got {coeff_cap}")
 
-    if precheck_tol is not None:
-        report = check_coherence(fam.first_order(1), precheck_tol, 1)
-        if not report.ok():
-            raise CoherenceError(
-                f"first-order family fails coherence at {precheck_tol:g}: "
-                f"max residual {report.max_residual:.3e}, "
-                f"{len(report.probe_failures)} pair(s) unconverged",
-                report=report,
-            )
+    report = check_coherence(fam.first_order(1), _PRECHECK_TOL, 1)
+    if not report.ok():
+        raise CoherenceError(
+            f"first-order family fails coherence at {_PRECHECK_TOL:g}: "
+            f"max residual {report.max_residual:.3e}, "
+            f"{len(report.probe_failures)} pair(s) unconverged",
+            report=report,
+        )
 
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)

@@ -3,6 +3,7 @@ import cmath
 import copy
 import functools
 import importlib
+import inspect
 import json
 import math
 import os
@@ -329,6 +330,40 @@ class TestDispatch:
             if (word := n.rpartition(".")[2]) not in used and not re.search(rf"\b{word}\b", named)
         ]
         assert not unreached, f"exported names that nothing reaches: {unreached}"
+
+    # the paper's single multidirection, which a family read off a function will set (ROADMAP item 8)
+    _UNSET_DEFAULTS = {"ProbeSpec.direction"}
+
+    def test_every_default_is_set_by_a_caller(self):
+        # each parameter with a default, of each exported callable that a call in
+        # src/ or bench/ reaches by name, is set by one of those calls: by
+        # keyword, by position, or through * or **; a default no caller moves is
+        # a constant
+        root = Path(__file__).resolve().parents[1]
+        calls = {}
+        for path in [*(root / "src" / "polygevrey").glob("*.py"), *root.glob("bench/*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+
+        def sets(call, pos, param):
+            if any(kw.arg in (None, param.name) for kw in call.keywords):
+                return True
+            starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+            return param.kind != param.KEYWORD_ONLY and (len(call.args) > pos or any(i <= pos for i in starred))
+
+        unset = set()
+        for name in polygevrey.__all__:
+            obj = getattr(polygevrey, name)
+            if name not in calls or isinstance(obj, type) and "__init__" not in vars(obj):
+                continue  # no caller, or the exception types' own (*args) constructor
+            for pos, param in enumerate(inspect.signature(obj).parameters.values()):
+                if param.default is not param.empty and not any(sets(c, pos, param) for c in calls[name]):
+                    unset.add(f"{name}.{param.name}")
+        assert self._UNSET_DEFAULTS <= unset, "an allowlisted default now has a caller: unlist it"
+        unset = sorted(unset - self._UNSET_DEFAULTS)
+        assert not unset, f"defaults that no call in src/ or bench/ sets: {unset}"
 
     def test_every_config_key_is_set_by_an_example(self):
         # each key a config table declares, nested tables included, is set in a
@@ -950,6 +985,14 @@ class TestInterpolate:
         assert main(["interpolate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
         assert "interpolation needs at least one first-order element per axis" in capsys.readouterr().err
 
+    def test_endpoints_beyond_one(self, tmp_path):
+        # the README config from z0 = (1.5, 1.5): a finite family puts no bound on |z0|
+        cfg = {**_README_RUNS[_README_IDS.index("interpolate")][1], "z0": [1.5, 1.5]}
+        out = tmp_path / "out"
+        assert main(["interpolate", "--config", write(tmp_path, "ip7.json", cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "interpolate.json").read_text())
+        assert report["ok"] and report["worst_abs_err"] <= report["tol"]
+
     def test_failing_verdict_exit_code(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -971,17 +1014,18 @@ class TestInterpolate:
 _RADII_TYPE = {"r0": 0.5, "ratio": 0.82, "count": 22}
 _PL_SECTOR = {"alpha": -1.0472, "beta": 1.0472, "rho": 1.0}
 _STACK = {"numpy", "families", "transforms", "series", "geometry"}
-_ENTRY = _STACK | {"testbed", "typecalc"}  # testbed imports TypeProfile
+_ENTRY = _STACK | {"testbed"}
+_TYPE_LAW = _ENTRY | {"typecalc"}  # the euler entry's type profile
 
 
 # the README config of each subcommand, verify suite and type-fit mode, and
 # the numpy and library modules that running it loads
 _README_RUNS = [
     (["transform"], {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0],
-                     "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _ENTRY),
+                     "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _TYPE_LAW),
     (["type-fit"], {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
                     "radii": _RADII_TYPE, "n_max": 22, "window": [4, 16], "noise_floor": 1e-9},
-     _ENTRY),
+     _TYPE_LAW),
     (["predict-type"], {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0,
                         "R_alpha": 1.0, "R_beta": 1.0, "z0_mod": 1.0, "points": 181},
      {"typecalc"}),
@@ -994,7 +1038,7 @@ _README_RUNS = [
                   "growth_attestation": "a polynomial: bounded on the polysector"},
      _ENTRY | {"flatness_bounds"}),
     (["verify"], {"suite": "remainder", "testbed": "euler", "directions": [0.0, 0.5236],
-                  "radii": _RADII_TYPE, "rel_tol": 0.15}, _ENTRY),
+                  "radii": _RADII_TYPE, "rel_tol": 0.15}, _TYPE_LAW),
     (["verify"], {"suite": "first-order", "testbed": "rat2", "tol": 1e-6}, _ENTRY),
     (["interpolate"], {"testbed": "rat2", "opening": 1.2, "cap": 16, "z0": [0.92, 0.92],
                        "coeff_cap": 10, "orders": 3, "samples": [0.02, 0.026, 0.034],

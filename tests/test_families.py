@@ -21,7 +21,6 @@ from polygevrey import (
     SampledFunction,
     Sector,
     TotalFamily,
-    TypeProfile,
     app_n_many,
     brg_function,
     check_coherence,
@@ -558,18 +557,18 @@ class TestFirstOrder:
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
         fam = TotalFamily(2, host, {}, (0, 0))
         assert fam.sequence(0) == fam.sequence(1) == ()
-        assert check_first_order_coherence(fam, 1e-6).checked_pairs == 0
+        assert check_coherence(fam.first_order(2), 1e-6, 2).checked_pairs == 0
 
     def test_first_order_coherence_rat2(self):
         fam = testbed.rat2_total_family(cap=4)
-        rep = check_first_order_coherence(fam, 1e-6, max_order=2)
+        rep = check_coherence(fam.first_order(2), 1e-6, 2)
         assert rep.ok()
         assert rep.checked_pairs == 9
 
     def test_first_order_coherence_runs_two_ladders(self, monkeypatch):
         calls = count_ladders(monkeypatch)
         fam = testbed.rat2_total_family(cap=4)
-        rep = check_first_order_coherence(fam, 1e-6, max_order=2)
+        rep = check_coherence(fam.first_order(2), 1e-6, 2)
         assert rep.checked_pairs == 9
         assert calls == [3, 3]
 
@@ -577,7 +576,7 @@ class TestFirstOrder:
         # coherent constants, but f_{10} carries noise no radius ladder settles:
         # the pairs it enters are probe failures, the others pass
         fam = constant_first_order_family(((1.0, 0.0), (1.0, 0.0)), noisy=True)
-        rep = check_first_order_coherence(fam, 1e-4, max_order=1)
+        rep = check_coherence(fam.first_order(1), 1e-4, 1)
         assert rep.checked_pairs > 0
         assert rep.probe_failures
         assert not rep.failures
@@ -586,14 +585,14 @@ class TestFirstOrder:
     def test_first_order_incoherent_pair_named(self):
         # f_{11} says the (1, 0) constant is 2; f_{20} says it is 0
         fam = constant_first_order_family(((1.0, 2.0), (1.0, 0.0)))
-        rep = check_first_order_coherence(fam, 1e-6, max_order=1)
+        rep = check_coherence(fam.first_order(1), 1e-6, 1)
         assert rep.checked_pairs == 4
         assert [f[:4] for f in rep.failures] == [((0,), (1,), (1,), (0,))]
 
     @pytest.mark.parametrize("max_order", [0, 1, 2])
     def test_two_variables_match_reference_rat2(self, max_order):
         fam = testbed.rat2_total_family(cap=4)
-        rep = check_first_order_coherence(fam, 1e-6, max_order=max_order)
+        rep = check_coherence(fam.first_order(max_order), 1e-6, max_order)
         assert rep == first_order_reference(fam, 1e-6, max_order=max_order)
 
     @pytest.mark.parametrize(
@@ -608,13 +607,13 @@ class TestFirstOrder:
     def test_two_variables_match_reference(self, make, tol):
         # the whole report, failures and probe failures included, as the two-variable check gave it
         fam = make()
-        rep = check_first_order_coherence(fam, tol, max_order=1)
+        rep = check_coherence(fam.first_order(1), tol, 1)
         assert rep == first_order_reference(fam, tol, max_order=1)
 
     def test_three_variables_every_axis_pair(self, monkeypatch):
         # 3 axis pairs x 3 x 3 orders x 2 sampled points on the third axis, two ladders per pair
         calls = count_ladders(monkeypatch)
-        rep = check_first_order_coherence(three_variable_polynomial_family(), 1e-6)
+        rep = check_coherence(three_variable_polynomial_family().first_order(2), 1e-6, 2)
         assert rep.checked_pairs == 54
         assert calls == [3] * 6
         assert rep.ok() and not rep.probe_failures
@@ -626,24 +625,26 @@ class TestFirstOrder:
         els = dict(fam.elements)
         good = els[((0,), (1,))]
         els[((0,), (1,))] = SampledFunction(good.domain, lambda p: good.eval_many(p) + 0.01)
-        rep = check_first_order_coherence(TotalFamily(3, fam.host, els, fam.index_bound), 1e-6)
+        rep = check_coherence(TotalFamily(3, fam.host, els, fam.index_bound).first_order(2), 1e-6, 2)
         assert not rep.ok()
         assert {f[:4] for f in rep.failures} == {((0,), (1,), (1,), (0,)), ((0,), (2,), (1,), (0,))}
 
-    @pytest.mark.parametrize("check, pairs", [(check_coherence, 8), (check_first_order_coherence, 4)])
-    def test_no_extrapolant_is_a_probe_failure(self, check, pairs):
+    @pytest.mark.parametrize(
+        "first_order, pairs", [(False, 8), (True, 4)], ids=["check_coherence-8", "check_first_order_coherence-4"]
+    )
+    def test_no_extrapolant_is_a_probe_failure(self, first_order, pairs):
         # sectors of radius 1e-3 leave 4 of the 20 rungs inside, fewer than one
         # window: each pair of the ladder is a probe failure naming why
         ser = MultiIndexSeries(2, {(0, 0): 2.0, (1, 1): 1.0}, (1, 1))
         fam = testbed.polynomial_family(ser, Polysector([Sector(-1.0, 1.0, 1e-3)] * 2))
-        rep = check(fam, 1e-6, max_order=1)
+        rep = check_coherence(fam.first_order(1) if first_order else fam, 1e-6, 1)
         assert rep.checked_pairs == 0 and not rep.ok()
         assert len(rep.probe_failures) == pairs
         assert all("no extrapolants" in f[4] for f in rep.probe_failures)
 
     def test_one_variable_checks_no_pair(self):
         ser = MultiIndexSeries(1, {(n,): float(n + 1) for n in range(3)}, (2,))
-        rep = check_first_order_coherence(family_from_series(ser, (0.5,)), 1e-6)
+        rep = check_coherence(family_from_series(ser, (0.5,)).first_order(2), 1e-6, 2)
         assert rep.checked_pairs == 0
         assert not rep.ok()
 
@@ -903,8 +904,7 @@ def family_elements(fam) -> list:
 def rat2_interpolant():
     # the interpolate subcommand's construction (rat2, z0 = (0.92, 0.92)) at cap 8, coeff_cap 4
     fam = testbed.rat2_total_family(opening=1.2, cap=8)
-    profiles = [TypeProfile.constant(-1.2, 1.2, 1.0)] * 2
-    return interpolate_first_order(fam, profiles, (0.92, 0.92), coeff_cap=4)
+    return interpolate_first_order(fam, (0.92, 0.92), coeff_cap=4)
 
 
 # each target: the (function of a (k, dim) point array, dim) pairs it checks; the

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,15 +7,14 @@ import pytest
 from polygevrey import (
     CoherenceError,
     DomainError,
+    MultiIndexSeries,
     Polysector,
     ProbeError,
     ProbeSpec,
     SampledFunction,
     Sector,
     TotalFamily,
-    TypeProfile,
     check_coherence,
-    check_first_order_coherence,
     extract_element,
     interpolate_first_order,
 )
@@ -44,25 +44,17 @@ def constant_sequences(host, values0, values1):
     return TotalFamily(2, host, elements, (len(values0) - 1, len(values1) - 1))
 
 
-def profiles(opening=OPENING, value=1.0):
-    return [TypeProfile.constant(-opening, opening, value)] * 2
-
-
 class TestTrivialFamilies:
     def test_zero_family(self):
         fam = constant_sequences(host2(), [0.0] * 6, [0.0] * 6)
-        func = interpolate_first_order(
-            fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
-        )
+        func = interpolate_first_order(fam, (0.9, 0.9), coeff_cap=4)
         assert abs(func.eval_many([(0.1, 0.1)])[0]) < 1e-10
         res = extract_element(func, (0,), (0,), (0.1,))
         assert abs(res.value) < 1e-8
 
     def test_delta_family_interpolates_one(self):
         fam = constant_sequences(host2(), [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0])
-        func = interpolate_first_order(
-            fam, profiles(), (0.9, 0.9), coeff_cap=4, precheck_tol=None
-        )
+        func = interpolate_first_order(fam, (0.9, 0.9), coeff_cap=4)
         assert func.provenance == "closed-form; 0 of 30 constants a_(m,n) unconverged; corrected orders m <= 4 used"
         res0 = extract_element(func, (0,), (0,), (0.1,))
         assert res0.value == pytest.approx(1.0, abs=1e-6)
@@ -75,19 +67,22 @@ class TestTrivialFamilies:
         assert func.eval_many([(z1, z2)])[0] == pytest.approx(h1 + h2, rel=1e-9)
 
     def test_two_passes_in_closed_form(self):
-        # f_{1n} = c_n and f_{2m} = d_m constant: h1 = sum_n c_n L1[n](z1) and
-        # h2 = sum_m (d_m - [m == 0] sum_n c_n L1[n](z1)) L2[m](z2)
-        c = [0.7, -0.2, 0.05, 0.0]
-        d = [0.7, 0.3, -0.1, 0.02]
-        fam = constant_sequences(host2(), c, d)
-        func = interpolate_first_order(fam, profiles(), (0.9, 0.8), coeff_cap=3, precheck_tol=None)
+        # the family of P = sum p_{hk} z1^h z2^k, coherent as the precheck asks:
+        # f_{1n}(z2) = sum_k p_{nk} z2^k, f_{2m}(z1) = sum_h p_{hm} z1^h and a_{m,n} = p_{nm}, so
+        # h1 = sum_n f_{1n}(z2) L1[n](z1) and h2 = sum_m (f_{2m}(z1) - sum_n p_{nm} L1[n](z1)) L2[m](z2)
+        p = {(0, 0): 0.7, (1, 0): -0.2, (2, 0): 0.05, (0, 1): 0.3, (1, 1): 0.4, (0, 2): -0.1, (2, 3): 0.02}
+        coef = np.zeros((4, 4))
+        for hk, v in p.items():
+            coef[hk] = v
+        fam = testbed.polynomial_family(MultiIndexSeries(2, p, (3, 3)), host2())
+        func = interpolate_first_order(fam, (0.9, 0.8), coeff_cap=3)
+        assert func.provenance == "closed-form; 0 of 16 constants a_(m,n) unconverged; corrected orders m <= 3 used"
         z1, z2 = 0.21 + 0.05j, 0.13 - 0.02j
         lap1 = laplace_monomials(0.9, z1, 3)[:, 0]
         lap2 = laplace_monomials(0.8, z2, 3)[:, 0]
-        h1 = np.dot(c, lap1)
-        corrected = np.asarray(d, dtype=complex)
-        corrected[0] -= h1
-        assert func.eval_many([(z1, z2)])[0] == pytest.approx(h1 + np.dot(corrected, lap2), rel=1e-12)
+        h1 = coef @ z2 ** np.arange(4) @ lap1
+        corrected = z1 ** np.arange(4) @ coef - coef.T @ lap1
+        assert func.eval_many([(z1, z2)])[0] == pytest.approx(h1 + corrected @ lap2, rel=1e-12)
 
 
 class TestValidation:
@@ -95,33 +90,34 @@ class TestValidation:
         host = Polysector([Sector(-0.5, 0.5, math.inf)])
         fam = TotalFamily(1, host, {((0,), (0,)): SampledFunction.constant(1.0)}, (0,))
         with pytest.raises(DomainError):
-            interpolate_first_order(fam, profiles(), (0.9, 0.9))
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
     def test_opening_exceeds_pi(self):
+        # no sector wider than pi fits in a half-plane
         wide = Polysector([Sector(-1.7, 1.7, math.inf)] * 2)
         fam = constant_sequences(wide, [1.0], [1.0])
-        prof = [TypeProfile.constant(-1.7, 1.7, 1.0)] * 2
-        with pytest.raises(DomainError):
-            interpolate_first_order(fam, prof, (0.9, 0.9))
+        with pytest.raises(DomainError, match="half-plane"):
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
-    def test_z0_exceeds_profile_sup(self):
+    def test_sector_outside_half_plane(self, monkeypatch):
+        # arg z0 = 0.5 on axis 0 puts its half-plane at (-1.07, 2.07), which misses -1.2; no ladder starts
+        probes = record_probes(monkeypatch)
         fam = constant_sequences(host2(), [1.0], [1.0])
-        with pytest.raises(DomainError):
-            interpolate_first_order(fam, profiles(value=0.5), (0.9, 0.9))
+        with pytest.raises(DomainError, match="axis 0 sector not contained in the half-plane"):
+            interpolate_first_order(fam, (0.9 * cmath.exp(0.5j), 0.9), coeff_cap=8)
+        assert probes == []
 
     @pytest.mark.parametrize("values0, values1", [([1.0], []), ([], [1.0])])
     def test_empty_axis_rejected(self, values0, values1):
         fam = constant_sequences(host2(), values0, values1)
         with pytest.raises(DomainError, match="at least one first-order element per axis"):
-            interpolate_first_order(fam, profiles(), (0.9, 0.9))
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
     def test_incoherent_family_rejected(self):
         # axis-0 data says the (0,0) constant is 1; axis-1 data says 2
         fam = constant_sequences(host2(), [1.0, 0.0], [2.0, 0.0])
         with pytest.raises(CoherenceError):
-            interpolate_first_order(
-                fam, profiles(), (0.9, 0.9), precheck_tol=1e-4
-            )
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
     def test_unconverged_precheck_rejected(self):
         # coherent values, but f_{10} carries noise no radius ladder can settle:
@@ -134,23 +130,22 @@ class TestValidation:
         )
         fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
         with pytest.raises(CoherenceError) as info:
-            interpolate_first_order(
-                fam, profiles(), (0.9, 0.9), precheck_tol=1e-4
-            )
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
         assert info.value.report.probe_failures
         assert not info.value.report.failures
 
     def test_unconverged_constants_rejected(self):
-        # without the precheck, f_{10}'s noise reaches the ladder for the a_{m,n}
+        # noise ten times smaller passes the precheck at 1e-3 but not the
+        # ladder for the a_{m,n}, which asks for agreement 1e-11
         host = host2()
         fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
         noisy = SampledFunction(
             host.axes_subset((1,)),
-            lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
+            lambda p: 1.0 + 1e-6 * np.sin(1e4 * np.abs(p[:, 0])),
         )
         fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
-        with pytest.raises(ProbeError, match="unconverged"):
-            interpolate_first_order(fam, profiles(), (0.9, 0.9), precheck_tol=None)
+        with pytest.raises(ProbeError, match="low-order axis-1 constants unconverged"):
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
 
 class TestRat2Smoke:
@@ -173,7 +168,7 @@ class TestRat2Smoke:
         # the README interpolate config: the ladder leaves many a_{m,n} of orders
         # m >= 2 unconverged, so the interpolant stops at order 1 and says so
         fam = testbed.rat2_total_family(opening=OPENING, cap=16)
-        func = interpolate_first_order(fam, profiles(), (0.92, 0.92), coeff_cap=10, precheck_tol=None)
+        func = interpolate_first_order(fam, (0.92, 0.92), coeff_cap=10)
         _, errs, conv, _ = (
             a[..., 0]
             for a in element_coefficients(fam.sequence(0), (0,), [(m,) for m in range(11)], CONSTRUCTION_PROBE)
@@ -190,7 +185,7 @@ class TestRat2Smoke:
     def test_low_order_extraction(self):
         # smoke-scale version of the full pipeline: low caps, order <= 1
         fam = testbed.rat2_total_family(opening=OPENING, cap=10)
-        func = interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
+        func = interpolate_first_order(fam, (0.9, 0.9), coeff_cap=6)
         probe = ProbeSpec(r0=0.2, ratio=0.75, steps=14, tol=1e-5, circle_frac=0.75, circle_nodes=128)
         for axis in (0, 1):
             for order in (0, 1):
@@ -198,9 +193,21 @@ class TestRat2Smoke:
                 want = (-1.0) ** order / 1.05
                 assert res.value == pytest.approx(want, abs=5e-5)
 
+    def test_endpoints_beyond_one(self):
+        # a finite family needs no bound on |z0|: from z0 = (3, 3) the README
+        # construction gives back orders 0-2 on both axes within its tol 1e-4
+        fam = testbed.rat2_total_family(opening=OPENING, cap=16)
+        func = interpolate_first_order(fam, (3.0, 3.0), coeff_cap=10)
+        outer = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
+        points = [(0.02,), (0.026,), (0.034,)]
+        for axis in (0, 1):
+            vals, _, _, _ = element_coefficients([func], (axis,), [(k,) for k in range(3)], outer, points)
+            for k, elem in enumerate(fam.sequence(axis)[:3]):
+                assert np.max(np.abs(vals[k, 0] - elem.eval_many(points))) <= 1e-4
+
     def test_value_close_to_target_function(self):
         fam = testbed.rat2_total_family(opening=OPENING, cap=12)
-        func = interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
+        func = interpolate_first_order(fam, (0.9, 0.9), coeff_cap=6)
         # differs from 1/((1+z1)(1+z2)) only by terms flat in each variable
         z = (0.09, 0.11)
         target = 1.0 / ((1 + z[0]) * (1 + z[1]))
@@ -220,7 +227,7 @@ class TestDistinctCoordinates:
     @staticmethod
     def rat2_interpolant():
         fam = testbed.rat2_total_family(opening=OPENING, cap=10)
-        return interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=6, precheck_tol=None)
+        return interpolate_first_order(fam, (0.9, 0.9), coeff_cap=6)
 
     def test_one_table_per_distinct_coordinate(self, monkeypatch):
         from polygevrey import transforms
@@ -270,14 +277,13 @@ class TestProbes:
         probes = record_probes(monkeypatch)
         assert check_coherence(fam, tol, max_order=1).ok()
         n_coherence = len(probes)
-        assert check_first_order_coherence(fam, tol, max_order=1).ok()
+        assert check_coherence(fam.first_order(1), tol, 1).ok()
         assert n_coherence > 0 and len(probes) == n_coherence + 2
-        interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=2, precheck_tol=tol)
-        rule = ProbeSpec(steps=20, tol=tol)
-        assert probes == [rule] * (n_coherence + 4) + [CONSTRUCTION_PROBE]
+        assert probes == [ProbeSpec(steps=20, tol=tol)] * (n_coherence + 2)
 
     def test_precheck_default(self, monkeypatch):
+        # the precheck probes at its fixed tolerance 1e-3, then the construction's ladder runs
         fam = testbed.rat2_total_family(opening=OPENING, cap=4)
         probes = record_probes(monkeypatch)
-        interpolate_first_order(fam, profiles(), (0.9, 0.9), coeff_cap=2)
+        interpolate_first_order(fam, (0.9, 0.9), coeff_cap=2)
         assert probes == [ProbeSpec(steps=20, tol=1e-3)] * 2 + [CONSTRUCTION_PROBE]
