@@ -7,7 +7,7 @@ expansion).  The registry is code, not data files: closed forms need exact
 evaluation.  No entry integrates numerically: euler is ``brg_function`` of its
 own series, the closed-form transform of its degree-45 Borel polynomial.
 Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
-Only the ``euler`` and ``brg_const`` builders load ``typecalc``, for their type profiles.
+Only the ``euler`` and ``brg_const`` builders load ``typecalc``, and only the family builders ``families``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .catalogue import CATALOGUE
 from .errors import Record, UnknownEntryError
-from .families import TotalFamily, slice_family
 from .geometry import Polysector, Sector
 from .series import MultiIndexSeries, evaluate_many
 from .transforms import SampledFunction, brg_function, brg_type, half_plane_polysector
@@ -45,6 +44,7 @@ def _entry(entry_id: str, fn: SampledFunction, known: dict) -> RegistryEntry:
 
 def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily:
     """Exact total family of a polynomial: elements are its partial coefficient slices."""
+    from .families import slice_family
 
     def element(sub: MultiIndexSeries, rest: tuple[int, ...]) -> SampledFunction:
         return SampledFunction(host.axes_subset(rest), lambda pts: evaluate_many(sub, pts))
@@ -124,6 +124,8 @@ def _rat2_slice(domain: Polysector, sign: float) -> SampledFunction:
 
 def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
     """f_{j,h} = (-1)^h / (1 + z_other) and f_{(0,1),(h,k)} = (-1)^(h+k), for h, k <= cap."""
+    from .families import TotalFamily
+
     host = Polysector([rat2_sector(opening)] * 2)
     ax0, ax1 = host.axes_subset((1,)), host.axes_subset((0,))
     joint = {sign: SampledFunction.constant(sign) for sign in (1.0, -1.0)}  # shared by all (cap+1)^2 keys

@@ -195,6 +195,55 @@ class TestDispatch:
         assert main(["transform", "--config", str(tmp_path / "none.json")]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--config={cfg}", "--out={out}"], EXIT_OK),
+            (["--out", "{out}", "--config", "{cfg}"], EXIT_OK),
+            (["--out", "{tmp}/first", "--config", "{cfg}", "--out", "{out}"], EXIT_OK),
+            (["-h"], EXIT_OK),
+            (["--config", "{cfg}", "--help", "--out", "{out}"], EXIT_OK),
+            (["--config", "{cfg}", "--out", "{out}", "--points", "5"], EXIT_SCHEMA),
+            (["--config", "{cfg}", "--out"], EXIT_SCHEMA),
+            (["--out", "--config", "{cfg}"], EXIT_SCHEMA),
+            (["--config", "{cfg}", "--out", "{out}", "extra"], EXIT_SCHEMA),
+            (["--conf", "{cfg}", "--out", "{out}"], EXIT_SCHEMA),
+        ],
+        ids=["equals-forms", "out-first", "last-repeat-wins", "h", "help", "unknown-option",
+             "missing-value", "option-as-value", "stray-positional", "abbreviation"],
+    )
+    def test_options(self, tmp_path, capsys, args, code):
+        # --config and --out, spelt out in full, in either order and either
+        # form; -h and --help print the usage; any other argument exits 2
+        # before a directory is made or a report written
+        cfg = write(tmp_path, "cfg.json", {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0, "points": 5})
+        out = tmp_path / "out"
+        argv = ["predict-type"] + [a.format(cfg=cfg, out=out, tmp=tmp_path) for a in args]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        helped = "-h" in args or "--help" in args
+        assert (out / "predict_type.json").exists() == (code == EXIT_OK and not helped)
+        assert not (tmp_path / "first").exists()
+        if helped:
+            assert captured.out.startswith("usage: polygevrey predict-type [--config PATH] [--out DIR]")
+        elif code == EXIT_SCHEMA:
+            assert "polygevrey predict-type: error: " in captured.err
+            assert not out.exists()
+
+    def test_run_as_module_imports_cli_once(self, tmp_path):
+        # under -m the running module is __main__; a command module that
+        # imported polygevrey.cli would compile and run it a second time
+        src = str(Path(polygevrey.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "polygevrey.cli", "list-testbed", "--out", str(tmp_path)],
+            env=env, timeout=60, capture_output=True, text=True,
+        )
+        assert res.returncode == EXIT_OK, res.stderr
+        imported = [line.rpartition("|")[2].strip() for line in res.stderr.splitlines() if "|" in line]
+        assert "polygevrey.commands" in imported
+        assert "polygevrey.cli" not in imported
+
+    @pytest.mark.parametrize(
         "command, cfg, must", _BAD_VALUES, ids=[f"{case[0]}-cfg{i}" for i, case in enumerate(_BAD_VALUES)]
     )
     def test_bad_config_values(self, tmp_path, capsys, command, cfg, must):
@@ -259,9 +308,10 @@ class TestDispatch:
     )
     def test_import_boundary(self, module, blas, want):
         # a fresh interpreter: the package and the CLI imports stay light (no
-        # numpy, no library module but errors), and only the CLI pins BLAS to
-        # one thread, keeping a value the caller already set; numpy imported
-        # after the CLI starts no BLAS worker thread
+        # numpy, no argparse, no library module but errors, not the command
+        # module), and only the CLI pins BLAS to one thread, keeping a value
+        # the caller already set; numpy imported after the CLI starts no BLAS
+        # worker thread
         if "threads" in want and not sys.platform.startswith("linux"):
             pytest.skip("thread count is read from /proc/self/task")
         src = str(Path(polygevrey.__file__).resolve().parents[1])
@@ -272,9 +322,9 @@ class TestDispatch:
         code = (
             f"import json, os, sys, {module}\n"
             "task = '/proc/self/task'\n"
-            "deferred = ('polygevrey.catalogue', 'polygevrey.families', 'polygevrey.flatness_bounds',\n"
-            "    'polygevrey.geometry', 'polygevrey.series', 'polygevrey.testbed', 'polygevrey.transforms',\n"
-            "    'polygevrey.typecalc')\n"
+            "deferred = ('argparse', 'polygevrey.catalogue', 'polygevrey.commands', 'polygevrey.families',\n"
+            "    'polygevrey.flatness_bounds', 'polygevrey.geometry', 'polygevrey.series', 'polygevrey.testbed',\n"
+            "    'polygevrey.transforms', 'polygevrey.typecalc')\n"
             "print(json.dumps({'numpy': 'numpy' in sys.modules, 'scipy': 'scipy' in sys.modules,\n"
             "    'deferred': [m for m in deferred if m in sys.modules],\n"
             "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
@@ -380,12 +430,12 @@ class TestDispatch:
         assert not unset, f"config keys that no README example or benchmark config sets: {unset}"
 
     def test_only_the_cli_knows_the_file_formats(self):
-        # cli reads every config and writes every report: no other module
-        # imports json or defines a reader or writer of a file format
+        # cli reads every config and its command module writes every report:
+        # no other module imports json or defines a reader or writer of a file format
         src = Path(polygevrey.__file__).resolve().parent
         found = []
         for path in sorted(src.glob("*.py")):
-            if path.name == "cli.py":
+            if path.name in ("cli.py", "commands.py"):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
@@ -1013,7 +1063,7 @@ class TestInterpolate:
 
 _RADII_TYPE = {"r0": 0.5, "ratio": 0.82, "count": 22}
 _PL_SECTOR = {"alpha": -1.0472, "beta": 1.0472, "rho": 1.0}
-_STACK = {"numpy", "families", "transforms", "series", "geometry"}
+_STACK = {"commands", "numpy", "families", "transforms", "series", "geometry"}
 _ENTRY = _STACK | {"testbed"}
 _TYPE_LAW = _ENTRY | {"typecalc"}  # the euler entry's type profile
 
@@ -1022,13 +1072,13 @@ _TYPE_LAW = _ENTRY | {"typecalc"}  # the euler entry's type profile
 # the numpy and library modules that running it loads
 _README_RUNS = [
     (["transform"], {"testbed": "euler", "z0": [0.5], "tol": 1e-12, "direction": [0.0],
-                     "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _TYPE_LAW),
+                     "radii": {"r0": 0.4, "ratio": 0.7, "count": 12}}, _TYPE_LAW - {"families"}),
     (["type-fit"], {"testbed": "euler", "mode": "gevrey", "directions": [0.0, 0.5236],
                     "radii": _RADII_TYPE, "n_max": 22, "window": [4, 16], "noise_floor": 1e-9},
      _TYPE_LAW),
     (["predict-type"], {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0,
                         "R_alpha": 1.0, "R_beta": 1.0, "z0_mod": 1.0, "points": 181},
-     {"typecalc"}),
+     {"commands", "typecalc"}),
     (["verify"], {"suite": "coherence", "testbed": "rat2", "tol": 1e-6, "max_order": 3}, _ENTRY),
     (["verify"], {"suite": "coherence", "z0": [0.5, 0.45], "tol": 1e-6, "max_order": 1,
                   "series": {"dim": 2, "coeffs": [{"index": [h, k], "re": 1.0, "im": 0.0}
@@ -1043,7 +1093,7 @@ _README_RUNS = [
     (["interpolate"], {"testbed": "rat2", "opening": 1.2, "cap": 16, "z0": [0.92, 0.92],
                        "coeff_cap": 10, "orders": 3, "samples": [0.02, 0.026, 0.034],
                        "tol": 1e-4}, _ENTRY),
-    (["list-testbed"], None, set()),
+    (["list-testbed"], None, {"commands"}),
 ]
 _README_IDS = ["transform", "type-fit", "predict-type", "verify-coherence", "verify-coherence-series",
                "verify-pl", "verify-remainder", "verify-first-order", "interpolate", "list-testbed"]
@@ -1061,8 +1111,8 @@ def run_fresh(tmp_path, argv, cfg):
         "import json, sys\n"
         "from polygevrey import cli\n"
         f"code = cli.main({argv!r})\n"
-        "names = ['numpy', 'dataclasses'] + ['polygevrey.' + m for m in ('families', 'transforms',\n"
-        "    'series', 'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
+        "names = ['numpy', 'dataclasses', 'argparse'] + ['polygevrey.' + m for m in ('commands',\n"
+        "    'families', 'transforms', 'series', 'geometry', 'testbed', 'typecalc', 'flatness_bounds')]\n"
         "print(json.dumps({'exit': code, 'loaded': [m for m in names if m in sys.modules]}))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
@@ -1072,8 +1122,9 @@ def run_fresh(tmp_path, argv, cfg):
 
 class TestImportFootprint:
     """Each subcommand, run on its README config in a fresh interpreter, loads
-    exactly these of numpy and the library's numeric modules, and never
-    ``dataclasses`` (generating a class's methods at import costs ~1 ms each)."""
+    exactly these of numpy, the command module and the library's numeric
+    modules, and never ``dataclasses`` (generating a class's methods at import
+    costs ~1 ms each) or ``argparse``."""
 
     @pytest.mark.parametrize("argv, cfg, want", _README_RUNS, ids=_README_IDS)
     def test_loaded_modules(self, tmp_path, argv, cfg, want):
@@ -1084,7 +1135,8 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, cfg, want", _README_RUNS, ids=_README_IDS)
     def test_misspelt_key(self, tmp_path, argv, cfg, want):
         # the same config with its last key misspelt (list-testbed takes no key at
-        # all) stops with exit 2 before numpy loads, and writes no report
+        # all) stops with exit 2 before numpy or the command module loads, and
+        # writes no report
         cfg = dict(cfg or {"testbed": "rat2"})
         key = list(cfg)[-1]
         cfg[key[:-1]] = cfg.pop(key)
