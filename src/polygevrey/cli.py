@@ -327,7 +327,10 @@ def main(argv=None) -> int:
         raw = _load_config(opts["config"]) if opts.get("config") else {}
         cfg = _read(raw, _table(command, raw))
         if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # an --out that is, or lies under, a file is a usage error, not a bug
+                raise ConfigError(f"--out {out}: {exc.strerror}") from None
         from . import commands  # the command bodies compile only for a config that passed
 
         return EXIT_OK if commands.HANDLERS[command](cfg, out) else EXIT_VERDICT_FAIL

@@ -174,9 +174,16 @@ class ProbeSpec(Record):
     The ladder walks r_k = r0 * ratio**k toward the vertex; at each rung the
     derivative is read off a trapezoid-sampled circle of radius
     circle_frac * (distance to the sector boundary), and every rung inside the
-    sectors is evaluated in one call.  Extrapolants come from Neville
-    interpolation to radius zero over each five-rung window, and a limit is
-    declared converged when three successive extrapolants match within tol
+    sectors is evaluated in one call.  The rungs inside the sectors are
+    consecutive: their centres lie on fixed rays inside the sectors, so a rung
+    is in exactly when its radius is below every sector's rho.  Extrapolation
+    to radius zero does not change when every node is scaled by one factor, so
+    each five-rung window's extrapolant is the fixed sum of w_i g_{j+i}, with
+    w_i = prod_{l != i} q^l / (q^l - q^i) and q = ratio: (0.370, -3.901,
+    14.652, -23.212, 13.091) at q = 0.7 and (1.303, -11.259, 35.265, -47.444,
+    23.135) at 0.75.  Their Lebesgue constant sum |w_i|, 55.227 and 118.405,
+    bounds how much an extrapolant amplifies rounding in the samples.  A limit
+    is declared converged when three successive extrapolants match within tol
     (mixed absolute/relative).  The reading stops at the first extrapolant
     where every limit of the ladder has converged, or at the last; each limit
     reports the first extrapolant of least error estimate up to there.
@@ -221,15 +228,6 @@ class ExtractResult(Record):
         self._set(value, error, converged, radius)
 
 
-def _neville_zero(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
-    """Neville extrapolant to radius 0 of every ``_WINDOW`` consecutive rungs (xs, ys), along the first axis."""
-    p = np.asarray(ys, dtype=complex)
-    x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
-    for j in range(1, _WINDOW):
-        p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
-    return p
-
-
 def axis_coefficient_ladder(
     evalfn: Callable[[np.ndarray], np.ndarray],
     sectors: Sequence[Sector],
@@ -243,12 +241,8 @@ def axis_coefficient_ladder(
     ``evalfn`` maps an (mm, p) array of points to an (mm, B) array.  One
     ``evalfn`` call evaluates every rung whose centres lie in their sectors:
     each rung's product of circles, stacked in rung order, with all orders
-    and batch columns read off one FFT.  A pure-value ladder (orders
-    [(0, ..., 0)]) keeps one ``evalfn`` call per rung, on that rung's centre:
-    a callback may round a row of a (1, p) array differently from the same
-    row of an (R, p) array (a matrix product does), so stacking the centres
-    would move the limits.  The reading stops as :class:`ProbeSpec` says;
-    rungs past the stop are evaluated but not read.
+    and batch columns read off one FFT, order 0 included.  The reading stops
+    as :class:`ProbeSpec` says; rungs past the stop are evaluated but not read.
     Returns arrays of shape (n_orders, B): values, error estimates,
     convergence flags, and the radius of the winning window's last rung.
     """
@@ -269,20 +263,20 @@ def axis_coefficient_ladder(
             centers.append(rung)
     if len(radii) < _WINDOW:
         raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
-    if orders == [(0,) * p]:
-        samples = np.stack([np.asarray(evalfn(np.asarray([c])), dtype=complex).reshape(1, -1) for c in centers])
-    else:
-        nodes = probe.circle_nodes
-        unit = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
-        rhos = [[probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, rung)] for rung in centers]
-        rings = [[c + rho * unit for c, rho in zip(rung, rs)] for rung, rs in zip(centers, rhos)]
-        pts = np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*r, indexing="ij")], -1) for r in rings])
-        vals = np.asarray(evalfn(pts), dtype=complex).reshape((len(radii),) + (nodes,) * p + (-1,))
-        spec = np.fft.fftn(vals, axes=tuple(range(1, p + 1))) / nodes**p
-        samples = spec[(slice(None),) + tuple(np.asarray(orders).T)]  # (rungs, n_orders, B)
-        for a, m in enumerate(zip(*orders)):
-            samples = samples * np.array([[rs[a] ** -k for k in m] for rs in rhos])[:, :, None]
-    est = _neville_zero(radii, samples)  # row j: extrapolant e_j, from rungs j .. j + _WINDOW - 1
+    nodes = probe.circle_nodes
+    unit = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    rhos = [[probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, rung)] for rung in centers]
+    rings = [[c + rho * unit for c, rho in zip(rung, rs)] for rung, rs in zip(centers, rhos)]
+    pts = np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*r, indexing="ij")], -1) for r in rings])
+    vals = np.asarray(evalfn(pts), dtype=complex).reshape((len(radii),) + (nodes,) * p + (-1,))
+    spec = np.fft.fftn(vals, axes=tuple(range(1, p + 1))) / nodes**p
+    samples = spec[(slice(None),) + tuple(np.asarray(orders).T)]  # (rungs, n_orders, B)
+    for a, m in enumerate(zip(*orders)):
+        samples = samples * np.array([[rs[a] ** -k for k in m] for rs in rhos])[:, :, None]
+    # row j: extrapolant e_j to radius 0 from rungs j .. j + _WINDOW - 1, with the weights of ProbeSpec
+    q, n = probe.ratio, len(radii) - _WINDOW + 1
+    w = [math.prod(q**l / (q**l - q**i) for l in range(_WINDOW) if l != i) for i in range(_WINDOW)]
+    est = sum(w[i] * samples[i : i + n] for i in range(_WINDOW))  # in a fixed order, left to right
     diff = np.abs(np.diff(est, axis=0))  # row k: |e_{k+1} - e_k|
     ok = diff <= probe.tol * np.maximum(1.0, np.abs(est[1:]))
     row = np.arange(len(ok)).reshape(-1, 1, 1)

@@ -13,6 +13,8 @@ replaces (report, key, old value, new value, relative move), then replaces
 that wrote the reports.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -22,9 +24,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(HERE.parent)]
-if not (HERE / "workloads" / "manifest.json").exists():  # the test module reads it on import
-    (HERE / "workloads").mkdir(exist_ok=True)
-    (HERE / "workloads" / "manifest.json").write_text('{"numpy": null, "steps": []}\n')
 
 import numpy as np  # noqa: E402
 import test_workload_reports as T  # noqa: E402
@@ -47,7 +46,8 @@ def write_goldens(data: Path) -> list[dict]:
                     "config": config and config.relative_to(data).as_posix(),
                     "reports": sorted(step.reports),
                 }
-                entry["exit"] = T.run_step(entry, data, out)
+                with contextlib.redirect_stdout(io.StringIO()):  # list-testbed prints its listing
+                    entry["exit"] = T.run_step(entry, data, out)
                 steps.append(entry)
     return steps
 
@@ -61,7 +61,7 @@ def main() -> int:
             if (T.DATA / step["id"]).is_dir():
                 c, m = T.step_differences(step, T.DATA / step["id"], data / step["id"])
                 changed += [f"{step['id']}/{line}" for line in c]
-                moved += [(f"{step['id']}/{name}",) + rest for name, *rest in m]
+                moved += [(f"{step['id']}/{move[0]}",) + move[1:] for move in m]
             else:
                 changed.append(f"{step['id']}: new step")
         print(T.describe(changed, moved) or "no value changed and no number moved")

@@ -195,29 +195,33 @@ class TestDispatch:
         assert main(["transform", "--config", str(tmp_path / "none.json")]) == EXIT_SCHEMA
 
     @pytest.mark.parametrize(
-        "args, code",
+        "command, args, code",
         [
-            (["--config={cfg}", "--out={out}"], EXIT_OK),
-            (["--out", "{out}", "--config", "{cfg}"], EXIT_OK),
-            (["--out", "{tmp}/first", "--config", "{cfg}", "--out", "{out}"], EXIT_OK),
-            (["-h"], EXIT_OK),
-            (["--config", "{cfg}", "--help", "--out", "{out}"], EXIT_OK),
-            (["--config", "{cfg}", "--out", "{out}", "--points", "5"], EXIT_SCHEMA),
-            (["--config", "{cfg}", "--out"], EXIT_SCHEMA),
-            (["--out", "--config", "{cfg}"], EXIT_SCHEMA),
-            (["--config", "{cfg}", "--out", "{out}", "extra"], EXIT_SCHEMA),
-            (["--conf", "{cfg}", "--out", "{out}"], EXIT_SCHEMA),
+            ("predict-type", ["--config={cfg}", "--out={out}"], EXIT_OK),
+            ("predict-type", ["--out", "{out}", "--config", "{cfg}"], EXIT_OK),
+            ("predict-type", ["--out", "{tmp}/first", "--config", "{cfg}", "--out", "{out}"], EXIT_OK),
+            ("predict-type", ["-h"], EXIT_OK),
+            ("predict-type", ["--config", "{cfg}", "--help", "--out", "{out}"], EXIT_OK),
+            ("predict-type", ["--config", "{cfg}", "--out", "{out}", "--points", "5"], EXIT_SCHEMA),
+            ("predict-type", ["--config", "{cfg}", "--out"], EXIT_SCHEMA),
+            ("predict-type", ["--out", "--config", "{cfg}"], EXIT_SCHEMA),
+            ("predict-type", ["--config", "{cfg}", "--out", "{out}", "extra"], EXIT_SCHEMA),
+            ("predict-type", ["--conf", "{cfg}", "--out", "{out}"], EXIT_SCHEMA),
+            ("list-testbed", ["--out", "{file}"], EXIT_SCHEMA),
+            ("predict-type", ["--config", "{cfg}", "--out", "{file}/sub"], EXIT_SCHEMA),
         ],
         ids=["equals-forms", "out-first", "last-repeat-wins", "h", "help", "unknown-option",
-             "missing-value", "option-as-value", "stray-positional", "abbreviation"],
+             "missing-value", "option-as-value", "stray-positional", "abbreviation",
+             "out-is-a-file", "out-under-a-file"],
     )
-    def test_options(self, tmp_path, capsys, args, code):
+    def test_options(self, tmp_path, capsys, command, args, code):
         # --config and --out, spelt out in full, in either order and either
         # form; -h and --help print the usage; any other argument exits 2
-        # before a directory is made or a report written
+        # before a directory is made or a report written, and so does an
+        # --out that names a file or lies under one
         cfg = write(tmp_path, "cfg.json", {"alpha": 0.0, "beta": 1.5708, "theta0": 0.7854, "R0": 1.0, "points": 5})
         out = tmp_path / "out"
-        argv = ["predict-type"] + [a.format(cfg=cfg, out=out, tmp=tmp_path) for a in args]
+        argv = [command] + [a.format(cfg=cfg, out=out, tmp=tmp_path, file=cfg) for a in args]
         assert main(argv) == code
         captured = capsys.readouterr()
         helped = "-h" in args or "--help" in args
@@ -225,6 +229,9 @@ class TestDispatch:
         assert not (tmp_path / "first").exists()
         if helped:
             assert captured.out.startswith("usage: polygevrey predict-type [--config PATH] [--out DIR]")
+        elif "{file}" in args[-1]:
+            assert captured.err.startswith(f"config error: --out {cfg}")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         elif code == EXIT_SCHEMA:
             assert "polygevrey predict-type: error: " in captured.err
             assert not out.exists()

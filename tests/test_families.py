@@ -302,7 +302,10 @@ def _poly_truth(axis):
 
 # FOUND in CHANGES.md (ladder error estimate on poly): the estimate, the
 # larger of the last two extrapolant differences, falls below the true error
-# of the exact polynomial by factors up to 2.6
+# of the exact polynomial: by up to 2.6 on axis 0, and on axis 1 with the
+# default probe by 1536 (order 0 reads 6.9e-18 against a true 1.1e-14, below
+# the extrapolant's rounding).  Axis 1 with the README probe reads 0.89.
+_POLY_UNDERCOUNT = {"poly-axis0-default", "poly-axis0-readme", "poly-axis1-default"}
 _POLY_XFAIL = pytest.mark.xfail(strict=True, reason="FOUND: ladder error estimate undercounts on poly")
 
 
@@ -318,12 +321,14 @@ class TestExtractErrorHonestyOtherEntries:
         [
             ("euler", 0, [()], lambda _: [(-1.0) ** k * math.factorial(k) for k in range(4)]),
             ("flat1", 0, [()], lambda _: [0.0] * 4),
-            pytest.param("poly", 0, [(w,) for w in HONESTY_POINTS], _poly_truth(0), marks=_POLY_XFAIL),
-            pytest.param("poly", 1, [(w,) for w in HONESTY_POINTS], _poly_truth(1), marks=_POLY_XFAIL),
+            ("poly", 0, [(w,) for w in HONESTY_POINTS], _poly_truth(0)),
+            ("poly", 1, [(w,) for w in HONESTY_POINTS], _poly_truth(1)),
         ],
         ids=["euler", "flat1", "poly-axis0", "poly-axis1"],
     )
-    def test_true_error_within_reported(self, probe, name, axis, fixed, truth):
+    def test_true_error_within_reported(self, request, probe, name, axis, fixed, truth):
+        if request.node.callspec.id in _POLY_UNDERCOUNT:
+            request.applymarker(_POLY_XFAIL)
         assert_honest(testbed.get(name).fn, axis, fixed, truth, probe)
 
 
@@ -956,12 +961,9 @@ class TestBatchInvariance:
 # stopping once every limit has converged
 
 
-def _window_neville_zero(xs, ys):
-    p = np.asarray(ys, dtype=complex)
-    x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
-    for j in range(1, len(xs)):
-        p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
-    return p[0]
+def window_weights(q):
+    """The extrapolant weights of a five-rung window of radii r q^i, written as the ladder writes them."""
+    return [math.prod(q**l / (q**l - q**i) for l in range(_WINDOW) if l != i) for i in range(_WINDOW)]
 
 
 class _LadderTracker:
@@ -969,6 +971,7 @@ class _LadderTracker:
 
     def __init__(self, shape, probe):
         self.probe = probe
+        self.weights = window_weights(probe.ratio)
         self.radii = []
         self.samples = []
         self.extrap = []
@@ -983,7 +986,7 @@ class _LadderTracker:
         self.samples.append(values)
         if len(self.radii) < _WINDOW:
             return
-        est = _window_neville_zero(self.radii[-_WINDOW:], self.samples[-_WINDOW:])
+        est = sum(w * sample for w, sample in zip(self.weights, self.samples[-_WINDOW:]))
         self.extrap.append(est)
         if len(self.extrap) < 2:
             return
@@ -1033,18 +1036,14 @@ def per_rung_ladder(evalfn, sectors, orders, probe):
     if not all(s.alpha < t < s.beta for s, t in zip(sectors, thetas)):
         raise DomainError("probe direction outside the sector")
     tracker = None
-    pure_value = orders == [(0,) * p]
     order_arr = np.asarray(orders, dtype=int).reshape(len(orders), p)
     unit = np.exp(1j * (2.0 * math.pi * np.arange(probe.circle_nodes) / probe.circle_nodes))
     for r in probe.radii():
         centers = [r * cmath.exp(1j * t) for t in thetas]
         if not all(s.contains(c) for s, c in zip(sectors, centers)):
             continue
-        if pure_value:
-            sample = np.asarray(evalfn(np.asarray([centers])), dtype=complex).reshape(1, -1)
-        else:
-            rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
-            sample = _circle_orders(evalfn, centers, rhos, order_arr, unit)
+        rhos = [probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, centers)]
+        sample = _circle_orders(evalfn, centers, rhos, order_arr, unit)
         if tracker is None:
             tracker = _LadderTracker(sample.shape, probe)
         tracker.push(r, sample)
@@ -1070,9 +1069,7 @@ def assert_identical(got, want):
 def linear_form_callback(weights, ripple):
     """Columns 1 / (1 - z . w), one per column w of ``weights``.
 
-    The last column adds ``ripple`` times a term no ladder settles.  The matrix
-    product is what makes a stacked pure-value ladder round differently: BLAS
-    may round a row of an (R, p) product differently from the same row alone.
+    The last column adds ``ripple`` times a term no ladder settles.
     """
 
     def evalfn(pts):
@@ -1128,6 +1125,47 @@ _WORKLOAD_LADDERS = {
 }
 
 
+def neville_zero(xs, ys):
+    """Neville's recursion to radius 0 over every five consecutive rungs (xs, ys), along the first axis."""
+    p = np.asarray(ys, dtype=complex)
+    x = np.asarray(xs, dtype=float).reshape((-1,) + (1,) * (p.ndim - 1))
+    for j in range(1, _WINDOW):
+        p = (p[:-1] * x[j:] - p[1:] * x[:-j]) / (x[j:] - x[:-j])
+    return p
+
+
+class TestWindowWeights:
+    """The ladder's fixed extrapolation weights against 30-digit arithmetic and against Neville's recursion."""
+
+    @pytest.mark.parametrize("q, lebesgue", [(0.7, 55.227), (0.75, 118.405)])
+    def test_against_mpmath(self, q, lebesgue):
+        # the weights that extrapolate every polynomial of degree < 5 exactly to 0, from the
+        # Vandermonde system sum_i w_i x_i^k = [k == 0] on the nodes x_i = q^i
+        with mpmath.workdps(30):
+            x = [mpmath.mpf(q) ** i for i in range(_WINDOW)]
+            exact = mpmath.lu_solve(mpmath.matrix([[xi**k for xi in x] for k in range(_WINDOW)]),
+                                    mpmath.matrix([1] + [0] * (_WINDOW - 1)))
+            assert abs(sum(exact) - 1) < mpmath.mpf(10) ** -28
+            assert round(float(sum(abs(w) for w in exact)), 3) == lebesgue
+            for w, want in zip(window_weights(q), exact):
+                assert abs(w - want) <= 8 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("probe", [ProbeSpec(steps=20), ProbeSpec(r0=0.2, ratio=0.75, steps=16)],
+                             ids=["ratio-0.7", "ratio-0.75"])
+    def test_match_neville_on_the_ladder_radii(self, probe):
+        # the weights assume exactly geometric nodes; the ladder's radii r0 * ratio**k are rounded
+        rng = np.random.default_rng(20250808)
+        radii = probe.radii()
+        weights = window_weights(probe.ratio)
+        lebesgue = sum(abs(w) for w in weights)
+        n = len(radii) - _WINDOW + 1
+        for _ in range(50):
+            y = rng.uniform(-1, 1, (len(radii), 8)) + 1j * rng.uniform(-1, 1, (len(radii), 8))
+            fixed = sum(w * y[i : i + n] for i, w in enumerate(weights))
+            bound = 4 * lebesgue * np.finfo(float).eps * np.abs(y).max()
+            assert np.abs(fixed - neville_zero(radii, y)).max() <= bound
+
+
 class TestLadderReference:
     """The array-pass ladder returns the per-rung loop's four arrays, bit for bit."""
 
@@ -1161,7 +1199,7 @@ class TestLadderReference:
 
 
 class TestLadderEvaluation:
-    """A circle ladder evaluates every in-sector rung in one call; a pure-value ladder, one call per rung."""
+    """A ladder evaluates every in-sector rung in one call, whatever its orders."""
 
     weights = np.asarray([[0.5, 0.3j], [0.2, -0.4]])
 
@@ -1174,15 +1212,15 @@ class TestLadderEvaluation:
 
         return counting
 
-    @pytest.mark.parametrize("rho, rungs", [(math.inf, 14), (0.25, 13)])
-    def test_one_call_per_circle_ladder(self, rho, rungs):
-        # r0 = 0.3 lies outside the bounded sector: its rung is not evaluated
+    @pytest.mark.parametrize(
+        "rho, rungs, orders",
+        [(math.inf, 14, [(1, 0), (0, 2)]), (0.25, 13, [(1, 0), (0, 2)]), (0.25, 13, [(0, 0)])],
+        ids=["inf-14", "0.25-13", "value-0.25-13"],
+    )
+    def test_one_call_per_circle_ladder(self, rho, rungs, orders):
+        # r0 = 0.3 lies outside the bounded sector: its rung is not evaluated;
+        # a pure-value ladder reads order 0 off the same circles
         calls = []
         probe = ProbeSpec(circle_nodes=16, tol=1e-15)
-        axis_coefficient_ladder(self.counted(calls), [Sector(-1.0, 1.0, rho)] * 2, [(1, 0), (0, 2)], probe)
+        axis_coefficient_ladder(self.counted(calls), [Sector(-1.0, 1.0, rho)] * 2, orders, probe)
         assert calls == [rungs * 16**2]
-
-    def test_one_call_per_rung_of_a_pure_value_ladder(self):
-        calls = []
-        axis_coefficient_ladder(self.counted(calls), [Sector(-1.0, 1.0, 0.25)] * 2, [(0, 0)], ProbeSpec(tol=1e-15))
-        assert calls == [1] * 13

@@ -90,7 +90,7 @@ def compare_reports(old: dict, new: dict) -> tuple[list[str], list[tuple[str, fl
     return changed, moved
 
 
-def step_differences(step: dict, golden: Path, out: Path) -> tuple[list[str], list[tuple[str, str, float, float, float]]]:
+def step_differences(step: dict, golden: Path, out: Path) -> tuple[list[str], list[tuple]]:
     """Every changed value and moved float of one step's reports, each prefixed by the report's name."""
     changed, moved = [], []
     for name in step["reports"]:
