@@ -181,14 +181,21 @@ class ProbeSpec(Record):
     each five-rung window's extrapolant is the fixed sum of w_i g_{j+i}, with
     w_i = prod_{l != i} q^l / (q^l - q^i) and q = ratio: (0.370, -3.901,
     14.652, -23.212, 13.091) at q = 0.7 and (1.303, -11.259, 35.265, -47.444,
-    23.135) at 0.75.  Their Lebesgue constant sum |w_i|, 55.227 and 118.405,
-    bounds how much an extrapolant amplifies rounding in the samples.  A limit
-    is declared converged when three successive extrapolants match within tol
-    (mixed absolute/relative).  The reading stops at the first extrapolant
-    where every limit of the ladder has converged, or at the last; each limit
-    reports the first extrapolant of least error estimate up to there.
-    ``direction`` gives the ray of each probed axis, one angle per axis
-    (default: the sector bisectors).
+    23.135) at 0.75.  Their Lebesgue constant Lambda = sum |w_i|, 55.227 and
+    118.405, bounds how much an extrapolant amplifies rounding in the samples.
+    A limit is declared converged when three successive extrapolants match
+    within tol (mixed absolute/relative).  Every in-sector rung is read, and
+    each limit, on its own column, takes the first extrapolant of least error
+    estimate over all windows; so its value, error and radius do not depend
+    on the other orders and columns of the ladder.  The error estimate is the
+    larger of the last two extrapolant differences, raised to the window's
+    rounding floor Lambda * eps * max over its five rungs of max|g on the
+    circles| * prod_a rho_a^-N_a (the Cauchy-integral rounding error of
+    Bornemann, Found. Comput. Math. 11, 2011).  The floor does not enter the
+    choice of window: it grows as rho shrinks, so it would keep a limit on an
+    early, truncation-dominated window (rat2 ``interpolate`` at opening 0.03
+    then fails its verdict).  ``direction`` gives the ray of each probed axis,
+    one angle per axis (default: the sector bisectors).
     """
 
     r0: float
@@ -241,10 +248,11 @@ def axis_coefficient_ladder(
     ``evalfn`` maps an (mm, p) array of points to an (mm, B) array.  One
     ``evalfn`` call evaluates every rung whose centres lie in their sectors:
     each rung's product of circles, stacked in rung order, with all orders
-    and batch columns read off one FFT, order 0 included.  The reading stops
-    as :class:`ProbeSpec` says; rungs past the stop are evaluated but not read.
-    Returns arrays of shape (n_orders, B): values, error estimates,
-    convergence flags, and the radius of the winning window's last rung.
+    and batch columns read off one FFT, order 0 included.  Each limit is read
+    off every rung of its own column, as :class:`ProbeSpec` says.  Returns
+    arrays of shape (n_orders, B): values, error estimates (at least the
+    rounding floor), convergence flags, and the radius of the winning
+    window's last rung.
     """
     orders = [tuple(int(m) for m in order) for order in orders]
     if max(max(order) for order in orders) > probe.circle_nodes // 2:
@@ -271,28 +279,31 @@ def axis_coefficient_ladder(
     vals = np.asarray(evalfn(pts), dtype=complex).reshape((len(radii),) + (nodes,) * p + (-1,))
     spec = np.fft.fftn(vals, axes=tuple(range(1, p + 1))) / nodes**p
     samples = spec[(slice(None),) + tuple(np.asarray(orders).T)]  # (rungs, n_orders, B)
+    size = np.abs(vals).max(axis=tuple(range(1, p + 1)))[:, None]  # max |g| on each rung's circles
     for a, m in enumerate(zip(*orders)):
-        samples = samples * np.array([[rs[a] ** -k for k in m] for rs in rhos])[:, :, None]
+        scale = np.array([[rs[a] ** -k for k in m] for rs in rhos])[:, :, None]
+        samples, size = samples * scale, size * scale
     # row j: extrapolant e_j to radius 0 from rungs j .. j + _WINDOW - 1, with the weights of ProbeSpec
     q, n = probe.ratio, len(radii) - _WINDOW + 1
     w = [math.prod(q**l / (q**l - q**i) for l in range(_WINDOW) if l != i) for i in range(_WINDOW)]
     est = sum(w[i] * samples[i : i + n] for i in range(_WINDOW))  # in a fixed order, left to right
+    # rounding floor of e_j: Lebesgue constant * eps * the window's largest max|g| / rho^N
+    floor = sum(abs(x) for x in w) * np.finfo(float).eps * np.max([size[i : i + n] for i in range(_WINDOW)], 0)
     diff = np.abs(np.diff(est, axis=0))  # row k: |e_{k+1} - e_k|
     ok = diff <= probe.tol * np.maximum(1.0, np.abs(est[1:]))
     row = np.arange(len(ok)).reshape(-1, 1, 1)
     agree = row - np.maximum.accumulate(np.where(ok, -1, row), axis=0)  # successive agreements up to row
     converged = np.logical_or.accumulate(agree >= _AGREE - 1, axis=0)
-    done = converged.all(axis=(1, 2))
-    read = int(np.argmax(done)) + 1 if done.any() else len(done)  # differences read, up to the stop
     # candidate j >= 1 is e_j, of error max(|e_j - e_{j-1}|, |e_{j-1} - e_{j-2}|) (the first: |e_1 - e_0|);
     # candidate 0 stands for no estimate: value 0, error inf, radius 0
-    err = np.maximum(diff, np.concatenate([diff[:1], diff[:-1]]))[:read]
+    err = np.maximum(diff, np.concatenate([diff[:1], diff[:-1]]))
     err = np.concatenate([np.full((1,) + err.shape[1:], np.inf), np.where(np.isnan(err), np.inf, err)])
-    pick = np.argmin(err, axis=0)[None]  # the first of least error
+    pick = np.argmin(err, axis=0)[None]  # the first of least error, over every window of the column
     est[0] = 0.0
     last_rung = np.asarray([0.0] + radii[_WINDOW:])
-    flags = converged[read - 1] if read else np.zeros(est.shape[1:], dtype=bool)
-    return np.take_along_axis(est, pick, 0)[0], np.take_along_axis(err, pick, 0)[0], flags, last_rung[pick[0]]
+    flags = converged[-1] if len(converged) else np.zeros(est.shape[1:], dtype=bool)
+    error = np.fmax(np.take_along_axis(err, pick, 0)[0], np.take_along_axis(floor, pick, 0)[0])
+    return np.take_along_axis(est, pick, 0)[0], error, flags, last_rung[pick[0]]
 
 
 def element_coefficients(
