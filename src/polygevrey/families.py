@@ -165,56 +165,59 @@ def app_n_many(fam: TotalFamily, n_indices: Sequence[Sequence[int]], pts: np.nda
 # ---------------------------------------------------------------------------
 # radius ladders
 
-_WINDOW, _AGREE = 5, 3  # rungs per extrapolant; successive extrapolants that must match
+_WINDOW, _RUNGS, _CIRCLE_FRAC = 5, 20, 0.75  # rungs per extrapolant and per ladder; circle radius / boundary distance
 
 
 class ProbeSpec(Record):
     """Radius ladder and Cauchy-circle controls for coefficient extraction.
 
-    The ladder walks r_k = r0 * ratio**k toward the vertex; at each rung the
-    derivative is read off a trapezoid-sampled circle of radius
-    circle_frac * (distance to the sector boundary), and every rung inside the
-    sectors is evaluated in one call.  The rungs inside the sectors are
-    consecutive: their centres lie on fixed rays inside the sectors, so a rung
-    is in exactly when its radius is below every sector's rho.  Extrapolation
-    to radius zero does not change when every node is scaled by one factor, so
-    each five-rung window's extrapolant is the fixed sum of w_i g_{j+i}, with
-    w_i = prod_{l != i} q^l / (q^l - q^i) and q = ratio: (0.370, -3.901,
-    14.652, -23.212, 13.091) at q = 0.7 and (1.303, -11.259, 35.265, -47.444,
-    23.135) at 0.75.  Their Lebesgue constant Lambda = sum |w_i|, 55.227 and
-    118.405, bounds how much an extrapolant amplifies rounding in the samples.
-    A limit is declared converged when three successive extrapolants match
-    within tol (mixed absolute/relative).  Every in-sector rung is read, and
-    each limit, on its own column, takes the first extrapolant of least error
-    estimate over all windows; so its value, error and radius do not depend
-    on the other orders and columns of the ladder.  The error estimate is the
-    larger of the last two extrapolant differences, raised to the window's
-    rounding floor Lambda * eps * max over its five rungs of max|g on the
-    circles| * prod_a rho_a^-N_a (the Cauchy-integral rounding error of
-    Bornemann, Found. Comput. Math. 11, 2011).  The floor does not enter the
-    choice of window: it grows as rho shrinks, so it would keep a limit on an
-    early, truncation-dominated window (rat2 ``interpolate`` at opening 0.03
-    then fails its verdict).  ``direction`` gives the ray of each probed axis,
-    one angle per axis (default: the sector bisectors).
+    The ladder walks r_k = r0 * ratio**k, k < 20, toward the vertex; at
+    each rung the derivative is read off a trapezoid-sampled circle of
+    radius 0.75 * (distance to the sector boundary).  Both are constants:
+    the rounding floor below grows like rho^-N, so smaller circles cannot
+    settle order-3 limits (at 0.5, criterion 7's coherence recipe failed
+    at 5 of seeds 0..24), and each extra in-sector rung is one more
+    candidate for the least-error pick (rat2 ``interpolate``'s worst error
+    is the same bits at 16 and 20 rungs on 22 seeds).  The fields stay
+    because measurements need them: any (r0, ratio) but (0.2, 0.75) made
+    ``interpolate``'s outer probe worse on 8 to 16 of 22 seeds, and 128
+    ``circle_nodes`` everywhere would give a two-axis ladder 4x the
+    points.  The in-sector rungs are consecutive: their centres lie on
+    fixed rays inside the sectors, so a rung is in exactly when its radius
+    is below every sector's rho.  Extrapolation to radius zero does not
+    change when every node is scaled by one factor, so each five-rung
+    window's extrapolant is the fixed sum of w_i g_{j+i}, with w_i =
+    prod_{l != i} q^l / (q^l - q^i) and q = ratio: (0.370, -3.901, 14.652,
+    -23.212, 13.091) at q = 0.7 and (1.303, -11.259, 35.265, -47.444,
+    23.135) at 0.75.  Their Lebesgue constant Lambda = sum |w_i|, 55.227
+    and 118.405, bounds how much an extrapolant amplifies rounding in the
+    samples.  A limit is converged when three successive extrapolants
+    match within tol (mixed absolute/relative).  Each limit, on its own
+    column, takes the first extrapolant of least error estimate over all
+    windows; so its value, error and radius do not depend on the other
+    orders and columns of the ladder.  The error estimate is the larger of
+    the last two extrapolant differences, raised to the window's rounding
+    floor Lambda * eps * max over its five rungs of max|g on the circles|
+    * prod_a rho_a^-N_a (Bornemann, Found. Comput. Math. 11, 2011).  The
+    floor does not pick the window: growing as rho shrinks, it would keep
+    a limit on an early, truncation-dominated window (rat2 ``interpolate``
+    at opening 0.03 then fails).  ``direction`` gives the ray of each
+    probed axis (default: the sector bisectors).
     """
 
     r0: float
     ratio: float
-    steps: int
     tol: float
-    circle_frac: float
     circle_nodes: int
     direction: tuple[float, ...] | None
 
-    def __init__(self, r0: float = 0.3, ratio: float = 0.7, steps: int = 14, tol: float = 1e-8,
-                 circle_frac: float = 0.5, circle_nodes: int = 64, direction: tuple[float, ...] | None = None):
-        self._set(r0, ratio, steps, tol, circle_frac, circle_nodes, direction)
+    def __init__(self, r0: float = 0.3, ratio: float = 0.7, tol: float = 1e-8, circle_nodes: int = 64,
+                 direction: tuple[float, ...] | None = None):
+        self._set(r0, ratio, tol, circle_nodes, direction)
         rules = (
             (self.r0 > 0, "r0 > 0"),
             (0 < self.ratio < 1, "0 < ratio < 1"),
-            (self.steps >= _WINDOW, f"steps >= {_WINDOW}"),
             (self.tol > 0, "tol > 0"),
-            (0 < self.circle_frac < 1, "0 < circle_frac < 1"),
             (self.circle_nodes >= 2, "circle_nodes >= 2"),
         )
         broken = [rule for ok, rule in rules if not ok]
@@ -222,7 +225,7 @@ class ProbeSpec(Record):
             raise DomainError(f"invalid probe {self}: need {', '.join(broken)}")
 
     def radii(self) -> list[float]:
-        return [self.r0 * self.ratio**k for k in range(self.steps)]
+        return [self.r0 * self.ratio**k for k in range(_RUNGS)]
 
 
 class ExtractResult(Record):
@@ -273,7 +276,7 @@ def axis_coefficient_ladder(
         raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
     nodes = probe.circle_nodes
     unit = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
-    rhos = [[probe.circle_frac * s.boundary_distance(c) for s, c in zip(sectors, rung)] for rung in centers]
+    rhos = [[_CIRCLE_FRAC * s.boundary_distance(c) for s, c in zip(sectors, rung)] for rung in centers]
     rings = [[c + rho * unit for c, rho in zip(rung, rs)] for rung, rs in zip(centers, rhos)]
     pts = np.concatenate([np.stack([g.ravel() for g in np.meshgrid(*r, indexing="ij")], -1) for r in rings])
     vals = np.asarray(evalfn(pts), dtype=complex).reshape((len(radii),) + (nodes,) * p + (-1,))
@@ -291,9 +294,7 @@ def axis_coefficient_ladder(
     floor = sum(abs(x) for x in w) * np.finfo(float).eps * np.max([size[i : i + n] for i in range(_WINDOW)], 0)
     diff = np.abs(np.diff(est, axis=0))  # row k: |e_{k+1} - e_k|
     ok = diff <= probe.tol * np.maximum(1.0, np.abs(est[1:]))
-    row = np.arange(len(ok)).reshape(-1, 1, 1)
-    agree = row - np.maximum.accumulate(np.where(ok, -1, row), axis=0)  # successive agreements up to row
-    converged = np.logical_or.accumulate(agree >= _AGREE - 1, axis=0)
+    flags = np.any(ok[1:] & ok[:-1], axis=0)  # three successive extrapolants matched somewhere
     # candidate j >= 1 is e_j, of error max(|e_j - e_{j-1}|, |e_{j-1} - e_{j-2}|) (the first: |e_1 - e_0|);
     # candidate 0 stands for no estimate: value 0, error inf, radius 0
     err = np.maximum(diff, np.concatenate([diff[:1], diff[:-1]]))
@@ -301,7 +302,6 @@ def axis_coefficient_ladder(
     pick = np.argmin(err, axis=0)[None]  # the first of least error, over every window of the column
     est[0] = 0.0
     last_rung = np.asarray([0.0] + radii[_WINDOW:])
-    flags = converged[-1] if len(converged) else np.zeros(est.shape[1:], dtype=bool)
     error = np.fmax(np.take_along_axis(err, pick, 0)[0], np.take_along_axis(floor, pick, 0)[0])
     return np.take_along_axis(est, pick, 0)[0], error, flags, last_rung[pick[0]]
 
@@ -423,10 +423,9 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     serves every stored f_{N_J}, every sampled point and every N_L, and each
     target is evaluated in one call on all the sampled points.
 
-    The ladders take 20 rungs and tie their agreement tolerance to ``tol``
-    (both are relative): demanding extrapolant agreement far below the
-    asserted residual only leaves limits unconverged on double-precision
-    noise.
+    The ladders tie their agreement tolerance to ``tol`` (both are relative):
+    demanding extrapolant agreement far below the asserted residual only
+    leaves limits unconverged on double-precision noise.
     """
     if max_order < 0:
         return CoherenceReport(0, 0.0, (), (), tol)
@@ -434,7 +433,7 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     stored = {axes: fam.stored_indices(axes) for axes in subsets}
     tops = [min(max_order, b) for b in fam.index_bound]
     orders = {axes: list(itertools.product(*(range(tops[a] + 1) for a in axes))) for axes in subsets}
-    probe = ProbeSpec(steps=20, tol=tol)
+    probe = ProbeSpec(tol=tol)
 
     @functools.cache
     def ladder(j_axes, l_axes):

@@ -492,15 +492,15 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     h1 = sum_n f_{1n}(z2) L_1[n](z1).  Its m-th axis-1 coefficient is
     sum_n a_{m,n} L_1[n](z1), where a_{m,n} is the m-th coefficient of f_{1n}
     at the vertex; the constants come from one radius ladder over every
-    f_{1n} at once, on the construction's own probe (20 rungs to agreement
-    1e-11 on 128-node circles).  The second pass transforms the corrected axis-1 sequence,
+    f_{1n} at once, on the construction's own probe (agreement 1e-11 on
+    128-node circles).  The second pass transforms the corrected axis-1 sequence,
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
     one variable, so the interpolant evaluates the tables and the elements on
-    the distinct values of each coordinate only: a ladder of 16 rungs of 128
-    circle nodes paired with three fixed values costs 2,048 + 3 table points,
-    not 2 x 6,144.
+    the distinct values of each coordinate only: a ladder of 20 rungs of 128
+    circle nodes paired with three fixed values costs 2,560 + 3 table points,
+    not 2 x 7,680.
 
     The endpoints' one hypothesis: each host sector lies in the half-plane
     around arg z0_j (DomainError otherwise), so its opening is at most pi.  A
@@ -548,7 +548,7 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
 
     n_cap = len(f1) - 1
     m_cap = min(len(f2) - 1, coeff_cap)
-    probe = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
+    probe = ProbeSpec(tol=1e-11, circle_nodes=128)
     consts, errs, conv, _ = (
         a[..., 0] for a in element_coefficients(f1, (0,), [(m,) for m in range(m_cap + 1)], probe)
     )

@@ -228,7 +228,7 @@ def test_criterion_11_interpolation_pipeline():
     t0 = time.perf_counter()
     fam = testbed.rat2_total_family(opening=1.2, cap=16)
     func = pg.interpolate_first_order(fam, (0.92, 0.92), coeff_cap=10)
-    probe = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
+    probe = ProbeSpec(r0=0.2, ratio=0.75, tol=1e-5, circle_nodes=128)
     samples = [0.02 * 1.13**k for k in range(10)]
     worst = 0.0
     for axis in (0, 1):

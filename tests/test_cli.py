@@ -1060,7 +1060,7 @@ class TestInterpolate:
                 "coeff_cap": 4,
                 "orders": 0,
                 "samples": [0.05, 0.08],
-                "tol": 1e-12,
+                "tol": 1e-15,
             },
         )
         out = tmp_path / "out"

@@ -25,7 +25,7 @@ from polygevrey.transforms import laplace_monomials
 PI = math.pi
 OPENING = 1.2
 # the probe of interpolate_first_order's ladder for the constants a_{m,n}
-CONSTRUCTION_PROBE = ProbeSpec(r0=0.3, ratio=0.7, steps=20, tol=1e-11, circle_frac=0.75, circle_nodes=128)
+CONSTRUCTION_PROBE = ProbeSpec(tol=1e-11, circle_nodes=128)
 
 
 def host2(opening=OPENING):
@@ -126,7 +126,7 @@ class TestValidation:
         fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
         noisy = SampledFunction(
             host.axes_subset((1,)),
-            lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0])),
+            lambda p: 1.0 + 1e-4 * np.sin(1e4 * np.abs(p[:, 0])),
         )
         fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
         with pytest.raises(CoherenceError) as info:
@@ -135,7 +135,7 @@ class TestValidation:
         assert not info.value.report.failures
 
     def test_unconverged_constants_rejected(self):
-        # noise ten times smaller passes the precheck at 1e-3 but not the
+        # noise a hundred times smaller passes the precheck at 1e-3 but not the
         # ladder for the a_{m,n}, which asks for agreement 1e-11
         host = host2()
         fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
@@ -186,7 +186,7 @@ class TestRat2Smoke:
         # smoke-scale version of the full pipeline: low caps, order <= 1
         fam = testbed.rat2_total_family(opening=OPENING, cap=10)
         func = interpolate_first_order(fam, (0.9, 0.9), coeff_cap=6)
-        probe = ProbeSpec(r0=0.2, ratio=0.75, steps=14, tol=1e-5, circle_frac=0.75, circle_nodes=128)
+        probe = ProbeSpec(r0=0.2, ratio=0.75, tol=1e-5, circle_nodes=128)
         for axis in (0, 1):
             for order in (0, 1):
                 res = extract_element(func, (axis,), (order,), (0.05,), probe=probe)
@@ -198,7 +198,7 @@ class TestRat2Smoke:
         # construction gives back orders 0-2 on both axes within its tol 1e-4
         fam = testbed.rat2_total_family(opening=OPENING, cap=16)
         func = interpolate_first_order(fam, (3.0, 3.0), coeff_cap=10)
-        outer = ProbeSpec(r0=0.2, ratio=0.75, steps=16, tol=1e-5, circle_frac=0.75, circle_nodes=128)
+        outer = ProbeSpec(r0=0.2, ratio=0.75, tol=1e-5, circle_nodes=128)
         points = [(0.02,), (0.026,), (0.034,)]
         for axis in (0, 1):
             vals, _, _, _ = element_coefficients([func], (axis,), [(k,) for k in range(3)], outer, points)
@@ -279,11 +279,11 @@ class TestProbes:
         n_coherence = len(probes)
         assert check_coherence(fam.first_order(1), tol, 1).ok()
         assert n_coherence > 0 and len(probes) == n_coherence + 2
-        assert probes == [ProbeSpec(steps=20, tol=tol)] * (n_coherence + 2)
+        assert probes == [ProbeSpec(tol=tol)] * (n_coherence + 2)
 
     def test_precheck_default(self, monkeypatch):
         # the precheck probes at its fixed tolerance 1e-3, then the construction's ladder runs
         fam = testbed.rat2_total_family(opening=OPENING, cap=4)
         probes = record_probes(monkeypatch)
         interpolate_first_order(fam, (0.9, 0.9), coeff_cap=2)
-        assert probes == [ProbeSpec(steps=20, tol=1e-3)] * 2 + [CONSTRUCTION_PROBE]
+        assert probes == [ProbeSpec(tol=1e-3)] * 2 + [CONSTRUCTION_PROBE]

@@ -93,9 +93,9 @@ def test_cached_sup_is_not_a_field():
     [
         (lambda: Sector(1.0, 0.0), GeometryError, "sector needs alpha < beta, got (1.0, 0.0)"),
         (lambda: Sector(0.0, 1.0, 0.0), GeometryError, "sector radius must be positive, got 0.0"),
-        (lambda: ProbeSpec(r0=-1.0, steps=4), DomainError,
-         "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, steps=4, tol=1e-08, "
-         "circle_frac=0.5, circle_nodes=64, direction=None): need r0 > 0, steps >= 5"),
+        (lambda: ProbeSpec(r0=-1.0, tol=0.0), DomainError,
+         "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, tol=0.0, circle_nodes=64, direction=None): "
+         "need r0 > 0, tol > 0"),
         (lambda: TypeProfile(1.0, 0.0, _profile), GeometryError, "profile domain needs alpha < beta"),
         (lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"b": ""}), ValueError, "known fields ['a'] != noted ['b']"),
         (lambda: FlatFit((-0.5,), 0.1), SeriesError, "flat rates must be nonnegative"),
@@ -114,12 +114,10 @@ def test_construction_checks(make, exc, message):
         ("r0", 0.0, "r0 > 0"),
         ("ratio", 1.5, "0 < ratio < 1"),
         ("ratio", 0.0, "0 < ratio < 1"),
-        ("steps", 4, "steps >= 5"),  # the five-rung extrapolation window
         ("tol", 0.0, "tol > 0"),
-        ("circle_frac", 1.0, "0 < circle_frac < 1"),
         ("circle_nodes", 1, "circle_nodes >= 2"),
     ],
-    ids=["r0", "ratio-above", "ratio-zero", "steps", "tol", "circle_frac", "circle_nodes"],
+    ids=["r0", "ratio-above", "ratio-zero", "tol", "circle_nodes"],
 )
 def test_probe_rules(field, value, rule):
     # each rule a ProbeSpec checks, broken alone, is named alone
