@@ -12,8 +12,6 @@ from .errors import ConfigError, DomainError
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g} {x.imag:.17g}"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -99,6 +97,7 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
 def _cmd_transform(cfg: dict, out: Path) -> bool:
     import numpy as np
 
+    from .series import _lgamma_sum
     from .transforms import brg_function, laplace_bound
 
     z0, direction = cfg["z0"], cfg["direction"]
@@ -119,7 +118,7 @@ def _cmd_transform(cfg: dict, out: Path) -> bool:
     _write_csv(out / "transform.csv", header, rows)
     coeff_rows = []
     for ix, c in ser.items():  # |f_N| / N! in log space: N! overflows past N ~ 170
-        ratio = math.exp(math.log(abs(c)) - sum(math.lgamma(n + 1) for n in ix))
+        ratio = math.exp(math.log(abs(c)) - _lgamma_sum(ix))
         coeff_rows.append([" ".join(str(n) for n in ix), abs(c), ratio])
     _write_csv(out / "series.csv", ["N", "abs_coeff", "abs_coeff_over_factorial"], coeff_rows)
     write_json(out / "transform.json", {

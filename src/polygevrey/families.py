@@ -26,7 +26,7 @@ from .errors import (
     Record,
 )
 from .geometry import Polysector, Sector, ray_points
-from .series import MultiIndexSeries, _powers, rate_fit
+from .series import MultiIndexSeries, _lgamma_sum, _powers, rate_fit
 from .transforms import LaplaceTables, SampledFunction, borel_disc_types, half_plane_polysector
 
 
@@ -393,12 +393,9 @@ class CoherenceReport(Record):
 
 def _rest_samples(host: Polysector, axes: Sequence[int]):
     """Two points per axis on its bisector, at 0.35 (at most rho/2) and 0.55 times that."""
-    grids = []
-    for a in axes:
-        sec = host.sectors[a]
-        cap = min(0.35, 0.5 * sec.rho)
-        grids.append([cap * (0.55**i) * cmath.exp(1j * sec.bisector) for i in range(2)])
-    return [tuple(p) for p in itertools.product(*grids)]
+    sub = host.axes_subset(axes)
+    caps = [min(0.35, 0.5 * sec.rho) for sec in sub.sectors]
+    return ray_points(sub, [sec.bisector for sec in sub.sectors], [[cap, cap * 0.55] for cap in caps])
 
 
 def _merge_index(j_axes, n_j, l_axes, n_l) -> tuple[int, ...]:
@@ -596,7 +593,7 @@ def fit_type_from_remainders(
         if c <= 0 or not all(window[0] <= k <= window[1] for k in n_index):
             continue
         indices.append(n_index)
-        logvals.append(math.log(c) - sum(math.lgamma(k + 1) for k in n_index))
+        logvals.append(math.log(c) - _lgamma_sum(n_index))
     if not indices or len(indices) < len(indices[0]) + 1:
         raise DomainError("too few remainder constants for a rate fit")
     slopes, rms = rate_fit(indices, logvals)

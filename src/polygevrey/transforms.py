@@ -426,7 +426,10 @@ class LaplaceTables:
 
     :meth:`transform` contracts a series' own coefficients against them.  Each axis keeps the
     table of its last point column and rebuilds it when a column differs in some bit, so the
-    transforms of one instance build one table per axis and point set.
+    transforms of one instance build one table per axis and point set.  A table is built on the
+    distinct values of its column, with the bits each has alone, and gathered back to the points.
+    Values that compare equal count as one, so two points that differ only in a signed zero
+    share one column.
     """
 
     def __init__(self, z0: Sequence[complex], tops: Sequence[int]):
@@ -437,7 +440,8 @@ class LaplaceTables:
         key = z.tobytes()
         hit = self._last.get(axis)
         if hit is None or hit[0] != key:
-            hit = self._last[axis] = (key, laplace_monomials(self.z0[axis], z, self.tops[axis]))
+            values, back = np.unique(z, return_inverse=True)
+            hit = self._last[axis] = (key, laplace_monomials(self.z0[axis], values, self.tops[axis])[:, back])
             hit[1].flags.writeable = False  # every caller reads the same array
         return hit[1]
 
@@ -497,10 +501,10 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
-    one variable, so the interpolant evaluates the tables and the elements on
-    the distinct values of each coordinate only: a ladder of 20 rungs of 128
-    circle nodes paired with three fixed values costs 2,560 + 3 table points,
-    not 2 x 7,680.
+    one variable, so the interpolant builds each table on the distinct values
+    of its coordinate, through one :class:`LaplaceTables` (a ladder of 20 rungs
+    of 128 circle nodes paired with three fixed values costs 2,560 + 3 table
+    points, not 2 x 7,680), and evaluates its elements point by point.
 
     The endpoints' one hypothesis: each host sector lies in the half-plane
     around arg z0_j (DomainError otherwise), so its opening is at most pi.  A
@@ -564,17 +568,13 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     m_cap = int(np.cumprod(conv.all(axis=1)).sum()) - 1  # m*: every constant of each order m <= m* converged
     consts = consts[: m_cap + 1]
     provenance += f"; corrected orders m <= {m_cap} used"
-    w01, w02 = z0
+    tables = LaplaceTables(z0, (n_cap, m_cap))
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        z1, i1 = np.unique(pts[:, 0], return_inverse=True)
-        z2, i2 = np.unique(pts[:, 1], return_inverse=True)
-        lap1 = laplace_monomials(w01, z1, n_cap)  # (n_cap+1, k1)
-        lap2 = laplace_monomials(w02, z2, m_cap)  # (m_cap+1, k2)
-        f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])
-        f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])
-        h1 = np.einsum("nk,nk->k", f1vals[:, i2], lap1[:, i1])
+        lap1, lap2 = tables.table(0, pts[:, 0]), tables.table(1, pts[:, 1])  # (n_cap+1, k), (m_cap+1, k)
+        f1vals = np.stack([el.eval_many(pts[:, 1:]) for el in f1])
+        f2vals = np.stack([el.eval_many(pts[:, :1]) for el in f2[: m_cap + 1]])
         corrected = f2vals - np.einsum("mn,nk->mk", consts, lap1)
-        return h1 + np.einsum("mk,mk->k", corrected[:, i1], lap2[:, i2])
+        return np.einsum("nk,nk->k", f1vals, lap1) + np.einsum("mk,mk->k", corrected, lap2)
 
     return SampledFunction(host, fn, provenance=provenance)

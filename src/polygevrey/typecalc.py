@@ -18,10 +18,14 @@ from .errors import DomainError, GeometryError, Record
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(fn: Callable[[float], float], a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [a, b]."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
+def scan_max(fn: Callable[[float], float], lo: float, hi: float, n: int, xtol: float) -> float:
+    """Max of ``fn`` on [lo, hi]: the best of ``n`` equispaced samples, refined by golden section
+    between that sample's two neighbours to a bracket of ``xtol``."""
+    xs = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    vals = [fn(x) for x in xs]
+    k = max(range(n), key=vals.__getitem__)
+    a, b = xs[max(0, k - 1)], xs[min(n - 1, k + 1)]
+    x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
     while b - a > xtol:
         if f1 < f2:
@@ -32,9 +36,7 @@ def golden_max(fn: Callable[[float], float], a: float, b: float, xtol: float) ->
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
             f1 = fn(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+    return max(f1, f2, vals[k])
 
 
 def _g_objective(delta: float) -> Callable[[float], float]:
@@ -50,22 +52,13 @@ def _g_objective(delta: float) -> Callable[[float], float]:
 def g_of_delta(delta: float) -> float:
     """sup over c in (0,1) of c(sqrt(1-c^2 d^2) - c sqrt(1-d^2))/(1+cd).
 
-    A 64-point coarse scan brackets the maximizer before golden-section
-    refinement; the objective looks unimodal empirically but the scan guards
-    against flat stretches as delta -> 0.
+    :func:`scan_max` over c in [1e-6, 1 - 1e-6]: 64 samples, refined to 1e-8.
+    The objective looks unimodal empirically; the scan guards against flat
+    stretches as delta -> 0.
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    fn = _g_objective(delta)
-    lo, hi = 1e-6, 1.0 - 1e-6
-    n = 64
-    cs = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    vals = [fn(c) for c in cs]
-    k = max(range(n), key=vals.__getitem__)
-    a = cs[max(0, k - 1)]
-    b = cs[min(n - 1, k + 1)]
-    _, best = golden_max(fn, a, b, 1e-8)
-    return best
+    return scan_max(_g_objective(delta), 1e-6, 1.0 - 1e-6, 64, 1e-8)
 
 
 def gamma_constant() -> float:
@@ -181,15 +174,9 @@ class TypeProfile(Record):
 
     @cached_property
     def sup(self) -> float:
-        """Approximate sup over the open domain (1024-point grid, local refinement), kept by the profile."""
+        """Approximate sup over the open domain (:func:`scan_max`, 1024 samples), kept by the profile."""
         margin = (self.beta - self.alpha) * 1e-9
-        lo, hi = self.alpha + margin, self.beta - margin
-        step = (hi - lo) / 1023
-        grid = [lo + k * step for k in range(1024)]
-        vals = [self.fn(t) for t in grid]
-        k = max(range(1024), key=vals.__getitem__)
-        _, best = golden_max(self.fn, grid[max(0, k - 1)], grid[min(1023, k + 1)], 1e-10)
-        return max(best, vals[k])
+        return scan_max(self.fn, self.alpha + margin, self.beta - margin, 1024, 1e-10)
 
 
 def final_type(

@@ -125,6 +125,13 @@ _BAD_VALUES = [
     # a grid too long to run
     ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 0.0, "R0": 1.0, "points": 10_001},
      "config key 'points' must lie in [2, 10000]"),
+    # explicit radii out of order, a config that is not an object, a plateau outside the sector
+    ("transform", {"testbed": "euler", "z0": [0.5], "direction": [0.0], "radii": [0.3, 0.4]},
+     "config key 'radii' has a bad value [0.3, 0.4]: explicit radii must be strictly decreasing"),
+    ("transform", [{"testbed": "euler"}],
+     "config root must be a JSON object"),
+    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 1.5, "R0": 1.0},
+     "need alpha < theta0 < beta"),
 ]
 
 

@@ -234,6 +234,18 @@ class TestExtract:
         with pytest.raises(DomainError):
             element_coefficients([f], (0,), [(1,)], ProbeSpec(), [(0.2,), (-0.03,)])
 
+    def test_batched_elements_on_different_domains(self):
+        f = SampledFunction(Polysector([Sector(-PI / 3, PI / 3, 1.0)] * 2), lambda p: p[:, 0] * p[:, 1])
+        g = SampledFunction(Polysector([Sector(-PI / 4, PI / 4, 1.0)] * 2), lambda p: p[:, 0] * p[:, 1])
+        with pytest.raises(FamilyError, match="share one domain"):
+            element_coefficients([f, g], (0,), [(1,)], ProbeSpec(), [(0.2,)])
+
+    def test_order_past_half_the_circle_nodes(self):
+        # order 33 on 64 nodes would alias onto order -31
+        sectors = [Sector(-PI / 3, PI / 3, 1.0)]
+        with pytest.raises(DomainError, match="anti-aliasing"):
+            axis_coefficient_ladder(lambda p: p, sectors, [(33,)], ProbeSpec(circle_nodes=64))
+
 
 # the default probe and the README verify probe
 HONESTY_PROBES = pytest.mark.parametrize(
@@ -903,6 +915,19 @@ class TestSharedTables:
                 if rest:
                     got = elem.eval_many(pts[:, rest])
                     assert np.array_equal(got, ref.elements[key].eval_many(pts[:, rest]))
+
+
+    def test_product_grid_one_table_per_distinct_coordinate(self, monkeypatch):
+        # a ladder rung's grid: 128 circle nodes on axis 0, each paired with 3 fixed values on axis 1
+        ser = criterion_seven_series()
+        func = LaplaceTables((0.5, 0.45), ser.degree_bound).transform(ser, (0, 1))
+        nodes = 0.1 + 0.04 * np.exp(2j * np.pi * np.arange(128) / 128)
+        pts = np.asarray([(z1, z2) for z2 in (0.05, 0.08 + 0.01j, 0.12) for z1 in nodes])
+        tables = count_tables(monkeypatch)
+        batch = func.eval_many(pts)
+        assert sorted(tables) == [3, 128]  # not 2 x 384
+        alone = np.asarray([func.eval_many(pts[k : k + 1])[0] for k in range(len(pts))])
+        assert np.array_equal(batch, alone)
 
 
 def per_index_constants(f, fam, direction, radii, n_indices, noise_floor):

@@ -216,7 +216,7 @@ class TestRat2Smoke:
 
 
 class TestDistinctCoordinates:
-    """The interpolant evaluates its one-variable factors once per distinct coordinate."""
+    """The interpolant's ``LaplaceTables`` builds each table once per distinct coordinate; its elements are evaluated per point."""
 
     @staticmethod
     def ladder_grid():

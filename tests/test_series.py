@@ -142,6 +142,15 @@ class TestFit:
             slopes.append(np.polyfit(ns, ys, 1)[0])
         assert all(b < a for a, b in zip(slopes, slopes[1:]))
 
+    def test_steep_slope_is_unbounded(self):
+        # log(|f_1|/|f_0|) = -1381 would underflow |f_N| within the stored degree
+        assert fit_gevrey_type(MultiIndexSeries(1, {(0,): 1e300, (1,): 1e-10})) == (math.inf,)
+
+    def test_rate_past_threshold_is_unbounded(self):
+        # f_N = N! 1e-7^N: rate 1e7, above TYPE_INFINITY_THRESHOLD
+        ser = MultiIndexSeries(1, {(n,): math.factorial(n) * 1e-7**n for n in range(6)}, (5,))
+        assert fit_gevrey_type(ser) == (math.inf,)
+
     def test_underflowed_rate_is_zero(self):
         # log(|f_1|/|f_0|) = 1381: the fitted rate exp(-1381) underflows to 0.0
         assert fit_gevrey_type(MultiIndexSeries(1, {(0,): 1e-300, (1,): 1e300})) == (0.0,)
