@@ -424,8 +424,6 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     demanding extrapolant agreement far below the asserted residual only
     leaves limits unconverged on double-precision noise.
     """
-    if max_order < 0:
-        return CoherenceReport(0, 0.0, (), (), tol)
     subsets = nonempty_subsets(fam.dim)
     stored = {axes: fam.stored_indices(axes) for axes in subsets}
     tops = [min(max_order, b) for b in fam.index_bound]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, GeometryError, Record, SeriesError
+from .errors import DimensionMismatchError, DomainError, Record, SeriesError
 from .geometry import Polysector, Sector, distinguished_boundary_points, ray_points
 from .series import rate_fit
 from .transforms import SampledFunction
@@ -166,8 +166,6 @@ class BoundReport(Record):
 def _interior_grid(s: Polysector, per_axis: int) -> list[tuple[complex, ...]]:
     axes = []
     for sec in s.sectors:
-        if not sec.bounded:
-            raise GeometryError("interior sampling needs bounded sectors")
         pts = []
         n_ang = max(2, per_axis // 2)
         n_rad = max(2, per_axis - n_ang)
@@ -184,8 +182,8 @@ def pl_check(f: SampledFunction, s: Polysector, tol: float = 1e-9) -> BoundRepor
     """Compare |f| on the distinguished boundary against interior samples.
 
     Both grids are products over the axes at density PL_SAMPLES: the
-    distinguished boundary (:func:`~polygevrey.geometry.distinguished_boundary_points`)
-    and interior rays and radii of each (bounded) sector.
+    distinguished boundary (:func:`~polygevrey.geometry.distinguished_boundary_points`,
+    whose GeometryError rejects an unbounded sector) and interior rays and radii of each sector.
 
     The subexponential-growth hypothesis that makes the principle valid is
     the caller's responsibility (``pl.json`` records a config's attestation).

@@ -126,8 +126,6 @@ def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tupl
     """OLS of logvals against multi-indices with an intercept: returns (slopes, rms residual)."""
     idx = np.asarray(indices, dtype=float)
     y = np.asarray(logvals, dtype=float)
-    if idx.ndim != 2 or idx.shape[0] != y.shape[0]:
-        raise SeriesError("indices and log values must align")
     design = np.hstack([idx, np.ones((idx.shape[0], 1))])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ sol

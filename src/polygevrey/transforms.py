@@ -349,16 +349,13 @@ def half_plane_polysector(z0: Sequence[complex]) -> Polysector:
 
 
 def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Sequence[float]) -> float:
-    """Bound on the dropped Borel-sum tail beyond the stored degree, from the Gamma^1 envelope."""
+    """Gamma^1-envelope bound on the Borel-sum tail past the stored degree; requires each t_j / R_j <= 0.9."""
     weights = [min(r, 1e12) for r in types]
     norm = gamma1_norm(fhat, weights)
     if norm == 0:
         return 0.0
     qs = [max(tm / r, 0.0) for tm, r in zip(t_mods, types)]
-    if any(q >= 1 for q in qs):
-        return math.inf
-    full = 1.0
-    stored = 1.0
+    full = stored = 1.0
     for q, d in zip(qs, fhat.degree_bound):
         full *= 1.0 / (1.0 - q)
         stored *= (1.0 - q ** (d + 1)) / (1.0 - q) if q > 0 else 1.0

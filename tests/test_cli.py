@@ -132,6 +132,22 @@ _BAD_VALUES = [
      "config root must be a JSON object"),
     ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": 1.5, "R0": 1.0},
      "need alpha < theta0 < beta"),
+    # no function to run, or a testbed entry without the part the command reads
+    ("verify", {"suite": "coherence"},
+     "config needs either 'series' or 'testbed'"),
+    ("transform", {"testbed": "flat1", "z0": [0.5], "direction": [0.0], "radii": [0.4]},
+     "testbed entry 'flat1' carries no series"),
+    ("verify", {"suite": "coherence", "testbed": "euler"},
+     "entry 'euler' has no total family"),
+    ("type-fit", {"testbed": "flat1", "mode": "gevrey", "directions": [0.0], "radii": [0.4, 0.3]},
+     "entry 'flat1' has no series and z0 to build its family from"),
+    ("verify", {"suite": "coherence", "series": {"dim": 1, "coeffs": [{"index": [0], "re": 1.0}]}},
+     "config key 'z0' is required with 'series'"),
+    ("verify", {"suite": "remainder", "testbed": "rat2", "directions": [[0.0, 0.0]], "radii": [0.4, 0.3]},
+     "entry 'rat2' has no type law to compare with"),
+    # a nested table that is not an object
+    ("transform", {"series": 5, "z0": [0.5], "direction": [0.0], "radii": [0.4]},
+     "series must be a JSON object"),
 ]
 
 
@@ -190,6 +206,12 @@ class TestDispatch:
 
     def test_no_args_usage(self):
         assert main([]) == EXIT_UNKNOWN_COMMAND
+
+    def test_help_lists_commands(self, capsys):
+        # --help in place of a subcommand prints the module docstring and the subcommands
+        assert main(["--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == f"{cli.__doc__}\ncommands: {', '.join(cli._COMMANDS)}\n"
 
     def test_missing_config(self, tmp_path):
         assert main(["transform", "--out", str(tmp_path)]) == EXIT_SCHEMA
@@ -543,6 +565,20 @@ class TestPredictType:
         assert main(["predict-type", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "predict_type.csv").read_bytes() == (out2 / "predict_type.csv").read_bytes()
         assert (out1 / "predict_type.json").read_bytes() == (out2 / "predict_type.json").read_bytes()
+
+    def test_nan_where_a_law_is_undefined(self, tmp_path):
+        # r_tilde needs |theta - theta0| < pi/2, and final_type needs beta < theta0 + pi/2,
+        # which an opening of 3 breaks at every angle: those cells read nan, and the command still exits 0
+        cfg = write(tmp_path, "pt.json", {"alpha": 0, "beta": 3.0, "theta0": 0.5, "R0": 1})
+        out = tmp_path / "out"
+        assert main(["predict-type", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, *lines = (out / "predict_type.csv").read_text().splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert header.split(",")[4:] == ["r_tilde", "final_type"]
+        assert all(math.isnan(row[5]) for row in rows)
+        far = [abs(row[0] - 0.5) >= 0.5 * PI for row in rows]
+        assert any(far) and not all(far)
+        assert all(math.isnan(row[4]) == f for row, f in zip(rows, far))
 
 
 class TestTransform:

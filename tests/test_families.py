@@ -162,6 +162,28 @@ class TestAppN:
         fam = xy_family()
         with pytest.raises(FamilyError):
             app_n_many(fam, [(4, 0)], [(0.1, 0.1)])
+        with pytest.raises(DimensionMismatchError, match="truncation index length"):
+            app_n_many(fam, [(1,)], [(0.1, 0.1)])
+        with pytest.raises(FamilyError, match="must be nonnegative"):
+            app_n_many(fam, [(1, -1)], [(0.1, 0.1)])
+        with pytest.raises(DimensionMismatchError, match="one column per axis"):
+            app_n_many(fam, [(1, 1)], [(0.1, 0.1, 0.1)])
+
+    def test_family_invariants(self):
+        fam = xy_family()
+        one = fam.element((0,), (1,))
+        with pytest.raises(FamilyError, match="must be nonempty"):
+            fam.element((), ())
+        with pytest.raises(FamilyError, match="repeated axes"):
+            fam.element((0, 0), (1, 1))
+        with pytest.raises(DimensionMismatchError, match="host polysector"):
+            TotalFamily(3, fam.host, {}, (1, 1, 1))
+        with pytest.raises(DimensionMismatchError, match="index_bound length"):
+            TotalFamily(2, fam.host, {}, (1,))
+        with pytest.raises(FamilyError, match="does not match subset"):
+            TotalFamily(2, fam.host, {((0,), (1, 1)): one}, (1, 1))
+        with pytest.raises(FamilyError, match="must live on 0 axes, has 1"):
+            TotalFamily(2, fam.host, {((0, 1), (1, 1)): one}, (1, 1))
 
     def test_outside_host(self):
         fam = xy_family()
@@ -215,6 +237,10 @@ class TestExtract:
         entry = testbed.get("rat2")
         with pytest.raises(DomainError):
             extract_element(entry.fn, (0,), (1,), (5.0 * cmath.exp(2j),))
+
+    def test_one_index_per_probed_axis(self):
+        with pytest.raises(DimensionMismatchError, match="index length must match subset size"):
+            extract_element(testbed.get("rat2").fn, (0,), (1, 0), (0.25,))
 
     def test_batched_fixed_points(self):
         # f = z1 z2 + z2^2: order-1 coefficient in z1 is z2, order 0 is z2^2
@@ -560,6 +586,19 @@ class TestCoherence:
         assert len(calls) == 2
         assert rep.checked_pairs == 56
         assert rep.ok() and not rep.probe_failures
+
+    @pytest.mark.parametrize("max_order", [-1, -3])
+    def test_negative_max_order_checks_no_pair(self, monkeypatch, max_order):
+        # no order lies below 0: no ladder runs, no pair is checked or missing, and ok() is False
+        calls = count_ladders(monkeypatch)
+        rep = check_coherence(testbed.rat2_total_family(cap=4), 1e-6, max_order)
+        assert rep == CoherenceReport(0, 0.0, (), (), 1e-6, 0)
+        assert calls == [] and not rep.ok()
+
+    def test_tolerance_checked_without_orders(self):
+        # the coherence probe rejects a tolerance of 0 even when no pair would use it
+        with pytest.raises(DomainError, match="tol > 0"):
+            check_coherence(testbed.rat2_total_family(cap=4), 0, -1)
 
 
 def first_order_reference(fam, tol, max_order=2):

@@ -74,6 +74,12 @@ class TestFitFlatType:
         with pytest.raises(DomainError):
             fit_flat_type([((0.5,), 1.0)])
 
+    def test_sample_validation(self):
+        with pytest.raises(DomainError, match="inconsistent sample dimensions"):
+            fit_flat_type([((0.5,), 1.0), ((0.5, 0.4), 1.0)])
+        with pytest.raises(DomainError, match="radii must be positive"):
+            fit_flat_type([((0.5,), 1.0), ((0.0,), 1.0)])
+
 
 class TestGevreyEnvelope:
     def test_quoted_minimum(self):
@@ -149,6 +155,12 @@ class TestHAux:
         with pytest.raises(DomainError):
             h_aux(0.0, 0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta, lam, c", [(1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)],
+                             ids=["empty-wedge", "lambda-0", "C-0"])
+    def test_parameters_rejected(self, alpha, beta, lam, c):
+        with pytest.raises(DomainError, match="need alpha < beta, lambda > 0, C > 0"):
+            h_aux(0.5, alpha, beta, lam, c)
+
 
 class TestWedgeBound:
     def test_alpha_edges(self):
@@ -182,6 +194,20 @@ class TestWedgeBound:
     def test_outside_wedge(self):
         with pytest.raises(DomainError):
             wedge_bound((0.5 * cmath.exp(1.0j),), (-0.4,), (0.4,), (1.0,), 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "z, alphas, c, eps, message",
+        [
+            ((0.5,), (-0.4,), 1.0, 1.0, "eps must lie in"),
+            ((0.5,), (-0.4,), 0.0, 0.5, "C must be positive"),
+            ((0.5,), (-0.4, -0.4), 1.0, 0.5, "per-axis argument lengths disagree"),
+            ((0.0,), (-0.4,), 1.0, 0.5, "undefined at the vertex"),
+        ],
+        ids=["eps-1", "C-0", "lengths", "vertex"],
+    )
+    def test_arguments_rejected(self, z, alphas, c, eps, message):
+        with pytest.raises(DomainError, match=message):
+            wedge_bound(z, alphas, (0.4,), (1.0,), c, eps)
 
     @pytest.mark.parametrize("alpha, beta", [(0.4, 0.4), (0.5, 0.3)])
     def test_empty_wedge_rejected(self, alpha, beta):
@@ -308,6 +334,23 @@ class TestPLCheck:
 
         rep = pl_check(SampledFunction(host, partial), host)
         assert rep.eval_failures > 0
+
+    def test_unbounded_sector_rejected(self):
+        # the maximum-principle step samples the arc |z| = rho, so every sector must be bounded
+        host = Polysector([Sector(-0.5, 0.5, 1.0), Sector(-0.5, 0.5, math.inf)])
+        f = SampledFunction(host, lambda p: p[:, 0] * p[:, 1])
+        with pytest.raises(GeometryError, match="needs a bounded sector"):
+            pl_check(f, host)
+
+    def test_no_boundary_value(self):
+        # a function that raises DomainError at every boundary point leaves nothing to compare with
+        host = Polysector([Sector(-0.5, 0.5, 1.0)])
+
+        def nowhere(p):
+            raise DomainError("outside the domain")
+
+        with pytest.raises(DomainError, match="no boundary samples could be evaluated"):
+            pl_check(SampledFunction(host, nowhere), host)
 
     def test_dimension_mismatch(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)

@@ -80,6 +80,11 @@ class TestRayPoints:
         with pytest.raises(DimensionMismatchError):
             ray_points(s, (0.0,), [[0.1], [0.1]])
 
+    def test_one_radius_list_per_axis(self):
+        s = Polysector([sector(), sector()])
+        with pytest.raises(DimensionMismatchError, match="one radius list per axis"):
+            ray_points(s, (0.0, 0.0), [[0.1]])
+
     def test_all_points_contained(self):
         s = Polysector([sector(), sector(-0.3, 0.9, 2.0)])
         pts = ray_points(s, (0.1, 0.4), [[0.9, 0.3, 0.1], [1.5, 0.5]])
@@ -104,6 +109,10 @@ class TestDistinguishedBoundary:
         with pytest.raises(GeometryError):
             distinguished_boundary_points(s, 2)
 
+    def test_density_validation(self):
+        with pytest.raises(GeometryError, match="density must be >= 1"):
+            distinguished_boundary_points(Polysector([Sector(0.0, PI / 2, 1.0)]), 0)
+
     def test_disjoint_from_interior(self):
         s = Polysector([Sector(0.0, PI / 2, 1.0), Sector(-0.4, 0.4, 1.0)])
         for pt in distinguished_boundary_points(s, 3):
@@ -119,6 +128,11 @@ class TestGrids:
     def test_geometric_radii(self):
         r = geometric_radii(0.5, 0.5, 4)
         assert r == (0.5, 0.25, 0.125, 0.0625)
+
+    @pytest.mark.parametrize("r0, ratio, count", [(0.0, 0.5, 4), (0.5, 1.0, 4), (0.5, 0.5, 0)])
+    def test_geometric_radii_validation(self, r0, ratio, count):
+        with pytest.raises(GeometryError, match="need r0 > 0"):
+            geometric_radii(r0, ratio, count)
 
 
 def read_polysector(obj) -> Polysector:
@@ -163,6 +177,10 @@ class TestInvariants:
             Sector(1.0, 1.0, 1.0)
         with pytest.raises(GeometryError):
             Sector(0.0, 1.0, 0.0)
+
+    def test_point_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError, match="point has 1 coordinates, polysector 2"):
+            Polysector([sector(), sector()]).contains((0.1,))
 
     def test_boundary_distance_on_bisector(self):
         s = Sector(-PI / 4, PI / 4, 1.0)

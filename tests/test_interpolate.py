@@ -99,6 +99,13 @@ class TestValidation:
         with pytest.raises(DomainError, match="half-plane"):
             interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
+    def test_negative_coeff_cap(self, monkeypatch):
+        probes = record_probes(monkeypatch)
+        fam = constant_sequences(host2(), [1.0], [1.0])
+        with pytest.raises(DomainError, match="coeff_cap must be >= 0, got -1"):
+            interpolate_first_order(fam, (0.9, 0.9), coeff_cap=-1)
+        assert probes == []
+
     def test_sector_outside_half_plane(self, monkeypatch):
         # arg z0 = 0.5 on axis 0 puts its half-plane at (-1.07, 2.07), which misses -1.2; no ladder starts
         probes = record_probes(monkeypatch)

@@ -101,6 +101,10 @@ class TestEvaluate:
         assert evaluate_partial(ser, (0.5,)) == pytest.approx(1.875)
         assert evaluate_many(ser, [(0.5,)])[0] == pytest.approx(1.875)
 
+    def test_point_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError, match="last axis of pts"):
+            evaluate_many(MultiIndexSeries(2, {(1, 1): 1.0}), [(0.3,)])
+
     def test_vectorized_matches_scalar(self):
         ser = MultiIndexSeries(2, {(0, 0): 1.5, (2, 1): -0.5j, (1, 3): 2.0}, (2, 3))
         pts = np.array([[0.3 + 0.1j, 0.2], [0.5, -0.4j], [1.0, 1.0]])
@@ -155,6 +159,12 @@ class TestFit:
         # log(|f_1|/|f_0|) = 1381: the fitted rate exp(-1381) underflows to 0.0
         assert fit_gevrey_type(MultiIndexSeries(1, {(0,): 1e-300, (1,): 1e300})) == (0.0,)
 
+    def test_sparse_degrees_skip_the_half_window_test(self):
+        # f_N = N! at N in {0, 1, 2, 10, 11}: the upper half window [5.5, 11] holds two
+        # indices, too few for a slope, so the type is the full fit's exp(0) = 1
+        ser = MultiIndexSeries(1, {(n,): math.factorial(n) for n in (0, 1, 2, 10, 11)})
+        assert fit_gevrey_type(ser) == pytest.approx((1.0,), rel=1e-12)
+
     def test_too_few_points(self):
         with pytest.raises(SeriesError):
             fit_gevrey_type(MultiIndexSeries(1, {(0,): 1.0}, (0,)))
@@ -180,6 +190,14 @@ class TestStructure:
             MultiIndexSeries(1, {(-1,): 1.0})
         with pytest.raises(DimensionMismatchError):
             MultiIndexSeries(2, {(1,): 1.0})
+        with pytest.raises(SeriesError, match="dimension must be >= 1"):
+            MultiIndexSeries(0, {})
+        with pytest.raises(DimensionMismatchError, match="degree_bound length"):
+            MultiIndexSeries(2, {(1, 1): 1.0}, (1,))
+
+    def test_zero_series_degree_bound(self):
+        # with no nonzero coefficient and no stated bound, the bound is 0 on every axis
+        assert MultiIndexSeries(2, {(3, 1): 0.0}).degree_bound == (0, 0)
 
     def test_json_roundtrip(self):
         # a config's series object, as the CLI reads it

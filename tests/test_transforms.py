@@ -110,6 +110,8 @@ class TestTruncatedLaplace:
     def test_half_plane_enforced(self):
         with pytest.raises(DomainError):
             truncated_laplace_with_error(lambda t: t, 1.0, -0.3, 1e-10)
+        with pytest.raises(DomainError, match="z must be nonzero"):
+            truncated_laplace_with_error(lambda t: t, 1.0, np.array([0.3, 0.0]), 1e-10)
         with pytest.raises(DomainError):
             truncated_laplace_with_error(lambda t: t, 1.0, 0.4 * cmath.exp(1.6j), 1e-10)
 
@@ -162,6 +164,8 @@ class TestTruncatedLaplaceND:
     def test_dimension_check(self):
         with pytest.raises(DomainError):
             truncated_laplace_nd(lambda p: np.ones(len(p)), (1.0, 1.0), (0.3,), 1e-10)
+        with pytest.raises(DomainError, match="z components must be nonzero"):
+            truncated_laplace_nd(lambda p: np.ones(len(p)), (1.0, 1.0), (0.3, 0.0), 1e-10)
 
 
 def mp_monomial(n: int, z0: complex, z: complex):
@@ -377,6 +381,8 @@ class TestBrgType:
     def test_outside_half_plane(self):
         with pytest.raises(DomainError):
             brg_type((1.0,), (PI / 2,))
+        with pytest.raises(DomainError, match="one direction per axis"):
+            brg_type((1.0, 1.0), (0.0,))
 
     def test_componentwise(self):
         z0 = (0.5, 1.0 * cmath.exp(0.3j))

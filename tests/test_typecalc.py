@@ -6,6 +6,7 @@ import pytest
 
 from polygevrey import (
     DomainError,
+    GeometryError,
     TypeProfile,
     circle_type,
     final_type,
@@ -139,6 +140,8 @@ class TestFZ:
             fz_type(0.0, -1.0, 1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             fz_type(1.5, -1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="r0 must be nonnegative"):
+            fz_type(0.0, -1.0, 1.0, 0.0, -1.0)
 
 
 class TestSine:
@@ -165,6 +168,15 @@ class TestSine:
     def test_opening_validation(self):
         with pytest.raises(DomainError):
             sine_type(0.0, -2.0, 2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "theta, theta0, r, message",
+        [(0.0, 1.0, 1.0, "not interior to"), (1.0, 0.0, 1.0, "outside"), (0.0, 0.0, -1.0, "r must be nonnegative")],
+        ids=["theta0-outside", "theta-outside", "r-negative"],
+    )
+    def test_domain(self, theta, theta0, r, message):
+        with pytest.raises(DomainError, match=message):
+            sine_type(theta, -0.5, 0.5, theta0, r)
 
 
 class TestCircle:
@@ -193,16 +205,28 @@ class TestCircle:
             assert abs(abs(z - complex(w[0], w[1])) - math.hypot(*w)) < 1e-12
 
     def test_tangent_case_formula(self):
-        # one vanishing edge: closed form R_a sin(b-theta)/sin(b-a)
-        ra, a, b = 1.5, 0.0, 1.2
+        # one vanishing edge: closed form R_a sin(b-theta)/sin(b-a), and R_b sin(theta-a)/sin(b-a)
+        r, a, b = 1.5, 0.0, 1.2
         for t in np.linspace(a, b, 7):
-            assert circle_type(ra, 0.0, a, b, t) == pytest.approx(
-                ra * math.sin(b - t) / math.sin(b - a), abs=1e-13
+            assert circle_type(r, 0.0, a, b, t) == pytest.approx(
+                r * math.sin(b - t) / math.sin(b - a), abs=1e-13
+            )
+            assert circle_type(0.0, r, a, b, t) == pytest.approx(
+                r * math.sin(t - a) / math.sin(b - a), abs=1e-13
             )
 
     def test_opening_validation(self):
         with pytest.raises(DomainError):
             circle_type(1.0, 1.0, 0.0, PI, PI / 2)
+
+    def test_domain(self):
+        with pytest.raises(DomainError, match="outside"):
+            circle_type(1.0, 1.0, 0.0, 1.0, 1.5)
+        with pytest.raises(DomainError, match="edge radii must be nonnegative"):
+            circle_type(-1.0, 1.0, 0.0, 1.0, 0.5)
+        # a zero opening puts both edge points on one ray through the vertex
+        with pytest.raises(GeometryError, match="degenerate circumcircle"):
+            circle_type(1.0, 1.0, 0.5, 0.5, 0.5)
 
 
 class TestFinalType:
@@ -262,12 +286,20 @@ class TestFinalType:
         wide = TypeProfile.constant(-2.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             final_type((0.0,), (0.0,), (1.0,), (wide,))
+        with pytest.raises(DomainError, match="r0 must be positive"):
+            final_type((self.theta0,), (self.theta0,), (0.0,), (self.prof,))
+        with pytest.raises(DomainError, match="per-axis argument lengths disagree"):
+            final_type((self.theta0,), (self.theta0, self.theta0), (1.5,), (self.prof,))
 
 
 class TestTypeProfile:
     def test_sup(self):
         prof = TypeProfile(-1.0, 1.0, lambda t: math.cos(t))
         assert prof.sup == pytest.approx(1.0, abs=1e-9)
+
+    def test_constant_must_be_positive(self):
+        with pytest.raises(DomainError, match="constant profile must be positive"):
+            TypeProfile.constant(-1.0, 1.0, 0.0)
 
 
 class TestContinuityProperties:
