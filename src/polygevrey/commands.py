@@ -257,7 +257,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> bool:
         raise ConfigError(f"config key 'samples' lists points outside the sector: {outside}")
     if orders > cfg["cap"] >= 0:  # a negative cap stores no element, which interpolate_first_order reports
         raise ConfigError(f"config key 'orders' ({orders}) exceeds 'cap' ({cfg['cap']}), the family's last order")
-    outer = ProbeSpec(r0=0.2, ratio=0.75, tol=1e-5, circle_nodes=128)
+    outer = ProbeSpec(r0=0.2, ratio=0.75, circle_nodes=128)
     func = interpolate_first_order(fam, cfg["z0"], cfg["coeff_cap"])
     rows = []
     worst = 0.0

@@ -191,18 +191,20 @@ class ProbeSpec(Record):
     -23.212, 13.091) at q = 0.7 and (1.303, -11.259, 35.265, -47.444,
     23.135) at 0.75.  Their Lebesgue constant Lambda = sum |w_i|, 55.227
     and 118.405, bounds how much an extrapolant amplifies rounding in the
-    samples.  A limit is converged when three successive extrapolants
-    match within tol (mixed absolute/relative).  Each limit, on its own
-    column, takes the first extrapolant of least error estimate over all
-    windows; so its value, error and radius do not depend on the other
-    orders and columns of the ladder.  The error estimate is the larger of
-    the last two extrapolant differences, raised to the window's rounding
-    floor Lambda * eps * max over its five rungs of max|g on the circles|
+    samples.  Each limit, on its own column, takes the first extrapolant
+    of least error estimate over all windows, and is converged when that
+    estimate is at most tol * max(1, |value|); so its value, error, flag
+    and radius do not depend on the other orders and columns of the
+    ladder.  The estimate of e_j is the larger of its last two extrapolant
+    differences (e_1 shares e_2's: a limit needs three extrapolants),
+    raised, in the error returned, to the window's rounding floor
+    Lambda * eps * max over its five rungs of max|g on the circles|
     * prod_a rho_a^-N_a (Bornemann, Found. Comput. Math. 11, 2011).  The
-    floor does not pick the window: growing as rho shrinks, it would keep
-    a limit on an early, truncation-dominated window (rat2 ``interpolate``
-    at opening 0.03 then fails).  ``direction`` gives the ray of each
-    probed axis (default: the sector bisectors).
+    floor neither picks the window nor sets the flag: growing as rho
+    shrinks, it would keep a limit on an early, truncation-dominated
+    window (rat2 ``interpolate`` at opening 0.03 then fails), and flags
+    read from it leave criterion 7's recipe unconverged.  ``direction``
+    gives the ray of each probed axis (default: the sector bisectors).
     """
 
     r0: float
@@ -293,17 +295,16 @@ def axis_coefficient_ladder(
     # rounding floor of e_j: Lebesgue constant * eps * the window's largest max|g| / rho^N
     floor = sum(abs(x) for x in w) * np.finfo(float).eps * np.max([size[i : i + n] for i in range(_WINDOW)], 0)
     diff = np.abs(np.diff(est, axis=0))  # row k: |e_{k+1} - e_k|
-    ok = diff <= probe.tol * np.maximum(1.0, np.abs(est[1:]))
-    flags = np.any(ok[1:] & ok[:-1], axis=0)  # three successive extrapolants matched somewhere
-    # candidate j >= 1 is e_j, of error max(|e_j - e_{j-1}|, |e_{j-1} - e_{j-2}|) (the first: |e_1 - e_0|);
-    # candidate 0 stands for no estimate: value 0, error inf, radius 0
-    err = np.maximum(diff, np.concatenate([diff[:1], diff[:-1]]))
-    err = np.concatenate([np.full((1,) + err.shape[1:], np.inf), np.where(np.isnan(err), np.inf, err)])
+    # candidate j >= 2 is e_j, of error max(|e_j - e_{j-1}|, |e_{j-1} - e_{j-2}|); e_1 shares e_2's and wins their
+    # tie; candidate 0 stands for no estimate (value 0, error inf, radius 0), the only one below three extrapolants
+    err = np.maximum(diff[1:], diff[:-1])
+    err = np.concatenate([np.full((1,) + err.shape[1:], np.inf), err[:1], err])
+    err = np.where(np.isnan(err), np.inf, err)
     pick = np.argmin(err, axis=0)[None]  # the first of least error, over every window of the column
     est[0] = 0.0
-    last_rung = np.asarray([0.0] + radii[_WINDOW:])
-    error = np.fmax(np.take_along_axis(err, pick, 0)[0], np.take_along_axis(floor, pick, 0)[0])
-    return np.take_along_axis(est, pick, 0)[0], error, flags, last_rung[pick[0]]
+    value, picked, low = (np.take_along_axis(a, pick, 0)[0] for a in (est, err, floor))
+    flags = picked <= probe.tol * np.maximum(1.0, np.abs(value))  # the picked window's own error, unfloored
+    return value, np.fmax(picked, low), flags, np.asarray([0.0] + radii[_WINDOW:])[pick[0]]
 
 
 def element_coefficients(
@@ -420,9 +421,9 @@ def check_coherence(fam: TotalFamily, tol: float, max_order: int = 3) -> Coheren
     serves every stored f_{N_J}, every sampled point and every N_L, and each
     target is evaluated in one call on all the sampled points.
 
-    The ladders tie their agreement tolerance to ``tol`` (both are relative):
-    demanding extrapolant agreement far below the asserted residual only
-    leaves limits unconverged on double-precision noise.
+    The ladders run at ``tol`` (a limit converges when its picked error
+    estimate is at most tol * max(1, |limit|)): a tolerance far below the
+    asserted residual only leaves limits unconverged on rounding noise.
     """
     subsets = nonempty_subsets(fam.dim)
     stored = {axes: fam.stored_indices(axes) for axes in subsets}

@@ -128,8 +128,7 @@ def rate_fit(indices: Sequence[Sequence[int]], logvals: Sequence[float]) -> tupl
     y = np.asarray(logvals, dtype=float)
     design = np.hstack([idx, np.ones((idx.shape[0], 1))])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ sol
-    rms = float(np.sqrt(np.mean((fitted - y) ** 2))) if y.size else 0.0
+    rms = float(np.sqrt(np.mean((design @ sol - y) ** 2)))
     return sol[:-1], rms
 
 

@@ -354,11 +354,9 @@ def _borel_tail_bound(fhat: MultiIndexSeries, types: Sequence[float], t_mods: Se
     norm = gamma1_norm(fhat, weights)
     if norm == 0:
         return 0.0
-    qs = [max(tm / r, 0.0) for tm, r in zip(t_mods, types)]
-    full = stored = 1.0
-    for q, d in zip(qs, fhat.degree_bound):
-        full *= 1.0 / (1.0 - q)
-        stored *= (1.0 - q ** (d + 1)) / (1.0 - q) if q > 0 else 1.0
+    qs = [tm / r for tm, r in zip(t_mods, types)]
+    full = math.prod(1.0 / (1.0 - q) for q in qs)
+    stored = math.prod((1.0 - q ** (d + 1)) / (1.0 - q) for q, d in zip(qs, fhat.degree_bound))
     return norm * (full - stored)
 
 
@@ -493,15 +491,15 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     h1 = sum_n f_{1n}(z2) L_1[n](z1).  Its m-th axis-1 coefficient is
     sum_n a_{m,n} L_1[n](z1), where a_{m,n} is the m-th coefficient of f_{1n}
     at the vertex; the constants come from one radius ladder over every
-    f_{1n} at once, on the construction's own probe (agreement 1e-11 on
-    128-node circles).  The second pass transforms the corrected axis-1 sequence,
+    f_{1n} at once, on the construction's own probe (128-node circles,
+    tol 1e-11).  The second pass transforms the corrected axis-1 sequence,
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
-    one variable, so the interpolant builds each table on the distinct values
-    of its coordinate, through one :class:`LaplaceTables` (a ladder of 20 rungs
-    of 128 circle nodes paired with three fixed values costs 2,560 + 3 table
-    points, not 2 x 7,680), and evaluates its elements point by point.
+    one variable, so the interpolant evaluates each element and builds each
+    table on the distinct values of its coordinate, the tables through one
+    :class:`LaplaceTables` (a ladder of 20 rungs of 128 circle nodes paired
+    with three fixed values costs 2,560 + 3 points, not 2 x 7,680).
 
     The endpoints' one hypothesis: each host sector lies in the half-plane
     around arg z0_j (DomainError otherwise), so its opening is at most pi.  A
@@ -512,9 +510,10 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     The ladder extracts the constants of the corrected orders m <= ``coeff_cap``
     (and m below the axis-1 sequence's length), and the interpolant uses only
     the orders m <= m*, where m* is the last order such that every a_{m',n}
-    with m' <= m* converged.  High orders of a_{m,n} are numerically fragile
-    to extract; at a wide opening the weights L_2[m] damp an unconverged one,
-    at a narrow one it would spoil the interpolant.  The family must first
+    with m' <= m* converged (its ladder error at most 1e-11 * max(1, |a|)).
+    High orders of a_{m,n} are numerically fragile to extract; at a wide
+    opening the weights L_2[m] damp an unconverged one, at a narrow one it
+    would spoil the interpolant.  The family must first
     pass :func:`check_coherence` on its first-order family
     (:meth:`TotalFamily.first_order`) at tolerance 1e-3 over orders <= 1, on
     that check's own probe (CoherenceError unless its report is ``ok()``).
@@ -569,8 +568,9 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
 
     def fn(pts: np.ndarray) -> np.ndarray:
         lap1, lap2 = tables.table(0, pts[:, 0]), tables.table(1, pts[:, 1])  # (n_cap+1, k), (m_cap+1, k)
-        f1vals = np.stack([el.eval_many(pts[:, 1:]) for el in f1])
-        f2vals = np.stack([el.eval_many(pts[:, :1]) for el in f2[: m_cap + 1]])
+        (z1, back1), (z2, back2) = (np.unique(pts[:, a], return_inverse=True) for a in (0, 1))
+        f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])[:, back2]  # on distinct values, gathered
+        f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])[:, back1]
         corrected = f2vals - np.einsum("mn,nk->mk", consts, lap1)
         return np.einsum("nk,nk->k", f1vals, lap1) + np.einsum("mk,mk->k", corrected, lap2)
 

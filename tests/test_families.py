@@ -1123,12 +1123,11 @@ class _LadderTracker:
         self.samples = []
         self.sizes = []
         self.extrap = []
+        self.floors = []
         self.best = np.zeros(shape, dtype=complex)
         self.best_err = np.full(shape, np.inf)
         self.best_floor = np.zeros(shape)
         self.best_radius = np.zeros(shape)
-        self.converged = np.zeros(shape, dtype=bool)
-        self._agree_count = np.zeros(shape, dtype=int)
 
     def push(self, r, values, size):
         """One rung: its samples, and max |g| on its circles times rho^-N, both shaped (n_orders, B)."""
@@ -1137,26 +1136,24 @@ class _LadderTracker:
         self.sizes.append(size)
         if len(self.radii) < _WINDOW:
             return
-        est = sum(w * sample for w, sample in zip(self.weights, self.samples[-_WINDOW:]))
-        floor = self.lebesgue * np.finfo(float).eps * np.max(self.sizes[-_WINDOW:], 0)
-        self.extrap.append(est)
-        if len(self.extrap) < 2:
+        self.extrap.append(sum(w * sample for w, sample in zip(self.weights, self.samples[-_WINDOW:])))
+        self.floors.append(self.lebesgue * np.finfo(float).eps * np.max(self.sizes[-_WINDOW:], 0))
+        if len(self.extrap) < 3:
             return
-        diff = np.abs(est - self.extrap[-2])
-        scale = np.maximum(1.0, np.abs(est))
-        ok = diff <= self.probe.tol * scale
-        self._agree_count = np.where(ok, self._agree_count + 1, 0)
-        newly = (self._agree_count >= 2) & ~self.converged  # three successive extrapolants match
-        self.converged |= newly
-        if len(self.extrap) >= 3:
-            err = np.maximum(diff, np.abs(self.extrap[-2] - self.extrap[-3]))
-        else:
-            err = diff
-        better = err < self.best_err
-        self.best = np.where(better, est, self.best)
-        self.best_err = np.where(better, err, self.best_err)
-        self.best_floor = np.where(better, floor, self.best_floor)
-        self.best_radius = np.where(better, r, self.best_radius)
+        e = self.extrap
+        err = np.maximum(np.abs(e[-1] - e[-2]), np.abs(e[-2] - e[-3]))
+        # the first error estimate is also e_1's, and e_1 is offered before e_2
+        for j in [1, 2] if len(e) == 3 else [len(e) - 1]:
+            better = err < self.best_err
+            self.best = np.where(better, e[j], self.best)
+            self.best_err = np.where(better, err, self.best_err)
+            self.best_floor = np.where(better, self.floors[j], self.best_floor)
+            self.best_radius = np.where(better, self.radii[j + _WINDOW - 1], self.best_radius)
+
+    @property
+    def converged(self):
+        """Each best extrapolant's own error estimate is within tol, relative to max(1, |value|)."""
+        return self.best_err <= self.probe.tol * np.maximum(1.0, np.abs(self.best))
 
     @property
     def error(self):
@@ -1181,8 +1178,8 @@ def _circle_orders(evalfn, centers, rhos, orders, unit):
     return coeff, size  # each (n_orders, B)
 
 
-def per_rung_ladder(evalfn, sectors, orders, probe):
-    """The reference for ``axis_coefficient_ladder``: the same four arrays, rung by rung."""
+def per_rung_tracker(evalfn, sectors, orders, probe):
+    """The reference loop's tracker after its last in-sector rung."""
     orders = [tuple(int(m) for m in order) for order in orders]
     if max(max(order) for order in orders) > probe.circle_nodes // 2:
         raise DomainError("requested order exceeds the circle-node anti-aliasing bound")
@@ -1206,6 +1203,12 @@ def per_rung_ladder(evalfn, sectors, orders, probe):
         tracker.push(r, sample, size)
     if tracker is None or not tracker.extrap:
         raise ProbeError("radius ladder produced no extrapolants (probe outside sector?)")
+    return tracker
+
+
+def per_rung_ladder(evalfn, sectors, orders, probe):
+    """The reference for ``axis_coefficient_ladder``: the same four arrays, rung by rung."""
+    tracker = per_rung_tracker(evalfn, sectors, orders, probe)
     return tracker.best, tracker.error, tracker.converged, tracker.best_radius
 
 
@@ -1256,7 +1259,7 @@ def ladder_cases(draw):
 def rat2_interpolant_ladders():
     """The interpolate subcommand's ladders: the interpolant's constants, then its outer ladder per axis."""
     func = rat2_interpolant()
-    outer = ProbeSpec(r0=0.2, ratio=0.75, tol=1e-5, circle_nodes=128)
+    outer = ProbeSpec(r0=0.2, ratio=0.75, circle_nodes=128)
     points = [(0.1,), (0.2 + 0.1j,), (0.3,)]
     found = [element_coefficients([func], (axis,), [(k,) for k in range(5)], outer, points) for axis in (0, 1)]
     return func.provenance, found
@@ -1352,6 +1355,56 @@ class TestLadderReference:
         # four in-sector rungs (k = 16..19) make no extrapolant
         with pytest.raises(ProbeError, match="no extrapolants"):
             axis_coefficient_ladder(evalfn, [Sector(-1.0, 1.0, 0.0012)], [(1,)], ProbeSpec())
+
+    def test_two_extrapolants_never_converge(self):
+        # six in-sector rungs (k = 14..19 lie below 0.0025) make two extrapolants that agree far
+        # within tol, and one difference: no window has an error estimate, so nothing is read
+        evalfn = linear_form_callback(np.asarray([[0.5]]), 0.0)
+        six = [Sector(-1.0, 1.0, 0.0025)]
+        extrap = np.asarray(per_rung_tracker(evalfn, six, [(0,)], ProbeSpec()).extrap)
+        assert len(extrap) == 2 and abs(extrap[1] - extrap[0]).max() <= 1e-4 * ProbeSpec().tol
+        got = axis_coefficient_ladder(evalfn, six, [(0,)], ProbeSpec())
+        assert_identical(got, per_rung_ladder(evalfn, six, [(0,)], ProbeSpec()))
+        assert_identical(got, (np.zeros((1, 1), complex), np.full((1, 1), np.inf), np.zeros((1, 1), bool),
+                               np.zeros((1, 1))))
+
+    def test_diverging_column_stays_unconverged(self):
+        # e_1 - e_0 is within tol, but every later difference is larger and they grow past 1e5
+        # as the circles' rounding grows like rho^-6: e_1 is picked, with error |e_2 - e_1|
+        sectors = [Sector(-1.0, 1.0, math.inf), Sector(-1.0, 1.0, 0.1875)]
+        evalfn, probe = linear_form_callback(np.asarray([[0.25], [0.45j]]), 0.0), ProbeSpec(tol=1e-5, circle_nodes=12)
+        tracker = per_rung_tracker(evalfn, sectors, [(2, 4)], probe)
+        diffs = np.abs(np.diff(np.asarray(tracker.extrap)[:, 0, 0]))
+        assert diffs[0] <= probe.tol < diffs[1:].min() and diffs.max() > 1e5
+        value, _, flags, radius = axis_coefficient_ladder(evalfn, sectors, [(2, 4)], probe)
+        assert radius[0, 0] == tracker.radii[_WINDOW] and value[0, 0] == tracker.extrap[1][0, 0]
+        assert not flags[0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ladder_cases())
+    def test_flag_is_the_picked_estimate_within_tol(self, case):
+        # window j's estimate is the larger of the two extrapolant differences ending at e_j, e_1
+        # taking e_2's; the first window of least estimate gives the value, and its estimate the flag
+        try:
+            tracker = per_rung_tracker(*case)
+        except ProbeError:
+            return
+        e, tol = np.asarray(tracker.extrap), case[3].tol
+
+        def estimate(j, o, b):
+            k = max(j, 2)
+            worst = max(abs(e[k, o, b] - e[k - 1, o, b]), abs(e[k - 1, o, b] - e[k - 2, o, b]))
+            return math.inf if math.isnan(worst) else worst
+
+        value, _, flags, radius = axis_coefficient_ladder(*case)
+        for o, b in np.ndindex(flags.shape):
+            estimates = [estimate(j, o, b) for j in range(1, len(e))] if len(e) >= 3 else []
+            if not estimates or min(estimates) == math.inf:
+                assert radius[o, b] == 0 and value[o, b] == 0 and not flags[o, b]
+                continue
+            j = tracker.radii.index(radius[o, b]) - (_WINDOW - 1)
+            assert j == 1 + estimates.index(min(estimates)) and value[o, b] == e[j, o, b]
+            assert flags[o, b] == (estimates[j - 1] <= tol * max(1.0, abs(value[o, b])))
 
 
 class TestLadderEvaluation:

@@ -143,7 +143,7 @@ class TestValidation:
 
     def test_unconverged_constants_rejected(self):
         # noise a hundred times smaller passes the precheck at 1e-3 but not the
-        # ladder for the a_{m,n}, which asks for agreement 1e-11
+        # ladder for the a_{m,n}, which runs at tolerance 1e-11
         host = host2()
         fam = constant_sequences(host, [1.0, 0.0], [1.0, 0.0])
         noisy = SampledFunction(
@@ -223,7 +223,7 @@ class TestRat2Smoke:
 
 
 class TestDistinctCoordinates:
-    """The interpolant's ``LaplaceTables`` builds each table once per distinct coordinate; its elements are evaluated per point."""
+    """The interpolant builds each table and evaluates each element once per distinct coordinate."""
 
     @staticmethod
     def ladder_grid():
@@ -250,6 +250,20 @@ class TestDistinctCoordinates:
         monkeypatch.setattr(transforms, "laplace_monomials", counted)
         func.eval_many(self.ladder_grid())
         assert sorted(calls) == [3, 128]  # not 2 x 384
+
+    def test_elements_on_distinct_coordinates(self, monkeypatch):
+        # the axis-0 elements live on axis 1 (3 distinct values), the axis-1 elements on axis 0 (128)
+        func = self.rat2_interpolant()
+        sizes = []
+        eval_many = SampledFunction.eval_many
+
+        def counted(self, pts):
+            sizes.append(np.shape(pts))
+            return eval_many(self, pts)
+
+        monkeypatch.setattr(SampledFunction, "eval_many", counted)
+        func.eval_many(self.ladder_grid())
+        assert sizes[0] == (384, 2) and set(sizes[1:]) == {(3, 1), (128, 1)}  # the interpolant, then its elements
 
     def test_matches_pointwise_evaluation(self):
         # bit for bit: every sum over orders runs in einsum's fixed order
