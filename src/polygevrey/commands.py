@@ -69,9 +69,10 @@ def _write_coherence(path: Path, rep) -> bool:
 
 
 def _remainder_fits(cfg: dict, entry) -> list[tuple]:
-    """(direction, rates, rms) of the Gevrey fit to the constants of f - App_(n,...,n), n <= n_max.
+    """(direction, rates, rms, law) of the Gevrey fit to the constants of f - App_(n,...,n), n <= n_max.
 
-    The family is the one ``family_from_series`` builds from the entry's series and z0.
+    The family is the one ``family_from_series`` builds from the entry's series and z0.  ``law``
+    is the entry's ``type_profile`` at the direction, or None when the entry has none.
     """
     from .families import family_from_series, fit_type_from_remainders, remainder_constants
 
@@ -79,6 +80,7 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
     if ser is None or z0 is None:
         raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
     fam = family_from_series(ser, z0)
+    profile = entry.known.get("type_profile")
     fits = []
     for theta_t in cfg["directions"]:
         cons = remainder_constants(
@@ -86,7 +88,8 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
             [(n,) * entry.dim for n in range(cfg["n_max"] + 1)], noise_floor=cfg["noise_floor"],
         )
         rates, rms = fit_type_from_remainders(cons, window=cfg["window"])
-        fits.append((theta_t, rates, rms))
+        law = None if profile is None else [p.fn(t) for p, t in zip(profile, theta_t)]
+        fits.append((theta_t, rates, rms, law))
     return fits
 
 
@@ -134,11 +137,7 @@ def _cmd_type_fit(cfg: dict, out: Path) -> bool:
     rows = []
     report = {"command": "type-fit", "mode": mode, "testbed": entry.id, "directions": []}
     if mode == "gevrey":
-        for theta_t, rates, rms in _remainder_fits(cfg, entry):
-            law = None
-            profile = entry.known.get("type_profile")
-            if profile is not None:
-                law = [p.fn(t) for p, t in zip(profile, theta_t)]
+        for theta_t, rates, rms, law in _remainder_fits(cfg, entry):
             rows.append(list(theta_t) + list(rates) + [rms] + (law or []))
             report["directions"].append(
                 {"theta": list(theta_t), "fitted": list(rates), "rms": rms, "law": law}
@@ -224,13 +223,11 @@ def _cmd_verify(cfg: dict, out: Path) -> bool:
         return rep.ok()
     if suite == "remainder":
         entry = _entry(cfg)
-        profile = entry.known.get("type_profile")
-        if profile is None:
+        if entry.known.get("type_profile") is None:
             raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
         rel_tol = cfg["rel_tol"]
         results, ok = [], True
-        for theta_t, rates, _ in _remainder_fits(cfg, entry):
-            law = [p.fn(t) for p, t in zip(profile, theta_t)]
+        for theta_t, rates, _, law in _remainder_fits(cfg, entry):
             rel = max(abs(r - l) / l for r, l in zip(rates, law))
             ok = ok and rel <= rel_tol
             results.append({"theta": list(theta_t), "fitted": list(rates), "law": law, "rel_err": rel})

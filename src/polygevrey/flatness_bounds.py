@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, Record, SeriesError
 from .geometry import Polysector, Sector, distinguished_boundary_points, ray_points
-from .series import rate_fit
+from .series import _log_factorials, rate_fit
 from .transforms import SampledFunction
 
 
@@ -79,8 +79,7 @@ def gevrey_envelope_log(c: float, a: float, r: float) -> float:
     if c <= 0 or a <= 0 or r <= 0:
         raise DomainError("c, a, r must be positive")
     n_cap = math.ceil(2.0 / (a * r)) + 10
-    ns = np.arange(0, n_cap + 1, dtype=float)
-    logs = math.log(c) + ns * (math.log(a) + math.log(r)) + np.vectorize(math.lgamma)(ns + 1.0)
+    logs = math.log(c) + np.arange(n_cap + 1) * (math.log(a) + math.log(r)) + _log_factorials(n_cap)
     return float(np.min(logs))
 
 
@@ -275,7 +274,7 @@ def null_expansion_check(
         min_rad = np.min(rad, axis=1)[nonzero]
         decaying = True
         if logs.size >= 2 and np.ptp(np.log(min_rad)) > 0:
-            slope = np.polyfit(np.log(min_rad), logs, 1)[0]
-            decaying = slope >= -1e-6
+            slopes, _ = rate_fit(np.log(min_rad)[:, None], logs)
+            decaying = slopes[0] >= -1e-6
         out.append(NullFitEntry(n_index, c_sup, decaying))
     return out

@@ -25,6 +25,11 @@ def _lgamma_sum(index: Sequence[int]) -> float:
     return sum(math.lgamma(n + 1) for n in index)
 
 
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max."""
+    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
+
+
 class MultiIndexSeries(Record):
     """Finite map multi-index -> complex coefficient.
 

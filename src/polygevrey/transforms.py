@@ -34,7 +34,7 @@ from .errors import (
     TailError,
 )
 from .geometry import EMPTY_POLYSECTOR, Polysector, Sector
-from .series import MultiIndexSeries, _contract, _dense, _powers, fit_gevrey_type, gamma1_norm
+from .series import MultiIndexSeries, _contract, _dense, _log_factorials, _powers, fit_gevrey_type, gamma1_norm
 
 _EPS = float(np.finfo(float).eps)
 
@@ -217,11 +217,6 @@ def truncated_laplace_nd(
 
     start = np.zeros((1, 0), dtype=complex)
     return complex(level(0, start)[0])
-
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max."""
-    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -496,10 +491,11 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     h2 = sum_m c_m(z1) L_2[m](z2) with c_m = f_{2m} - sum_n a_{m,n} L_1[n].
     The sum h1 + h2 has the given family as its first-order family, which is
     the postcondition contract tested by extraction.  Every factor depends on
-    one variable, so the interpolant evaluates each element and builds each
-    table on the distinct values of its coordinate, the tables through one
-    :class:`LaplaceTables` (a ladder of 20 rungs of 128 circle nodes paired
-    with three fixed values costs 2,560 + 3 points, not 2 x 7,680).
+    one variable, so the interpolant evaluates each element, each table and
+    the corrected sequence on the distinct values of its coordinate and
+    gathers them to the points only for the two final sums (a ladder of 20
+    rungs of 128 circle nodes paired with three fixed values costs 2,560 + 3
+    points, not 2 x 7,680).
 
     The endpoints' one hypothesis: each host sector lies in the half-plane
     around arg z0_j (DomainError otherwise), so its opening is at most pi.  A
@@ -564,14 +560,14 @@ def interpolate_first_order(fam, z0: Sequence[complex], coeff_cap: int) -> Sampl
     m_cap = int(np.cumprod(conv.all(axis=1)).sum()) - 1  # m*: every constant of each order m <= m* converged
     consts = consts[: m_cap + 1]
     provenance += f"; corrected orders m <= {m_cap} used"
-    tables = LaplaceTables(z0, (n_cap, m_cap))
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        lap1, lap2 = tables.table(0, pts[:, 0]), tables.table(1, pts[:, 1])  # (n_cap+1, k), (m_cap+1, k)
         (z1, back1), (z2, back2) = (np.unique(pts[:, a], return_inverse=True) for a in (0, 1))
-        f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])[:, back2]  # on distinct values, gathered
-        f2vals = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])[:, back1]
-        corrected = f2vals - np.einsum("mn,nk->mk", consts, lap1)
-        return np.einsum("nk,nk->k", f1vals, lap1) + np.einsum("mk,mk->k", corrected, lap2)
+        lap1, lap2 = laplace_monomials(z0[0], z1, n_cap), laplace_monomials(z0[1], z2, m_cap)
+        f1vals = np.stack([el.eval_many(z2[:, None]) for el in f1])
+        corrected = np.stack([el.eval_many(z1[:, None]) for el in f2[: m_cap + 1]])
+        corrected -= np.einsum("mn,nk->mk", consts, lap1)
+        h1 = np.einsum("nk,nk->k", f1vals[:, back2], lap1[:, back1])
+        return h1 + np.einsum("mk,mk->k", corrected[:, back1], lap2[:, back2])
 
     return SampledFunction(host, fn, provenance=provenance)

@@ -482,14 +482,10 @@ class TestDispatch:
                     found.append(f"{path.name}: def {node.name}")
         assert not found, f"file formats outside cli: {found}"
 
-    def test_no_blas_ordered_sum(self):
-        # a BLAS product adds in an order that changes with the number of
-        # points, so a point's value would depend on the points that share its
-        # call; only the reference quadrature's panel and rate_fit's least
-        # squares, which evaluate no function, may use one
-        allowed = {("transforms.py", "_gl_panel"), ("series.py", "rate_fit")}
+    @staticmethod
+    def src_nodes_outside(allowed):
+        """(file name, node) for every AST node of src/polygevrey outside the (file, function) pairs ``allowed``."""
         src = Path(polygevrey.__file__).resolve().parent
-        found = []
         for path in sorted(src.glob("*.py")):
             tree = ast.parse(path.read_text())
             exempt = {
@@ -498,14 +494,35 @@ class TestDispatch:
                 if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
                 for node in ast.walk(func)
             }
-            for node in ast.walk(tree):
-                if id(node) in exempt:
-                    continue
-                if isinstance(node, ast.Attribute) and node.attr in ("tensordot", "dot", "matmul"):
-                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
-                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                    found.append(f"{path.name}:{node.lineno}: @")
+            yield from ((path.name, node) for node in ast.walk(tree) if id(node) not in exempt)
+
+    def test_no_blas_ordered_sum(self):
+        # a BLAS product adds in an order that changes with the number of
+        # points, so a point's value would depend on the points that share its
+        # call; only the reference quadrature's panel and rate_fit's least
+        # squares, which evaluate no function, may use one
+        found = []
+        for name, node in self.src_nodes_outside({("transforms.py", "_gl_panel"), ("series.py", "rate_fit")}):
+            if isinstance(node, ast.Attribute) and node.attr in ("tensordot", "dot", "matmul"):
+                found.append(f"{name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno}: @")
         assert not found, f"BLAS-ordered sums: {found}"
+
+    def test_one_fit_and_one_log_factorial_table(self):
+        # every least-squares fit is series.rate_fit, and every table of log k! is
+        # series._log_factorials: no polyfit, lstsq or vectorized lgamma elsewhere
+        found = [
+            f"{name}:{node.lineno}: .{node.attr}"
+            for name, node in self.src_nodes_outside({("series.py", "rate_fit")})
+            if isinstance(node, ast.Attribute) and node.attr in ("polyfit", "vectorize", "lstsq")
+        ]
+        defs = [
+            name for name, node in self.src_nodes_outside(set())
+            if isinstance(node, ast.FunctionDef) and node.name == "_log_factorials"
+        ]
+        assert not found, f"a second fit or lgamma path: {found}"
+        assert defs == ["series.py"], f"_log_factorials defined in {defs}"
 
     @pytest.mark.parametrize(
         "command, cfg",

@@ -113,6 +113,14 @@ class TestGevreyEnvelope:
         exact = min(Fraction(3 * math.factorial(n), 10**n) for n in range(101))
         assert gevrey_envelope_log(3.0, 2.0, 0.05) == pytest.approx(math.log(exact), rel=1e-14)
 
+    @pytest.mark.parametrize("c, a, r", [(1.0, 1.0, 0.1), (3.0, 2.0, 0.05), (0.7, 0.3, 0.9), (5.0, 1.5, 1e-3)])
+    def test_matches_plain_lgamma_min(self, c, a, r):
+        # bit for bit the minimum over N <= ceil(2/(A r)) + 10 of log C + N log(A r) + lgamma(N + 1)
+        n_cap = math.ceil(2.0 / (a * r)) + 10
+        step = math.log(a) + math.log(r)
+        plain = min(math.log(c) + n * step + math.lgamma(n + 1.0) for n in range(n_cap + 1))
+        assert gevrey_envelope_log(c, a, r) == plain
+
     def test_validation(self):
         with pytest.raises(DomainError):
             gevrey_envelope_log(0.0, 1.0, 0.1)
@@ -404,6 +412,17 @@ class TestNullExpansion:
         entries = null_expansion_check(f, (0.0, 0.0), [(2, 0), (4, 0)], [[1.0, 0.5, 0.25], [1.0]])
         assert [e.decaying for e in entries] == [True, False]
         assert all(type(e.decaying) is bool for e in entries)
+
+    @pytest.mark.parametrize("frac, decaying", [(0.0, True), (0.2, True), (0.4, True), (0.6, False), (0.7, False)])
+    def test_exp_minus_one_over_z_trap(self, frac, decaying):
+        # e^{-1/z} on |arg z| < 3 pi/4 is flat along 0 but unbounded past pi/2: every N decays at
+        # theta <= 0.4 pi and none does from 0.6 pi on, where |f| = e^{-cos(theta)/r} blows up
+        dom = Polysector([Sector(-0.75 * PI, 0.75 * PI, math.inf)])
+        f = SampledFunction(dom, lambda p: np.exp(-1.0 / p[:, 0]))
+        radii = [0.5**k for k in range(1, 8)]
+        entries = null_expansion_check(f, (frac * PI,), [(n,) for n in range(5)], [radii])
+        assert [e.decaying for e in entries] == [decaying] * 5
+        assert entries[0].c_sup == pytest.approx(max(math.exp(-math.cos(frac * PI) / r) for r in radii), rel=1e-12)
 
     def test_nondecay_flagged(self):
         dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)

@@ -265,13 +265,41 @@ class TestDistinctCoordinates:
         func.eval_many(self.ladder_grid())
         assert sizes[0] == (384, 2) and set(sizes[1:]) == {(3, 1), (128, 1)}  # the interpolant, then its elements
 
+    @staticmethod
+    def scattered_points():
+        # not a product grid: some coordinates repeat across rows, some occur once
+        z1 = [0.05, 0.05 + 0.01j, 0.03, 0.05, 0.041 - 0.004j, 0.03, 0.05 + 0.01j, 0.062]
+        z2 = [0.02, 0.02, 0.035 + 0.002j, 0.027, 0.02, 0.044, 0.027, 0.035 + 0.002j]
+        return np.asarray(list(zip(z1, z2)))
+
     def test_matches_pointwise_evaluation(self):
-        # bit for bit: every sum over orders runs in einsum's fixed order
+        # bit for bit, on a ladder rung and on scattered points: every sum over orders runs in einsum's fixed order
         func = self.rat2_interpolant()
-        pts = self.ladder_grid()
-        batch = func.eval_many(pts)
-        alone = np.asarray([func.eval_many([p])[0] for p in pts])
-        assert np.array_equal(batch, alone)
+        for pts in (self.ladder_grid(), self.scattered_points()):
+            batch = func.eval_many(pts)
+            alone = np.asarray([func.eval_many([p])[0] for p in pts])
+            assert np.array_equal(batch, alone)
+
+    def test_no_shared_tables_and_one_unique_per_column(self, monkeypatch):
+        # the interpolant builds its own two tables: no LaplaceTables, and one np.unique per column and call
+        from polygevrey.transforms import LaplaceTables
+
+        builds, uniques = [], []
+        init, unique = LaplaceTables.__init__, np.unique
+
+        def counted_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        def counted_unique(*args, **kwargs):
+            uniques.append(np.shape(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(LaplaceTables, "__init__", counted_init)
+        func = self.rat2_interpolant()
+        monkeypatch.setattr(np, "unique", counted_unique)
+        func.eval_many(self.ladder_grid())
+        assert builds == [] and uniques == [(384,), (384,)]
 
 
 def record_probes(monkeypatch) -> list:
