@@ -72,15 +72,15 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
     """(direction, rates, rms, law) of the Gevrey fit to the constants of f - App_(n,...,n), n <= n_max.
 
     The family is the one ``family_from_series`` builds from the entry's series and z0.  ``law``
-    is the entry's ``type_profile`` at the direction, or None when the entry has none.
+    is the entry's ``type_profile`` at the direction, never None: an entry with no type law is a
+    ConfigError, and every entry with one has a series and z0.
     """
     from .families import family_from_series, fit_type_from_remainders, remainder_constants
 
-    ser, z0 = entry.known.get("series"), entry.known.get("z0")
-    if ser is None or z0 is None:
-        raise ConfigError(f"entry {entry.id!r} has no series and z0 to build its family from")
-    fam = family_from_series(ser, z0)
     profile = entry.known.get("type_profile")
+    if profile is None:
+        raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
+    fam = family_from_series(entry.known["series"], entry.known["z0"])
     fits = []
     for theta_t in cfg["directions"]:
         cons = remainder_constants(
@@ -88,8 +88,7 @@ def _remainder_fits(cfg: dict, entry) -> list[tuple]:
             [(n,) * entry.dim for n in range(cfg["n_max"] + 1)], noise_floor=cfg["noise_floor"],
         )
         rates, rms = fit_type_from_remainders(cons, window=cfg["window"])
-        law = None if profile is None else [p.fn(t) for p, t in zip(profile, theta_t)]
-        fits.append((theta_t, rates, rms, law))
+        fits.append((theta_t, rates, rms, [p.fn(t) for p, t in zip(profile, theta_t)]))
     return fits
 
 
@@ -138,14 +137,13 @@ def _cmd_type_fit(cfg: dict, out: Path) -> bool:
     report = {"command": "type-fit", "mode": mode, "testbed": entry.id, "directions": []}
     if mode == "gevrey":
         for theta_t, rates, rms, law in _remainder_fits(cfg, entry):
-            rows.append(list(theta_t) + list(rates) + [rms] + (law or []))
+            rows.append(list(theta_t) + list(rates) + [rms] + law)
             report["directions"].append(
                 {"theta": list(theta_t), "fitted": list(rates), "rms": rms, "law": law}
             )
         header = [f"theta{j + 1}" for j in range(entry.dim)]
         header += [f"R{j + 1}_fit" for j in range(entry.dim)] + ["rms"]
-        if report["directions"][0]["law"] is not None:
-            header += [f"R{j + 1}_law" for j in range(entry.dim)]
+        header += [f"R{j + 1}_law" for j in range(entry.dim)]
     else:  # flat
         from .flatness_bounds import fit_flat_type
         from .geometry import ray_points
@@ -179,7 +177,7 @@ def _cmd_predict_type(cfg: dict, out: Path) -> bool:
         theta = alpha + (beta - alpha) * k / (points - 1)
         theta_in = min(max(theta, alpha + margin), beta - margin)
         fz = fz_type(theta, alpha, beta, theta0, r0)
-        sine = sine_type(theta, alpha, beta, theta0, r0) if beta - alpha < math.pi else float("nan")
+        sine = sine_type(theta, alpha, beta, theta0, r0)
         circ = circle_type(cfg["R_alpha"], cfg["R_beta"], alpha, beta, theta)
         if abs(theta - theta0) < 0.5 * math.pi:
             rt = r_tilde(cfg["z0_mod"], theta, theta0)[0]
@@ -222,12 +220,9 @@ def _cmd_verify(cfg: dict, out: Path) -> bool:
         write_json(out / "pl.json", {"ok": rep.ok(), "report": report})
         return rep.ok()
     if suite == "remainder":
-        entry = _entry(cfg)
-        if entry.known.get("type_profile") is None:
-            raise ConfigError(f"entry {entry.id!r} has no type law to compare with")
         rel_tol = cfg["rel_tol"]
         results, ok = [], True
-        for theta_t, rates, _, law in _remainder_fits(cfg, entry):
+        for theta_t, rates, _, law in _remainder_fits(cfg, _entry(cfg)):
             rel = max(abs(r - l) / l for r, l in zip(rates, law))
             ok = ok and rel <= rel_tol
             results.append({"theta": list(theta_t), "fitted": list(rates), "law": law, "rel_err": rel})

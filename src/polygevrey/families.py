@@ -25,7 +25,7 @@ from .errors import (
     ProbeError,
     Record,
 )
-from .geometry import Polysector, Sector, ray_points
+from .geometry import Polysector, Sector, geometric_radii, ray_points
 from .series import MultiIndexSeries, _lgamma_sum, _powers, rate_fit
 from .transforms import LaplaceTables, SampledFunction, borel_disc_types, half_plane_polysector
 
@@ -226,8 +226,8 @@ class ProbeSpec(Record):
         if broken:
             raise DomainError(f"invalid probe {self}: need {', '.join(broken)}")
 
-    def radii(self) -> list[float]:
-        return [self.r0 * self.ratio**k for k in range(_RUNGS)]
+    def radii(self) -> tuple[float, ...]:
+        return geometric_radii(self.r0, self.ratio, _RUNGS)
 
 
 class ExtractResult(Record):

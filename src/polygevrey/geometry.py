@@ -98,7 +98,7 @@ EMPTY_POLYSECTOR = Polysector(())
 
 
 def geometric_radii(r0: float, ratio: float, count: int) -> tuple[float, ...]:
-    """Default grid r_k = r0 * ratio**k; type fits want log-spaced |z|."""
+    """The geometric grid r_k = r0 * ratio**k, k < count: a config's radius grid and the ladder's rungs."""
     if not (r0 > 0 and 0 < ratio < 1 and count >= 1):
         raise GeometryError("need r0 > 0, ratio in (0,1), count >= 1")
     return tuple(r0 * ratio**k for k in range(count))

@@ -140,7 +140,7 @@ _BAD_VALUES = [
     ("verify", {"suite": "coherence", "testbed": "euler"},
      "entry 'euler' has no total family"),
     ("type-fit", {"testbed": "flat1", "mode": "gevrey", "directions": [0.0], "radii": [0.4, 0.3]},
-     "entry 'flat1' has no series and z0 to build its family from"),
+     "entry 'flat1' has no type law to compare with"),
     ("verify", {"suite": "coherence", "series": {"dim": 1, "coeffs": [{"index": [0], "re": 1.0}]}},
      "config key 'z0' is required with 'series'"),
     ("verify", {"suite": "remainder", "testbed": "rat2", "directions": [[0.0, 0.0]], "radii": [0.4, 0.3]},
@@ -148,6 +148,16 @@ _BAD_VALUES = [
     # a nested table that is not an object
     ("transform", {"series": 5, "z0": [0.5], "direction": [0.0], "radii": [0.4]},
      "series must be a JSON object"),
+    # a z0 list of three numbers, theta0 below alpha, an opening of pi or more (the sine and
+    # circle laws need less), and an entry with a series and z0 but no type law
+    ("transform", {"testbed": "euler", "z0": [[0.5, 0.0, 0.0]], "direction": [0.0], "radii": [0.4]},
+     "config key 'z0' has a bad value [[0.5, 0.0, 0.0]]: z0 entries must be numbers or [re, im] pairs"),
+    ("predict-type", {"alpha": -1.0, "beta": 1.0, "theta0": -1.5, "R0": 1.0},
+     "need alpha < theta0 < beta"),
+    ("predict-type", {"alpha": 0.0, "beta": 3.5, "theta0": 1.0, "R0": 1.0},
+     "sine law needs opening < pi"),
+    ("type-fit", {"testbed": "brg_const2", "mode": "gevrey", "directions": [[0.0, 0.0]], "radii": [0.4, 0.3]},
+     "entry 'brg_const2' has no type law to compare with"),
 ]
 
 
@@ -909,6 +919,73 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INTERNAL
         assert json.loads((out / "error.json").read_text())["error"].startswith(exc.__name__)
 
+    def test_probe_failures_fail_the_verdict(self, tmp_path):
+        # at tol 1e-14 no ladder of rat2 settles: each pair is a probe failure, and the verdict exits 1
+        cfg = write(tmp_path, "vc.json", {"suite": "coherence", "testbed": "rat2", "tol": 1e-14})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERDICT_FAIL
+        report = json.loads((out / "coherence.json").read_text())
+        assert report["ok"] is False
+        assert report["report"]["failures"] == []
+        failures = report["report"]["probe_failures"]
+        assert len(failures) == 54
+        assert all(set(f) == {"J", "L", "N_J", "N_L", "note"} for f in failures)
+
+    def test_residual_failure_fails_the_verdict(self, tmp_path, monkeypatch):
+        # rat2's family with the joint constant f_{(0,1),(0,0)} = 2 in place of 1: the limits of
+        # f_{0,0} and f_{1,0} at the vertex read 1, so that pair fails by |2 - 1| / max(1, 2)
+        from polygevrey import SampledFunction, TotalFamily, testbed
+        from polygevrey.testbed import RegistryEntry
+
+        entry = testbed.get("rat2")
+        fam = entry.known["total_family"]
+        elements = {**fam.elements, ((0, 1), (0, 0)): SampledFunction.constant(2.0)}
+        known = {**entry.known, "total_family": TotalFamily(fam.dim, fam.host, elements, fam.index_bound)}
+        fake = RegistryEntry(entry.id, entry.dim, entry.fn, known, entry.notes)
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        cfg = write(tmp_path, "vc.json", {"suite": "coherence", "testbed": "rat2", "max_order": 1})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERDICT_FAIL
+        report = json.loads((out / "coherence.json").read_text())["report"]
+        assert report["probe_failures"] == []
+        assert report["failures"]
+        for failure in report["failures"]:
+            assert (failure["N_J"], failure["N_L"]) == ([0], [0])
+            assert failure["residual"] == pytest.approx(0.5, rel=1e-6)
+
+    def test_coherence_on_a_testbed_series_with_z0(self, tmp_path):
+        # an entry's series with a z0 is the same family as that series written inline
+        coeffs = [{"index": [0, 0], "re": 2.0}, {"index": [1, 1], "re": 1.0}, {"index": [2, 1], "re": -0.5},
+                  {"index": [0, 3], "re": 0.25}]
+        base = {"suite": "coherence", "z0": [0.5, 0.45], "max_order": 1}
+        reports = []
+        for name, cfg in [("entry", {**base, "testbed": "poly"}),
+                          ("inline", {**base, "series": {"dim": 2, "coeffs": coeffs, "degree_bound": [2, 3]}})]:
+            out = tmp_path / name
+            assert main(["verify", "--config", write(tmp_path, f"{name}.json", cfg), "--out", str(out)]) == EXIT_OK
+            reports.append((out / "coherence.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["report"]["checked_pairs"] > 0
+
+    def test_pl_violations_fail_the_verdict(self, tmp_path, monkeypatch):
+        # e^{1/z1^2} has modulus 1 on the edges of |arg z1| < pi/4 and grows on its bisector
+        import numpy as np
+
+        from polygevrey import SampledFunction, testbed
+
+        entry = testbed.get("poly")
+        fake = with_fn(entry, SampledFunction(entry.fn.domain, lambda p: np.exp(1.0 / p[:, 0] ** 2)))
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        sector = {"alpha": -PI / 4, "beta": PI / 4, "rho": 1.0}
+        cfg = write(tmp_path, "vp.json", {"suite": "pl", "testbed": "poly", "polysector": {"sectors": [sector] * 2}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERDICT_FAIL
+        pl = json.loads((out / "pl.json").read_text())
+        assert pl["ok"] is False
+        violations = pl["report"]["violations"]
+        assert violations and all(v["abs"] > pl["report"]["boundary_max"] for v in violations)
+        assert all(len(v["z"]) == 2 and all(len(w) == 2 for w in v["z"]) for v in violations)
+
     def test_pl_poly(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -947,6 +1024,35 @@ class TestVerify:
         report = json.loads((out / "remainder.json").read_text())
         assert report["ok"]
         assert all(d["rel_err"] < 0.15 for d in report["directions"])
+
+    def test_remainder_against_a_wrong_law_fails(self, tmp_path, monkeypatch):
+        # euler's fitted types against twice its law: every direction is off by about a half
+        from polygevrey import TypeProfile, testbed
+        from polygevrey.testbed import RegistryEntry
+
+        entry = testbed.get("euler")
+        (law,) = entry.known["type_profile"]
+        doubled = TypeProfile(law.alpha, law.beta, lambda theta: 2.0 * law.fn(theta))
+        fake = RegistryEntry(entry.id, entry.dim, entry.fn, {**entry.known, "type_profile": (doubled,)}, entry.notes)
+        monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
+        cfg = write(
+            tmp_path,
+            "vr.json",
+            {
+                "suite": "remainder",
+                "testbed": "euler",
+                "directions": [0.0, PI / 6],
+                "radii": {"r0": 0.5, "ratio": 0.82, "count": 22},
+                "n_max": 22,
+                "window": [4, 16],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_VERDICT_FAIL
+        report = json.loads((out / "remainder.json").read_text())
+        assert report["ok"] is False
+        assert [d["theta"] for d in report["directions"]] == [[0.0], [PI / 6]]
+        assert all(0.4 < d["rel_err"] < 0.6 for d in report["directions"])
 
     def test_first_order_rat2(self, tmp_path):
         cfg = write(
@@ -1313,3 +1419,22 @@ class TestListTestbed:
         assert main(["list-testbed"]) == EXIT_OK
         assert "rat2" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    def test_internal_error_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # a bug exits 70 with its traceback; with no --out there is no error.json to write
+        from polygevrey import commands
+
+        def broken(cfg, out):
+            raise RuntimeError("bug in the handler")
+
+        monkeypatch.setitem(commands.HANDLERS, "list-testbed", broken)
+        monkeypatch.chdir(tmp_path)
+        assert main(["list-testbed"]) == EXIT_INTERNAL
+        assert "RuntimeError: bug in the handler" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        # the console script calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["polygevrey", "list-testbed"])
+        assert main() == EXIT_OK
+        assert "rat2 (dim 2)" in capsys.readouterr().out

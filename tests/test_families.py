@@ -168,6 +168,8 @@ class TestAppN:
             app_n_many(fam, [(1, -1)], [(0.1, 0.1)])
         with pytest.raises(DimensionMismatchError, match="one column per axis"):
             app_n_many(fam, [(1, 1)], [(0.1, 0.1, 0.1)])
+        with pytest.raises(DimensionMismatchError, match="one column per axis"):
+            app_n_many(fam, [(1, 1)], [0.1, 0.1])
 
     def test_family_invariants(self):
         fam = xy_family()
@@ -460,9 +462,10 @@ class TestSingleMultidirection:
 
     def test_direction_outside_the_opening(self):
         # rat2's sectors open to |arg z| < 1.2
-        probe = ProbeSpec(direction=(1.3,))
-        with pytest.raises(DomainError):
-            extract_element(testbed.get("rat2").fn, (0,), (0,), (0.1 + 0.03j,), probe=probe)
+        for theta in (1.3, -1.3):
+            probe = ProbeSpec(direction=(theta,))
+            with pytest.raises(DomainError, match="probe direction outside the sector"):
+                extract_element(testbed.get("rat2").fn, (0,), (0,), (0.1 + 0.03j,), probe=probe)
 
     @pytest.mark.parametrize(
         "axes, n_index, z_rest, direction",
@@ -1032,6 +1035,16 @@ class TestRemainderFits:
         assert rates[0] == pytest.approx(0.5, rel=1e-10)
         assert rms < 1e-10
 
+    @pytest.mark.parametrize(
+        "cons",
+        [{(3,): 6.0}, {(3,): 6.0, (4,): 0.0}, {(3, 3): 36.0, (4, 4): 576.0}],
+        ids=["one-index", "a-zero-constant", "two-indices-in-two-axes"],
+    )
+    def test_too_few_constants(self, cons):
+        # a fit of n rates needs n + 1 positive constants in the window
+        with pytest.raises(DomainError, match="too few remainder constants"):
+            fit_type_from_remainders(cons, window=(2, 9))
+
     def test_window_and_floor(self):
         entry = testbed.get("brg_const")
         # constant series padded with explicit zeros up to degree 9
@@ -1306,6 +1319,12 @@ class TestWindowWeights:
             assert round(float(sum(abs(w) for w in exact)), 3) == lebesgue
             for w, want in zip(window_weights(q), exact):
                 assert abs(w - want) <= 8 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("probe", [ProbeSpec(), ProbeSpec(r0=0.2, ratio=0.75)],
+                             ids=["ratio-0.7", "ratio-0.75"])
+    def test_ladder_radii_are_the_geometric_grid(self, probe):
+        # the ladder reads geometry.geometric_radii, the bits of its former r0 * ratio**k list
+        assert list(probe.radii()) == [probe.r0 * probe.ratio**k for k in range(20)]
 
     @pytest.mark.parametrize("probe", [ProbeSpec(), ProbeSpec(r0=0.2, ratio=0.75)],
                              ids=["ratio-0.7", "ratio-0.75"])

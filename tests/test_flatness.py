@@ -62,6 +62,12 @@ class TestFitFlatType:
         fit = fit_flat_type(grid_samples(lambda r: 0.7, radii))
         assert fit.rates == (0.0,)
 
+    @pytest.mark.parametrize("samples", [[], [((0.5,), 0.3)], [((0.5,), 0.0), ((0.4,), 0.0)]],
+                             ids=["none", "one", "all-zero"])
+    def test_too_few_samples(self, samples):
+        with pytest.raises(DomainError, match="need at least n\\+1 samples"):
+            fit_flat_type(samples)
+
     def test_zero_samples_excluded(self):
         radii = [0.5, 0.4, 0.3, 0.2, 0.1]
         samples = grid_samples(lambda r: math.exp(-1.0 / r), radii)
@@ -122,8 +128,9 @@ class TestGevreyEnvelope:
         assert gevrey_envelope_log(c, a, r) == plain
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            gevrey_envelope_log(0.0, 1.0, 0.1)
+        for c, a, r in [(0.0, 1.0, 0.1), (1.0, 0.0, 0.1), (1.0, 1.0, -0.1)]:
+            with pytest.raises(DomainError, match="c, a, r must be positive"):
+                gevrey_envelope_log(c, a, r)
 
 
 class TestHAux:
@@ -200,22 +207,26 @@ class TestWedgeBound:
         assert val == pytest.approx((c * 0.5**lam) ** mu, rel=1e-9)
 
     def test_outside_wedge(self):
-        with pytest.raises(DomainError):
-            wedge_bound((0.5 * cmath.exp(1.0j),), (-0.4,), (0.4,), (1.0,), 1.0, 0.5)
+        for theta in (1.0, -1.0):
+            with pytest.raises(DomainError, match="outside the wedge"):
+                wedge_bound((0.5 * cmath.exp(1j * theta),), (-0.4,), (0.4,), (1.0,), 1.0, 0.5)
 
     @pytest.mark.parametrize(
-        "z, alphas, c, eps, message",
+        "z, alphas, lams, c, eps, message",
         [
-            ((0.5,), (-0.4,), 1.0, 1.0, "eps must lie in"),
-            ((0.5,), (-0.4,), 0.0, 0.5, "C must be positive"),
-            ((0.5,), (-0.4, -0.4), 1.0, 0.5, "per-axis argument lengths disagree"),
-            ((0.0,), (-0.4,), 1.0, 0.5, "undefined at the vertex"),
+            ((0.5,), (-0.4,), (1.0,), 1.0, 1.0, "eps must lie in"),
+            ((0.5,), (-0.4,), (1.0,), 0.0, 0.5, "C must be positive"),
+            ((0.5,), (-0.4, -0.4), (1.0,), 1.0, 0.5, "per-axis argument lengths disagree"),
+            ((0.0,), (-0.4,), (1.0,), 1.0, 0.5, "undefined at the vertex"),
+            ((0.5,), (-0.4,), (1.0,), 1.0, 0.0, "eps must lie in"),
+            ((0.5,), (-0.4,), (1.0, 1.0), 1.0, 0.5, "per-axis argument lengths disagree"),
+            ((0.5, 0.5), (-0.4,), (1.0,), 1.0, 0.5, "per-axis argument lengths disagree"),
         ],
-        ids=["eps-1", "C-0", "lengths", "vertex"],
+        ids=["eps-1", "C-0", "lengths", "vertex", "eps-0", "lambdas-length", "z-length"],
     )
-    def test_arguments_rejected(self, z, alphas, c, eps, message):
+    def test_arguments_rejected(self, z, alphas, lams, c, eps, message):
         with pytest.raises(DomainError, match=message):
-            wedge_bound(z, alphas, (0.4,), (1.0,), c, eps)
+            wedge_bound(z, alphas, (0.4,), lams, c, eps)
 
     @pytest.mark.parametrize("alpha, beta", [(0.4, 0.4), (0.5, 0.3)])
     def test_empty_wedge_rejected(self, alpha, beta):
@@ -423,6 +434,15 @@ class TestNullExpansion:
         entries = null_expansion_check(f, (frac * PI,), [(n,) for n in range(5)], [radii])
         assert [e.decaying for e in entries] == [decaying] * 5
         assert entries[0].c_sup == pytest.approx(max(math.exp(-math.cos(frac * PI) / r) for r in radii), rel=1e-12)
+
+    @pytest.mark.parametrize("radii", [[[0.5], [0.4]], [[0.1], [0.3, 0.2]]], ids=["one-point", "one-min-radius"])
+    def test_no_slope_to_fit_is_decaying(self, radii):
+        # one point, or points at one min radius: no trend toward the vertex, so no fit and decaying
+        dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)
+        f = SampledFunction(dom, lambda p: np.ones(len(p), dtype=complex))
+        (entry,) = null_expansion_check(f, (0.0, 0.0), [(1, 0)], radii)
+        assert entry.decaying is True
+        assert entry.c_sup == pytest.approx(1.0 / radii[0][0])
 
     def test_nondecay_flagged(self):
         dom = Polysector([Sector(-0.5, 0.5, 1.5)] * 2)

@@ -69,11 +69,15 @@ class TestRayPoints:
         s = Polysector([sector()])
         with pytest.raises(GeometryError):
             ray_points(s, (0.0,), [[1.0]])
+        with pytest.raises(GeometryError, match="radius 0.0 outside"):
+            ray_points(s, (0.0,), [[0.1, 0.0]])
 
     def test_direction_outside(self):
         s = Polysector([sector()])
         with pytest.raises(GeometryError):
             ray_points(s, (1.0,), [[0.1]])
+        with pytest.raises(GeometryError, match="direction lies outside"):
+            ray_points(s, (-1.0,), [[0.1]])
 
     def test_wrong_length_direction(self):
         s = Polysector([sector(), sector()])
@@ -129,7 +133,7 @@ class TestGrids:
         r = geometric_radii(0.5, 0.5, 4)
         assert r == (0.5, 0.25, 0.125, 0.0625)
 
-    @pytest.mark.parametrize("r0, ratio, count", [(0.0, 0.5, 4), (0.5, 1.0, 4), (0.5, 0.5, 0)])
+    @pytest.mark.parametrize("r0, ratio, count", [(0.0, 0.5, 4), (0.5, 1.0, 4), (0.5, 0.5, 0), (0.5, 0.0, 4)])
     def test_geometric_radii_validation(self, r0, ratio, count):
         with pytest.raises(GeometryError, match="need r0 > 0"):
             geometric_radii(r0, ratio, count)

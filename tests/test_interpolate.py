@@ -107,11 +107,13 @@ class TestValidation:
         assert probes == []
 
     def test_sector_outside_half_plane(self, monkeypatch):
-        # arg z0 = 0.5 on axis 0 puts its half-plane at (-1.07, 2.07), which misses -1.2; no ladder starts
+        # arg z0 = 0.5 on axis 0 puts its half-plane at (-1.07, 2.07), which misses -1.2, and
+        # arg z0 = -0.5 at (-2.07, 1.07), which misses 1.2; no ladder starts
         probes = record_probes(monkeypatch)
         fam = constant_sequences(host2(), [1.0], [1.0])
-        with pytest.raises(DomainError, match="axis 0 sector not contained in the half-plane"):
-            interpolate_first_order(fam, (0.9 * cmath.exp(0.5j), 0.9), coeff_cap=8)
+        for arg in (0.5, -0.5):
+            with pytest.raises(DomainError, match="axis 0 sector not contained in the half-plane"):
+                interpolate_first_order(fam, (0.9 * cmath.exp(1j * arg), 0.9), coeff_cap=8)
         assert probes == []
 
     @pytest.mark.parametrize("values0, values1", [([1.0], []), ([], [1.0])])

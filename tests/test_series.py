@@ -161,7 +161,10 @@ class TestFit:
 
     def test_sparse_degrees_skip_the_half_window_test(self):
         # f_N = N! at N in {0, 1, 2, 10, 11}: the upper half window [5.5, 11] holds two
-        # indices, too few for a slope, so the type is the full fit's exp(0) = 1
+        # indices, too few for a slope, so the type is the full fit's exp(0) = 1; so does
+        # the lower half at {0, 1, 9, 10, 11}
+        lower = MultiIndexSeries(1, {(n,): math.factorial(n) for n in (0, 1, 9, 10, 11)})
+        assert fit_gevrey_type(lower) == pytest.approx((1.0,), rel=1e-12)
         ser = MultiIndexSeries(1, {(n,): math.factorial(n) for n in (0, 1, 2, 10, 11)})
         assert fit_gevrey_type(ser) == pytest.approx((1.0,), rel=1e-12)
 

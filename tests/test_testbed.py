@@ -33,6 +33,12 @@ class TestRegistry:
             assert (entry.id, entry.dim, entry.notes) == (entry_id, dim, notes)
             assert entry.fn.domain.dim == dim
 
+    def test_a_type_law_comes_with_a_series_and_z0(self):
+        # type-fit gevrey and verify remainder build the family of any entry with a law from these
+        with_law = [e for e in map(testbed.get, testbed.ids()) if "type_profile" in e.known]
+        assert [e.id for e in with_law] == ["brg_const", "euler"]
+        assert all({"series", "z0"} <= set(e.known) for e in with_law)
+
     def test_known_without_note_rejected(self):
         entry = testbed.get("euler")
         with pytest.raises(ValueError):

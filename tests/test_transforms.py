@@ -107,6 +107,11 @@ class TestTruncatedLaplace:
             )
         assert np.all(errs >= 0)
 
+    def test_zero_dimensional_array_is_a_scalar(self):
+        got = truncated_laplace_with_error(lambda t: t, 1.0, np.array(0.5), 1e-12)
+        assert got == truncated_laplace_with_error(lambda t: t, 1.0, 0.5, 1e-12)
+        assert type(got[0]) is complex and type(got[1]) is float
+
     def test_half_plane_enforced(self):
         with pytest.raises(DomainError):
             truncated_laplace_with_error(lambda t: t, 1.0, -0.3, 1e-10)
@@ -518,6 +523,12 @@ class TestAdaptivePanels:
     def test_smooth_integral(self):
         val, err = adaptive_panel_quad(lambda s: np.exp(-3 * s), 0.0, 1.0, 1e-12, 30)
         assert complex(val) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
+
+    def test_accepted_at_max_depth(self):
+        # a panel within its budget at max_depth is kept: GL15 is exact on s^2 with no split
+        val, err = adaptive_panel_quad(lambda s: s**2, 0.0, 1.0, 1e-12, max_depth=0)
+        assert complex(val) == pytest.approx(1 / 3, rel=1e-14)
+        assert float(err) <= 1e-15
 
     def test_batch_columns(self):
         rates = np.array([1.0, 10.0, 120.0])

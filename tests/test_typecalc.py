@@ -16,6 +16,7 @@ from polygevrey import (
     r_tilde,
     sine_type,
 )
+from polygevrey.typecalc import scan_max
 
 PI = math.pi
 
@@ -76,6 +77,21 @@ class TestG:
             g_of_delta(0.0)
         with pytest.raises(DomainError):
             g_of_delta(1.2)
+
+
+class TestScanMax:
+    def test_bracket_below_xtol_is_not_refined(self):
+        # the best sample's neighbours lie 0.2 apart, inside xtol = 0.5: the n samples and
+        # the two golden-section points are all the calls, and the best of them is returned
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return -(x - 0.37) ** 2
+
+        best = scan_max(fn, 0.0, 1.0, 11, 0.5)
+        assert len(calls) == 11 + 2
+        assert best == max(-(x - 0.37) ** 2 for x in calls)
 
 
 class TestRTilde:
@@ -140,6 +156,10 @@ class TestFZ:
             fz_type(0.0, -1.0, 1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             fz_type(1.5, -1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="not interior to"):
+            fz_type(0.0, -1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(DomainError, match="outside"):
+            fz_type(-1.5, -1.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError, match="r0 must be nonnegative"):
             fz_type(0.0, -1.0, 1.0, 0.0, -1.0)
 
@@ -171,8 +191,9 @@ class TestSine:
 
     @pytest.mark.parametrize(
         "theta, theta0, r, message",
-        [(0.0, 1.0, 1.0, "not interior to"), (1.0, 0.0, 1.0, "outside"), (0.0, 0.0, -1.0, "r must be nonnegative")],
-        ids=["theta0-outside", "theta-outside", "r-negative"],
+        [(0.0, 1.0, 1.0, "not interior to"), (1.0, 0.0, 1.0, "outside"), (0.0, 0.0, -1.0, "r must be nonnegative"),
+         (0.0, -0.5, 1.0, "not interior to"), (-1.0, 0.0, 1.0, "outside")],
+        ids=["theta0-outside", "theta-outside", "r-negative", "theta0-at-alpha", "theta-below-alpha"],
     )
     def test_domain(self, theta, theta0, r, message):
         with pytest.raises(DomainError, match=message):
@@ -222,8 +243,12 @@ class TestCircle:
     def test_domain(self):
         with pytest.raises(DomainError, match="outside"):
             circle_type(1.0, 1.0, 0.0, 1.0, 1.5)
+        with pytest.raises(DomainError, match="outside"):
+            circle_type(1.0, 1.0, 0.0, 1.0, -0.5)
         with pytest.raises(DomainError, match="edge radii must be nonnegative"):
             circle_type(-1.0, 1.0, 0.0, 1.0, 0.5)
+        with pytest.raises(DomainError, match="edge radii must be nonnegative"):
+            circle_type(1.0, -1.0, 0.0, 1.0, 0.5)
         # a zero opening puts both edge points on one ray through the vertex
         with pytest.raises(GeometryError, match="degenerate circumcircle"):
             circle_type(1.0, 1.0, 0.5, 0.5, 0.5)
@@ -290,6 +315,14 @@ class TestFinalType:
             final_type((self.theta0,), (self.theta0,), (0.0,), (self.prof,))
         with pytest.raises(DomainError, match="per-axis argument lengths disagree"):
             final_type((self.theta0,), (self.theta0, self.theta0), (1.5,), (self.prof,))
+        with pytest.raises(DomainError, match="per-axis argument lengths disagree"):
+            final_type((self.theta0,), (self.theta0,), (1.5,), (self.prof, self.prof))
+        with pytest.raises(DomainError, match="per-axis argument lengths disagree"):
+            final_type((self.theta0, self.theta0), (self.theta0,), (1.5,), (self.prof,))
+        # theta0 at or past either edge of the profile's sector
+        for theta0 in (self.alpha - 0.1, self.beta + 0.1):
+            with pytest.raises(DomainError, match="need theta0-pi/2 < alpha < theta0 < beta"):
+                final_type((0.0,), (theta0,), (1.5,), (self.prof,))
 
 
 class TestTypeProfile:
