@@ -2,8 +2,9 @@
 and the provenance note of every known field.
 
 Standard library only, so ``list-testbed`` prints the registry without
-loading numpy or building any entry.  ``testbed`` takes each entry's ``dim``
-and ``notes`` from here, and its ids are this table's keys.
+loading numpy or building any entry.  ``testbed`` takes each entry's ``notes``
+from here, and its ids are this table's keys; each entry's own ``dim``, read
+off its function's domain, must equal the one listed here.
 """
 
 CATALOGUE: dict[str, tuple[int, dict[str, str]]] = {

@@ -254,7 +254,7 @@ def _cmd_interpolate(cfg: dict, out: Path) -> bool:
     rows = []
     worst = 0.0
     points = [(sv,) for sv in samples]
-    for axis in (0, 1):
+    for axis in range(fam.dim):
         # one ladder per axis: every order, every sample point a batch column
         vals, errs, _, _ = element_coefficients([func], (axis,), [(k,) for k in range(orders + 1)], outer, points)
         for k, elem in enumerate(fam.sequence(axis)[: orders + 1]):

@@ -4,10 +4,12 @@
 class Record:
     """Immutable value: its fields are the names annotated in the class body, in order.
 
-    A subclass's ``__init__`` checks its arguments and stores one value per
-    field with :meth:`_set`; assigning or deleting an attribute afterwards
-    raises AttributeError.  Equality and hash compare the fields, and the repr
-    lists them.  (Written out instead of generated, so importing costs nothing.)
+    The constructor takes one value per field, positionally, and stores it as
+    given.  A subclass that checks or converts its arguments defines its own
+    ``__init__`` and stores the results with ``super().__init__``; assigning or
+    deleting an attribute afterwards raises AttributeError.  Equality and hash
+    compare the fields, and the repr lists them.  (Written out instead of
+    generated, so importing costs nothing.)
     """
 
     _fields = ()
@@ -16,8 +18,10 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
 
-    def _set(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}, got {len(values)} values")
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

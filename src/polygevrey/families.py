@@ -52,37 +52,38 @@ def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 class TotalFamily(Record):
-    """Map (J, N_J) -> coefficient function on the complementary axes.
+    """Map (J, N_J) -> coefficient function on the complementary axes, over the polysector ``host``.
 
     The first-order family is the part with #J = 1, not a separate type:
     :meth:`sequence` reads it one axis at a time, :meth:`first_order` as a family.
     """
 
-    dim: int
     host: Polysector
     elements: dict
-    index_bound: tuple[int, ...]
 
-    def __init__(self, dim, host, elements, index_bound):
-        dim = int(dim)
-        if host.dim != dim:
-            raise DimensionMismatchError("host polysector dimension mismatch")
-        index_bound = tuple(int(b) for b in index_bound)
-        if len(index_bound) != dim:
-            raise DimensionMismatchError("index_bound length must equal dim")
+    def __init__(self, host, elements):
         clean = {}
         for (axes, idx), elem in elements.items():
             key = _subset_key(axes)
             idx = tuple(int(i) for i in idx)
             if len(idx) != len(key):
                 raise FamilyError(f"index {idx} does not match subset {key}")
-            rest = len([a for a in range(dim) if a not in key])
+            rest = len([a for a in range(host.dim) if a not in key])
             if elem.domain.dim != rest:
                 raise FamilyError(
                     f"element for J={key} must live on {rest} axes, has {elem.domain.dim}"
                 )
             clean[(key, idx)] = elem
-        self._set(dim, host, clean, index_bound)
+        super().__init__(host, clean)
+
+    @property
+    def dim(self) -> int:
+        return self.host.dim
+
+    @property
+    def index_bound(self) -> tuple[int, ...]:
+        """Per axis, the last index of :meth:`sequence`; -1 where the axis stores no f_{j,0}."""
+        return tuple(len(self.sequence(a)) - 1 for a in range(self.dim))
 
     def element(self, axes: Iterable[int], idx: Sequence[int]) -> SampledFunction:
         key = (_subset_key(axes), tuple(int(i) for i in idx))
@@ -110,10 +111,9 @@ class TotalFamily(Record):
         return tuple(seq)
 
     def first_order(self, max_order: int) -> TotalFamily:
-        """The #J = 1 family: each :meth:`sequence` up to ``max_order``, index bound len(sequence) - 1."""
-        seqs = [self.sequence(axis) for axis in range(self.dim)]
-        elements = {((a,), (n,)): el for a, seq in enumerate(seqs) for n, el in enumerate(seq[: max_order + 1])}
-        return TotalFamily(self.dim, self.host, elements, [len(seq) - 1 for seq in seqs])
+        """The #J = 1 family: each :meth:`sequence` cut after ``max_order``; its index bound is what it keeps."""
+        return TotalFamily(self.host, {((a,), (n,)): el for a in range(self.dim)
+                                       for n, el in enumerate(self.sequence(a)[: max_order + 1])})
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +128,14 @@ def app_n_many(fam: TotalFamily, n_indices: Sequence[Sequence[int]], pts: np.nda
     each element is evaluated once, on all k points, whichever truncation indices need it.
     """
     n_indices = [tuple(int(k) for k in n_index) for n_index in n_indices]
+    bound = fam.index_bound
     for n_index in n_indices:
         if len(n_index) != fam.dim:
             raise DimensionMismatchError("truncation index length must equal dim")
         if any(k < 0 for k in n_index):
             raise FamilyError("truncation index must be nonnegative")
-        if any(k > b + 1 for k, b in zip(n_index, fam.index_bound)):
-            raise FamilyError(f"truncation {n_index} exceeds index bound {fam.index_bound} + 1")
+        if any(k > b + 1 for k, b in zip(n_index, bound)):
+            raise FamilyError(f"truncation {n_index} exceeds index bound {bound} + 1")
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != fam.dim:
         raise DimensionMismatchError("points must have one column per axis")
@@ -215,7 +216,7 @@ class ProbeSpec(Record):
 
     def __init__(self, r0: float = 0.3, ratio: float = 0.7, tol: float = 1e-8, circle_nodes: int = 64,
                  direction: tuple[float, ...] | None = None):
-        self._set(r0, ratio, tol, circle_nodes, direction)
+        super().__init__(r0, ratio, tol, circle_nodes, direction)
         rules = (
             (self.r0 > 0, "r0 > 0"),
             (0 < self.ratio < 1, "0 < ratio < 1"),
@@ -235,9 +236,6 @@ class ExtractResult(Record):
     error: float
     converged: bool
     radius: float
-
-    def __init__(self, value: complex, error: float, converged: bool, radius: float):
-        self._set(value, error, converged, radius)
 
 
 def axis_coefficient_ladder(
@@ -383,10 +381,6 @@ class CoherenceReport(Record):
     tolerance: float
     missing: int
 
-    def __init__(self, checked_pairs: int, max_residual: float, failures: tuple, probe_failures: tuple,
-                 tolerance: float, missing: int = 0):
-        self._set(checked_pairs, max_residual, failures, probe_failures, tolerance, missing)
-
     def ok(self) -> bool:
         """The one verdict: at least one checked pair, no failure and no probe failure."""
         return self.checked_pairs > 0 and not self.failures and not self.probe_failures
@@ -524,7 +518,7 @@ def slice_family(
             }
             sub = MultiIndexSeries(len(rest), coeffs, tuple(bound[a] for a in rest))
             elements[(axes, idx)] = element(sub, rest)
-    return TotalFamily(series.dim, host, elements, bound)
+    return TotalFamily(host, elements)
 
 
 def family_from_series(fhat: MultiIndexSeries, z0: Sequence[complex]) -> TotalFamily:

@@ -33,7 +33,7 @@ class FlatFit(Record):
     residual: float
 
     def __init__(self, rates, residual: float):
-        self._set(rates, residual)
+        super().__init__(rates, residual)
         if any(r < 0 for r in self.rates):
             raise SeriesError("flat rates must be nonnegative")
         if self.residual < 0:
@@ -154,10 +154,6 @@ class BoundReport(Record):
     tolerance: float
     eval_failures: int
 
-    def __init__(self, boundary_max: float, interior_max: float, violations: tuple, tolerance: float,
-                 eval_failures: int = 0):
-        self._set(boundary_max, interior_max, violations, tolerance, eval_failures)
-
     def ok(self) -> bool:
         return not self.violations
 
@@ -238,7 +234,7 @@ class NullFitEntry(Record):
     decaying: bool
 
     def __init__(self, n_index, c_sup: float, decaying: bool):
-        self._set(n_index, c_sup, bool(decaying))
+        super().__init__(n_index, c_sup, bool(decaying))
 
 
 def null_expansion_check(

@@ -28,7 +28,7 @@ class Sector(Record):
     rho: float
 
     def __init__(self, alpha: float, beta: float, rho: float = math.inf):
-        self._set(alpha, beta, rho)
+        super().__init__(alpha, beta, rho)
         if not self.alpha < self.beta:
             raise GeometryError(f"sector needs alpha < beta, got ({self.alpha}, {self.beta})")
         if not self.rho > 0:
@@ -79,7 +79,7 @@ class Polysector(Record):
     sectors: tuple[Sector, ...]
 
     def __init__(self, sectors: Iterable[Sector]):
-        self._set(tuple(sectors))
+        super().__init__(tuple(sectors))
 
     @property
     def dim(self) -> int:

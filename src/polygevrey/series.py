@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, Record, SeriesError
 #: fitted rates above this are reported as an unbounded (convergent) type
 TYPE_INFINITY_THRESHOLD = 1e6
 
-#: lower-half vs upper-half slope gap (in log units) that flags a diverging slope
+#: lower-half vs upper-half slope gap (in log units) that flags a slope running away, either way
 TAIL_STEEPENING_THRESHOLD = 0.5
 
 
@@ -66,7 +66,7 @@ class MultiIndexSeries(Record):
         for index in clean:
             if any(k > b for k, b in zip(index, degree_bound)):
                 raise SeriesError(f"index {index} exceeds degree bound {degree_bound}")
-        self._set(dim, clean, degree_bound)
+        super().__init__(dim, clean, degree_bound)
 
     def __getitem__(self, index: Sequence[int]) -> complex:
         return self.coeffs.get(tuple(index), 0j)
@@ -158,10 +158,12 @@ def fit_gevrey_type(f: MultiIndexSeries) -> tuple[float, ...]:
 
     An axis is reported as unbounded (math.inf) when the fitted rate exceeds
     TYPE_INFINITY_THRESHOLD, when the slope is steep enough to underflow the
-    machine range within the stored degree, or when the upper-half slope keeps
-    steepening past the lower-half slope (the signature of a convergent
-    series, whose log ratio is concave).  A rate that underflows is reported
-    as 0.0: the coefficients grow too fast for any Borel disc.  Raises
+    machine range within the stored degree, or when the upper-half slope falls
+    TAIL_STEEPENING_THRESHOLD or more below the lower-half one (a concave log
+    ratio: a convergent series).  It is reported as 0.0 when the rate
+    underflows, or when the upper-half slope rises that much above the lower
+    (a convex log ratio, as of (h! k!)^2, whose average slope would give a
+    finite type): the coefficients grow too fast for any Borel disc.  Raises
     SeriesError when there are fewer than dim + 1 nonzero coefficients.
     """
     entries = [(ix, math.log(abs(c)) - _lgamma_sum(ix)) for ix, c in f.items()]
@@ -177,17 +179,12 @@ def fit_gevrey_type(f: MultiIndexSeries) -> tuple[float, ...]:
     y_arr = np.asarray(logvals, dtype=float)
     types = []
     for j, slope in enumerate(slopes):
-        bound = max(1, f.degree_bound[j])
-        if slope <= -math.log(np.finfo(float).max) / bound:
-            types.append(math.inf)
-            continue
-        rate = math.exp(-slope)
-        if rate > TYPE_INFINITY_THRESHOLD:
-            types.append(math.inf)
-            continue
-        halves = _half_window_slopes(idx_arr, y_arr, j)
-        if halves is not None and halves[1] <= halves[0] - TAIL_STEEPENING_THRESHOLD:
-            types.append(math.inf)
-            continue
+        steep = slope <= -math.log(np.finfo(float).max) / max(1, f.degree_bound[j])
+        rate = math.inf if steep else math.exp(-slope)
+        lower, upper = _half_window_slopes(idx_arr, y_arr, j) or (0.0, 0.0)
+        if rate > TYPE_INFINITY_THRESHOLD or upper <= lower - TAIL_STEEPENING_THRESHOLD:
+            rate = math.inf
+        elif upper >= lower + TAIL_STEEPENING_THRESHOLD:
+            rate = 0.0
         types.append(rate)
     return tuple(types)

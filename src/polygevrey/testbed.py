@@ -6,7 +6,7 @@ cross-checked against an independent route (remainder fits, Taylor
 expansion).  The registry is code, not data files: closed forms need exact
 evaluation.  No entry integrates numerically: euler is ``brg_function`` of its
 own series, the closed-form transform of its degree-45 Borel polynomial.
-Each entry's ``dim`` and notes live in ``catalogue``, which needs no numpy.
+Each entry's notes live in ``catalogue``, which needs no numpy; its ``dim`` is its function's.
 Only the ``euler`` and ``brg_const`` builders load ``typecalc``, and only the family builders ``families``.
 """
 
@@ -26,20 +26,22 @@ from .transforms import SampledFunction, brg_function, brg_type, half_plane_poly
 
 class RegistryEntry(Record):
     id: str
-    dim: int
     fn: SampledFunction
     known: dict
     notes: dict
 
-    def __init__(self, id: str, dim: int, fn: SampledFunction, known: dict, notes: dict):
-        self._set(id, dim, fn, known, notes)
+    def __init__(self, id: str, fn: SampledFunction, known: dict, notes: dict):
+        super().__init__(id, fn, known, notes)
         if set(self.known) != set(self.notes):
             raise ValueError(f"known fields {sorted(self.known)} != noted {sorted(self.notes)}")
 
+    @property
+    def dim(self) -> int:
+        return self.fn.domain.dim
+
 
 def _entry(entry_id: str, fn: SampledFunction, known: dict) -> RegistryEntry:
-    dim, notes = CATALOGUE[entry_id]
-    return RegistryEntry(entry_id, dim, fn, known, notes)
+    return RegistryEntry(entry_id, fn, known, CATALOGUE[entry_id][1])
 
 
 def polynomial_family(series: MultiIndexSeries, host: Polysector) -> TotalFamily:
@@ -135,7 +137,7 @@ def rat2_total_family(opening: float = 1.2, cap: int = 8) -> TotalFamily:
         elements[((1,), (h,))] = _rat2_slice(ax1, (-1.0) ** h)
         for k in range(cap + 1):
             elements[((0, 1), (h, k))] = joint[(-1.0) ** (h + k)]
-    return TotalFamily(2, host, elements, (cap, cap))
+    return TotalFamily(host, elements)
 
 
 def poly_series() -> MultiIndexSeries:

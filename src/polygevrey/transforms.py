@@ -72,7 +72,7 @@ class SampledFunction(Record):
     provenance: str
 
     def __init__(self, domain: Polysector, fn: Callable, provenance: str = "closed-form"):
-        self._set(domain, fn, provenance)
+        super().__init__(domain, fn, provenance)
 
     @classmethod
     def constant(cls, value: complex, provenance: str = "closed-form") -> "SampledFunction":

@@ -162,7 +162,7 @@ class TypeProfile(Record):
     fn: Callable[[float], float]
 
     def __init__(self, alpha: float, beta: float, fn: Callable[[float], float]):
-        self._set(alpha, beta, fn)
+        super().__init__(alpha, beta, fn)
         if not self.alpha < self.beta:
             raise GeometryError("profile domain needs alpha < beta")
 

@@ -41,7 +41,7 @@ def with_fn(entry, fn):
     """A testbed entry with the fields of ``entry`` but the function ``fn``."""
     from polygevrey.testbed import RegistryEntry
 
-    return RegistryEntry(entry.id, entry.dim, fn, entry.known, entry.notes)
+    return RegistryEntry(entry.id, fn, entry.known, entry.notes)
 
 
 # (command, config, a text its config error must contain)
@@ -731,6 +731,24 @@ class TestTransform:
         assert main([command, "--config", write(tmp_path, "uf.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
         assert "z0 outside the Borel disc on axis 0: |z0|=0.5, type=0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("transform", {"direction": [0.0, 0.0], "radii": [0.04]}),
+            ("verify", {"suite": "coherence", "max_order": 1}),
+        ],
+        ids=["transform", "verify-coherence"],
+    )
+    def test_convex_series_has_no_borel_disc(self, tmp_path, capsys, command, cfg):
+        # (h! k!)^2 grows faster than any 1-Gevrey series: its fitted type is 0.0, so z0 is a config
+        # error, not a Borel-sum tail that fails its bound (exit 3) or incoherent limits (exit 1)
+        coeffs = [{"index": [h, k], "re": float(math.factorial(h) * math.factorial(k)) ** 2}
+                  for h in range(7) for k in range(7)]
+        cfg = {**cfg, "z0": [0.05, 0.05], "series": {"dim": 2, "coeffs": coeffs}}
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, "cv.json", cfg), "--out", str(out)]) == EXIT_SCHEMA
+        assert "z0 outside the Borel disc on axis 0: |z0|=0.05, type=0" in capsys.readouterr().err
+
     def test_direction_length_checked_before_the_tail(self, tmp_path, capsys):
         # at tol 1e-30 euler's dropped Borel tail fails its bound (exit 3), but
         # a direction with one angle too many is a config error first
@@ -940,8 +958,8 @@ class TestVerify:
         entry = testbed.get("rat2")
         fam = entry.known["total_family"]
         elements = {**fam.elements, ((0, 1), (0, 0)): SampledFunction.constant(2.0)}
-        known = {**entry.known, "total_family": TotalFamily(fam.dim, fam.host, elements, fam.index_bound)}
-        fake = RegistryEntry(entry.id, entry.dim, entry.fn, known, entry.notes)
+        known = {**entry.known, "total_family": TotalFamily(fam.host, elements)}
+        fake = RegistryEntry(entry.id, entry.fn, known, entry.notes)
         monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
         cfg = write(tmp_path, "vc.json", {"suite": "coherence", "testbed": "rat2", "max_order": 1})
         out = tmp_path / "out"
@@ -1033,7 +1051,7 @@ class TestVerify:
         entry = testbed.get("euler")
         (law,) = entry.known["type_profile"]
         doubled = TypeProfile(law.alpha, law.beta, lambda theta: 2.0 * law.fn(theta))
-        fake = RegistryEntry(entry.id, entry.dim, entry.fn, {**entry.known, "type_profile": (doubled,)}, entry.notes)
+        fake = RegistryEntry(entry.id, entry.fn, {**entry.known, "type_profile": (doubled,)}, entry.notes)
         monkeypatch.setattr(testbed, "get", lambda entry_id: fake)
         cfg = write(
             tmp_path,
@@ -1215,6 +1233,13 @@ class TestInterpolate:
         assert main(["interpolate", "--config", write(tmp_path, "ip7.json", cfg), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "interpolate.json").read_text())
         assert report["ok"] and report["worst_abs_err"] <= report["tol"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: from z0 = (0.5, 0.5) the exactly coherent rat2 "
+                       "family reads worst_abs_err 1.391e-4 > tol 1e-4 and exits 1")
+    def test_exact_family_passes_from_small_z0(self, tmp_path):
+        cfg = write(tmp_path, "ip8.json", {"testbed": "rat2", "z0": [0.5, 0.5]})
+        out = tmp_path / "out"
+        assert main(["interpolate", "--config", cfg, "--out", str(out)]) == EXIT_OK
 
     def test_failing_verdict_exit_code(self, tmp_path):
         cfg = write(

@@ -171,6 +171,13 @@ class TestAppN:
         with pytest.raises(DimensionMismatchError, match="one column per axis"):
             app_n_many(fam, [(1, 1)], [0.1, 0.1])
 
+    def test_first_order_index_bound(self):
+        # a family cut after order 1 names its bound, not the first element it lacks
+        fam = testbed.rat2_total_family(cap=4).first_order(1)
+        with pytest.raises(FamilyError) as info:
+            app_n_many(fam, [(3, 3)], [(0.1, 0.1)])
+        assert str(info.value) == "truncation (3, 3) exceeds index bound (1, 1) + 1"
+
     def test_family_invariants(self):
         fam = xy_family()
         one = fam.element((0,), (1,))
@@ -178,14 +185,13 @@ class TestAppN:
             fam.element((), ())
         with pytest.raises(FamilyError, match="repeated axes"):
             fam.element((0, 0), (1, 1))
-        with pytest.raises(DimensionMismatchError, match="host polysector"):
-            TotalFamily(3, fam.host, {}, (1, 1, 1))
-        with pytest.raises(DimensionMismatchError, match="index_bound length"):
-            TotalFamily(2, fam.host, {}, (1,))
         with pytest.raises(FamilyError, match="does not match subset"):
-            TotalFamily(2, fam.host, {((0,), (1, 1)): one}, (1, 1))
+            TotalFamily(fam.host, {((0,), (1, 1)): one})
         with pytest.raises(FamilyError, match="must live on 0 axes, has 1"):
-            TotalFamily(2, fam.host, {((0, 1), (1, 1)): one}, (1, 1))
+            TotalFamily(fam.host, {((0, 1), (1, 1)): one})
+        # the dimension is the host's, the index bound each axis's last f_{j,n}
+        assert (fam.dim, fam.index_bound) == (2, (1, 1))
+        assert TotalFamily(fam.host, {}).index_bound == (-1, -1)
 
     def test_outside_host(self):
         fam = xy_family()
@@ -498,7 +504,7 @@ class TestCoherence:
         fam = family_from_series(testbed.rat2_series(cap=3), (0.5, 0.5))
         els = dict(fam.elements)
         els[((0, 1), (1, 1))] = SampledFunction.constant(els[((0, 1), (1, 1))].eval_many([()])[0] + 1.0)
-        bad = TotalFamily(2, fam.host, els, fam.index_bound)
+        bad = TotalFamily(fam.host, els)
         rep = check_coherence(bad, 1e-6, max_order=1)
         assert not rep.ok()
         assert any(nj == (1,) and nl == (1,) for (_, _, nj, nl, _) in rep.failures)
@@ -546,7 +552,7 @@ class TestCoherence:
         els = dict(fam.elements)
         good = els[((0, 1), (1, 0))]
         els[((0, 1), (1, 0))] = SampledFunction(good.domain, lambda p: good.eval_many(p) + 0.01)
-        rep = check_coherence(TotalFamily(3, fam.host, els, fam.index_bound), 1e-6, max_order=1)
+        rep = check_coherence(TotalFamily(fam.host, els), 1e-6, max_order=1)
         assert not rep.ok()
         assert ((0, 1), (2,), (1, 0), (0,)) in [f[:4] for f in rep.failures]
 
@@ -617,7 +623,7 @@ def first_order_reference(fam, tol, max_order=2):
     n_cap = min(len(seq1) - 1, max_order)
     m_cap = min(len(seq2) - 1, max_order)
     if n_cap < 0 or m_cap < 0:
-        return CoherenceReport(0, 0.0, (), (), tol)
+        return CoherenceReport(0, 0.0, (), (), tol, 0)
     vals1, errs1, conv1, _ = (
         a[..., 0]
         for a in element_coefficients(
@@ -649,7 +655,7 @@ def first_order_reference(fam, tol, max_order=2):
             if residual > tol:
                 failures.append(((0,), (1,), (n,), (m,), residual))
     return CoherenceReport(
-        checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol
+        checked, max_residual, tuple(sorted(failures)), tuple(probe_failures), tol, 0
     )
 
 
@@ -670,7 +676,7 @@ def constant_first_order_family(values, noisy=False):
         elements[(0,), (0,)] = SampledFunction(
             host.axes_subset((1,)), lambda p: 1.0 + 1e-5 * np.sin(1e4 * np.abs(p[:, 0]))
         )
-    return TotalFamily(2, host, elements, (1, 1))
+    return TotalFamily(host, elements)
 
 
 def three_variable_polynomial_family():
@@ -696,7 +702,7 @@ class TestFirstOrder:
 
     def test_empty_cap(self):
         host = Polysector([Sector(-0.5, 0.5, 1.0)] * 2)
-        fam = TotalFamily(2, host, {}, (0, 0))
+        fam = TotalFamily(host, {})
         assert fam.sequence(0) == fam.sequence(1) == ()
         assert check_coherence(fam.first_order(2), 1e-6, 2).checked_pairs == 0
 
@@ -766,7 +772,7 @@ class TestFirstOrder:
         els = dict(fam.elements)
         good = els[((0,), (1,))]
         els[((0,), (1,))] = SampledFunction(good.domain, lambda p: good.eval_many(p) + 0.01)
-        rep = check_coherence(TotalFamily(3, fam.host, els, fam.index_bound).first_order(2), 1e-6, 2)
+        rep = check_coherence(TotalFamily(fam.host, els).first_order(2), 1e-6, 2)
         assert not rep.ok()
         assert {f[:4] for f in rep.failures} == {((0,), (1,), (1,), (0,)), ((0,), (2,), (1,), (0,))}
 
@@ -790,11 +796,12 @@ class TestFirstOrder:
         assert not rep.ok()
 
     def test_first_order_family(self):
-        # the #J = 1 elements up to max_order; the index bound keeps each sequence's length
+        # the #J = 1 elements up to max_order; the index bound is the last order kept
         fam = testbed.rat2_total_family(cap=4)
         first = fam.first_order(2)
         assert sorted(first.elements) == [((a,), (n,)) for a in range(2) for n in range(3)]
-        assert first.index_bound == (4, 4)
+        assert first.index_bound == (2, 2)
+        assert fam.first_order(6).index_bound == (4, 4)
         assert all(first.elements[key] is fam.elements[key] for key in first.elements)
         assert fam.first_order(-1).elements == {}
 
@@ -828,7 +835,7 @@ def no_strong_expansion_family(cap=3):
         return SampledFunction(host.axes_subset((1 - axis,)), lambda p: sign * p[:, 0] ** (-n))
 
     elements = {((axis,), (n,)): element(axis, n) for axis in range(2) for n in range(cap + 1)}
-    return TotalFamily(2, host, elements, (cap, cap))
+    return TotalFamily(host, elements)
 
 
 class TestNoStrongExpansion:

@@ -385,7 +385,7 @@ class TestPLCheck:
 
         host = Polysector([Sector(-0.5, 0.5, 1.0)])
         f = SampledFunction(host, lambda p: np.ones(len(p), dtype=complex))
-        monkeypatch.setattr(testbed, "get", lambda entry_id: RegistryEntry(entry_id, 1, f, {}, {}))
+        monkeypatch.setattr(testbed, "get", lambda entry_id: RegistryEntry(entry_id, f, {}, {}))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "suite": "pl", "testbed": "ones", "growth_attestation": "bounded by 1, subexponential",

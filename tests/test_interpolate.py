@@ -41,7 +41,7 @@ def constant_sequences(host, values0, values1):
     elements = {
         ((axis,), (n,)): mk(axis, v) for axis, values in enumerate((values0, values1)) for n, v in enumerate(values)
     }
-    return TotalFamily(2, host, elements, (len(values0) - 1, len(values1) - 1))
+    return TotalFamily(host, elements)
 
 
 class TestTrivialFamilies:
@@ -88,7 +88,7 @@ class TestTrivialFamilies:
 class TestValidation:
     def test_dimension(self):
         host = Polysector([Sector(-0.5, 0.5, math.inf)])
-        fam = TotalFamily(1, host, {((0,), (0,)): SampledFunction.constant(1.0)}, (0,))
+        fam = TotalFamily(host, {((0,), (0,)): SampledFunction.constant(1.0)})
         with pytest.raises(DomainError):
             interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 
@@ -137,7 +137,7 @@ class TestValidation:
             host.axes_subset((1,)),
             lambda p: 1.0 + 1e-4 * np.sin(1e4 * np.abs(p[:, 0])),
         )
-        fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
+        fam = TotalFamily(host, {**fam.elements, ((0,), (0,)): noisy})
         with pytest.raises(CoherenceError) as info:
             interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
         assert info.value.report.probe_failures
@@ -152,7 +152,7 @@ class TestValidation:
             host.axes_subset((1,)),
             lambda p: 1.0 + 1e-6 * np.sin(1e4 * np.abs(p[:, 0])),
         )
-        fam = TotalFamily(2, host, {**fam.elements, ((0,), (0,)): noisy}, fam.index_bound)
+        fam = TotalFamily(host, {**fam.elements, ((0,), (0,)): noisy})
         with pytest.raises(ProbeError, match="low-order axis-1 constants unconverged"):
             interpolate_first_order(fam, (0.9, 0.9), coeff_cap=8)
 

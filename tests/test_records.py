@@ -41,14 +41,14 @@ MAKERS = {
     "Polysector": lambda: Polysector([Sector(0.0, 1.0)]),
     "MultiIndexSeries": lambda: MultiIndexSeries(1, {(0,): 1.0, (2,): 0.5}),
     "SampledFunction": lambda: SampledFunction(HOST, _one),
-    "TotalFamily": lambda: TotalFamily(1, HOST, {((0,), (0,)): CONST}, (0,)),
+    "TotalFamily": lambda: TotalFamily(HOST, {((0,), (0,)): CONST}),
     "ProbeSpec": lambda: ProbeSpec(tol=1e-6),
     "ExtractResult": lambda: ExtractResult(1.0 + 0j, 1e-9, True, 0.1),
-    "CoherenceReport": lambda: CoherenceReport(3, 1e-9, (), (), 1e-6),
+    "CoherenceReport": lambda: CoherenceReport(3, 1e-9, (), (), 1e-6, 0),
     "TypeProfile": lambda: TypeProfile(-1.0, 1.0, _profile),
-    "RegistryEntry": lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"a": "note"}),
+    "RegistryEntry": lambda: RegistryEntry("x", CONST, {"a": 1}, {"a": "note"}),
     "FlatFit": lambda: FlatFit((0.5,), 0.1),
-    "BoundReport": lambda: BoundReport(1.0, 0.5, (), 1e-9),
+    "BoundReport": lambda: BoundReport(1.0, 0.5, (), 1e-9, 0),
     "NullFitEntry": lambda: NullFitEntry((1,), 1.0, True),
 }
 
@@ -97,7 +97,9 @@ def test_cached_sup_is_not_a_field():
          "invalid probe ProbeSpec(r0=-1.0, ratio=0.7, tol=0.0, circle_nodes=64, direction=None): "
          "need r0 > 0, tol > 0"),
         (lambda: TypeProfile(1.0, 0.0, _profile), GeometryError, "profile domain needs alpha < beta"),
-        (lambda: RegistryEntry("x", 1, CONST, {"a": 1}, {"b": ""}), ValueError, "known fields ['a'] != noted ['b']"),
+        (lambda: RegistryEntry("x", CONST, {"a": 1}, {"b": ""}), ValueError, "known fields ['a'] != noted ['b']"),
+        (lambda: ExtractResult(1.0 + 0j, 1e-9, True), TypeError,
+         "ExtractResult takes fields ('value', 'error', 'converged', 'radius'), got 3 values"),
         (lambda: FlatFit((-0.5,), 0.1), SeriesError, "flat rates must be nonnegative"),
         (lambda: FlatFit((0.5,), -0.1), SeriesError, "negative residual"),
     ],

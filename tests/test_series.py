@@ -12,7 +12,7 @@ from polygevrey import (
     fit_gevrey_type,
     gamma1_norm,
 )
-from polygevrey.series import evaluate_many, rate_fit
+from polygevrey.series import _half_window_slopes, evaluate_many, rate_fit
 
 
 def evaluate_partial(f: MultiIndexSeries, z) -> complex:
@@ -158,6 +158,21 @@ class TestFit:
     def test_underflowed_rate_is_zero(self):
         # log(|f_1|/|f_0|) = 1381: the fitted rate exp(-1381) underflows to 0.0
         assert fit_gevrey_type(MultiIndexSeries(1, {(0,): 1e-300, (1,): 1e300})) == (0.0,)
+
+    def test_convex_log_ratio_is_zero(self):
+        # f_(h,k) = (h! k!)^2, h, k <= 6: log(|f_N|/N!) = log(h! k!) is convex, its upper-half
+        # slope 0.99 above the lower-half one on each axis, so the type is 0.0, not the
+        # exp(-slope) = 0.321 of the full-window average
+        ser = MultiIndexSeries(2, {(h, k): (math.factorial(h) * math.factorial(k)) ** 2
+                                   for h in range(7) for k in range(7)}, (6, 6))
+        idx = np.asarray([ix for ix, _ in ser.items()], dtype=float)
+        y = np.asarray([math.log(abs(c)) - math.lgamma(h + 1) - math.lgamma(k + 1) for (h, k), c in ser.items()])
+        for axis in range(2):
+            lower, upper = _half_window_slopes(idx, y, axis)
+            assert upper - lower == pytest.approx(0.99, abs=0.005)
+        slopes, _ = rate_fit(idx, y)
+        assert np.exp(-slopes) == pytest.approx([0.321] * 2, abs=5e-4)
+        assert fit_gevrey_type(ser) == (0.0, 0.0)
 
     def test_sparse_degrees_skip_the_half_window_test(self):
         # f_N = N! at N in {0, 1, 2, 10, 11}: the upper half window [5.5, 11] holds two

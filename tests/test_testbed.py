@@ -42,9 +42,9 @@ class TestRegistry:
     def test_known_without_note_rejected(self):
         entry = testbed.get("euler")
         with pytest.raises(ValueError):
-            testbed.RegistryEntry(entry.id, entry.dim, entry.fn, {**entry.known, "extra": 1}, entry.notes)
+            testbed.RegistryEntry(entry.id, entry.fn, {**entry.known, "extra": 1}, entry.notes)
         with pytest.raises(ValueError):
-            testbed.RegistryEntry(entry.id, entry.dim, entry.fn, {}, entry.notes)
+            testbed.RegistryEntry(entry.id, entry.fn, {}, entry.notes)
 
 
 class TestFlat1:
